@@ -4,8 +4,10 @@ The converter is the double description method: constraints are inserted one
 at a time into a growing cone, splitting rays on the new hyperplane and
 combining adjacent positive/negative pairs.  Lineality (non-pointed input)
 is handled natively, so the zero cone and the full space are ordinary
-values.  Dimensions in this package stay small (<= 8), so no effort is
-spent on insertion-order heuristics.
+values.  Dimensions in this package stay small: at most 8 for cones of
+classes, and one more for the homogenized inequality systems whose
+vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent
+on insertion-order heuristics.
 """
 
 from __future__ import annotations

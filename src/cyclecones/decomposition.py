@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .errors import CycleConesError
 from .rationals import rat_str
 from .vectors import ClassVector
 
@@ -33,7 +34,13 @@ class Decomposition:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert (self.positive + self.negative).coords == self.input.coords
+        if (self.positive + self.negative).coords != self.input.coords:
+            raise CycleConesError(
+                "inconsistent decomposition: positive + negative != input",
+                input=[rat_str(c) for c in self.input.coords],
+                positive=[rat_str(c) for c in self.positive.coords],
+                negative=[rat_str(c) for c in self.negative.coords],
+            )
 
     def certificate(self, fact: str) -> Certificate | None:
         return next((c for c in self.certificates if c.fact == fact), None)

@@ -87,19 +87,6 @@ def geometry_from_json(doc: dict) -> ConeGeometry:
     return cone_geometry(doc.get("name", "geometry"), mov, eff, objective)
 
 
-def geometry_to_json(g: ConeGeometry) -> dict:
-    doc = {
-        "name": g.name,
-        "basis": g.basis,
-        "dim": g.dim,
-        "mov": cone_to_json(g.mov),
-        "eff": cone_to_json(g.eff),
-    }
-    if g.degree_functional is not None:
-        doc["objective"] = [rat_str(c) for c in g.degree_functional.coords]
-    return doc
-
-
 def gram_from_json(doc: dict) -> PairingBasis:
     if not isinstance(doc, dict) or "labels" not in doc or "gram" not in doc:
         raise InputError('pairing document needs "labels" and "gram"')

@@ -121,9 +121,3 @@ def in_row_span(matrix, vector) -> bool:
     base = mat_rank(rows) if rows else 0
     return mat_rank(rows + [vec]) == base
 
-
-def same_row_span(a, b) -> bool:
-    rows_a, rows_b = _to_rows(a), _to_rows(b)
-    return all(in_row_span(rows_b, r) for r in rows_a) and all(
-        in_row_span(rows_a, r) for r in rows_b
-    )

@@ -1,21 +1,20 @@
 """Bounded rational polytopes: exact vertex enumeration and optimization.
 
-Vertices come from enumerating maximal-rank subsets of the defining
-inequalities; the linear optimizer runs exact simplex on the inequality
-description and cross-checks against the vertex scan, so the two routes
-must agree on every call.
+Vertices and boundedness come from one double description of the
+homogenized inequality system (Motzkin, Raiffa, Thompson and Thrall,
+1953; Fukuda and Prodon, 1996).  The linear optimizer scans the vertices
+and proves the maximum with an LP-duality certificate that is re-verified
+by direct arithmetic on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
 from .errors import CycleConesError, DomainError, InputError
 from .rationals import rat
-from .simplex import OPTIMAL, maximize_affine
+from .simplex import nonneg_solve
 from . import cones
 from .vectors import ClassVector, dual_basis
 
@@ -29,9 +28,6 @@ class AffineInequality:
 
     def __post_init__(self):
         object.__setattr__(self, "offset", rat(self.offset))
-
-    def holds_at(self, point: ClassVector) -> bool:
-        return self.value_at(point) >= self.offset
 
     def value_at(self, point: ClassVector) -> Fraction:
         return sum(
@@ -67,101 +63,63 @@ class RationalPolytope:
         )
         return RationalPolytope(basis, dim, ineqs)
 
-    def feasible(self, point: ClassVector) -> bool:
-        return all(ineq.holds_at(point) for ineq in self.inequalities)
-
     def is_empty(self) -> bool:
         return not vertex_enumeration(self).vertices
 
 
+def _homogenized(p: RationalPolytope):
+    """Vertices and a recession direction from one double description.
+
+    The cone {(x, t) : <a, x> - b t >= 0, t >= 0} over the system has the
+    vertices, scaled by t > 0, as its rays with t > 0; a ray with t = 0 or
+    any lineality is a nonzero direction d with <a, d> >= 0 for every row.
+    Returns ``(vertices, direction)``, sorted vertices and None when the
+    system is bounded, ``((), direction)`` otherwise.
+    """
+    rows = [(*ineq.functional.coords, -ineq.offset) for ineq in p.inequalities]
+    rows.append((Fraction(0),) * p.dim + (Fraction(1),))
+    lineality, rays = cones.double_description(rows, p.dim + 1)
+    witnesses = lineality or [r for r in rays if r[-1] == 0]
+    if witnesses:
+        return (), ClassVector(p.basis, witnesses[0][:-1])
+    points = sorted(tuple(c / r[-1] for c in r[:-1]) for r in rays)
+    return tuple(ClassVector(p.basis, x) for x in points), None
+
+
 def recession_direction(p: RationalPolytope) -> ClassVector | None:
     """A nonzero direction of the recession cone, or None when bounded."""
-    rows = [ineq.functional.coords for ineq in p.inequalities]
-    lineality, rays = cones.double_description(rows, p.dim)
-    if lineality:
-        return ClassVector(p.basis, lineality[0])
-    if rays:
-        return ClassVector(p.basis, rays[0])
-    return None
+    return _homogenized(p)[1]
 
 
 def vertex_enumeration(p: RationalPolytope) -> RationalPolytope:
     """The same polytope with its exact, irredundant vertex list attached.
 
-    Requires boundedness, which is verified by checking that the recession
-    cone is trivial; an unbounded system raises a domain error carrying a
-    recession direction.  An infeasible system yields an empty vertex list.
+    Requires boundedness: an unbounded system raises a domain error
+    carrying a recession direction.  An infeasible system yields an empty
+    vertex list.  Vertices and the boundedness verdict come from one
+    double description of the homogenized system.
     """
     if p.vertices is not None:
         return p
-    direction = recession_direction(p)
+    vertices, direction = _homogenized(p)
     if direction is not None:
         raise DomainError(
             "inequality system is unbounded",
             recession_direction=[str(c) for c in direction.coords],
         )
-    # clear denominators once so the subset solves run on machine integers
-    int_rows: list[tuple[int, ...]] = []
-    int_offsets: list[int] = []
-    for ineq in p.inequalities:
-        scale = 1
-        for c in (*ineq.functional.coords, ineq.offset):
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        int_rows.append(tuple(int(c * scale) for c in ineq.functional.coords))
-        int_offsets.append(int(ineq.offset * scale))
-    seen: set[tuple] = set()
-    points: list[ClassVector] = []
-    for subset in combinations(range(len(int_rows)), p.dim):
-        solution = _solve_int_square(
-            [int_rows[i] for i in subset], [int_offsets[i] for i in subset]
-        )
-        if solution is None or solution in seen:
-            continue
-        feasible = all(
-            sum(r * c for r, c in zip(row, solution)) >= off
-            for row, off in zip(int_rows, int_offsets)
-        )
-        if feasible:
-            seen.add(solution)
-            points.append(ClassVector(p.basis, solution))
-    points.sort(key=lambda v: v.coords)
-    return RationalPolytope(p.basis, p.dim, p.inequalities, tuple(points))
-
-
-def _solve_int_square(rows: list[tuple[int, ...]], rhs: list[int]):
-    """Solve a square integer system exactly; None when singular.
-
-    Forward elimination by cross-multiplication keeps everything in plain
-    integers; only the back substitution produces Fractions.
-    """
-    n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-        head = m[c]
-        lead = head[c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            if f:
-                m[i] = [lead * a - f * b for a, b in zip(m[i], head)]
-    solution = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n] - sum(m[i][j] * solution[j] for j in range(i + 1, n))
-        solution[i] = Fraction(acc) / m[i][i] if not isinstance(acc, Fraction) else acc / m[i][i]
-    return tuple(solution)
+    return RationalPolytope(p.basis, p.dim, p.inequalities, vertices)
 
 
 def maximize_linear(p: RationalPolytope, objective: ClassVector):
     """Exact maximum of a linear objective and all vertices attaining it.
 
-    Two independent routes compute the optimum: simplex on the inequality
-    description and a scan over the enumerated vertices.  They are required
-    to agree; ties are never broken here, the whole optimal face's vertex
-    set is returned, sorted.
+    The maximum is read off the enumerated vertices and proved by an
+    LP-duality certificate, checked on every call: multipliers y >= 0 on
+    the inequalities <a_i, x> >= b_i tight at an optimal vertex with
+    objective = -sum y_i a_i and sum y_i b_i = -maximum, so that
+    <objective, x> = -sum y_i <a_i, x> <= maximum on the whole polytope.
+    Ties are never broken here; the whole optimal face's vertex set is
+    returned, sorted.
     """
     if objective.basis != dual_basis(p.basis) or objective.dim != p.dim:
         raise InputError("objective must be a functional in the dual basis")
@@ -177,14 +135,27 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
         v for v, val in zip(enumerated.vertices, values) if val == best
     )
 
-    status, lp_value, _ = maximize_affine(
-        [ineq.functional.coords for ineq in p.inequalities],
-        [ineq.offset for ineq in p.inequalities],
-        objective.coords,
-    )
-    if status != OPTIMAL or lp_value != best:
+    tight = [
+        ineq for ineq in p.inequalities if ineq.value_at(optimal[0]) == ineq.offset
+    ]
+    target = tuple(-c for c in objective.coords)
+    y = nonneg_solve([ineq.functional.coords for ineq in tight], target)
+    if y is None or not _certifies(tight, y, target, best):
         raise CycleConesError(
-            f"optimizer disagreement: simplex {status}/{lp_value}, "
-            f"vertex scan {best}"
+            f"no optimality certificate for vertex scan maximum {best}",
+            objective=[str(c) for c in objective.coords],
+            vertex=[str(c) for c in optimal[0].coords],
         )
     return best, optimal
+
+
+def _certifies(tight, y, target, best) -> bool:
+    """Re-verify the dual certificate by direct arithmetic."""
+    if len(y) != len(tight) or any(c < 0 for c in y):
+        return False
+    combination = tuple(
+        sum((c * ineq.functional.coords[k] for c, ineq in zip(y, tight)), Fraction(0))
+        for k in range(len(target))
+    )
+    offset = sum((c * ineq.offset for c, ineq in zip(y, tight)), Fraction(0))
+    return combination == target and offset == -best

@@ -131,7 +131,11 @@ def sigma(profile: HNProfile, k: int) -> Fraction:
     """Boundary constant of the movable cone in dimension k."""
     _check_k(profile, k, 1, profile.rank - 1)
     value = epsilon(profile, k - 1) + profile.top_slope
-    assert value >= epsilon(profile, k)
+    eps = epsilon(profile, k)
+    if value < eps:
+        raise DomainError(
+            "cone constants out of order", epsilon=rat_str(eps), sigma=rat_str(value)
+        )
     return value
 
 
@@ -243,7 +247,6 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
         positive = ClassVector(basis, (1, sig)).scale(b / gap)
         negative_multiple = (a * gap - b) / gap
         negative = ClassVector(basis, (1, eps)).scale(negative_multiple)
-    assert (positive + negative).coords == alpha.coords
     certificates = (
         Certificate(
             "positive-part-movable",

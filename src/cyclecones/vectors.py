@@ -124,9 +124,6 @@ class ClassVector:
             content = gcd(content, abs(v))
         return ClassVector(self.basis, tuple(Fraction(v, content) for v in ints))
 
-    def key(self) -> tuple[Fraction, ...]:
-        return self.coords
-
     def __repr__(self):
         from .rationals import rat_str
 
@@ -163,6 +160,3 @@ def dot(functional: ClassVector, vector: ClassVector) -> Fraction:
         Fraction(0),
     )
 
-
-def vectors_from_rows(basis: str, rows) -> tuple[ClassVector, ...]:
-    return tuple(ClassVector(basis, tuple(rat(x) for x in row)) for row in rows)

@@ -106,18 +106,17 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     """
     if alpha.basis != g.basis or alpha.dim != g.dim:
         raise InputError("class not in the geometry's coordinate space")
-    verdict = contains(g.eff, alpha)
-    if not verdict:
-        raise DomainError(
-            "class is not pseudo-effective",
-            separating_functional=[rat_str(c) for c in verdict.separating.coords],
-        )
     dual = dual_basis(g.basis)
     rows: list[AffineInequality] = []
     for l in g.mov.inequalities:
         rows.append(AffineInequality(l, Fraction(0)))
     for m in g.eff.inequalities:
         bound = sum((a * b for a, b in zip(m.coords, alpha.coords)), Fraction(0))
+        if bound < 0:
+            raise DomainError(
+                "class is not pseudo-effective",
+                separating_functional=[rat_str(c) for c in m.coords],
+            )
         flipped = ClassVector(dual, tuple(-c for c in m.coords))
         rows.append(AffineInequality(flipped, -bound))
     polytope = RationalPolytope(g.basis, g.dim, tuple(rows))

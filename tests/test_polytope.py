@@ -1,15 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cyclecones.errors import DomainError, InputError
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.polytope import (
     RationalPolytope,
     maximize_linear,
+    recession_direction,
     vertex_enumeration,
 )
-from cyclecones.simplex import OPTIMAL, maximize_affine
+from cyclecones.simplex import OPTIMAL, maximize_affine, nonneg_solve
 from cyclecones.vectors import ClassVector
 
 F = Fraction
@@ -109,3 +111,121 @@ def test_lp_optimum_matches_vertex_scan_randomized():
         assert lp_value == brute
         value, face = maximize_linear(enumerated, ClassVector(f"{basis}*", objective))
         assert value == brute and face
+
+
+def test_wrong_vertex_list_fails_the_optimality_certificate():
+    # a vertex list missing the true maximizer (1, 0) must not be trusted
+    p = triangle()
+    partial = RationalPolytope(
+        p.basis,
+        p.dim,
+        p.inequalities,
+        (ClassVector("pt2", (0, 0)), ClassVector("pt2", (0, 1))),
+    )
+    with pytest.raises(CycleConesError):
+        maximize_linear(partial, ClassVector("pt2*", (1, 0)))
+
+
+# -- brute-force oracle: every dim-subset of the inequalities -----------------
+
+
+def _det(matrix):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in matrix]
+    n, sign, prev = len(m), 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot], sign = m[pivot], m[c], -sign
+        for i in range(c + 1, n):
+            m[i] = [(m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev for j in range(n)]
+        prev = m[c][c]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def subset_vertices(dim, rows):
+    """Vertices of {x : <a, x> >= b} (integer rows) as the feasible solutions
+    of all nonsingular dim-subsets of the rows, by Cramer's rule, deduplicated
+    and sorted."""
+    found = set()
+    for subset in itertools.combinations(rows, dim):
+        square = [a for a, _ in subset]
+        den = _det(square)
+        if den == 0:
+            continue
+        num = [
+            _det([a[:k] + (b,) + a[k + 1:] for a, b in subset]) for k in range(dim)
+        ]
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        if all(sum(ai * xi for ai, xi in zip(a, num)) >= b * den for a, b in rows):
+            found.add(tuple(F(x, den) for x in num))
+    return sorted(found)
+
+
+def recession_trivial(dim, rows):
+    """{d : <a, d> >= 0} = {0} iff the rows positively span the space."""
+    columns = [a for a, _ in rows]
+    units = [tuple(s * int(i == k) for i in range(dim)) for k in range(dim) for s in (1, -1)]
+    return all(nonneg_solve(columns, u) is not None for u in units)
+
+
+def _random_system(rng, dim):
+    kind = rng.choice(
+        ["box", "degenerate", "zero-class", "infeasible", "half-open", "free"]
+    )
+    units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    if kind == "zero-class":
+        # candidates for a zero class: movable rows at 0, effective rows flipped
+        rows = [(tuple(-x for x in u), 0) for u in units]
+        rows += [(tuple(rng.randint(0, 3) for _ in range(dim)), 0) for _ in range(dim)]
+        rows += [(u, 0) for u in units]
+        return kind, rows
+    rows = [(u, -rng.randint(0, 3)) for u in units]
+    rows += [(tuple(-x for x in u), -rng.randint(0, 3)) for u in units]
+    if kind == "degenerate":
+        # extra rows through the lower corner (b_0, ..., b_d) of the box
+        corner = [b for _, b in rows[:dim]]
+        for _ in range(rng.randint(1, 3)):
+            a = tuple(rng.randint(0, 2) for _ in range(dim))
+            rows.append((a, sum(x * c for x, c in zip(a, corner))))
+    elif kind == "infeasible":
+        rows.append((tuple(1 for _ in range(dim)), 3 * dim + 1))
+    elif kind == "half-open":
+        del rows[dim + rng.randrange(dim)]
+    elif kind == "free":
+        rows = rows[: rng.randint(0, 2 * dim)]
+        while len(rows) < dim + 1:
+            rows.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-4, 2)))
+    for _ in range(rng.randint(0, 2)):
+        rows.append((tuple(rng.randint(-2, 2) for _ in range(dim)), -rng.randint(0, 6)))
+    rng.shuffle(rows)
+    return kind, rows
+
+
+def test_vertex_enumeration_matches_subset_oracle_randomized():
+    rng = random.Random(20_131_005)
+    seen = set()
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        kind, rows = _random_system(rng, dim)
+        p = RationalPolytope.from_inequalities(f"or{dim}", dim, rows)
+        try:
+            vertices = vertex_enumeration(p).vertices
+        except DomainError as err:
+            d = tuple(F(x) for x in err.details["recession_direction"])
+            assert any(d)
+            assert all(sum(F(ai) * di for ai, di in zip(a, d)) >= 0 for a, _ in rows)
+            assert not recession_trivial(dim, rows)
+            assert recession_direction(p).coords == d
+            seen.add("unbounded")
+            continue
+        assert recession_trivial(dim, rows)
+        assert recession_direction(p) is None
+        assert [v.coords for v in vertices] == subset_vertices(dim, rows)
+        if kind == "zero-class":
+            assert [v.coords for v in vertices] == [(0,) * dim]
+        seen.add(kind if vertices else "empty")
+    assert seen >= {"box", "degenerate", "zero-class", "empty", "unbounded"}
