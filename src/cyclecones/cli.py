@@ -267,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add a metadata block (timestamp) next to the payload",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="machine output (the default; kept for scripting clarity)",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     cone = subparsers.add_parser("cone", help="cone conversion, duality, membership")
@@ -316,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     fx = subparsers.add_parser("fixture", help="load and verify embedded geometries")
     fx.add_argument("name", choices=list(fixtures.FIXTURE_NAMES))
     fx.add_argument("--verify", action="store_true")
-    fx.add_argument("--json", action="store_true", dest="fixture_json")
 
     return parser
 

@@ -14,40 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
-from .linalg import nullspace
+from .linalg import dot, int_primitive, nullspace, reproduces, separates, violated
 from .rationals import rat
 from .simplex import nonneg_solve
 from .vectors import ClassVector, dual_basis
 
 Row = tuple[Fraction, ...]
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _int_primitive(row) -> tuple[int, ...]:
-    """Primitive integer form of a rational row, preserving orientation."""
-    common = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            common = common * x.denominator // gcd(common, x.denominator)
-    ints = [int(x * common) for x in row]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    if content == 0:
-        return tuple(ints)
-    return tuple(v // content for v in ints)
-
-
-def _primitive(row: Sequence[Fraction]) -> Row:
-    """Scale to coprime integer entries, preserving orientation."""
-    return tuple(Fraction(v) for v in _int_primitive(row))
 
 
 def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
@@ -76,28 +51,25 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
             raise InputError(f"constraint of length {len(checked)} in dimension {dim}")
         if not any(checked):
             continue
-        a = _int_primitive(checked)
+        a = int_primitive(checked)
 
-        def idot(u, v=a):
-            return sum(x * y for x, y in zip(u, v))
-
-        hit = next((i for i, l in enumerate(lineality) if idot(l) != 0), None)
+        hit = next((i for i, l in enumerate(lineality) if dot(l, a) != 0), None)
         if hit is not None:
             z = lineality.pop(hit)
-            az = idot(z)
+            az = dot(z, a)
             if az < 0:
                 z = tuple(-x for x in z)
                 az = -az
             # az * l - <a,l> * z is a positive rescaling of the projection
             lineality = [
-                _int_primitive(
-                    tuple(az * l_i - idot(l) * z_i for l_i, z_i in zip(l, z))
+                int_primitive(
+                    tuple(az * l_i - dot(l, a) * z_i for l_i, z_i in zip(l, z))
                 )
                 for l in lineality
             ]
             rays = [
-                _int_primitive(
-                    tuple(az * r_i - idot(r) * z_i for r_i, z_i in zip(r, z))
+                int_primitive(
+                    tuple(az * r_i - dot(r, a) * z_i for r_i, z_i in zip(r, z))
                 )
                 for r in rays
             ]
@@ -107,7 +79,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
             tight.append(set(range(idx)))
             continue
 
-        values = [idot(r) for r in rays]
+        values = [dot(r, a) for r in rays]
         if all(v >= 0 for v in values):
             for i, v in enumerate(values):
                 if v == 0:
@@ -132,7 +104,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
                 )
                 if blocked:
                     continue
-                combo = _int_primitive(
+                combo = int_primitive(
                     tuple(
                         values[ip] * rays[im][j] - values[im] * rays[ip][j]
                         for j in range(dim)
@@ -261,13 +233,13 @@ def dd_convert(cone: PolyCone) -> PolyCone:
 
     if cone.generators is not None and cone.inequalities is not None:
         for g in cone.generators:
-            if any(_dot(row, g.coords) < 0 for row in canonical_ineqs):
+            if violated(canonical_ineqs, g.coords) is not None:
                 raise InputError(
                     "inconsistent cone: a supplied generator violates the "
                     "supplied inequalities"
                 )
         for l in cone.inequalities:
-            if any(_dot(l.coords, row) < 0 for row in gen_rows):
+            if any(dot(l.coords, row) < 0 for row in gen_rows):
                 raise InputError(
                     "inconsistent cone: a supplied inequality cuts off part "
                     "of the generated cone"
@@ -276,7 +248,7 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         # the canonical generators must reproduce exactly the input cone;
         # every input generator has to satisfy the computed inequalities
         for g in cone.generators:
-            if any(_dot(row, g.coords) < 0 for row in canonical_ineqs):
+            if violated(canonical_ineqs, g.coords) is not None:
                 raise InputError("double description produced an inconsistent pair")
     return result
 
@@ -315,25 +287,14 @@ class ContainsResult:
 
     def verify(self) -> bool:
         """Re-verify the certificate by direct arithmetic, trusting nothing."""
+        gens = self.cone.generator_rows()
         if self.member:
-            if self.combination is None:
-                return False
-            gens = self.cone.generators or ()
-            if len(self.combination) != len(gens):
-                return False
-            if any(c < 0 for c in self.combination):
-                return False
-            total = [Fraction(0)] * self.vector.dim
-            for coeff, g in zip(self.combination, gens):
-                for i, x in enumerate(g.coords):
-                    total[i] += coeff * x
-            return tuple(total) == self.vector.coords
-        if self.separating is None:
-            return False
-        sep = self.separating.coords
-        if any(_dot(sep, g.coords) < 0 for g in self.cone.generators or ()):
-            return False
-        return _dot(sep, self.vector.coords) < 0
+            return self.combination is not None and reproduces(
+                self.combination, gens, self.vector.coords
+            )
+        return self.separating is not None and separates(
+            self.separating.coords, gens, self.vector.coords
+        )
 
 
 def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
@@ -346,9 +307,9 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     if vector.basis != cone.basis or vector.dim != cone.dim:
         raise InputError("vector not in the cone's coordinate space")
     full = cone if cone.canonical else dd_convert(cone)
-    for l in full.inequalities:
-        if _dot(l.coords, vector.coords) < 0:
-            return ContainsResult(full, vector, False, separating=l)
+    cut = violated(full.inequality_rows(), vector.coords)
+    if cut is not None:
+        return ContainsResult(full, vector, False, separating=full.inequalities[cut])
     gens = full.generators
     if vector.is_zero():
         return ContainsResult(full, vector, True, combination=(Fraction(0),) * len(gens))
@@ -397,10 +358,7 @@ def cones_equal(a: PolyCone, b: PolyCone) -> bool:
         return True
     # mutual containment fallback for non-salient canonical forms, whose
     # quotient-ray representatives may legitimately differ
-    ok_ab = all(
-        all(_dot(l.coords, g) >= 0 for l in cb.inequalities) for g in gens_a
+    ineqs_a, ineqs_b = ca.inequality_rows(), cb.inequality_rows()
+    return all(violated(ineqs_b, g) is None for g in gens_a) and all(
+        violated(ineqs_a, g) is None for g in gens_b
     )
-    ok_ba = all(
-        all(_dot(l.coords, g) >= 0 for l in ca.inequalities) for g in gens_b
-    )
-    return ok_ab and ok_ba

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays
-from ..linalg import mat_rank
+from ..linalg import combine, dot, mat_rank
 from ..projbundle import (
     HNProfile,
     class_basis,
@@ -62,10 +62,7 @@ def check_extremal_rays_equal(fixture, args):
 def check_interior_point(fixture, args):
     cone = dd_convert(fixture.cone(args["cone"]))
     vector = fixture.vector(args["vector"])
-    values = [
-        sum((a * b for a, b in zip(l.coords, vector.coords)), Fraction(0))
-        for l in cone.inequalities
-    ]
+    values = [dot(l.coords, vector.coords) for l in cone.inequalities]
     status = "pass" if all(v > 0 for v in values) else "fail"
     return status, {"facet_values": [rat_str(v) for v in values]}
 
@@ -77,11 +74,8 @@ def check_combination_reproduces(fixture, args):
     gens = cone.generators
     if len(coefficients) != len(gens) or any(c < 0 for c in coefficients):
         return "fail", {"error": "coefficient list does not match the generators"}
-    total = [Fraction(0)] * vector.dim
-    for coeff, gen in zip(coefficients, gens):
-        for i, x in enumerate(gen.coords):
-            total[i] += coeff * x
-    status = "pass" if tuple(total) == vector.coords else "fail"
+    total = combine(coefficients, cone.generator_rows(), vector.dim)
+    status = "pass" if total == vector.coords else "fail"
     return status, {"reconstructed": [rat_str(v) for v in total]}
 
 
@@ -89,13 +83,8 @@ def check_separating_functional(fixture, args):
     cone = fixture.cone(args["cone"])
     vector = fixture.vector(args["vector"])
     functional = _coords(args["functional"])
-    on_generators = [
-        sum((a * b for a, b in zip(functional, g.coords)), Fraction(0))
-        for g in cone.generators
-    ]
-    at_vector = sum(
-        (a * b for a, b in zip(functional, vector.coords)), Fraction(0)
-    )
+    on_generators = [dot(functional, g.coords) for g in cone.generators]
+    at_vector = dot(functional, vector.coords)
     separates = all(v >= 0 for v in on_generators) and at_vector < 0
     verdict = contains(cone, vector)
     status = "pass" if separates and not verdict and verdict.verify() else "fail"

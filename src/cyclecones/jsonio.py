@@ -22,6 +22,24 @@ def parse_vector_text(text: str, basis: str) -> ClassVector:
     return ClassVector(basis, tuple(rat(p) for p in parts))
 
 
+def _row(value, what: str) -> tuple:
+    """A JSON list of exact rationals; any other shape is an input error."""
+    if not isinstance(value, list):
+        raise InputError(
+            f"{what} must be a list of rationals, got {type(value).__name__}"
+        )
+    return tuple(rat(x) for x in value)
+
+
+def _rows(value, what: str) -> list[tuple]:
+    """A JSON list of rows, each parsed by ``_row``."""
+    if not isinstance(value, list):
+        raise InputError(
+            f"{what} must be a list of rows, got {type(value).__name__}"
+        )
+    return [_row(row, f"{what} row {i}") for i, row in enumerate(value)]
+
+
 def rows_to_json(vectors) -> list[list[str]]:
     return [[rat_str(c) for c in v.coords] for v in vectors]
 
@@ -42,6 +60,10 @@ def cone_from_json(doc: dict, basis: str | None = None, dim: int | None = None) 
     dim = doc.get("dim", dim)
     if basis is None:
         raise InputError('cone document needs a "basis"')
+    if not isinstance(basis, str):
+        raise InputError(f'"basis" must be a string, got {type(basis).__name__}')
+    if dim is not None and (type(dim) is not int or dim < 0):
+        raise InputError(f'"dim" must be a nonnegative integer, got {dim!r}')
     generators = doc.get("generators")
     inequalities = doc.get("inequalities")
     if generators is None and inequalities is None:
@@ -49,19 +71,23 @@ def cone_from_json(doc: dict, basis: str | None = None, dim: int | None = None) 
             'cone document needs "generators" or "inequalities" (an empty '
             "list is meaningful)"
         )
+    if generators is not None:
+        generators = _rows(generators, '"generators"')
+    if inequalities is not None:
+        inequalities = _rows(inequalities, '"inequalities"')
     if dim is None:
         rows = generators if generators is not None else inequalities
         if not rows:
             raise InputError('cone document needs "dim" when both lists are empty')
         dim = len(rows[0])
     gen_vectors = (
-        tuple(ClassVector(basis, tuple(rat(x) for x in row)) for row in generators)
+        tuple(ClassVector(basis, row) for row in generators)
         if generators is not None
         else None
     )
     dual = dual_basis(basis)
     ineq_vectors = (
-        tuple(ClassVector(dual, tuple(rat(x) for x in row)) for row in inequalities)
+        tuple(ClassVector(dual, row) for row in inequalities)
         if inequalities is not None
         else None
     )
@@ -82,7 +108,7 @@ def geometry_from_json(doc: dict) -> ConeGeometry:
     objective = None
     if doc.get("objective") is not None:
         objective = ClassVector(
-            dual_basis(eff.basis), tuple(rat(x) for x in doc["objective"])
+            dual_basis(eff.basis), _row(doc["objective"], '"objective"')
         )
     return cone_geometry(doc.get("name", "geometry"), mov, eff, objective)
 
@@ -90,7 +116,7 @@ def geometry_from_json(doc: dict) -> ConeGeometry:
 def gram_from_json(doc: dict) -> PairingBasis:
     if not isinstance(doc, dict) or "labels" not in doc or "gram" not in doc:
         raise InputError('pairing document needs "labels" and "gram"')
-    return PairingBasis(
-        tuple(doc["labels"]),
-        tuple(tuple(rat(x) for x in row) for row in doc["gram"]),
-    )
+    labels = doc["labels"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise InputError('"labels" must be a list of strings')
+    return PairingBasis(tuple(labels), tuple(_rows(doc["gram"], '"gram"')))

@@ -1,14 +1,99 @@
-"""Small exact linear algebra kernel over Fraction matrices.
+"""The exact kernel: rows of Fractions (or integers) and their arithmetic.
 
-Matrices are sequences of row sequences of Fractions.  Everything here is
-plain Gaussian elimination; problem sizes in this package stay below
-dimension ~10, so there is no pivoting strategy beyond the first nonzero.
+Every pairing, combination and elimination in the package goes through
+these functions, and every certificate is re-checked with them:
+
+- ``dot``: the pairing sum a_i b_i; integer rows stay integers.
+- ``combine``: the combination sum c_i row_i.
+- ``reproduces``: a nonnegative combination of rows equals a target.
+- ``separates``: a functional is nonnegative on rows, negative on a vector.
+- ``violated``: the first functional negative on a vector, if any.
+- ``int_primitive``: coprime integer form of a row, orientation kept.
+- ``pivot``: one Gauss-Jordan pivot on a list of rows.
+- ``rref``, ``mat_rank``, ``nullspace``, ``solve_unique``: elimination.
+
+Problem sizes in this package stay below dimension ~10, so there is no
+pivoting strategy beyond the first nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
+
 Row = tuple[Fraction, ...]
+
+
+def dot(a, b):
+    """The pairing sum a_i b_i of two rows of equal length."""
+    products = map(mul, a, b)
+    # starting from the first product keeps integer rows in integers and
+    # spares Fraction rows a mixed int + Fraction addition
+    return sum(products, next(products, Fraction(0)))
+
+
+def combine(coeffs, rows, dim: int) -> Row:
+    """The combination sum c_i rows_i, a row of length ``dim``."""
+    total = [Fraction(0)] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                total[i] += c * x
+    return tuple(total)
+
+
+def reproduces(coeffs, rows, target) -> bool:
+    """True iff one nonnegative coefficient per row combines to ``target``."""
+    return (
+        len(coeffs) == len(rows)
+        and all(c >= 0 for c in coeffs)
+        and combine(coeffs, rows, len(target)) == tuple(target)
+    )
+
+
+def separates(functional, rows, vector) -> bool:
+    """True iff ``functional`` is >= 0 on every row and < 0 on ``vector``."""
+    return (
+        len(functional) == len(vector)
+        and all(dot(functional, row) >= 0 for row in rows)
+        and dot(functional, vector) < 0
+    )
+
+
+def violated(functionals, vector) -> int | None:
+    """Index of the first functional negative on ``vector``; None if none is.
+
+    None means ``vector`` lies in the cone {x : <l, x> >= 0 for every l}.
+    """
+    return next(
+        (i for i, l in enumerate(functionals) if dot(l, vector) < 0), None
+    )
+
+
+def int_primitive(row) -> tuple[int, ...]:
+    """Coprime integer form of a rational row, preserving orientation."""
+    common = 1
+    for x in row:
+        if isinstance(x, Fraction):
+            common = common * x.denominator // gcd(common, x.denominator)
+    ints = [int(x * common) for x in row]
+    content = 0
+    for v in ints:
+        content = gcd(content, v)
+    if content == 0:
+        return tuple(ints)
+    return tuple(v // content for v in ints)
+
+
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """Scale row ``r`` to a 1 in column ``c`` and clear that column elsewhere."""
+    inv = 1 / rows[r][c]
+    rows[r] = [x * inv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            factor = rows[i][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
 
 
 def _to_rows(matrix) -> list[list[Fraction]]:
@@ -24,16 +109,11 @@ def rref(matrix) -> tuple[list[Row], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -89,35 +169,3 @@ def solve_unique(matrix, rhs) -> Row | None:
     for r, p in enumerate(pivots):
         solution[p] = reduced[r][ncols]
     return tuple(solution)
-
-
-def determinant(matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    rows = _to_rows(matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                factor = rows[i][c] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
-def in_row_span(matrix, vector) -> bool:
-    """True iff ``vector`` lies in the row span of ``matrix``."""
-    rows = _to_rows(matrix)
-    vec = [Fraction(x) for x in vector]
-    base = mat_rank(rows) if rows else 0
-    return mat_rank(rows + [vec]) == base
-

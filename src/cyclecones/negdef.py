@@ -17,14 +17,18 @@ from itertools import combinations
 
 from .decomposition import Certificate, Decomposition
 from .errors import DomainError, InputError
-from .linalg import determinant, solve_unique
+from .linalg import combine, pivot, solve_unique
 from .rationals import rat, rat_str
 from .vectors import ClassVector, register_basis
 
 
 @dataclass(frozen=True)
 class PairingBasis:
-    """Labelled basis vectors with their exact symmetric pairing matrix."""
+    """Labelled basis vectors with their exact symmetric pairing matrix.
+
+    By symmetry, ``combine(coeffs, gram, rank)`` is the tuple of pairings
+    <sum_j coeffs_j v_j, v_i>.
+    """
 
     labels: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
@@ -55,24 +59,23 @@ class PairingBasis:
         register_basis(name, len(self.labels))
         return name
 
-    def pair_with_basis(self, coeffs) -> tuple[Fraction, ...]:
-        """All pairings <sum_j coeffs_j v_j, v_i>."""
-        return tuple(
-            sum((self.gram[i][j] * c for j, c in enumerate(coeffs)), Fraction(0))
-            for i in range(self.rank)
-        )
-
     def submatrix(self, support) -> list[list[Fraction]]:
         return [[self.gram[i][j] for j in support] for i in support]
 
 
 def is_negative_definite(matrix) -> bool:
-    """Sign test on leading principal minors: (-1)^m det(minor_m) > 0."""
-    rows = [list(row) for row in matrix]
-    for m in range(1, len(rows) + 1):
-        minor = [row[:m] for row in rows[:m]]
-        if determinant(minor) * (-1) ** m <= 0:
+    """True iff every elimination pivot, taken without row exchanges, is < 0.
+
+    The k-th pivot is the ratio of the leading principal minors of orders
+    k and k - 1, so all pivots are negative exactly when (-1)^k times the
+    k-th leading minor is positive for every k.  A zero pivot means a
+    singular leading minor: not negative definite.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    for k in range(len(rows)):
+        if rows[k][k] >= 0:
             return False
+        pivot(rows, k, k)
     return True
 
 
@@ -82,7 +85,7 @@ def _build(basis: PairingBasis, coeffs, support_coeffs) -> Decomposition:
     total = ClassVector(name, tuple(coeffs))
     positive = total - negative
     support = tuple(i for i, c in enumerate(support_coeffs) if c != 0)
-    pairings = basis.pair_with_basis(positive.coords)
+    pairings = combine(positive.coords, basis.gram, basis.rank)
     certificates = (
         Certificate(
             "positive-pairings-nonnegative",
@@ -115,7 +118,7 @@ def _postconditions_hold(basis: PairingBasis, coeffs, support_coeffs) -> bool:
     if any(c < 0 for c in support_coeffs):
         return False
     positive = [c - n for c, n in zip(coeffs, support_coeffs)]
-    pairings = basis.pair_with_basis(positive)
+    pairings = combine(positive, basis.gram, basis.rank)
     if any(v < 0 for v in pairings):
         return False
     support = [i for i, c in enumerate(support_coeffs) if c != 0]
@@ -142,9 +145,8 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     if basis.rank == 0:
         return _build(basis, (), [])
 
-    support: set[int] = {
-        i for i, v in enumerate(basis.pair_with_basis(coeffs)) if v < 0
-    }
+    initial = combine(coeffs, basis.gram, basis.rank)
+    support: set[int] = {i for i, v in enumerate(initial) if v < 0}
     solution: dict[int, Fraction] = {}
     for _ in range(basis.rank + 1):
         ordered = sorted(support)
@@ -157,14 +159,7 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
                     support=[basis.labels[i] for i in ordered],
                     submatrix=[[rat_str(x) for x in row] for row in sub],
                 )
-            rhs = [
-                sum(
-                    (basis.gram[i][j] * coeffs[j] for j in range(basis.rank)),
-                    Fraction(0),
-                )
-                for i in ordered
-            ]
-            solved = solve_unique(sub, rhs)
+            solved = solve_unique(sub, [initial[i] for i in ordered])
             if solved is None or any(x < 0 for x in solved):
                 raise DomainError(
                     "outside surface-type regime: orthogonality solve has "
@@ -176,7 +171,7 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
         positive = [c - n for c, n in zip(coeffs, support_coeffs)]
         violated = {
             i
-            for i, v in enumerate(basis.pair_with_basis(positive))
+            for i, v in enumerate(combine(positive, basis.gram, basis.rank))
             if v < 0 and i not in support
         }
         if not violated:
@@ -209,6 +204,7 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     if basis.rank > 16:
         raise InputError("brute force is limited to rank <= 16")
 
+    initial = combine(coeffs, basis.gram, basis.rank)
     found: dict[tuple, list] = {}
     indices = range(basis.rank)
     for size in range(basis.rank + 1):
@@ -216,14 +212,7 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
             support_coeffs = [Fraction(0)] * basis.rank
             if subset:
                 sub = basis.submatrix(subset)
-                rhs = [
-                    sum(
-                        (basis.gram[i][j] * coeffs[j] for j in range(basis.rank)),
-                        Fraction(0),
-                    )
-                    for i in subset
-                ]
-                solved = solve_unique(sub, rhs)
+                solved = solve_unique(sub, [initial[i] for i in subset])
                 if solved is None:
                     continue
                 for i, x in zip(subset, solved):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CycleConesError, DomainError, InputError
+from .linalg import dot, reproduces
 from .rationals import rat
 from .simplex import nonneg_solve
 from . import cones
@@ -30,10 +31,7 @@ class AffineInequality:
         object.__setattr__(self, "offset", rat(self.offset))
 
     def value_at(self, point: ClassVector) -> Fraction:
-        return sum(
-            (a * b for a, b in zip(self.functional.coords, point.coords)),
-            Fraction(0),
-        )
+        return dot(self.functional.coords, point.coords)
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,7 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
     enumerated = vertex_enumeration(p)
     if not enumerated.vertices:
         raise DomainError("cannot optimize over an empty polytope")
-    values = [
-        sum((a * b for a, b in zip(objective.coords, v.coords)), Fraction(0))
-        for v in enumerated.vertices
-    ]
+    values = [dot(objective.coords, v.coords) for v in enumerated.vertices]
     best = max(values)
     optimal = tuple(
         v for v, val in zip(enumerated.vertices, values) if val == best
@@ -151,11 +146,7 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
 
 def _certifies(tight, y, target, best) -> bool:
     """Re-verify the dual certificate by direct arithmetic."""
-    if len(y) != len(tight) or any(c < 0 for c in y):
-        return False
-    combination = tuple(
-        sum((c * ineq.functional.coords[k] for c, ineq in zip(y, tight)), Fraction(0))
-        for k in range(len(target))
+    rows = [ineq.functional.coords for ineq in tight]
+    return reproduces(y, rows, target) and (
+        dot(y, [ineq.offset for ineq in tight]) == -best
     )
-    offset = sum((c * ineq.offset for c, ineq in zip(y, tight)), Fraction(0))
-    return combination == target and offset == -best

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import DomainError, InputError
+from .linalg import dot
 from .rationals import rat, rat_str
 
 Monomial = tuple[int, ...]
@@ -351,10 +352,7 @@ class RingPresentation:
             if a.degree != b.degree:
                 raise DomainError("pairing needs complementary degrees")
             basis = self.monomial_basis(a.degree)
-            return sum(
-                (a.coeff(m) * c for m, c in zip(basis, b.coords)),
-                Fraction(0),
-            )
+            return dot([a.coeff(m) for m in basis], b.coords)
         if a.degree + b.degree != self.top_degree:
             raise DomainError("pairing needs complementary degrees")
         return self.top_value(self.multiply(a, b))

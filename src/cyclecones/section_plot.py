@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .decomposition import Decomposition
 from .errors import InputError
-from .linalg import solve_unique
+from .linalg import dot, solve_unique
 from .vectors import ClassVector
 from .zariski import ConeGeometry
 
@@ -30,7 +30,7 @@ def _fmt(x: Fraction) -> str:
 
 
 def _normalize(v: ClassVector, objective: ClassVector) -> tuple[Fraction, ...]:
-    value = sum((a * b for a, b in zip(objective.coords, v.coords)), Fraction(0))
+    value = dot(objective.coords, v.coords)
     if value <= 0:
         raise InputError("cannot normalize a class with nonpositive degree")
     return tuple(c / value for c in v.coords)

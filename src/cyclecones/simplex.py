@@ -12,20 +12,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CycleConesError
+from .linalg import pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    inv = 1 / rows[r][c]
-    rows[r] = [x * inv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            factor = rows[i][c]
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-    basis[r] = c
 
 
 def _optimize(rows, basis, costs, allowed):
@@ -60,7 +51,8 @@ def _optimize(rows, basis, costs, allowed):
                     leave = i
         if leave is None:
             return UNBOUNDED
-        _pivot(rows, basis, leave, enter)
+        pivot(rows, leave, enter)
+        basis[leave] = enter
         factor = reduced[enter]
         if factor != 0:
             reduced = [a - factor * b for a, b in zip(reduced, rows[leave])]
@@ -114,7 +106,8 @@ def solve_standard(matrix, rhs, costs):
                 del rows[i]
                 del basis[i]
             else:
-                _pivot(rows, basis, i, col)
+                pivot(rows, i, col)
+                basis[i] = col
 
     rows = [row[:n] + [row[-1]] for row in rows]
     phase2_costs = [Fraction(c) for c in costs]

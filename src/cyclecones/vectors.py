@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InputError
+from .linalg import int_primitive
 from .rationals import rat
 
 _DIMENSIONS: dict[str, int] = {}
@@ -113,16 +113,7 @@ class ClassVector:
 
     def primitive(self) -> "ClassVector":
         """Clear denominators and divide by the content, keeping orientation."""
-        if self.is_zero():
-            return self
-        common = 1
-        for c in self.coords:
-            common = common * c.denominator // gcd(common, c.denominator)
-        ints = [int(c * common) for c in self.coords]
-        content = 0
-        for v in ints:
-            content = gcd(content, abs(v))
-        return ClassVector(self.basis, tuple(Fraction(v, content) for v in ints))
+        return ClassVector(self.basis, int_primitive(self.coords))
 
     def __repr__(self):
         from .rationals import rat_str
@@ -141,22 +132,4 @@ def unit_vector(basis: str, index: int, dim: int | None = None) -> ClassVector:
     if dim is None:
         dim = basis_dim(basis)
     return ClassVector(basis, tuple(Fraction(int(i == index)) for i in range(dim)))
-
-
-def dot(functional: ClassVector, vector: ClassVector) -> Fraction:
-    """Evaluate a linear functional on a vector.
-
-    The functional must live in the dual basis of the vector (either
-    registered or implied by the ``*`` convention).
-    """
-    if functional.dim != vector.dim:
-        raise InputError("dimension mismatch in pairing")
-    if functional.basis != dual_basis(vector.basis):
-        raise InputError(
-            f"{functional.basis!r} is not dual to {vector.basis!r}"
-        )
-    return sum(
-        (a * b for a, b in zip(functional.coords, vector.coords)),
-        Fraction(0),
-    )
 

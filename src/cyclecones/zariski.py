@@ -20,6 +20,7 @@ from typing import Any, Mapping
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import DomainError, InputError
+from .linalg import dot, reproduces, separates, violated
 from .polytope import (
     AffineInequality,
     RationalPolytope,
@@ -62,8 +63,9 @@ def cone_geometry(
     mov = dd_convert(mov)
     if not is_salient(eff):
         raise DomainError("effective cone must be salient")
+    eff_rows = eff.inequality_rows()
     for g in mov.generators:
-        if not contains(eff, g):
+        if violated(eff_rows, g.coords) is not None:
             raise InputError(
                 "movable cone is not contained in the effective cone; "
                 f"offending generator {[rat_str(c) for c in g.coords]}"
@@ -79,22 +81,12 @@ def validate_objective(g: ConeGeometry, objective: ClassVector) -> None:
     if objective.basis != dual_basis(g.basis) or objective.dim != g.dim:
         raise InputError("objective must be a functional in the dual basis")
     for ray in g.eff.generators:
-        value = sum(
-            (a * b for a, b in zip(objective.coords, ray.coords)), Fraction(0)
-        )
+        value = dot(objective.coords, ray.coords)
         if value <= 0:
             raise InputError(
                 "objective is not strictly positive on the effective cone; "
                 f"ray {[rat_str(c) for c in ray.coords]} gives {rat_str(value)}"
             )
-
-
-def _in_cone(cone: PolyCone, vector: ClassVector) -> bool:
-    """Cheap membership via the inequality representation only."""
-    return all(
-        sum((a * b for a, b in zip(l.coords, vector.coords)), Fraction(0)) >= 0
-        for l in cone.inequalities
-    )
 
 
 def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolytope:
@@ -111,7 +103,7 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     for l in g.mov.inequalities:
         rows.append(AffineInequality(l, Fraction(0)))
     for m in g.eff.inequalities:
-        bound = sum((a * b for a, b in zip(m.coords, alpha.coords)), Fraction(0))
+        bound = dot(m.coords, alpha.coords)
         if bound < 0:
             raise DomainError(
                 "class is not pseudo-effective",
@@ -133,15 +125,7 @@ class DominationFailure:
 
     def verify(self, eff: PolyCone) -> bool:
         gap = self.vertex - self.target
-        sep = self.separating.coords
-        if any(
-            sum((a * b for a, b in zip(sep, g.coords)), Fraction(0)) < 0
-            for g in eff.generators
-        ):
-            return False
-        return (
-            sum((a * b for a, b in zip(sep, gap.coords)), Fraction(0)) < 0
-        )
+        return separates(self.separating.coords, eff.generator_rows(), gap.coords)
 
 
 @dataclass(frozen=True)
@@ -163,17 +147,11 @@ class DirectednessReport:
         if self.status == "maximum":
             if self.maximum is None or len(self.domination) != len(vertices):
                 return False
-            for combo, v in zip(self.domination, vertices):
-                gap = self.maximum - v
-                if any(c < 0 for c in combo):
-                    return False
-                total = [Fraction(0)] * gap.dim
-                for coeff, gen in zip(combo, self.eff.generators):
-                    for i, x in enumerate(gen.coords):
-                        total[i] += coeff * x
-                if tuple(total) != gap.coords:
-                    return False
-            return True
+            gens = self.eff.generator_rows()
+            return all(
+                reproduces(combo, gens, (self.maximum - v).coords)
+                for combo, v in zip(self.domination, vertices)
+            )
         if self.witness_pair is None:
             return False
         failed = {f.vertex.coords for f in self.failures}
@@ -223,8 +201,13 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     if not vertices:
         raise DomainError("empty candidate polytope")
 
+    eff_rows = g.eff.inequality_rows()
+
+    def dominates(x: ClassVector, y: ClassVector) -> bool:
+        return violated(eff_rows, (x - y).coords) is None
+
     for beta in vertices:
-        if all(_in_cone(g.eff, beta - v) for v in vertices):
+        if all(dominates(beta, v) for v in vertices):
             domination = tuple(
                 contains(g.eff, beta - v).combination for v in vertices
             )
@@ -238,13 +221,11 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
 
     for i, j in combinations(range(len(vertices)), 2):
         u, w = vertices[i], vertices[j]
-        if any(
-            _in_cone(g.eff, v - u) and _in_cone(g.eff, v - w) for v in vertices
-        ):
+        if any(dominates(v, u) and dominates(v, w) for v in vertices):
             continue
         failures = []
         for v in vertices:
-            target = u if not _in_cone(g.eff, v - u) else w
+            target = u if not dominates(v, u) else w
             verdict = contains(g.eff, v - target)
             failures.append(DominationFailure(v, target, verdict.separating))
         return DirectednessReport(
@@ -274,9 +255,7 @@ def dominator_set_empty(
     for target in (u, w):
         for m in g.eff.inequalities:
             functionals.append(m.coords)
-            offsets.append(
-                sum((a * b for a, b in zip(m.coords, target.coords)), Fraction(0))
-            )
+            offsets.append(dot(m.coords, target.coords))
     status, _, _ = maximize_affine(
         functionals, offsets, (Fraction(0),) * s.dim
     )
@@ -352,12 +331,10 @@ def negative_boundary_check(g: ConeGeometry, dec: Decomposition) -> bool:
     n = dec.negative
     if n.is_zero():
         return True
-    if not _in_cone(g.eff, n):
+    rows = g.eff.inequality_rows()
+    if violated(rows, n.coords) is not None:
         return False
-    return any(
-        sum((a * b for a, b in zip(l.coords, n.coords)), Fraction(0)) == 0
-        for l in g.eff.inequalities
-    )
+    return any(dot(l, n.coords) == 0 for l in rows)
 
 
 def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
@@ -368,16 +345,8 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
     eff_cert = dec.certificate("negative-part-pseudo-effective")
     if mov_cert is None or eff_cert is None:
         return False
-    for combo, cone, vector in (
-        (mov_cert.data["combination"], g.mov, dec.positive),
-        (eff_cert.data["combination"], g.eff, dec.negative),
-    ):
-        if any(c < 0 for c in combo):
-            return False
-        total = [Fraction(0)] * vector.dim
-        for coeff, gen in zip(combo, cone.generators):
-            for i, x in enumerate(gen.coords):
-                total[i] += coeff * x
-        if tuple(total) != vector.coords:
-            return False
-    return True
+    return reproduces(
+        mov_cert.data["combination"], g.mov.generator_rows(), dec.positive.coords
+    ) and reproduces(
+        eff_cert.data["combination"], g.eff.generator_rows(), dec.negative.coords
+    )

@@ -54,6 +54,22 @@ def random_profile(rng: random.Random, max_pieces: int = 4, max_rank: int = 5,
             return HNProfile(tuple(zip(ranks, degrees)))
 
 
+def bareiss_det(matrix):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in matrix]
+    n, sign, prev = len(m), 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot], sign = m[pivot], m[c], -sign
+        for i in range(c + 1, n):
+            m[i] = [(m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev for j in range(n)]
+        prev = m[c][c]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC1C1E5)

@@ -1,0 +1,174 @@
+"""Every certificate verifier rejects a tampered certificate.
+
+Each case builds a valid certificate with the library and exposes it as
+coefficients plus the target they certify.  The verifier then gets: the
+coefficients and the target both negated, so only the sign check can
+reject (for a separating functional: negative on some generator); one
+zero coefficient too many, so only the length check can reject; or the
+target moved off the certified value.  The untampered certificate must
+pass, so no rejection is vacuous.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from cyclecones.cones import PolyCone, contains
+from cyclecones.decomposition import Certificate, Decomposition
+from cyclecones.fixtures.checks import check_combination_reproduces
+from cyclecones.linalg import dot
+from cyclecones.polytope import RationalPolytope, _certifies, vertex_enumeration
+from cyclecones.simplex import nonneg_solve
+from cyclecones.vectors import ClassVector
+from cyclecones.zariski import (
+    cone_geometry,
+    decompose,
+    decomposition_polytope,
+    preceq_maximum,
+    verify_decomposition,
+)
+
+F = Fraction
+BASIS = "tamper2"  # eff = the orthant, mov = {0 <= x <= y}
+
+
+def _geometry():
+    eff = PolyCone.from_generators(BASIS, [(1, 0), (0, 1)])
+    mov = PolyCone.from_generators(BASIS, [(1, 1), (0, 1)])
+    return cone_geometry("tamper", mov, eff, ClassVector(BASIS + "*", (1, 1)))
+
+
+def _vector(coords):
+    return ClassVector(BASIS, tuple(coords))
+
+
+def contains_member():
+    verdict = contains(_geometry().eff, _vector((3, 2)))
+
+    def check(coeffs, target):
+        return replace(verdict, combination=coeffs, vector=_vector(target)).verify()
+
+    target = verdict.vector.coords
+    return check, verdict.combination, target, (target[0] + 1, target[1])
+
+
+def contains_separating():
+    verdict = contains(_geometry().mov, _vector((3, 2)))
+    assert not verdict
+
+    def check(functional, target):
+        # a fresh basis name per length, so a wrong-length functional exists
+        sep = ClassVector(f"tamper.f{len(functional)}", functional)
+        return replace(verdict, separating=sep, vector=_vector(target)).verify()
+
+    f, target = verdict.separating.coords, verdict.vector.coords
+    k = next(i for i, c in enumerate(f) if c != 0)
+    moved = list(target)
+    moved[k] -= dot(f, target) / f[k]  # now <f, target> = 0: no separation
+    return check, f, target, tuple(moved)
+
+
+def directedness_maximum():
+    g = _geometry()
+    report = preceq_maximum(g, decomposition_polytope(g, _vector((2, 3))))
+    assert report.status == "maximum"
+    vertices = report.polytope.vertices
+    j = next(i for i, v in enumerate(vertices) if v.coords != report.maximum.coords)
+    vertex = vertices[j]
+
+    def check(combo, gap):
+        # the report restricted to vertex j, whose gap maximum - vertex the
+        # combination certifies
+        polytope = replace(report.polytope, vertices=(vertex,))
+        maximum = vertex + _vector(gap)
+        return replace(
+            report, polytope=polytope, maximum=maximum, domination=(combo,)
+        ).verify()
+
+    gap = (report.maximum - vertex).coords
+    return check, report.domination[j], gap, (gap[0], gap[1] + 1)
+
+
+def decomposition_positive_part():
+    g = _geometry()
+    dec = decompose(g, _vector((3, 2)))
+    assert not dec.negative.is_zero()
+
+    def check(combo, target):
+        positive = _vector(target)
+        certificates = (
+            Certificate("positive-part-movable", {"combination": list(combo)}),
+            dec.certificate("negative-part-pseudo-effective"),
+        )
+        return verify_decomposition(
+            g,
+            Decomposition(positive + dec.negative, positive, dec.negative, certificates),
+        )
+
+    target = dec.positive.coords
+    combo = tuple(dec.certificate("positive-part-movable").data["combination"])
+    return check, combo, target, (target[0] + 1, target[1])
+
+
+def fixture_combination_claim():
+    cone = PolyCone.from_generators(BASIS, [(1, 0), (0, 1)])
+
+    def check(coeffs, target):
+        fixture = SimpleNamespace(cone=lambda _: cone, vector=lambda _: _vector(target))
+        args = {"cone": "eff", "vector": "v", "coefficients": list(coeffs)}
+        return check_combination_reproduces(fixture, args)[0] == "pass"
+
+    return check, (F(3), F(2)), (F(3), F(2)), (F(3), F(3))
+
+
+def lp_optimality():
+    p = vertex_enumeration(
+        RationalPolytope.from_inequalities(
+            "tamperp", 2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -4)]
+        )
+    )
+    objective = (F(1), F(1))
+    best = max(dot(objective, v.coords) for v in p.vertices)
+    vertex = next(v for v in p.vertices if dot(objective, v.coords) == best)
+    tight = [i for i in p.inequalities if i.value_at(vertex) == i.offset]
+    target = tuple(-c for c in objective)
+    y = nonneg_solve([i.functional.coords for i in tight], target)
+
+    def check(coeffs, target):
+        # target: minus the objective, then minus the maximum
+        return _certifies(tight, coeffs, target[:-1], -target[-1])
+
+    target += (-best,)
+    return check, y, target, target[:-1] + (target[-1] + 1,)
+
+
+CASES = {
+    case.__name__: case
+    for case in (
+        contains_member,
+        contains_separating,
+        directedness_maximum,
+        decomposition_positive_part,
+        fixture_combination_claim,
+        lp_optimality,
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "tamper", ["none", "negative-coefficient", "wrong-length", "perturbed-coordinate"]
+)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_verifiers_reject_tampered_certificates(case, tamper):
+    check, certificate, target, moved = CASES[case]()
+    certificate = tuple(certificate)
+    if tamper == "negative-coefficient":
+        certificate = tuple(-c for c in certificate)
+        target = tuple(-c for c in target)
+    elif tamper == "wrong-length":
+        certificate += (F(0),)
+    elif tamper == "perturbed-coordinate":
+        target = moved
+    assert check(certificate, tuple(target)) is (tamper == "none")

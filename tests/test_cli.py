@@ -1,6 +1,13 @@
+import ast
+import hashlib
 import json
+from pathlib import Path
 
-from cyclecones.cli import run
+import pytest
+
+from cyclecones.cli import main, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_json(argv):
@@ -224,3 +231,98 @@ def test_geometry_file_input(tmp_path):
     assert code == 0
     assert document["payload"]["positive"] == ["1", "1"]
     assert document["payload"]["negative"] == ["2", "0"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "cone",
+            {"basis": "clim", "dim": 1, "generators": [5]},
+            '"generators" row 0 must be a list of rationals, got int',
+        ),
+        (
+            "cone",
+            {"basis": 3, "dim": 1, "generators": [["1"]]},
+            '"basis" must be a string, got int',
+        ),
+        (
+            "cone",
+            {"basis": "clim", "dim": -1, "generators": []},
+            '"dim" must be a nonnegative integer, got -1',
+        ),
+        (
+            "cone",
+            {"basis": "clim", "dim": 2, "generators": "12"},
+            '"generators" must be a list of rows, got str',
+        ),
+        (
+            "cone",
+            {"basis": "clim", "dim": 2, "inequalities": [["1", "0"], "01"]},
+            '"inequalities" row 1 must be a list of rationals, got str',
+        ),
+        (
+            "decompose",
+            {
+                "basis": "climg",
+                "dim": 2,
+                "mov": {"generators": [["1", "1"]]},
+                "eff": {"generators": [["1", "0"], ["0", "1"]]},
+                "objective": "11",
+            },
+            '"objective" must be a list of rationals, got str',
+        ),
+        (
+            "bck",
+            {"labels": ["a"], "gram": [-2]},
+            '"gram" row 0 must be a list of rationals, got int',
+        ),
+        (
+            "bck",
+            {"labels": "ab", "gram": [["-2", "0"], ["0", "-2"]]},
+            '"labels" must be a list of strings',
+        ),
+    ],
+)
+def test_malformed_documents_are_input_errors(tmp_path, command, doc, message):
+    path = write(tmp_path, "bad.json", doc)
+    argv = {
+        "cone": ["cone", "convert", "--input", path],
+        "decompose": ["decompose", "--geometry", path, "--class", "1,1"],
+        "bck": ["bck", "--gram", path, "--class", "1,1"],
+    }[command]
+    document, code = run_json(argv)
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == message
+
+
+def _fixture_commands():
+    """The (label, argv) pairs of ``COMMANDS`` in bench/cli_fixtures.py.
+
+    The file is parsed, not imported, so the test only reads it.
+    """
+    source = (ROOT / "bench" / "cli_fixtures.py").read_text(encoding="utf-8")
+    (node,) = [
+        n
+        for n in ast.parse(source).body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "COMMANDS"
+    ]
+    return ast.literal_eval(node.value)
+
+
+FIXTURE_COMMANDS = _fixture_commands()
+
+
+@pytest.mark.parametrize(
+    "label, argv", FIXTURE_COMMANDS, ids=[label for label, _ in FIXTURE_COMMANDS]
+)
+def test_fixture_commands_match_reference(label, argv, monkeypatch, capsys):
+    # bench/reference/cli.json holds the exit code and stdout SHA-256 that
+    # each README and fixture command must keep, byte for byte
+    with open(ROOT / "bench" / "reference" / "cli.json", encoding="utf-8") as handle:
+        reference = json.load(handle)[label]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("CYCLECONES_FIXTURE_DIR", raising=False)
+    code = main(list(argv))
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == (reference["exit"], reference["stdout_sha256"])

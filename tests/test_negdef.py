@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclecones.errors import DomainError, InputError
+from cyclecones.linalg import combine
 from cyclecones.negdef import (
     PairingBasis,
     brute_force,
@@ -11,6 +12,8 @@ from cyclecones.negdef import (
     is_negative_definite,
     verify,
 )
+
+from conftest import bareiss_det
 
 F = Fraction
 
@@ -20,6 +23,56 @@ def test_negative_definite_minor_signs():
     assert not is_negative_definite([[F(-2), F(3)], [F(3), F(-2)]])
     assert not is_negative_definite([[F(1)]])
     assert is_negative_definite([])  # empty support is vacuously fine
+
+
+def _minor_criterion(matrix):
+    """Sylvester: (-1)^k times every k-th leading principal minor is > 0."""
+    return all(
+        (-1) ** k * bareiss_det([row[:k] for row in matrix[:k]]) > 0
+        for k in range(1, len(matrix) + 1)
+    )
+
+
+def _random_symmetric(rng, n):
+    """Symmetric integer matrices of five shapes: definite, semidefinite,
+    singular (a repeated row and column), indefinite, or arbitrary."""
+    kind = rng.choice(("definite", "semidefinite", "singular", "indefinite", "raw"))
+    if kind == "raw":
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-4, 4)
+        return m
+    # -B B^T (+ shift): rank(B) < n makes it only semidefinite
+    cols = n if kind in ("definite", "indefinite") else rng.randint(0, max(n - 1, 0))
+    b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(n)]
+    m = [[-sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)] for i in range(n)]
+    if kind == "definite":
+        m = [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    elif kind == "indefinite" and n:
+        k = rng.randrange(n)
+        m[k][k] += rng.randint(1, 40)
+    elif kind == "singular" and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        m[j] = list(m[i])
+        for row in m:
+            row[j] = row[i]
+    return m
+
+
+def test_negative_definite_matches_leading_minors():
+    rng = random.Random(0x5E6D)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        m = _random_symmetric(rng, rng.randint(0, 8))
+        expected = _minor_criterion(m)
+        assert is_negative_definite(m) == expected, m
+        assert is_negative_definite([[F(x) for x in row] for row in m]) == expected
+        seen[expected] += 1
+    # a zero pivot in the middle: semidefinite, singular leading minor
+    assert not is_negative_definite([[-1, 1, 0], [1, -1, 0], [0, 0, -1]])
+    assert not _minor_criterion([[-1, 1, 0], [1, -1, 0], [0, 0, -1]])
+    assert min(seen.values()) >= 100
 
 
 def test_basis_validation():
@@ -133,7 +186,8 @@ def test_support_growth_beyond_initial_violations():
         ),
     )
     coeffs = (2, 1, 1)
-    initial = [i for i, v in enumerate(basis.pair_with_basis(coeffs)) if v < 0]
+    pairings = combine(coeffs, basis.gram, basis.rank)
+    initial = [i for i, v in enumerate(pairings) if v < 0]
     assert initial == [0]
     result = decompose(basis, coeffs)
     assert set(result.metadata["support"]) == {0, 1}

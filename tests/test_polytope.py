@@ -14,6 +14,8 @@ from cyclecones.polytope import (
 from cyclecones.simplex import OPTIMAL, maximize_affine, nonneg_solve
 from cyclecones.vectors import ClassVector
 
+from conftest import bareiss_det
+
 F = Fraction
 
 
@@ -129,22 +131,6 @@ def test_wrong_vertex_list_fails_the_optimality_certificate():
 # -- brute-force oracle: every dim-subset of the inequalities -----------------
 
 
-def _det(matrix):
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in matrix]
-    n, sign, prev = len(m), 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot], sign = m[pivot], m[c], -sign
-        for i in range(c + 1, n):
-            m[i] = [(m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev for j in range(n)]
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1] if n else 1
-
-
 def subset_vertices(dim, rows):
     """Vertices of {x : <a, x> >= b} (integer rows) as the feasible solutions
     of all nonsingular dim-subsets of the rows, by Cramer's rule, deduplicated
@@ -152,11 +138,12 @@ def subset_vertices(dim, rows):
     found = set()
     for subset in itertools.combinations(rows, dim):
         square = [a for a, _ in subset]
-        den = _det(square)
+        den = bareiss_det(square)
         if den == 0:
             continue
         num = [
-            _det([a[:k] + (b,) + a[k + 1:] for a, b in subset]) for k in range(dim)
+            bareiss_det([a[:k] + (b,) + a[k + 1:] for a, b in subset])
+            for k in range(dim)
         ]
         if den < 0:
             den, num = -den, [-x for x in num]

@@ -5,7 +5,6 @@ import pytest
 from cyclecones.errors import InputError
 from cyclecones.vectors import (
     ClassVector,
-    dot,
     dual_basis,
     register_basis,
     unit_vector,
@@ -40,15 +39,6 @@ def test_dual_naming_is_an_involution():
     register_basis("vby", 2, dual="vby.dual")
     assert dual_basis("vby") == "vby.dual"
     assert dual_basis("vby.dual") == "vby"
-
-
-def test_dot_requires_dual_bases():
-    register_basis("vbp", 2)
-    v = ClassVector("vbp", (2, 3))
-    f = ClassVector(dual_basis("vbp"), (1, -1))
-    assert dot(f, v) == -1
-    with pytest.raises(InputError):
-        dot(v, v)
 
 
 def test_primitive_scaling():

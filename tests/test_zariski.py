@@ -56,8 +56,12 @@ def simple_2d():
 def test_mov_must_sit_inside_eff():
     eff = PolyCone.from_generators("zv2", [(1, 0), (1, 1)])
     mov = PolyCone.from_generators("zv2", [(0, 1)])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as caught:
         cone_geometry("bad", mov, eff)
+    assert str(caught.value) == (
+        "movable cone is not contained in the effective cone; "
+        "offending generator ['0', '1']"
+    )
 
 
 def test_eff_must_be_salient():
