@@ -17,7 +17,7 @@ from .negdef import PairingBasis, brute_force, is_negative_definite
 from .polytope import RationalPolytope, maximize_linear, vertex_enumeration
 from .projbundle import HNProfile
 from .rings import RingPresentation, consistency_audit
-from .vectors import ClassVector, register_basis
+from .vectors import ClassVector
 from .zariski import (
     ConeGeometry,
     DirectednessReport,
@@ -58,6 +58,5 @@ __all__ = [
     "maximize_linear",
     "negative_boundary_check",
     "preceq_maximum",
-    "register_basis",
     "vertex_enumeration",
 ]

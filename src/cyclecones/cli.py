@@ -37,7 +37,6 @@ from .rationals import rat_str
 from .rings import DualClass, RingElement
 from .ringexpr import evaluate
 from .section_plot import render_section
-from .vectors import dual_basis
 from .zariski import (
     decompose,
     decomposition_polytope,
@@ -60,6 +59,8 @@ def _read_json(path: str):
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _reject_float(text):
@@ -88,7 +89,7 @@ def _cone_payload(args) -> dict:
             "rays": rows_to_json(extremal_rays(full)),
         }
     if args.cone_op == "contains":
-        vector = parse_vector_text(args.vector, cone.basis)
+        vector = parse_vector_text(args.vector, cone.basis, cone.dim)
         verdict = contains(cone, vector)
         payload = {"member": bool(verdict), "verified": verdict.verify()}
         if verdict.member:
@@ -104,10 +105,10 @@ def _cone_payload(args) -> dict:
 
 def _decompose_payload(args) -> dict:
     geometry = _load_geometry(args.geometry)
-    alpha = parse_vector_text(args.klass, geometry.basis)
+    alpha = parse_vector_text(args.klass, geometry.basis, geometry.dim)
     objective = None
     if args.objective:
-        objective = parse_vector_text(args.objective, dual_basis(geometry.basis))
+        objective = parse_vector_text(args.objective, geometry.eff.dual, geometry.dim)
     result = decompose(geometry, alpha, objective)
     payload = result.to_json()
     payload["negative_on_eff_boundary"] = negative_boundary_check(geometry, result)
@@ -121,7 +122,7 @@ def _decompose_payload(args) -> dict:
 
 def _directed_payload(args) -> dict:
     geometry = _load_geometry(args.geometry)
-    alpha = parse_vector_text(args.klass, geometry.basis)
+    alpha = parse_vector_text(args.klass, geometry.basis, geometry.dim)
     polytope = decomposition_polytope(geometry, alpha)
     report = preceq_maximum(geometry, polytope)
     payload = report.to_json()
@@ -147,7 +148,7 @@ def _projbundle_payload(args) -> dict:
             "nef_eq_eff": nef_eq_eff,
         }
         if args.klass:
-            alpha = parse_vector_text(args.klass, class_basis(profile, k))
+            alpha = parse_vector_text(args.klass, class_basis(profile, k), 2)
             payload["decomposition"] = zariski_decompose(profile, k, alpha).to_json()
     elif args.klass:
         raise InputError("--class requires --k")
@@ -157,7 +158,7 @@ def _projbundle_payload(args) -> dict:
 def _bck_payload(args) -> dict:
     basis = gram_from_json(_read_json(args.gram))
     coeffs = tuple(
-        parse_vector_text(args.klass, basis.basis_name).coords
+        parse_vector_text(args.klass, basis.basis_name, basis.rank).coords
         if basis.rank
         else ()
     )

@@ -60,19 +60,8 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
             if az < 0:
                 z = tuple(-x for x in z)
                 az = -az
-            # az * l - <a,l> * z is a positive rescaling of the projection
-            lineality = [
-                int_primitive(
-                    tuple(az * l_i - dot(l, a) * z_i for l_i, z_i in zip(l, z))
-                )
-                for l in lineality
-            ]
-            rays = [
-                int_primitive(
-                    tuple(az * r_i - dot(r, a) * z_i for r_i, z_i in zip(r, z))
-                )
-                for r in rays
-            ]
+            lineality = [_project(l, z, az, a) for l in lineality]
+            rays = [_project(r, z, az, a) for r in rays]
             for t in tight:  # adjusted rays land exactly on the new hyperplane
                 t.add(idx)
             rays.append(z)
@@ -120,6 +109,13 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     )
 
 
+def _project(v, z, az: int, a) -> tuple[int, ...]:
+    """``az * v - <a, v> * z``, made primitive: a positive rescaling of the
+    projection of ``v`` along ``z`` onto the hyperplane ``<a, x> = 0``."""
+    av = dot(v, a)
+    return int_primitive(tuple(az * v_i - av * z_i for v_i, z_i in zip(v, z)))
+
+
 def _generators_from_dd(lineality: list[Row], rays: list[Row]) -> list[Row]:
     gens = list(rays)
     for l in lineality:
@@ -128,14 +124,27 @@ def _generators_from_dd(lineality: list[Row], rays: list[Row]) -> list[Row]:
     return sorted(set(gens))
 
 
+def _vectors(basis: str, rows, dim: int | None, what: str):
+    """``rows`` as vectors of ``basis``, and their common dimension."""
+    vectors = tuple(
+        v if isinstance(v, ClassVector) else ClassVector(basis, v) for v in rows
+    )
+    if dim is None:
+        if not vectors:
+            raise InputError(f"dim required for a cone with no {what}")
+        dim = vectors[0].dim
+    return vectors, dim
+
+
 @dataclass(frozen=True)
 class PolyCone:
     """A convex polyhedral cone carried as a generator/inequality pair.
 
     ``generators`` live in ``basis``; ``inequalities`` are functionals in
-    the dual basis, each meaning <functional, x> >= 0.  A representation is
-    authoritative exactly when it is not None; an empty tuple is meaningful
-    (no generators: the zero cone; no inequalities: the full space).
+    the dual basis named ``dual`` (by default ``dual_basis(basis)``), each
+    meaning <functional, x> >= 0.  A representation is authoritative
+    exactly when it is not None; an empty tuple is meaningful (no
+    generators: the zero cone; no inequalities: the full space).
     ``canonical`` marks cones produced by ``dd_convert``; it is bookkeeping,
     not part of the value.
     """
@@ -144,43 +153,35 @@ class PolyCone:
     dim: int
     generators: tuple[ClassVector, ...] | None = None
     inequalities: tuple[ClassVector, ...] | None = None
+    dual: str | None = None
     canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if self.dual is None:
+            object.__setattr__(self, "dual", dual_basis(self.basis))
         if self.generators is None and self.inequalities is None:
             raise InputError("cone needs at least one representation")
         for g in self.generators or ():
             if g.basis != self.basis or g.dim != self.dim:
                 raise InputError("generator outside the cone's basis")
-        dual = dual_basis(self.basis)
         for l in self.inequalities or ():
-            if l.basis != dual or l.dim != self.dim:
+            if l.basis != self.dual or l.dim != self.dim:
                 raise InputError("inequality functional outside the dual basis")
 
     @staticmethod
-    def from_generators(basis: str, rows, dim: int | None = None) -> "PolyCone":
-        vectors = tuple(
-            v if isinstance(v, ClassVector) else ClassVector(basis, tuple(rat(x) for x in v))
-            for v in rows
-        )
-        if dim is None:
-            if not vectors:
-                raise InputError("dim required for a cone with no generators")
-            dim = vectors[0].dim
-        return PolyCone(basis, dim, generators=vectors)
+    def from_generators(
+        basis: str, rows, dim: int | None = None, dual: str | None = None
+    ) -> "PolyCone":
+        vectors, dim = _vectors(basis, rows, dim, "generators")
+        return PolyCone(basis, dim, generators=vectors, dual=dual)
 
     @staticmethod
-    def from_inequalities(basis: str, rows, dim: int | None = None) -> "PolyCone":
-        dual = dual_basis(basis)
-        vectors = tuple(
-            v if isinstance(v, ClassVector) else ClassVector(dual, tuple(rat(x) for x in v))
-            for v in rows
-        )
-        if dim is None:
-            if not vectors:
-                raise InputError("dim required for a cone with no inequalities")
-            dim = vectors[0].dim
-        return PolyCone(basis, dim, inequalities=vectors)
+    def from_inequalities(
+        basis: str, rows, dim: int | None = None, dual: str | None = None
+    ) -> "PolyCone":
+        dual = dual_basis(basis) if dual is None else dual
+        vectors, dim = _vectors(dual, rows, dim, "inequalities")
+        return PolyCone(basis, dim, inequalities=vectors, dual=dual)
 
     @staticmethod
     def zero(basis: str, dim: int) -> "PolyCone":
@@ -196,9 +197,6 @@ class PolyCone:
     def inequality_rows(self) -> list[Row]:
         return [l.coords for l in self.inequalities or ()]
 
-    def is_converted(self) -> bool:
-        return self.generators is not None and self.inequalities is not None
-
 
 def dd_convert(cone: PolyCone) -> PolyCone:
     """Return the same cone with both representations present and canonical.
@@ -211,7 +209,6 @@ def dd_convert(cone: PolyCone) -> PolyCone:
     """
     if cone.canonical:
         return cone
-    dual = dual_basis(cone.basis)
     if cone.inequalities is not None:
         lin, rays = double_description(cone.inequality_rows(), cone.dim)
         gen_rows = _generators_from_dd(lin, rays)
@@ -227,7 +224,8 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         cone.basis,
         cone.dim,
         generators=tuple(ClassVector(cone.basis, row) for row in gen_rows),
-        inequalities=tuple(ClassVector(dual, row) for row in canonical_ineqs),
+        inequalities=tuple(ClassVector(cone.dual, row) for row in canonical_ineqs),
+        dual=cone.dual,
         canonical=True,
     )
 
@@ -257,14 +255,15 @@ def dual_cone(cone: PolyCone) -> PolyCone:
     """The dual cone {l : <l, x> >= 0 for all x in cone}, canonicalized.
 
     Generators of the primal become inequalities of the dual and vice
-    versa; the result lives in the registered dual basis.
+    versa; the result lives in the cone's dual basis, and its own dual is
+    the cone's basis.
     """
-    dual = dual_basis(cone.basis)
     swapped = PolyCone(
-        dual,
+        cone.dual,
         cone.dim,
         generators=cone.inequalities,
         inequalities=cone.generators,
+        dual=cone.basis,
         # for a canonical pair the swap is again canonical: the facets of a
         # cone are the extremal data of its dual and vice versa
         canonical=cone.canonical,

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from ..cones import PolyCone
 from ..errors import InputError
+from ..jsonio import _dim, _names, _row
 from ..projbundle import HNProfile
+from ..rationals import rat
 from ..rings import (
     AuditReport,
     DualClass,
@@ -25,7 +27,7 @@ from ..rings import (
     consistency_audit,
     parse_monomial,
 )
-from ..vectors import ClassVector, dual_basis, register_basis
+from ..vectors import ClassVector
 from ..zariski import ConeGeometry, cone_geometry
 
 FIXTURE_NAMES = ("toric-3fold", "p2-hilb2", "m07-s7", "projbundle-sample")
@@ -176,7 +178,10 @@ def _read_raw(name: str) -> dict:
         candidate = os.path.join(override, f"{name}.json")
         if os.path.exists(candidate):
             with open(candidate, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+                try:
+                    return json.load(handle)
+                except ValueError as exc:  # invalid JSON, or an over-long integer
+                    raise InputError(f"{candidate}: {exc}") from exc
     try:
         packaged = resources.files(__package__).joinpath(f"data/{name}.json")
         return json.loads(packaged.read_text(encoding="utf-8"))
@@ -186,56 +191,33 @@ def _read_raw(name: str) -> dict:
 
 def _build_ring(fixture: Fixture, doc: dict) -> None:
     generators = tuple(doc["generators"])
-    rewrites = {
-        parse_monomial(lhs, generators): {
-            parse_monomial(mono, generators): rhs_coeff
-            for mono, rhs_coeff in rhs.items()
-        }
-        for lhs, rhs in doc.get("relations", {}).items()
-    }
-    top_values = doc.get("top_values")
-    if top_values is not None:
-        top_values = {
-            parse_monomial(mono, generators): value
-            for mono, value in top_values.items()
-        }
+
+    def mono(text: str):
+        return parse_monomial(text, generators)
+
     dual_layers = {}
     for degree_text, layer in doc.get("dual_bases", {}).items():
-        degree = int(degree_text)
         cap = layer.get("cap_relations")
         if cap is not None:
-            cap = {
-                parse_monomial(mono, generators): tuple(coords)
-                for mono, coords in cap.items()
-            }
+            cap = {mono(m): _row(row, f"cap relation {m!r}") for m, row in cap.items()}
+        degree = int(degree_text)
         dual_layers[degree] = DualLayer(degree, tuple(layer["names"]), cap)
-    from ..rationals import rat
-
+    top_values = doc.get("top_values")
     ring = RingPresentation(
         name=fixture.name,
         generators=generators,
         top_degree=doc["top_degree"],
         rewrites={
-            lhs: {m: rat(c) for m, c in rhs.items()} for lhs, rhs in rewrites.items()
+            mono(lhs): {mono(m): rat(c) for m, c in rhs.items()}
+            for lhs, rhs in doc.get("relations", {}).items()
         },
         top_values=(
-            {m: rat(v) for m, v in top_values.items()}
+            {mono(m): rat(v) for m, v in top_values.items()}
             if top_values is not None
             else None
         ),
         max_monomial_degree=doc["max_monomial_degree"],
-        dual_layers={
-            deg: DualLayer(
-                layer.degree,
-                layer.names,
-                (
-                    {m: tuple(rat(x) for x in img) for m, img in layer.cap_images.items()}
-                    if layer.cap_images is not None
-                    else None
-                ),
-            )
-            for deg, layer in dual_layers.items()
-        },
+        dual_layers=dual_layers,
     )
     fixture.ring = ring
     for name, body in doc.get("named", {}).get("elements", {}).items():
@@ -243,6 +225,32 @@ def _build_ring(fixture: Fixture, doc: dict) -> None:
     for name, body in doc.get("dual_classes", {}).get("elements", {}).items():
         fixture.dual_classes[name] = ring.dual_class(body["degree"], body["coords"])
     fixture.audit = consistency_audit(ring)
+
+
+def _declared_bases(raw: dict) -> tuple[dict[str, int], dict[str, str]]:
+    """Dimensions of the declared bases and their duals; duals both ways."""
+    dims: dict[str, int] = {}
+    duals: dict[str, str] = {}
+    for i, basis in enumerate(raw.get("bases", [])):
+        name, dual = basis["name"], basis.get("dual")
+        dims[name] = _dim(basis["dim"], f'bases[{i}] "dim"')
+        if dual is not None:
+            dims[dual] = dims[name]
+            duals[name], duals[dual] = dual, name
+    return dims, duals
+
+
+def _class_vector(dims: dict[str, int], basis: str, value, what: str) -> ClassVector:
+    """A coordinate row of a declared basis, checked against its dimension."""
+    if basis not in dims:
+        raise InputError(f"{what}: basis {basis!r} is not declared")
+    coords = _row(value, what)
+    if len(coords) != dims[basis]:
+        raise InputError(
+            f"{what} has {len(coords)} coordinates; basis {basis!r} has "
+            f"dim {dims[basis]}"
+        )
+    return ClassVector(basis, coords)
 
 
 def load(name: str) -> Fixture:
@@ -255,14 +263,15 @@ def load(name: str) -> Fixture:
         )
     fixture = Fixture(name=raw["name"], description=raw.get("description", ""), raw=raw)
 
-    for basis in raw.get("bases", []):
-        register_basis(basis["name"], basis["dim"], dual=basis.get("dual"))
+    dims, duals = _declared_bases(raw)
 
     for basis_name, table in raw.get("classes", {}).items():
-        group = {}
-        for class_name, coords in table.get("coords", {}).items():
-            group[class_name] = ClassVector(basis_name, tuple(coords))
-        fixture.vectors[basis_name] = group
+        fixture.vectors[basis_name] = {
+            class_name: _class_vector(
+                dims, basis_name, coords, f"class {class_name!r}"
+            )
+            for class_name, coords in table.get("coords", {}).items()
+        }
 
     if "ring" in raw:
         _build_ring(fixture, raw["ring"])
@@ -272,26 +281,26 @@ def load(name: str) -> Fixture:
         basis_name = "m07.surfaces"
         group = fixture.vectors.setdefault(basis_name, {})
         for class_name, coords in extra.get("coords", {}).items():
-            group[class_name] = ClassVector(basis_name, tuple(coords))
+            group[class_name] = _class_vector(
+                dims, basis_name, coords, f"class {class_name!r}"
+            )
 
     for cone_doc in raw.get("cones", []):
-        basis_name = cone_doc["basis"]
-        generators = [
-            fixture.vector_in(basis_name, g) for g in cone_doc["generators"]
-        ]
-        fixture.cones[cone_doc["id"]] = PolyCone.from_generators(
-            basis_name, generators
+        basis_name, cone_id = cone_doc["basis"], cone_doc["id"]
+        names = _names(cone_doc["generators"], f"cone {cone_id!r} generators")
+        fixture.cones[cone_id] = PolyCone.from_generators(
+            basis_name,
+            [fixture.vector_in(basis_name, g) for g in names],
+            dim=dims.get(basis_name),
+            dual=duals.get(basis_name),
         )
 
     for geom in raw.get("geometries", []):
-        objective = ClassVector(
-            dual_basis(geom["basis"]), tuple(geom["objective"]["coords"])
-        )
+        eff = fixture.cone(geom["eff"])
+        what = f"geometry {geom['id']!r} objective"
+        objective = ClassVector(eff.dual, _row(geom["objective"]["coords"], what))
         fixture.geometries[geom["id"]] = cone_geometry(
-            f"{fixture.name}:{geom['id']}",
-            fixture.cone(geom["mov"]),
-            fixture.cone(geom["eff"]),
-            objective,
+            f"{fixture.name}:{geom['id']}", fixture.cone(geom["mov"]), eff, objective
         )
 
     for profile_name, text in raw.get("profiles", {}).get("entries", {}).items():

@@ -250,7 +250,9 @@ def check_pairing_dual_cone_equals(fixture, args):
         for d in divisors
     ]
     target = fixture.cone(args["equals_generators_of"])
-    cone = PolyCone.from_inequalities(target.basis, rows, dim=len(curve_elements))
+    cone = PolyCone.from_inequalities(
+        target.basis, rows, dim=len(curve_elements), dual=target.dual
+    )
     got = _rays_set(extremal_rays(dd_convert(cone)))
     want = _rays_set(extremal_rays(dd_convert(target)))
     status = "pass" if got == want else "fail"
@@ -262,11 +264,13 @@ def check_gram_dual_cone_equals(fixture, args):
     names = table_args["elements"]
     table = [[rat(x) for x in row] for row in table_args["table"]]
     indices = [names.index(n) for n in args["eff_elements"]]
-    basis = fixture.cone(args["equals_generators_of"]).basis
+    target = fixture.cone(args["equals_generators_of"])
     rows = [[table[i][j] for j in indices] for i in indices]
-    cone = PolyCone.from_inequalities(basis, rows, dim=len(indices))
+    cone = PolyCone.from_inequalities(
+        target.basis, rows, dim=len(indices), dual=target.dual
+    )
     got = _rays_set(extremal_rays(dd_convert(cone)))
-    want = _rays_set(extremal_rays(dd_convert(fixture.cone(args["equals_generators_of"]))))
+    want = _rays_set(extremal_rays(dd_convert(target)))
     status = "pass" if got == want else "fail"
     return status, {"computed": got, "expected": want}
 

@@ -14,11 +14,16 @@ from .vectors import ClassVector, dual_basis
 from .zariski import ConeGeometry, cone_geometry
 
 
-def parse_vector_text(text: str, basis: str) -> ClassVector:
-    """Parse a comma-separated coordinate string like ``"1,1,0,1,2"``."""
+def parse_vector_text(text: str, basis: str, dim: int) -> ClassVector:
+    """Parse a comma-separated coordinate string like ``"1,1,0,1,2"``
+    into a vector of ``basis`` with exactly ``dim`` coordinates."""
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise InputError("empty coordinate list")
+    if len(parts) != dim:
+        raise InputError(
+            f"expected {dim} coordinates in basis {basis!r}, got {len(parts)}"
+        )
     return ClassVector(basis, tuple(rat(p) for p in parts))
 
 
@@ -38,6 +43,20 @@ def _rows(value, what: str) -> list[tuple]:
             f"{what} must be a list of rows, got {type(value).__name__}"
         )
     return [_row(row, f"{what} row {i}") for i, row in enumerate(value)]
+
+
+def _names(value, what: str) -> list[str]:
+    """A JSON list of strings; any other shape is an input error."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{what} must be a list of strings")
+    return value
+
+
+def _dim(value, what: str) -> int:
+    """A nonnegative JSON integer; any other value is an input error."""
+    if type(value) is not int or value < 0:
+        raise InputError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def rows_to_json(vectors) -> list[list[str]]:
@@ -62,8 +81,8 @@ def cone_from_json(doc: dict, basis: str | None = None, dim: int | None = None) 
         raise InputError('cone document needs a "basis"')
     if not isinstance(basis, str):
         raise InputError(f'"basis" must be a string, got {type(basis).__name__}')
-    if dim is not None and (type(dim) is not int or dim < 0):
-        raise InputError(f'"dim" must be a nonnegative integer, got {dim!r}')
+    if dim is not None:
+        _dim(dim, '"dim"')
     generators = doc.get("generators")
     inequalities = doc.get("inequalities")
     if generators is None and inequalities is None:
@@ -107,16 +126,12 @@ def geometry_from_json(doc: dict) -> ConeGeometry:
     eff = cone_from_json(doc["eff"], basis=basis, dim=dim)
     objective = None
     if doc.get("objective") is not None:
-        objective = ClassVector(
-            dual_basis(eff.basis), _row(doc["objective"], '"objective"')
-        )
+        objective = ClassVector(eff.dual, _row(doc["objective"], '"objective"'))
     return cone_geometry(doc.get("name", "geometry"), mov, eff, objective)
 
 
 def gram_from_json(doc: dict) -> PairingBasis:
     if not isinstance(doc, dict) or "labels" not in doc or "gram" not in doc:
         raise InputError('pairing document needs "labels" and "gram"')
-    labels = doc["labels"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise InputError('"labels" must be a list of strings')
+    labels = _names(doc["labels"], '"labels"')
     return PairingBasis(tuple(labels), tuple(_rows(doc["gram"], '"gram"')))

@@ -19,7 +19,7 @@ from .decomposition import Certificate, Decomposition
 from .errors import DomainError, InputError
 from .linalg import combine, pivot, solve_unique
 from .rationals import rat, rat_str
-from .vectors import ClassVector, register_basis
+from .vectors import ClassVector
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ class PairingBasis:
 
     @property
     def basis_name(self) -> str:
-        name = "pairing[" + ",".join(self.labels) + "]"
-        register_basis(name, len(self.labels))
-        return name
+        return "pairing[" + ",".join(self.labels) + "]"
 
     def submatrix(self, support) -> list[list[Fraction]]:
         return [[self.gram[i][j] for j in support] for i in support]

@@ -9,7 +9,7 @@ by direct arithmetic on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CycleConesError, DomainError, InputError
@@ -36,15 +36,19 @@ class AffineInequality:
 
 @dataclass(frozen=True)
 class RationalPolytope:
+    """Points satisfying every inequality; functionals live in ``dual``."""
+
     basis: str
     dim: int
     inequalities: tuple[AffineInequality, ...]
     vertices: tuple[ClassVector, ...] | None = None
+    dual: str | None = None
 
     def __post_init__(self):
-        dual = dual_basis(self.basis)
+        if self.dual is None:
+            object.__setattr__(self, "dual", dual_basis(self.basis))
         for ineq in self.inequalities:
-            if ineq.functional.basis != dual or ineq.functional.dim != self.dim:
+            if ineq.functional.basis != self.dual or ineq.functional.dim != self.dim:
                 raise InputError("inequality functional outside the dual basis")
         for v in self.vertices or ():
             if v.basis != self.basis or v.dim != self.dim:
@@ -105,7 +109,7 @@ def vertex_enumeration(p: RationalPolytope) -> RationalPolytope:
             "inequality system is unbounded",
             recession_direction=[str(c) for c in direction.coords],
         )
-    return RationalPolytope(p.basis, p.dim, p.inequalities, vertices)
+    return replace(p, vertices=vertices)
 
 
 def maximize_linear(p: RationalPolytope, objective: ClassVector):
@@ -119,7 +123,7 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
     Ties are never broken here; the whole optimal face's vertex set is
     returned, sorted.
     """
-    if objective.basis != dual_basis(p.basis) or objective.dim != p.dim:
+    if objective.basis != p.dual or objective.dim != p.dim:
         raise InputError("objective must be a functional in the dual basis")
     enumerated = vertex_enumeration(p)
     if not enumerated.vertices:

@@ -17,7 +17,7 @@ from .cones import PolyCone, contains
 from .decomposition import Certificate, Decomposition
 from .errors import DomainError, InputError
 from .rationals import rat_str
-from .vectors import ClassVector, dual_basis, register_basis
+from .vectors import ClassVector, dual_basis
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,7 @@ class HNProfile:
 def class_basis(profile: HNProfile, k: int) -> str:
     """Basis name for k-dimensional classes: coordinates (x, y) meaning
     x*xi^(n-k) + y*xi^(n-k-1)f."""
-    name = f"pb[{profile.text()}].N{k}"
-    register_basis(name, 2, dual=f"pb[{profile.text()}].N{k}*")
-    return name
+    return f"pb[{profile.text()}].N{k}"
 
 
 def _check_k(profile: HNProfile, k: int, low: int, high: int) -> None:
@@ -182,6 +180,15 @@ def cone_coincidence(profile: HNProfile, k: int):
     return mov_eq_eff, nef_eq_eff
 
 
+def _plane(v: ClassVector) -> tuple[Fraction, ...]:
+    """The coordinates (x, y) of a class; every cone here is two-dimensional."""
+    if v.dim != 2:
+        raise InputError(
+            f"classes in basis {v.basis!r} have 2 coordinates, got {v.dim}"
+        )
+    return v.coords
+
+
 def pair_classes(profile: HNProfile, k: int, a: ClassVector, b: ClassVector) -> Fraction:
     """Intersection number of classes in complementary dimensions k, n-k.
 
@@ -191,13 +198,13 @@ def pair_classes(profile: HNProfile, k: int, a: ClassVector, b: ClassVector) -> 
     n = profile.rank
     if a.basis != class_basis(profile, k) or b.basis != class_basis(profile, n - k):
         raise InputError("classes must live in complementary dimensions")
-    (x, y), (xp, yp) = a.coords, b.coords
+    (x, y), (xp, yp) = _plane(a), _plane(b)
     return x * xp * profile.degree + x * yp + xp * y
 
 
 def eff_coordinates(profile: HNProfile, k: int, v: ClassVector) -> tuple[Fraction, Fraction]:
     """Coordinates (a, b) of v against the eff generators (1, eps_k), (0, 1)."""
-    x, y = v.coords
+    x, y = _plane(v)
     return x, y - x * epsilon(profile, k)
 
 

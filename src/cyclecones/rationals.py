@@ -6,6 +6,7 @@ rejected at every boundary so no rounding can sneak in through I/O.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -41,8 +42,27 @@ def rat(value) -> Fraction:
                 return Fraction(int(num.strip()), int(den.strip()))
             return Fraction(int(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational number: {value!r}") from exc
-    raise InputError(f"not a rational number: {value!r}")
+            raise InputError(_unparsable(text, value)) from exc
+    raise InputError(f"not a rational number: {_shown(value)}")
+
+
+def _unparsable(text: str, value) -> str:
+    """Why ``text`` is no rational; names the digit limit when that is why."""
+    limit = sys.get_int_max_str_digits()
+    for part in text.split("/"):
+        digits = part.strip().lstrip("+-")
+        if limit and digits.isdigit() and len(digits) > limit:
+            return (
+                f"integer of {len(digits)} digits exceeds the interpreter's "
+                f"limit of {limit} (sys.get_int_max_str_digits()): {_shown(value)}"
+            )
+    return f"not a rational number: {_shown(value)}"
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut to a short prefix so messages stay readable."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def rat_str(value: Fraction) -> str:

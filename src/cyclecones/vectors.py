@@ -3,7 +3,9 @@
 A basis name identifies both the vector space and the chosen coordinates
 (for example ``"toric3.curves"`` for curve classes in the dual basis of
 ``D1, D2, D3, D7, D8``).  Vectors combine arithmetically only within one
-basis; linear functionals live in the registered dual basis.
+basis and one dimension, which is the number of coordinates.  Linear
+functionals live in a dual basis, whose name a cone or polytope carries;
+it defaults to ``dual_basis(basis)``.
 """
 
 from __future__ import annotations
@@ -15,49 +17,10 @@ from .errors import InputError
 from .linalg import int_primitive
 from .rationals import rat
 
-_DIMENSIONS: dict[str, int] = {}
-_DUALS: dict[str, str] = {}
-
-
-def register_basis(name: str, dim: int, dual: str | None = None) -> None:
-    """Register a basis name with its dimension and optionally its dual.
-
-    Re-registration with identical data is a no-op; conflicting data is an
-    error.  Registering a dual links both directions.
-    """
-    if dim < 0:
-        raise InputError(f"basis {name!r} cannot have negative dimension")
-    if name in _DIMENSIONS and _DIMENSIONS[name] != dim:
-        raise InputError(
-            f"basis {name!r} already registered with dimension "
-            f"{_DIMENSIONS[name]}, not {dim}"
-        )
-    _DIMENSIONS[name] = dim
-    if dual is not None:
-        register_basis(dual, dim)
-        for a, b in ((name, dual), (dual, name)):
-            if a in _DUALS and _DUALS[a] != b:
-                raise InputError(f"basis {a!r} already has dual {_DUALS[a]!r}")
-            _DUALS[a] = b
-
-
-def basis_dim(name: str) -> int:
-    if name not in _DIMENSIONS:
-        raise InputError(f"unknown basis {name!r}")
-    return _DIMENSIONS[name]
-
 
 def dual_basis(name: str) -> str:
-    """The dual basis name; defaults to the ``*``-suffix convention."""
-    if name in _DUALS:
-        return _DUALS[name]
-    dual = name[:-1] if name.endswith("*") else name + "*"
-    if name in _DIMENSIONS:
-        register_basis(dual, _DIMENSIONS[name], dual=name)
-    else:
-        _DUALS[name] = dual
-        _DUALS[dual] = name
-    return dual
+    """The default dual basis name: ``name*`` for ``name``, and back."""
+    return name[:-1] if name.endswith("*") else name + "*"
 
 
 @dataclass(frozen=True)
@@ -68,35 +31,27 @@ class ClassVector:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(rat(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if self.basis in _DIMENSIONS:
-            if _DIMENSIONS[self.basis] != len(coords):
-                raise InputError(
-                    f"basis {self.basis!r} has dimension "
-                    f"{_DIMENSIONS[self.basis]}, got {len(coords)} coordinates"
-                )
-        else:
-            register_basis(self.basis, len(coords))
+        object.__setattr__(self, "coords", tuple(rat(c) for c in self.coords))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    def _check_same_basis(self, other: "ClassVector") -> None:
-        if self.basis != other.basis:
+    def _check_same_space(self, other: "ClassVector") -> None:
+        if (self.basis, self.dim) != (other.basis, other.dim):
             raise InputError(
-                f"basis mismatch: {self.basis!r} vs {other.basis!r}"
+                f"vectors in different spaces: {self.basis!r} (dim {self.dim}) "
+                f"vs {other.basis!r} (dim {other.dim})"
             )
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
-        self._check_same_basis(other)
+        self._check_same_space(other)
         return ClassVector(
             self.basis, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
-        self._check_same_basis(other)
+        self._check_same_space(other)
         return ClassVector(
             self.basis, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
@@ -120,16 +75,3 @@ class ClassVector:
 
         body = ",".join(rat_str(c) for c in self.coords)
         return f"ClassVector({self.basis!r}, ({body}))"
-
-
-def zero_vector(basis: str, dim: int | None = None) -> ClassVector:
-    if dim is None:
-        dim = basis_dim(basis)
-    return ClassVector(basis, (Fraction(0),) * dim)
-
-
-def unit_vector(basis: str, index: int, dim: int | None = None) -> ClassVector:
-    if dim is None:
-        dim = basis_dim(basis)
-    return ClassVector(basis, tuple(Fraction(int(i == index)) for i in range(dim)))
-

@@ -29,7 +29,7 @@ from .polytope import (
 )
 from .rationals import rat_str
 from .simplex import INFEASIBLE, maximize_affine
-from .vectors import ClassVector, dual_basis
+from .vectors import ClassVector
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def cone_geometry(
     degree_functional: ClassVector | None = None,
 ) -> ConeGeometry:
     """Build a ConeGeometry, enforcing every structural precondition."""
-    if mov.basis != eff.basis or mov.dim != eff.dim:
+    if (mov.basis, mov.dim, mov.dual) != (eff.basis, eff.dim, eff.dual):
         raise InputError("movable and effective cones live in different spaces")
     eff = dd_convert(eff)
     mov = dd_convert(mov)
@@ -78,7 +78,7 @@ def cone_geometry(
 
 def validate_objective(g: ConeGeometry, objective: ClassVector) -> None:
     """A degree functional must be strictly positive on every eff ray."""
-    if objective.basis != dual_basis(g.basis) or objective.dim != g.dim:
+    if objective.basis != g.eff.dual or objective.dim != g.dim:
         raise InputError("objective must be a functional in the dual basis")
     for ray in g.eff.generators:
         value = dot(objective.coords, ray.coords)
@@ -98,7 +98,6 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     """
     if alpha.basis != g.basis or alpha.dim != g.dim:
         raise InputError("class not in the geometry's coordinate space")
-    dual = dual_basis(g.basis)
     rows: list[AffineInequality] = []
     for l in g.mov.inequalities:
         rows.append(AffineInequality(l, Fraction(0)))
@@ -109,9 +108,9 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
                 "class is not pseudo-effective",
                 separating_functional=[rat_str(c) for c in m.coords],
             )
-        flipped = ClassVector(dual, tuple(-c for c in m.coords))
+        flipped = ClassVector(g.eff.dual, tuple(-c for c in m.coords))
         rows.append(AffineInequality(flipped, -bound))
-    polytope = RationalPolytope(g.basis, g.dim, tuple(rows))
+    polytope = RationalPolytope(g.basis, g.dim, tuple(rows), dual=g.eff.dual)
     return vertex_enumeration(polytope)
 
 

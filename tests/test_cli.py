@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,39 @@ def test_malformed_documents_are_input_errors(tmp_path, command, doc, message):
     document, code = run_json(argv)
     assert (code, document["status"]) == (1, "input_error")
     assert document["payload"]["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "argv, expected, got",
+    [
+        (["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3,1"], 2, 3),
+        (["bck", "--gram", "bench/data/gram.json", "--class", "1,2,3"], 6, 3),
+        (["decompose", "--geometry", "toric-3fold:curves", "--class", "1,1,0,1"], 5, 4),
+        (
+            ["decompose", "--geometry", "toric-3fold:curves", "--class", "1,1,0,1,2"]
+            + ["--objective", "1,1"],
+            5,
+            2,
+        ),
+    ],
+    ids=["projbundle", "bck", "decompose-class", "decompose-objective"],
+)
+def test_wrong_coordinate_count_is_input_error(argv, expected, got, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    document, code = run_json(argv)
+    assert (code, document["status"]) == (1, "input_error")
+    message = document["payload"]["error"]["message"]
+    assert message.startswith(f"expected {expected} coordinates in basis ")
+    assert message.endswith(f", got {got}")
+
+
+def test_over_long_json_integer_is_input_error(tmp_path):
+    path = tmp_path / "long.json"
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('{"basis": "b", "generators": [[' + digits + "]]}")
+    document, code = run_json(["cone", "convert", "--input", str(path)])
+    assert (code, document["status"]) == (1, "input_error")
+    assert str(sys.get_int_max_str_digits()) in document["payload"]["error"]["message"]
 
 
 def _fixture_commands():

@@ -14,7 +14,7 @@ from cyclecones.cones import (
 )
 from cyclecones.errors import DomainError, InputError
 from cyclecones.simplex import nonneg_solve
-from cyclecones.vectors import ClassVector, register_basis
+from cyclecones.vectors import ClassVector
 
 from conftest import (
     TORIC_A,
@@ -26,8 +26,6 @@ from conftest import (
     random_member,
     random_vector,
 )
-
-register_basis("toric3.divisors", 5, dual="toric3.curves")
 
 
 def rays_of(cone):
@@ -58,7 +56,7 @@ def test_single_ray_v_to_h():
 def test_toric_eff_divisors_to_movable_inequalities():
     # converting the eight divisor generators must cut out exactly the cone
     # whose dual generators are the six movable-cone generators
-    eff = PolyCone.from_generators("toric3.divisors", TORIC_D)
+    eff = PolyCone.from_generators("toric3.divisors", TORIC_D, dual="toric3.curves")
     assert rays_of(dual_cone(eff)) == as_rows(TORIC_M)
 
 
@@ -79,7 +77,7 @@ def test_inconsistent_double_representation_rejected():
 
 
 def test_toric_dual_of_nef_is_mori():
-    nef = PolyCone.from_generators("toric3.divisors", TORIC_A)
+    nef = PolyCone.from_generators("toric3.divisors", TORIC_A, dual="toric3.curves")
     assert rays_of(dual_cone(nef)) == as_rows(TORIC_C)
 
 
@@ -101,7 +99,7 @@ def test_dual_of_zero_cone_is_full_space():
 
 def test_dual_involution_on_toric_cones():
     for rows in (TORIC_A, TORIC_D):
-        cone = PolyCone.from_generators("toric3.divisors", rows)
+        cone = PolyCone.from_generators("toric3.divisors", rows, dual="toric3.curves")
         assert cones_equal(dual_cone(dual_cone(cone)), cone)
 
 
@@ -109,14 +107,14 @@ def test_dual_involution_on_toric_cones():
 
 
 def test_alpha_in_eff_with_combination():
-    eff = PolyCone.from_generators("toric3.curves", TORIC_C)
+    eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
     alpha = ClassVector("toric3.curves", TORIC_ALPHA)
     verdict = contains(eff, alpha)
     assert verdict and verdict.verify()
 
 
 def test_alpha_not_movable_with_separating_functional():
-    mov = PolyCone.from_generators("toric3.curves", TORIC_M)
+    mov = PolyCone.from_generators("toric3.curves", TORIC_M, dual="toric3.divisors")
     alpha = ClassVector("toric3.curves", TORIC_ALPHA)
     verdict = contains(mov, alpha)
     assert not verdict and verdict.verify()
@@ -143,7 +141,8 @@ def test_zero_vector_in_any_cone():
 
 
 def test_toric_eff_curves_salient():
-    assert is_salient(PolyCone.from_generators("toric3.curves", TORIC_C))
+    eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
+    assert is_salient(eff)
 
 
 def test_full_space_and_line_not_salient():
@@ -157,7 +156,7 @@ def test_interior_ray_removed():
 
 
 def test_toric_eff_divisors_extremal_rays_drop_redundant():
-    eff = PolyCone.from_generators("toric3.divisors", TORIC_D)
+    eff = PolyCone.from_generators("toric3.divisors", TORIC_D, dual="toric3.curves")
     expected = as_rows(
         [
             (1, 0, 0, 0, 0),
@@ -173,7 +172,7 @@ def test_toric_eff_divisors_extremal_rays_drop_redundant():
 
 
 def test_all_five_mori_rays_extremal():
-    eff = PolyCone.from_generators("toric3.curves", TORIC_C)
+    eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
     assert rays_of(eff) == as_rows(TORIC_C)
 
 

@@ -1,7 +1,9 @@
+import copy
 import json
 
 import pytest
 
+from cyclecones.cli import run
 from cyclecones.errors import InputError
 from cyclecones.fixtures import (
     FIXTURE_NAMES,
@@ -76,3 +78,40 @@ def test_env_override_takes_precedence(tmp_path, monkeypatch):
 def test_packaged_fixture_files_pass_lint():
     for name in FIXTURE_NAMES:
         assert lint_sources(load(name).raw) == []
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda doc: doc["cones"][0].update(generators=5),
+            "cone 'eff-divisors' generators must be a list of strings",
+        ),
+        (
+            lambda doc: doc["classes"]["toric3.divisors"]["coords"].update(
+                D1=["1", "0", "0", "0"]
+            ),
+            "class 'D1' has 4 coordinates; basis 'toric3.divisors' has dim 5",
+        ),
+        (
+            lambda doc: doc["bases"][0].update(dim="5"),
+            "bases[0] \"dim\" must be a nonnegative integer, got '5'",
+        ),
+    ],
+    ids=["generators-not-a-list", "short-class", "dim-a-string"],
+)
+def test_malformed_fixture_file_is_input_error(tmp_path, monkeypatch, mutate, message):
+    doc = copy.deepcopy(load("toric-3fold").raw)
+    mutate(doc)
+    (tmp_path / "toric-3fold.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
+    document, code = run(["fixture", "toric-3fold", "--verify"])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == message
+
+
+def test_unreadable_fixture_file_is_input_error(tmp_path, monkeypatch):
+    (tmp_path / "toric-3fold.json").write_text('{"name": "toric-3fold",')
+    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
+    document, code = run(["fixture", "toric-3fold", "--verify"])
+    assert (code, document["status"]) == (1, "input_error")

@@ -44,12 +44,15 @@ def test_missing_representation_rejected():
 
 
 def test_vector_text_parsing():
-    v = parse_vector_text("1, -2/3 ,0", "io3v")
+    v = parse_vector_text("1, -2/3 ,0", "io3v", 3)
     assert [str(c) for c in v.coords] == ["1", "-2/3", "0"]
     with pytest.raises(InputError):
-        parse_vector_text("", "io3v")
+        parse_vector_text("", "io3v", 3)
     with pytest.raises(InputError):
-        parse_vector_text("1,0.5", "io3v")
+        parse_vector_text("1,0.5", "io3v", 2)
+    with pytest.raises(InputError) as caught:
+        parse_vector_text("1,2", "io3v", 3)
+    assert caught.value.message == "expected 3 coordinates in basis 'io3v', got 2"
 
 
 def test_geometry_document():

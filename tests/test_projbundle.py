@@ -120,6 +120,20 @@ def test_closed_form_decomposition_cases():
     assert interior.negative.coords == (1, -2)
 
 
+def test_classes_need_two_coordinates():
+    basis = class_basis(SPLIT, 2)
+    three = ClassVector(basis, (2, -3, 1))
+    two = ClassVector(basis, (1, 0))
+    for call in (
+        lambda: zariski_decompose(SPLIT, 2, three),
+        lambda: eff_coordinates(SPLIT, 2, three),
+        lambda: pair_classes(SPLIT, 2, three, two),
+        lambda: pair_classes(SPLIT, 2, two, three),
+    ):
+        with pytest.raises(InputError, match="have 2 coordinates, got 3"):
+            call()
+
+
 def test_non_pseudoeffective_rejected_with_functional():
     basis = class_basis(SPLIT, 2)
     with pytest.raises(DomainError) as err:

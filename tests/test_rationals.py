@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,3 +30,18 @@ def test_canonical_strings():
     assert rat_str(Fraction(4, 2)) == "2"
     assert rat_str(Fraction(-3, 9)) == "-1/3"
     assert rat_str(Fraction(0)) == "0"
+
+
+def test_over_long_integer_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 1), "1/-" + "9" * (limit + 1)):
+        with pytest.raises(InputError) as caught:
+            rat(text)
+        message = caught.value.message
+        assert f"limit of {limit}" in message
+        assert "sys.get_int_max_str_digits()" in message
+        assert len(message) < 200
+    with pytest.raises(InputError) as caught:
+        rat("x" * (limit + 1))
+    assert caught.value.message.startswith("not a rational number: 'xxx")
+    assert len(caught.value.message) < 100

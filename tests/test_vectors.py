@@ -2,25 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+from cyclecones.cones import PolyCone, dual_cone
 from cyclecones.errors import InputError
-from cyclecones.vectors import (
-    ClassVector,
-    dual_basis,
-    register_basis,
-    unit_vector,
-    zero_vector,
-)
+from cyclecones.vectors import ClassVector, dual_basis
 
 F = Fraction
 
 
-def test_dimension_enforced_after_registration():
-    register_basis("vb3", 3)
-    ClassVector("vb3", (1, 2, 3))
+def test_dimension_is_the_coordinate_count():
+    assert ClassVector("vb3", (1, 2, 3)).dim == 3
+    # a basis name fixes no dimension: each vector carries its own
+    assert ClassVector("vb3", (1, 2)).dim == 2
     with pytest.raises(InputError):
-        ClassVector("vb3", (1, 2))
+        ClassVector("vb3", (1, 2, 3)) + ClassVector("vb3", (1, 2))
     with pytest.raises(InputError):
-        register_basis("vb3", 4)
+        ClassVector("vb3", (1, 2)) - ClassVector("vb3", (1, 2, 3))
 
 
 def test_arithmetic_requires_matching_basis():
@@ -36,18 +32,17 @@ def test_arithmetic_requires_matching_basis():
 def test_dual_naming_is_an_involution():
     assert dual_basis("vbx") == "vbx*"
     assert dual_basis("vbx*") == "vbx"
-    register_basis("vby", 2, dual="vby.dual")
-    assert dual_basis("vby") == "vby.dual"
-    assert dual_basis("vby.dual") == "vby"
+    cone = PolyCone.from_generators("vby", [(1, 0), (1, 1)], dual="vby.dual")
+    dual = dual_cone(cone)
+    assert (dual.basis, dual.dual) == ("vby.dual", "vby")
+    assert {g.basis for g in dual.generators} == {"vby.dual"}
+    assert {l.basis for l in dual.inequalities} == {"vby"}
+    back = dual_cone(dual)
+    assert (back.basis, back.dual) == ("vby", "vby.dual")
 
 
 def test_primitive_scaling():
     v = ClassVector("vbq", (F(2, 3), F(-4, 3), F(0)))
     assert v.primitive().coords == (1, -2, 0)
-    zero = zero_vector("vbq")
+    zero = ClassVector("vbq", (0, 0, 0))
     assert zero.primitive().coords == (0, 0, 0)
-
-
-def test_unit_vectors():
-    e1 = unit_vector("vbu", 1, dim=3)
-    assert e1.coords == (0, 1, 0)

@@ -11,7 +11,7 @@ from cyclecones.projbundle import (
     degree_functional,
     epsilon,
 )
-from cyclecones.vectors import ClassVector, register_basis
+from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
     cone_geometry,
     decompose,
@@ -33,13 +33,11 @@ from conftest import (
 
 F = Fraction
 
-register_basis("toric3.divisors", 5, dual="toric3.curves")
-
 
 @pytest.fixture(scope="module")
 def toric():
-    eff = PolyCone.from_generators("toric3.curves", TORIC_C)
-    mov = PolyCone.from_generators("toric3.curves", TORIC_M)
+    eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
+    mov = PolyCone.from_generators("toric3.curves", TORIC_M, dual="toric3.divisors")
     objective = ClassVector("toric3.divisors", TORIC_OBJECTIVE)
     return cone_geometry("toric", mov, eff, objective)
 
@@ -62,6 +60,16 @@ def test_mov_must_sit_inside_eff():
         "movable cone is not contained in the effective cone; "
         "offending generator ['0', '1']"
     )
+
+
+def test_mov_and_eff_must_share_a_dual():
+    eff = PolyCone.from_generators("zv2", [(1, 0), (0, 1)], dual="zv2.div")
+    mov = PolyCone.from_generators("zv2", [(1, 1)])
+    with pytest.raises(InputError, match="live in different spaces"):
+        cone_geometry("bad", mov, eff)
+    mov = PolyCone.from_generators("zv2", [(1, 1)], dual="zv2.div")
+    g = cone_geometry("good", mov, eff, ClassVector("zv2.div", (1, 1)))
+    assert decomposition_polytope(g, ClassVector("zv2", (1, 1))).dual == "zv2.div"
 
 
 def test_eff_must_be_salient():
