@@ -172,24 +172,33 @@ def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
     return problems
 
 
-def _read_raw(name: str) -> dict:
+def _read_raw(name: str) -> tuple[dict, str]:
+    """The fixture document and the file it was read from."""
     override = os.environ.get("CYCLECONES_FIXTURE_DIR")
     if override:
         candidate = os.path.join(override, f"{name}.json")
         if os.path.exists(candidate):
             with open(candidate, "r", encoding="utf-8") as handle:
                 try:
-                    return json.load(handle)
+                    return json.load(handle), candidate
                 except ValueError as exc:  # invalid JSON, or an over-long integer
                     raise InputError(f"{candidate}: {exc}") from exc
     try:
         packaged = resources.files(__package__).joinpath(f"data/{name}.json")
-        return json.loads(packaged.read_text(encoding="utf-8"))
+        return json.loads(packaged.read_text(encoding="utf-8")), str(packaged)
     except FileNotFoundError as exc:
         raise InputError(f"unknown fixture {name!r}") from exc
 
 
-def _build_ring(fixture: Fixture, doc: dict) -> None:
+def _need(node, keys: tuple[str, ...], where: str) -> None:
+    """An input error naming ``where`` unless ``node`` is an object with ``keys``."""
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            raise InputError(f"{where} must be an object with the key {key!r}")
+
+
+def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
+    _need(doc, ("generators", "top_degree", "max_monomial_degree"), where)
     generators = tuple(doc["generators"])
 
     def mono(text: str):
@@ -197,6 +206,7 @@ def _build_ring(fixture: Fixture, doc: dict) -> None:
 
     dual_layers = {}
     for degree_text, layer in doc.get("dual_bases", {}).items():
+        _need(layer, ("names",), f"{where} dual_bases[{degree_text!r}]")
         cap = layer.get("cap_relations")
         if cap is not None:
             cap = {mono(m): _row(row, f"cap relation {m!r}") for m, row in cap.items()}
@@ -221,17 +231,20 @@ def _build_ring(fixture: Fixture, doc: dict) -> None:
     )
     fixture.ring = ring
     for name, body in doc.get("named", {}).get("elements", {}).items():
+        _need(body, ("degree", "terms"), f"{where} element {name!r}")
         fixture.ring_elements[name] = ring.element(body["degree"], body["terms"])
     for name, body in doc.get("dual_classes", {}).get("elements", {}).items():
+        _need(body, ("degree", "coords"), f"{where} dual class {name!r}")
         fixture.dual_classes[name] = ring.dual_class(body["degree"], body["coords"])
     fixture.audit = consistency_audit(ring)
 
 
-def _declared_bases(raw: dict) -> tuple[dict[str, int], dict[str, str]]:
+def _declared_bases(raw: dict, origin: str) -> tuple[dict[str, int], dict[str, str]]:
     """Dimensions of the declared bases and their duals; duals both ways."""
     dims: dict[str, int] = {}
     duals: dict[str, str] = {}
     for i, basis in enumerate(raw.get("bases", [])):
+        _need(basis, ("name", "dim"), f"{origin}: bases[{i}]")
         name, dual = basis["name"], basis.get("dual")
         dims[name] = _dim(basis["dim"], f'bases[{i}] "dim"')
         if dual is not None:
@@ -255,15 +268,16 @@ def _class_vector(dims: dict[str, int], basis: str, value, what: str) -> ClassVe
 
 def load(name: str) -> Fixture:
     """Load, lint, and validate a fixture by name."""
-    raw = _read_raw(name)
+    raw, origin = _read_raw(name)
     problems = lint_sources(raw)
     if problems:
         raise InputError(
             "fixture data failed the source lint:\n  " + "\n  ".join(problems)
         )
+    _need(raw, ("name",), origin)
     fixture = Fixture(name=raw["name"], description=raw.get("description", ""), raw=raw)
 
-    dims, duals = _declared_bases(raw)
+    dims, duals = _declared_bases(raw, origin)
 
     for basis_name, table in raw.get("classes", {}).items():
         fixture.vectors[basis_name] = {
@@ -274,7 +288,7 @@ def load(name: str) -> Fixture:
         }
 
     if "ring" in raw:
-        _build_ring(fixture, raw["ring"])
+        _build_ring(fixture, raw["ring"], f"{origin}: ring")
 
     extra = raw.get("surface_class_vectors")
     if extra is not None:
@@ -285,7 +299,8 @@ def load(name: str) -> Fixture:
                 dims, basis_name, coords, f"class {class_name!r}"
             )
 
-    for cone_doc in raw.get("cones", []):
+    for i, cone_doc in enumerate(raw.get("cones", [])):
+        _need(cone_doc, ("basis", "id", "generators"), f"{origin}: cones[{i}]")
         basis_name, cone_id = cone_doc["basis"], cone_doc["id"]
         names = _names(cone_doc["generators"], f"cone {cone_id!r} generators")
         fixture.cones[cone_id] = PolyCone.from_generators(
@@ -295,7 +310,10 @@ def load(name: str) -> Fixture:
             dual=duals.get(basis_name),
         )
 
-    for geom in raw.get("geometries", []):
+    for i, geom in enumerate(raw.get("geometries", [])):
+        at = f"{origin}: geometries[{i}]"
+        _need(geom, ("id", "eff", "mov", "objective"), at)
+        _need(geom["objective"], ("coords",), f"{at} objective")
         eff = fixture.cone(geom["eff"])
         what = f"geometry {geom['id']!r} objective"
         objective = ClassVector(eff.dual, _row(geom["objective"]["coords"], what))
@@ -306,6 +324,8 @@ def load(name: str) -> Fixture:
     for profile_name, text in raw.get("profiles", {}).get("entries", {}).items():
         fixture.profiles[profile_name] = HNProfile.parse(text)
 
+    for i, claim in enumerate(raw.get("claims", [])):
+        _need(claim, ("id", "check", "expect"), f"{origin}: claims[{i}]")
     fixture.claims = tuple(
         Claim(
             id=c["id"],

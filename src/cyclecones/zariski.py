@@ -6,8 +6,9 @@ A positive part is selected by exact maximization of a degree functional
 (strictly positive on the effective cone), and the engine certifies
 whether the candidate set has a domination-order maximum; when it does,
 the selected part equals it for every valid objective, and the output
-says so.  When it does not, the order-theoretic failure is witnessed by
-a vertex pair with no common dominator.
+says so, with certificates found by peeling along faces (no simplex).
+When it does not, the order-theoretic failure is witnessed by a vertex
+pair with no common dominator, checked by double description.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Any, Mapping
 
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import DomainError, InputError
-from .linalg import dot, reproduces, separates, violated
+from .linalg import dot, int_primitive, reproduces, separates, violated
 from .polytope import (
     AffineInequality,
     RationalPolytope,
@@ -28,7 +30,6 @@ from .polytope import (
     vertex_enumeration,
 )
 from .rationals import rat_str
-from .simplex import INFEASIBLE, maximize_affine
 from .vectors import ClassVector
 
 
@@ -98,9 +99,7 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     """
     if alpha.basis != g.basis or alpha.dim != g.dim:
         raise InputError("class not in the geometry's coordinate space")
-    rows: list[AffineInequality] = []
-    for l in g.mov.inequalities:
-        rows.append(AffineInequality(l, Fraction(0)))
+    rows = [AffineInequality(l, Fraction(0)) for l in g.mov.inequalities]
     for m in g.eff.inequalities:
         bound = dot(m.coords, alpha.coords)
         if bound < 0:
@@ -190,47 +189,59 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
 
     A maximum, if any, must be a vertex (salience), and dominating every
     vertex suffices for the whole polytope (convexity), so the decision is
-    exact over the vertex list.  In the negative case some vertex pair has
-    no vertex dominating both: a finite directed order would have a
-    maximum.  The reported pair additionally gets an exact emptiness check
-    of its full dominator set inside the polytope.
+    exact over a table of the vertices' eff facet values; certificates
+    come from ``_peel``.  In the negative case some vertex pair has no
+    vertex dominating both (a finite directed order would have a maximum);
+    each failure names the first facet where the vertex falls short, and
+    the pair gets an exact emptiness check of its whole dominator set.
     """
     s = vertex_enumeration(s)
     vertices = s.vertices
     if not vertices:
         raise DomainError("empty candidate polytope")
 
-    eff_rows = g.eff.inequality_rows()
+    # integer values: primitive facets (a positive rescaling keeps the order
+    # and the peel's ratios) on points over one common denominator
+    facets = [int_primitive(l) for l in g.eff.inequality_rows()]
+    gens = g.eff.generator_rows()
+    scale = lcm(*(c.denominator for row in gens for c in row),
+                *(c.denominator for v in vertices for c in v.coords))
 
-    def dominates(x: ClassVector, y: ClassVector) -> bool:
-        return violated(eff_rows, (x - y).coords) is None
+    def table(row) -> tuple[int, ...]:
+        point = [c.numerator * (scale // c.denominator) for c in row]
+        return tuple(dot(l, point) for l in facets)
 
-    for beta in vertices:
-        if all(dominates(beta, v) for v in vertices):
+    values = [table(v.coords) for v in vertices]
+
+    def dominates(i: int, j: int) -> bool:
+        return all(a >= b for a, b in zip(values[i], values[j]))
+
+    indices = range(len(vertices))
+    for top in indices:
+        if all(dominates(top, j) for j in indices):
+            gen_values = [table(gen) for gen in gens]
             domination = tuple(
-                contains(g.eff, beta - v).combination for v in vertices
+                _peel(gen_values, [a - b for a, b in zip(values[top], values[j])])
+                for j in indices
             )
             return DirectednessReport(
-                status="maximum",
-                polytope=s,
-                eff=g.eff,
-                maximum=beta,
-                domination=domination,
+                "maximum", s, g.eff, maximum=vertices[top], domination=domination
             )
 
-    for i, j in combinations(range(len(vertices)), 2):
-        u, w = vertices[i], vertices[j]
-        if any(dominates(v, u) and dominates(v, w) for v in vertices):
+    for i, j in combinations(indices, 2):
+        if any(dominates(k, i) and dominates(k, j) for k in indices):
             continue
         failures = []
-        for v in vertices:
-            target = u if not dominates(v, u) else w
-            verdict = contains(g.eff, v - target)
-            failures.append(DominationFailure(v, target, verdict.separating))
+        for k in indices:
+            t = j if dominates(k, i) else i
+            cut = next(l for l, (a, b) in enumerate(zip(values[k], values[t])) if a < b)
+            cert = DominationFailure(vertices[k], vertices[t], g.eff.inequalities[cut])
+            failures.append(cert)
+        u, w = vertices[i], vertices[j]
         return DirectednessReport(
-            status="no-maximum",
-            polytope=s,
-            eff=g.eff,
+            "no-maximum",
+            s,
+            g.eff,
             witness_pair=(u, w),
             failures=tuple(failures),
             pair_dominator_set_empty=dominator_set_empty(g, s, u, w),
@@ -240,25 +251,48 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     )
 
 
+def _peel(gen_values, slack) -> tuple[Fraction, ...]:
+    """Nonnegative eff-generator coefficients for a difference inside eff.
+
+    Each step removes from the slack (the difference's facet values) the
+    largest multiple of the first generator vanishing wherever it does, so
+    in the residual's minimal face.  A new facet turns tight: at most
+    ``dim`` steps, and zero slack is a zero residual (salience).
+    """
+    coeffs = [Fraction(0)] * len(gen_values)
+    den = 1  # the residual's facet values are slack / den
+    for _ in range(len(slack) + 1):  # each step makes another facet tight
+        if not any(slack):
+            return tuple(coeffs)
+        zeros = [l for l, sl in enumerate(slack) if sl == 0]
+        face = (k for k, gv in enumerate(gen_values) if not any(gv[l] for l in zeros))
+        pick = next(face, None)
+        if pick is None:
+            break
+        gv = gen_values[pick]
+        ratios = ((sl, x) for x, sl in zip(gv, slack) if x > 0)
+        sl, x = min(ratios, key=lambda pair: Fraction(*pair))
+        coeffs[pick] += Fraction(sl, x * den)
+        slack = [x * a - sl * b for a, b in zip(slack, gv)]
+        den *= x
+    raise DomainError("representations disagree: peeling found no eff combination")
+
+
 def dominator_set_empty(
     g: ConeGeometry, s: RationalPolytope, u: ClassVector, w: ClassVector
 ) -> bool:
     """Exact emptiness of {z in s : z dominates u and z dominates w}.
 
-    Decided by phase-one simplex on the combined inequality system; this
-    is the strong form of the witness: no point of the polytope, vertex
-    or not, dominates both.
+    Decided by one double description (``vertex_enumeration``) of the rows
+    of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff facet l.  This is
+    the strong form of the witness: no point of the polytope, vertex or
+    not, dominates both.
     """
-    functionals = [ineq.functional.coords for ineq in s.inequalities]
-    offsets = [ineq.offset for ineq in s.inequalities]
-    for target in (u, w):
-        for m in g.eff.inequalities:
-            functionals.append(m.coords)
-            offsets.append(dot(m.coords, target.coords))
-    status, _, _ = maximize_affine(
-        functionals, offsets, (Fraction(0),) * s.dim
+    rows = s.inequalities + tuple(
+        AffineInequality(m, max(dot(m.coords, u.coords), dot(m.coords, w.coords)))
+        for m in g.eff.inequalities
     )
-    return status == INFEASIBLE
+    return RationalPolytope(s.basis, s.dim, rows, dual=s.dual).is_empty()
 
 
 def decompose(

@@ -12,6 +12,7 @@ import pytest
 
 from cyclecones.cones import PolyCone
 from cyclecones.projbundle import HNProfile
+from cyclecones.simplex import OPTIMAL, solve_standard
 from cyclecones.vectors import ClassVector
 
 
@@ -68,6 +69,27 @@ def bareiss_det(matrix):
             m[i] = [(m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev for j in range(n)]
         prev = m[c][c]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def maximize_affine(functionals, offsets, objective):
+    """LP oracle: maximize objective·x over {x : functionals·x >= offsets}.
+
+    Free variables are split as x = u - w, and each constraint gains a
+    surplus variable, for the library's exact simplex.  Returns
+    ``(status, value, x)``.
+    """
+    m, dim = len(functionals), len(functionals[0])
+    matrix = []
+    for i, row in enumerate(functionals):
+        surplus = [Fraction(-(i == j)) for j in range(m)]
+        split = [Fraction(x) for x in row] + [-Fraction(x) for x in row]
+        matrix.append(split + surplus)
+    costs = [Fraction(x) for x in objective]
+    costs += [-c for c in costs] + [Fraction(0)] * m
+    status, value, z = solve_standard(matrix, offsets, costs)
+    if status != OPTIMAL:
+        return status, None, None
+    return OPTIMAL, value, tuple(z[i] - z[dim + i] for i in range(dim))
 
 
 @pytest.fixture

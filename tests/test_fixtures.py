@@ -110,6 +110,34 @@ def test_malformed_fixture_file_is_input_error(tmp_path, monkeypatch, mutate, me
     assert document["payload"]["error"]["message"] == message
 
 
+@pytest.mark.parametrize(
+    "mutate, where, key",
+    [
+        (lambda doc: doc["bases"][0].pop("name"), "bases[0]", "name"),
+        (lambda doc: doc["cones"][0].pop("id"), "cones[0]", "id"),
+        (
+            lambda doc: [geom.pop("objective") for geom in doc["geometries"]],
+            "geometries[0]",
+            "objective",
+        ),
+    ],
+    ids=["basis-without-name", "cone-without-id", "geometry-without-objective"],
+)
+def test_fixture_file_missing_a_key_is_input_error(
+    tmp_path, monkeypatch, mutate, where, key
+):
+    doc = copy.deepcopy(load("toric-3fold").raw)
+    mutate(doc)
+    path = tmp_path / "toric-3fold.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
+    document, code = run(["fixture", "toric-3fold", "--verify"])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == (
+        f"{path}: {where} must be an object with the key {key!r}"
+    )
+
+
 def test_unreadable_fixture_file_is_input_error(tmp_path, monkeypatch):
     (tmp_path / "toric-3fold.json").write_text('{"name": "toric-3fold",')
     monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))

@@ -11,10 +11,10 @@ from cyclecones.polytope import (
     recession_direction,
     vertex_enumeration,
 )
-from cyclecones.simplex import OPTIMAL, maximize_affine, nonneg_solve
+from cyclecones.simplex import OPTIMAL, UNBOUNDED, nonneg_solve, solve_standard
 from cyclecones.vectors import ClassVector
 
-from conftest import bareiss_det
+from conftest import bareiss_det, maximize_affine
 
 F = Fraction
 
@@ -216,3 +216,13 @@ def test_vertex_enumeration_matches_subset_oracle_randomized():
             assert [v.coords for v in vertices] == [(0,) * dim]
         seen.add(kind if vertices else "empty")
     assert seen >= {"box", "degenerate", "zero-class", "empty", "unbounded"}
+
+
+def test_simplex_with_no_rows_left():
+    # phase one drops every row as redundant; phase two then has no rows
+    assert nonneg_solve([(0, 0)], (0, 0)) == (F(0),)
+    assert nonneg_solve([(0, 0)], (1, 0)) is None
+    # no rows at all: one coefficient per column, and a positive cost is
+    # unbounded
+    assert nonneg_solve([(), ()], ()) == (F(0), F(0))
+    assert solve_standard([], [], [F(1)])[0] == UNBOUNDED

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 
 from cyclecones.cones import PolyCone, contains
 from cyclecones.errors import DomainError, InputError
+from cyclecones.linalg import combine, dot, reproduces
 from cyclecones.projbundle import (
     class_basis,
     cones_at,
     degree_functional,
     epsilon,
 )
+from cyclecones.simplex import INFEASIBLE
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
     cone_geometry,
@@ -28,6 +31,7 @@ from conftest import (
     TORIC_C,
     TORIC_M,
     TORIC_OBJECTIVE,
+    maximize_affine,
     random_profile,
 )
 
@@ -163,6 +167,92 @@ def test_toric_alpha_has_no_maximum(toric):
     m1 = ClassVector("toric3.curves", TORIC_M[0])
     m2 = ClassVector("toric3.curves", TORIC_M[1])
     assert dominator_set_empty(toric, s, m1, m2)
+
+
+@pytest.fixture(scope="module")
+def toric_reports(toric):
+    """Reports for every eff class sum c_i C_i with c_i in {0, 1, 2}."""
+    rows = toric.eff.generator_rows()
+    reports = []
+    for coeffs in itertools.product(range(3), repeat=len(rows)):
+        alpha = ClassVector(toric.basis, combine(coeffs, rows, toric.dim))
+        reports.append(preceq_maximum(toric, decomposition_polytope(toric, alpha)))
+    return reports
+
+
+def lp_dominator_set_empty(g, s, u, w):
+    """The dominator-set emptiness question as a linear program."""
+    functionals = [ineq.functional.coords for ineq in s.inequalities]
+    offsets = [ineq.offset for ineq in s.inequalities]
+    for target in (u, w):
+        for m in g.eff.inequalities:
+            functionals.append(m.coords)
+            offsets.append(dot(m.coords, target.coords))
+    status, _, _ = maximize_affine(functionals, offsets, (F(0),) * s.dim)
+    return status == INFEASIBLE
+
+
+def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
+    # vertex pairs of the no-maximum toric classes, in a seeded order; each
+    # verdict is compared with the simplex oracle until it has occurred 8
+    # times (46 of the 562 pairs have an empty dominator set)
+    pairs = [
+        (report.polytope, u, w)
+        for report in toric_reports
+        if report.status == "no-maximum"
+        for u, w in itertools.combinations(report.polytope.vertices, 2)
+    ]
+    assert len(pairs) == 562
+    random.Random(5_077).shuffle(pairs)
+    seen = {True: 0, False: 0}
+    for s, u, w in pairs:
+        empty = dominator_set_empty(toric, s, u, w)
+        if seen[empty] < 8:
+            assert empty == lp_dominator_set_empty(toric, s, u, w)
+            seen[empty] += 1
+        if min(seen.values()) == 8:
+            break
+    assert seen == {True: 8, False: 8}
+
+
+def ladder_geometry(rng, dim):
+    """eff = unit vectors (plus 3 seeded rows in dimension 3), mov = the
+    pairwise sums of its generators, and a seeded eff class."""
+    eff = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    while dim == 3 and len(eff) < 6:
+        row = tuple(rng.randint(-1, 2) for _ in range(dim))
+        if sum(row) > 0 and row not in eff:
+            eff.append(row)
+    mov = [tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(eff, 2)]
+    basis = f"ladder{dim}"
+    g = cone_geometry(
+        basis,
+        PolyCone.from_generators(basis, mov),
+        PolyCone.from_generators(basis, eff),
+        ClassVector(f"{basis}*", (1,) * dim),
+    )
+    coeffs = [rng.randint(0, 3) for _ in eff]
+    return g, ClassVector(basis, combine(coeffs, eff, dim))
+
+
+def test_peel_certificates_are_sparse_and_reproduce(toric, toric_reports):
+    rng = random.Random(7_331)
+    reports = [(toric, report) for report in toric_reports]
+    for dim in (3, 3, 3, 3, 3, 3, 4, 4, 5, 6):
+        g, alpha = ladder_geometry(rng, dim)
+        reports.append((g, preceq_maximum(g, decomposition_polytope(g, alpha))))
+    assert {report.status for _, report in reports} == {"maximum", "no-maximum"}
+    for g, report in reports:
+        rows = g.eff.generator_rows()
+        if report.status == "maximum":
+            assert len(report.domination) == len(report.polytope.vertices)
+        for combo, v in zip(report.domination, report.polytope.vertices):
+            assert len(combo) == len(rows)
+            assert all(c >= 0 for c in combo)
+            assert sum(c != 0 for c in combo) <= g.dim
+            assert reproduces(combo, rows, (report.maximum - v).coords)
+        for f in report.failures:
+            assert f.separating == contains(g.eff, f.vertex - f.target).separating
 
 
 def test_two_dimensional_geometries_always_have_maximum(rng):
