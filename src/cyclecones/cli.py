@@ -1,6 +1,7 @@
 """Command-line surface: every operation, JSON in, JSON out.
 
-Exit codes: 0 ok, 1 input error, 2 domain error, 3 internal error.  Output
+Exit codes: 0 ok, 1 input error, 2 domain error, 3 internal error; an
+internal error names the exception type and its innermost frame.  Output
 is deterministic for identical inputs; ``--meta`` adds a timestamp block
 alongside (never inside) the payload.
 """
@@ -10,7 +11,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
+import traceback
 
 from . import fixtures
 from .cones import contains, dd_convert, dual_cone, extremal_rays, is_salient
@@ -350,9 +353,17 @@ def run(argv) -> tuple[dict, int]:
         status = "domain_error"
         payload = {"error": exc.payload()}
         diagnostics.append(exc.message)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault of the program: say where it happened
         status = "internal_error"
-        payload = {"error": {"message": f"{type(exc).__name__}: {exc}"}}
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        payload = {
+            "error": {
+                "message": f"{type(exc).__name__}: {exc}",
+                "type": type(exc).__name__,
+                "frame": f"{os.path.basename(frame.filename)}:{frame.lineno} "
+                f"in {frame.name}",
+            }
+        }
         diagnostics.append(str(exc))
 
     document = {

@@ -2,18 +2,24 @@
 
 The converter is the double description method: constraints are inserted one
 at a time into a growing cone, splitting rays on the new hyperplane and
-combining adjacent positive/negative pairs.  Lineality (non-pointed input)
-is handled natively, so the zero cone and the full space are ordinary
-values.  Dimensions in this package stay small: at most 8 for cones of
-classes, and one more for the homogenized inequality systems whose
-vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent
-on insertion-order heuristics.
+combining adjacent positive/negative pairs.  Rays are primitive integer
+tuples and their tight sets are ``int`` bitmasks, so the adjacency test is
+a few machine-word operations per ray (Fukuda and Prodon, 1996; Terzer and
+Stelling, 2008).  Lineality (non-pointed input) is handled natively, so the
+zero cone and the full space are ordinary values.  ``dd_convert`` passes
+the integer rows of one pass straight to the next and checks supplied
+rows against them in integers.  Dimensions in this package stay small: at
+most 8 for cones of classes, and one more for the homogenized inequality
+systems whose vertices ``polytope.vertex_enumeration`` reads off.  No
+effort is spent on insertion-order heuristics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
@@ -24,34 +30,50 @@ from .vectors import ClassVector, dual_basis
 
 Row = tuple[Fraction, ...]
 
+# Most rays one double description insertion may hold.  The benchmark's
+# largest output has 84; the pair scan grows with the square of the ray
+# count, so a larger input fails with a DomainError instead of running on
+# for minutes.
+_MAX_DD_RAYS = 10_000
+
 
 def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     """Generators of the cone {x : <r, x> >= 0 for every r in rows}.
 
     Returns ``(lineality, rays)``: a basis of the lineality space and the
-    extremal rays of the pointed quotient, all primitive.  Together they
-    generate the cone as ``span(lineality) + cone(rays)``.
+    extremal rays of the pointed quotient, as primitive integer tuples.
+    Together they generate the cone as ``span(lineality) + cone(rays)``.
 
     Insertion maintains three invariants: every processed constraint
     vanishes on the current lineality span, the ray list is exactly the
     extremal rays of the current cone modulo lineality, and each ray's
-    recorded tight set matches the processed constraints vanishing on it.
+    tight set, an ``int`` whose bit ``i`` stands for row ``i``, holds every
+    processed nonzero row vanishing on it and no row that does not.
     Adjacency of a positive/negative ray pair is decided combinatorially:
-    no third ray's tight set may contain the pair's common tight set.
+    no third ray's tight set ``t`` may contain the pair's common tight set
+    ``c`` (``c & t == c``).  A pair is rejected before that scan when ``c``
+    has fewer than ``dim - len(lineality) - 2`` bits: two adjacent rays and
+    the lineality space span a face of dimension ``len(lineality) + 2``,
+    whose linear hull is cut out by the rows tight on it, and those have
+    rank ``dim - len(lineality) - 2``.
+
+    An insertion that would hold more than ``_MAX_DD_RAYS`` rays raises
+    ``DomainError`` instead of running on.
     """
     lineality: list[tuple[int, ...]] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
     ]
     rays: list[tuple[int, ...]] = []
-    tight: list[set[int]] = []
+    tight: list[int] = []
 
     for idx, raw in enumerate(rows):
-        checked = tuple(rat(x) for x in raw)
+        checked = tuple(x if type(x) is int else rat(x) for x in raw)
         if len(checked) != dim:
             raise InputError(f"constraint of length {len(checked)} in dimension {dim}")
         if not any(checked):
             continue
         a = int_primitive(checked)
+        bit = 1 << idx
 
         hit = next((i for i, l in enumerate(lineality) if dot(l, a) != 0), None)
         if hit is not None:
@@ -62,51 +84,58 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
                 az = -az
             lineality = [_project(l, z, az, a) for l in lineality]
             rays = [_project(r, z, az, a) for r in rays]
-            for t in tight:  # adjusted rays land exactly on the new hyperplane
-                t.add(idx)
+            # adjusted rays land exactly on the new hyperplane, and z is
+            # tight on every earlier row, since those vanish on lineality
+            tight = [t | bit for t in tight]
             rays.append(z)
-            tight.append(set(range(idx)))
+            tight.append(bit - 1)
             continue
 
-        values = [dot(r, a) for r in rays]
-        if all(v >= 0 for v in values):
-            for i, v in enumerate(values):
-                if v == 0:
-                    tight[i].add(idx)
-            continue
-
-        positive = [i for i, v in enumerate(values) if v > 0]
+        values = [sum(map(mul, r, a)) for r in rays]
         negative = [i for i, v in enumerate(values) if v < 0]
-        zero = [i for i, v in enumerate(values) if v == 0]
+        if not negative:
+            tight = [t if v else t | bit for t, v in zip(tight, values)]
+            continue
+        positive = [i for i, v in enumerate(values) if v > 0]
 
-        new_rays: list[tuple[int, ...]] = [rays[i] for i in positive]
-        new_tight: list[set[int]] = [set(tight[i]) for i in positive]
-        for i in zero:
-            new_rays.append(rays[i])
-            new_tight.append(tight[i] | {idx})
+        new_rays = [rays[i] for i in positive]
+        new_tight = [tight[i] for i in positive]
+        for i, v in enumerate(values):
+            if v == 0:
+                new_rays.append(rays[i])
+                new_tight.append(tight[i] | bit)
+        need = dim - len(lineality) - 2
+        minus = [(tight[i], values[i], rays[i]) for i in negative]
         for ip in positive:
-            for im in negative:
-                common = tight[ip] & tight[im]
-                blocked = any(
-                    k not in (ip, im) and common <= tight[k]
-                    for k in range(len(rays))
-                )
-                if blocked:
+            tp, vp, rp = tight[ip], values[ip], rays[ip]
+            for tm, vm, rm in minus:
+                common = tp & tm
+                if common.bit_count() < need:
                     continue
-                combo = int_primitive(
-                    tuple(
-                        values[ip] * rays[im][j] - values[im] * rays[ip][j]
-                        for j in range(dim)
-                    )
+                holders = 0  # the pair itself, then any third ray
+                for t in tight:
+                    if common & t == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders > 2:
+                    continue
+                combo = [vp * y - vm * x for x, y in zip(rp, rm)]
+                content = gcd(*combo)
+                new_rays.append(
+                    tuple(combo) if content == 1 else tuple(c // content for c in combo)
                 )
-                new_rays.append(combo)
-                new_tight.append(common | {idx})
+                new_tight.append(common | bit)
+                if len(new_rays) > _MAX_DD_RAYS:
+                    raise DomainError(
+                        "double description exceeds its ray budget",
+                        dim=dim,
+                        row=idx,
+                        rays=len(new_rays),
+                    )
         rays, tight = new_rays, new_tight
 
-    return (
-        [tuple(Fraction(x) for x in v) for v in lineality],
-        [tuple(Fraction(x) for x in v) for v in rays],
-    )
+    return lineality, rays
 
 
 def _project(v, z, az: int, a) -> tuple[int, ...]:
@@ -229,15 +258,16 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         canonical=True,
     )
 
+    # the checks run on integer rows: a positive rescaling keeps every sign
     if cone.generators is not None and cone.inequalities is not None:
         for g in cone.generators:
-            if violated(canonical_ineqs, g.coords) is not None:
+            if violated(canonical_ineqs, int_primitive(g.coords)) is not None:
                 raise InputError(
                     "inconsistent cone: a supplied generator violates the "
                     "supplied inequalities"
                 )
         for l in cone.inequalities:
-            if any(dot(l.coords, row) < 0 for row in gen_rows):
+            if violated(gen_rows, int_primitive(l.coords)) is not None:
                 raise InputError(
                     "inconsistent cone: a supplied inequality cuts off part "
                     "of the generated cone"
@@ -246,7 +276,7 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         # the canonical generators must reproduce exactly the input cone;
         # every input generator has to satisfy the computed inequalities
         for g in cone.generators:
-            if violated(canonical_ineqs, g.coords) is not None:
+            if violated(canonical_ineqs, int_primitive(g.coords)) is not None:
                 raise InputError("double description produced an inconsistent pair")
     return result
 

@@ -19,7 +19,7 @@ pivoting strategy beyond the first nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 Row = tuple[Fraction, ...]
@@ -73,15 +73,10 @@ def violated(functionals, vector) -> int | None:
 
 def int_primitive(row) -> tuple[int, ...]:
     """Coprime integer form of a rational row, preserving orientation."""
-    common = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            common = common * x.denominator // gcd(common, x.denominator)
-    ints = [int(x * common) for x in row]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    if content == 0:
+    common = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (common // x.denominator) for x in row]
+    content = gcd(*ints)
+    if content <= 1:
         return tuple(ints)
     return tuple(v // content for v in ints)
 

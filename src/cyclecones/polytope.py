@@ -75,6 +75,8 @@ def _homogenized(p: RationalPolytope):
     The cone {(x, t) : <a, x> - b t >= 0, t >= 0} over the system has the
     vertices, scaled by t > 0, as its rays with t > 0; a ray with t = 0 or
     any lineality is a nonzero direction d with <a, d> >= 0 for every row.
+    The rays are primitive integer tuples, so a vertex is read off as
+    ``Fraction(c, t)`` per coordinate.
     Returns ``(vertices, direction)``, sorted vertices and None when the
     system is bounded, ``((), direction)`` otherwise.
     """
@@ -84,7 +86,7 @@ def _homogenized(p: RationalPolytope):
     witnesses = lineality or [r for r in rays if r[-1] == 0]
     if witnesses:
         return (), ClassVector(p.basis, witnesses[0][:-1])
-    points = sorted(tuple(c / r[-1] for c in r[:-1]) for r in rays)
+    points = sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in rays)
     return tuple(ClassVector(p.basis, x) for x in points), None
 
 

@@ -145,6 +145,11 @@ class DirectednessReport:
         if self.status == "maximum":
             if self.maximum is None or len(self.domination) != len(vertices):
                 return False
+            if self.maximum.dim != self.polytope.dim or any(
+                ineq.value_at(self.maximum) < ineq.offset
+                for ineq in self.polytope.inequalities
+            ):
+                return False  # the maximum must be a point of the polytope
             gens = self.eff.generator_rows()
             return all(
                 reproduces(combo, gens, (self.maximum - v).coords)
@@ -152,8 +157,14 @@ class DirectednessReport:
             )
         if self.witness_pair is None:
             return False
+        vertex_coords = {v.coords for v in vertices}
+        pair = {v.coords for v in self.witness_pair}
+        if len(pair) != 2 or not pair <= vertex_coords:
+            return False  # two distinct vertices
+        if any(f.target.coords not in pair for f in self.failures):
+            return False
         failed = {f.vertex.coords for f in self.failures}
-        if failed != {v.coords for v in vertices}:
+        if failed != vertex_coords:
             return False
         return all(f.verify(self.eff) for f in self.failures)
 

@@ -11,7 +11,10 @@ from fractions import Fraction
 import pytest
 
 from cyclecones.cones import PolyCone
+from cyclecones.errors import InputError
+from cyclecones.linalg import dot, int_primitive
 from cyclecones.projbundle import HNProfile
+from cyclecones.rationals import rat
 from cyclecones.simplex import OPTIMAL, solve_standard
 from cyclecones.vectors import ClassVector
 
@@ -90,6 +93,85 @@ def maximize_affine(functionals, offsets, objective):
     if status != OPTIMAL:
         return status, None, None
     return OPTIMAL, value, tuple(z[i] - z[dim + i] for i in range(dim))
+
+
+def set_double_description(rows, dim):
+    """Double description oracle with tight sets as Python ``set``s.
+
+    The engine ``cones.double_description`` replaced: the same insertion
+    order and list order, no rank prefilter, and every positive/negative
+    pair checked against every other ray.  Returns ``(lineality, rays)``
+    as tuples of Fractions.
+    """
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays, tight = [], []
+
+    def project(v, z, az, a):
+        av = dot(v, a)
+        return int_primitive(tuple(az * v_i - av * z_i for v_i, z_i in zip(v, z)))
+
+    for idx, raw in enumerate(rows):
+        checked = tuple(rat(x) for x in raw)
+        if len(checked) != dim:
+            raise InputError(f"constraint of length {len(checked)} in dimension {dim}")
+        if not any(checked):
+            continue
+        a = int_primitive(checked)
+
+        hit = next((i for i, l in enumerate(lineality) if dot(l, a) != 0), None)
+        if hit is not None:
+            z = lineality.pop(hit)
+            az = dot(z, a)
+            if az < 0:
+                z = tuple(-x for x in z)
+                az = -az
+            lineality = [project(l, z, az, a) for l in lineality]
+            rays = [project(r, z, az, a) for r in rays]
+            for t in tight:
+                t.add(idx)
+            rays.append(z)
+            tight.append(set(range(idx)))
+            continue
+
+        values = [dot(r, a) for r in rays]
+        if all(v >= 0 for v in values):
+            for i, v in enumerate(values):
+                if v == 0:
+                    tight[i].add(idx)
+            continue
+
+        positive = [i for i, v in enumerate(values) if v > 0]
+        negative = [i for i, v in enumerate(values) if v < 0]
+        zero = [i for i, v in enumerate(values) if v == 0]
+
+        new_rays = [rays[i] for i in positive]
+        new_tight = [set(tight[i]) for i in positive]
+        for i in zero:
+            new_rays.append(rays[i])
+            new_tight.append(tight[i] | {idx})
+        for ip in positive:
+            for im in negative:
+                common = tight[ip] & tight[im]
+                blocked = any(
+                    k not in (ip, im) and common <= tight[k]
+                    for k in range(len(rays))
+                )
+                if blocked:
+                    continue
+                combo = int_primitive(
+                    tuple(
+                        values[ip] * rays[im][j] - values[im] * rays[ip][j]
+                        for j in range(dim)
+                    )
+                )
+                new_rays.append(combo)
+                new_tight.append(common | {idx})
+        rays, tight = new_rays, new_tight
+
+    return (
+        [tuple(Fraction(x) for x in v) for v in lineality],
+        [tuple(Fraction(x) for x in v) for v in rays],
+    )
 
 
 @pytest.fixture

@@ -18,17 +18,20 @@ import pytest
 from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.fixtures.checks import check_combination_reproduces
-from cyclecones.linalg import dot
+from cyclecones.linalg import dot, reproduces
 from cyclecones.polytope import RationalPolytope, _certifies, vertex_enumeration
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
+    DominationFailure,
     cone_geometry,
     decompose,
     decomposition_polytope,
     preceq_maximum,
     verify_decomposition,
 )
+
+from conftest import TORIC_ALPHA, TORIC_C, TORIC_M, TORIC_OBJECTIVE
 
 F = Fraction
 BASIS = "tamper2"  # eff = the orthant, mov = {0 <= x <= y}
@@ -172,3 +175,57 @@ def test_verifiers_reject_tampered_certificates(case, tamper):
     elif tamper == "perturbed-coordinate":
         target = moved
     assert check(certificate, tuple(target)) is (tamper == "none")
+
+
+# -- directedness reports: the fields beyond the coefficient lists ------------
+
+
+def _toric_no_maximum():
+    eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
+    mov = PolyCone.from_generators("toric3.curves", TORIC_M, dual="toric3.divisors")
+    g = cone_geometry("toric", mov, eff, ClassVector("toric3.divisors", TORIC_OBJECTIVE))
+    alpha = ClassVector("toric3.curves", TORIC_ALPHA)
+    report = preceq_maximum(g, decomposition_polytope(g, alpha))
+    assert report.status == "no-maximum" and report.verify()
+    return report
+
+
+def test_directedness_rejects_maximum_outside_polytope():
+    # eff generator 0 added to the maximum and 1 to each domination
+    # combination's first coefficient: every combination still reproduces
+    # maximum - vertex, but the moved point leaves the polytope
+    g = _geometry()
+    report = preceq_maximum(g, decomposition_polytope(g, _vector((2, 3))))
+    assert report.status == "maximum" and report.verify()
+    gens = report.eff.generator_rows()
+    moved = report.maximum + report.eff.generators[0]
+    domination = tuple((combo[0] + 1, *combo[1:]) for combo in report.domination)
+    assert all(
+        reproduces(combo, gens, (moved - v).coords)
+        for combo, v in zip(domination, report.polytope.vertices)
+    )
+    assert not replace(report, maximum=moved, domination=domination).verify()
+
+
+def test_directedness_rejects_degenerate_witness_pair():
+    report = _toric_no_maximum()
+    v0 = report.witness_pair[0]
+    assert not replace(report, witness_pair=(v0, v0)).verify()
+
+
+def test_directedness_rejects_failure_target_outside_pair():
+    # a failure against a third vertex, with its own valid separation
+    report = _toric_no_maximum()
+    pair = {v.coords for v in report.witness_pair}
+    vertices = report.polytope.vertices
+    for k, failure in enumerate(report.failures):
+        for t in vertices:
+            verdict = contains(report.eff, failure.vertex - t)
+            if t.coords in pair or verdict:
+                continue
+            third = DominationFailure(failure.vertex, t, verdict.separating)
+            assert third.verify(report.eff)
+            failures = report.failures[:k] + (third,) + report.failures[k + 1:]
+            assert not replace(report, failures=failures).verify()
+            return
+    pytest.fail("no failure can be retargeted at a third vertex")

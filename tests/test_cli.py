@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclecones import cli, cones
 from cyclecones.cli import main, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +95,33 @@ def test_domain_error_exit_code(tmp_path):
     )
     assert code == 2 and document["status"] == "domain_error"
     assert "separating_functional" in document["payload"]["error"]
+
+
+def test_internal_error_names_type_and_innermost_frame(monkeypatch):
+    def broken_handler(args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli._HANDLERS, "ring", broken_handler)
+    document, code = run_json(["ring", "eval", "--fixture", "p2-hilb2", "--expr", "D2"])
+    assert code == 3 and document["status"] == "internal_error"
+    line = broken_handler.__code__.co_firstlineno + 1
+    assert document["payload"]["error"] == {
+        "message": "KeyError: 'lost'",
+        "type": "KeyError",
+        "frame": f"test_cli.py:{line} in broken_handler",
+    }
+
+
+def test_dd_ray_budget_is_domain_error(tmp_path, monkeypatch):
+    path = write(
+        tmp_path,
+        "cone.json",
+        {"basis": "cli4", "dim": 4, "generators": [[1, t, t * t, t ** 3] for t in range(-3, 4)]},
+    )
+    monkeypatch.setattr(cones, "_MAX_DD_RAYS", 5)
+    document, code = run_json(["cone", "convert", "--input", path])
+    assert code == 2 and document["status"] == "domain_error"
+    assert document["payload"]["error"]["dim"] == 4
 
 
 def test_projbundle_decomposition_payload():

@@ -1,13 +1,18 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cyclecones import cones
 from cyclecones.cones import (
     PolyCone,
+    _generators_from_dd,
     cones_equal,
     contains,
     dd_convert,
+    double_description,
     dual_cone,
     extremal_rays,
     is_salient,
@@ -25,7 +30,10 @@ from conftest import (
     random_cone,
     random_member,
     random_vector,
+    set_double_description,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rays_of(cone):
@@ -240,3 +248,81 @@ def test_salient_iff_no_opposite_vectors():
             for g in full.generators
         )
         assert salient == (not has_line)
+
+
+# -- double description against the set-based oracle -------------------------
+
+
+def _degenerate_rows(rng, dim):
+    """A seeded system with the degeneracies insertion has to handle: rows
+    from a low-rank span, a row and its negation (an implicit equality),
+    duplicate and positively rescaled rows, zero rows, fractional entries."""
+    span = [
+        tuple(rng.randint(-3, 3) for _ in range(dim))
+        for _ in range(rng.randint(1, dim) if rng.random() < 0.4 else dim)
+    ]
+    rows = []
+    for _ in range(rng.randint(1, dim + 4)):
+        weights = [rng.randint(-2, 2) for _ in span]
+        rows.append(
+            tuple(
+                Fraction(sum(w * v[j] for w, v in zip(weights, span)), rng.choice((1, 1, 2, 3)))
+                for j in range(dim)
+            )
+        )
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(rows)
+        if rng.random() < 0.5:
+            rows.append(tuple(-x for x in row))
+        else:
+            rows.append(tuple(x * Fraction(rng.randint(1, 3), rng.randint(1, 2)) for x in row))
+    if rng.random() < 0.3:
+        rows.append((Fraction(0),) * dim)
+    rng.shuffle(rows)
+    return rows
+
+
+def _cyclic_systems():
+    """The first 12 row sets of each cyclic rung of the benchmark's
+    cone-convert workload (seed 1): cones over cyclic polytopes in
+    dimensions 7 and 8."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    systems = []
+    for rung in inputs.cones(1):
+        if rung["family"] == "cyclic":
+            systems += [(inst["rows"], rung["dim"]) for inst in rung["instances"][:12]]
+    return systems
+
+
+def _assert_matches_oracle(rows, dim):
+    got = double_description(rows, dim)
+    assert got == set_double_description(rows, dim), (dim, rows)
+    assert all(type(x) is int for part in got for row in part for x in row)
+    return got
+
+
+def test_double_description_matches_set_oracle():
+    # 1500 seeded degenerate systems in dimensions 1-6, the no-row system of
+    # each dimension and 48 cyclic systems in dimensions 7-8; each output
+    # is fed back in, as dd_convert's second pass does
+    rng = random.Random(4_091_996)
+    systems = [([], dim) for dim in range(1, 7)]
+    systems += [
+        (_degenerate_rows(rng, dim), dim) for dim in range(1, 7) for _ in range(250)
+    ]
+    systems += _cyclic_systems()
+    for rows, dim in systems:
+        lineality, rays = _assert_matches_oracle(rows, dim)
+        _assert_matches_oracle(_generators_from_dd(lineality, rays), dim)
+
+
+def test_double_description_ray_budget(monkeypatch):
+    rows = [(1, t, t * t, t ** 3) for t in range(-3, 4)]
+    # the cone over a cyclic 3-polytope with 7 vertices has 10 facets
+    assert len(double_description(rows, 4)[1]) == 10
+    monkeypatch.setattr(cones, "_MAX_DD_RAYS", 5)
+    with pytest.raises(DomainError) as caught:
+        double_description(rows, 4)
+    assert caught.value.details == {"dim": 4, "row": 4, "rays": 6}
