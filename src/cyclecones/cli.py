@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import traceback
+from fractions import Fraction
 
 from . import fixtures
 from .cones import contains, dd_convert, dual_cone, extremal_rays, is_salient
@@ -37,7 +38,7 @@ from .projbundle import (
     zariski_decompose,
 )
 from .rationals import rat_str
-from .rings import DualClass, RingElement
+from .rings import DualClass, RingElement, format_monomial
 from .ringexpr import evaluate
 from .section_plot import render_section
 from .zariski import (
@@ -200,8 +201,6 @@ def _ring_payload(args) -> dict:
 
 
 def _ring_value_json(ring, value) -> dict:
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
         return {"kind": "scalar", "value": rat_str(value)}
     if isinstance(value, DualClass):
@@ -216,19 +215,13 @@ def _ring_value_json(ring, value) -> dict:
         "kind": "element",
         "degree": value.degree,
         "monomial_basis": [
-            _mono_text(ring, m) for m in ring.monomial_basis(value.degree)
+            format_monomial(m, ring.generators) for m in ring.monomial_basis(value.degree)
         ],
         "coords": [rat_str(c) for c in value.coords()],
     }
     if value.degree == ring.top_degree and ring.top_values is not None:
         payload["top_value"] = rat_str(ring.top_value(value))
     return payload
-
-
-def _mono_text(ring, mono) -> str:
-    from .rings import format_monomial
-
-    return format_monomial(mono, ring.generators)
 
 
 def _fixture_payload(args) -> dict:

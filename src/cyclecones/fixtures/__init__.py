@@ -98,32 +98,25 @@ class Fixture:
                 f"fixture {self.name}: no class {name!r} in basis {basis!r}"
             ) from exc
 
+    def _named(self, table: dict, name: str, what: str):
+        if name not in table:
+            raise InputError(f"fixture {self.name}: unknown {what} {name!r}")
+        return table[name]
+
     def cone(self, cone_id: str) -> PolyCone:
-        if cone_id not in self.cones:
-            raise InputError(f"fixture {self.name}: unknown cone {cone_id!r}")
-        return self.cones[cone_id]
+        return self._named(self.cones, cone_id, "cone")
 
     def geometry(self, geometry_id: str) -> ConeGeometry:
-        if geometry_id not in self.geometries:
-            raise InputError(
-                f"fixture {self.name}: unknown geometry {geometry_id!r}"
-            )
-        return self.geometries[geometry_id]
+        return self._named(self.geometries, geometry_id, "geometry")
 
     def element(self, name: str) -> RingElement:
-        if name not in self.ring_elements:
-            raise InputError(f"fixture {self.name}: unknown ring element {name!r}")
-        return self.ring_elements[name]
+        return self._named(self.ring_elements, name, "ring element")
 
     def dual(self, name: str) -> DualClass:
-        if name not in self.dual_classes:
-            raise InputError(f"fixture {self.name}: unknown dual class {name!r}")
-        return self.dual_classes[name]
+        return self._named(self.dual_classes, name, "dual class")
 
     def profile(self, name: str) -> HNProfile:
-        if name not in self.profiles:
-            raise InputError(f"fixture {self.name}: unknown profile {name!r}")
-        return self.profiles[name]
+        return self._named(self.profiles, name, "profile")
 
     def claim(self, claim_id: str) -> Claim:
         for claim in self.claims:
@@ -324,18 +317,10 @@ def load(name: str) -> Fixture:
     for profile_name, text in raw.get("profiles", {}).get("entries", {}).items():
         fixture.profiles[profile_name] = HNProfile.parse(text)
 
-    for i, claim in enumerate(raw.get("claims", [])):
-        _need(claim, ("id", "check", "expect"), f"{origin}: claims[{i}]")
-    fixture.claims = tuple(
-        Claim(
-            id=c["id"],
-            check=c["check"],
-            expect=c["expect"],
-            args=c.get("args", {}),
-            source=c.get("source", ""),
-        )
-        for c in raw.get("claims", [])
-    )
+    for i, c in enumerate(raw.get("claims", [])):
+        _need(c, ("id", "check", "expect"), f"{origin}: claims[{i}]")
+        claim = Claim(c["id"], c["check"], c["expect"], c.get("args", {}), c.get("source", ""))
+        fixture.claims += (claim,)
     return fixture
 
 

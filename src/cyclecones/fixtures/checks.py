@@ -30,6 +30,7 @@ from ..zariski import (
     decompose,
     decomposition_polytope,
     dominator_set_empty,
+    pair_certified,
     preceq_maximum,
     verify_decomposition,
 )
@@ -41,6 +42,18 @@ def _rays_set(vectors):
 
 def _coords(value) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in value)
+
+
+def _combination(lookup, coefficients):
+    """sum c * lookup(name) over the ``{name: c}`` mapping (nonempty)."""
+    parts = [lookup(name).scale(c) for name, c in coefficients.items()]
+    return sum(parts[1:], parts[0])
+
+
+def _same_rays(cone: PolyCone, target: PolyCone):
+    got = _rays_set(extremal_rays(dd_convert(cone)))
+    want = _rays_set(extremal_rays(dd_convert(target)))
+    return ("pass" if got == want else "fail"), {"computed": got, "expected": want}
 
 
 def check_dual_cone_equals(fixture, args):
@@ -125,10 +138,11 @@ def check_no_preceq_maximum(fixture, args):
         u, w = (fixture.vector(n) for n in pair)
         vertex_coords = {v.coords for v in polytope.vertices}
         in_polytope = u.coords in vertex_coords and w.coords in vertex_coords
-        empty = dominator_set_empty(geometry, polytope, u, w)
+        empty, certificate = dominator_set_empty(geometry, polytope, u, w)
         witness["named_pair_in_polytope"] = in_polytope
         witness["named_pair_dominator_set_empty"] = empty
-        if not (in_polytope and empty):
+        certified = pair_certified(geometry.eff, polytope, u, w, empty, certificate)
+        if not (in_polytope and empty and certified):
             return "fail", witness
     return "pass", witness
 
@@ -191,10 +205,7 @@ def check_product_equals(fixture, args):
     product = ring.one()
     for name in args["factors"]:
         product = ring.multiply(product, fixture.element(name))
-    target = None
-    for name, coeff in args["combination"].items():
-        part = fixture.element(name).scale(coeff)
-        target = part if target is None else target + part
+    target = _combination(fixture.element, args["combination"])
     status = "pass" if product.terms == target.terms else "fail"
     return status, {"product": repr(product), "target": repr(target)}
 
@@ -221,10 +232,7 @@ def check_named_element_equals(fixture, args):
 
 def check_element_combination_equals(fixture, args):
     target = fixture.element(args["target"])
-    combo = None
-    for name, coeff in args["combination"].items():
-        part = fixture.element(name).scale(coeff)
-        combo = part if combo is None else combo + part
+    combo = _combination(fixture.element, args["combination"])
     status = "pass" if target.terms == combo.terms else "fail"
     return status, {"target": repr(target), "combination": repr(combo)}
 
@@ -253,10 +261,7 @@ def check_pairing_dual_cone_equals(fixture, args):
     cone = PolyCone.from_inequalities(
         target.basis, rows, dim=len(curve_elements), dual=target.dual
     )
-    got = _rays_set(extremal_rays(dd_convert(cone)))
-    want = _rays_set(extremal_rays(dd_convert(target)))
-    status = "pass" if got == want else "fail"
-    return status, {"computed": got, "expected": want}
+    return _same_rays(cone, target)
 
 
 def check_gram_dual_cone_equals(fixture, args):
@@ -269,10 +274,7 @@ def check_gram_dual_cone_equals(fixture, args):
     cone = PolyCone.from_inequalities(
         target.basis, rows, dim=len(indices), dual=target.dual
     )
-    got = _rays_set(extremal_rays(dd_convert(cone)))
-    want = _rays_set(extremal_rays(dd_convert(target)))
-    status = "pass" if got == want else "fail"
-    return status, {"computed": got, "expected": want}
+    return _same_rays(cone, target)
 
 
 def check_decompose_equals(fixture, args):
@@ -313,10 +315,7 @@ def check_objective_matches_pairing(fixture, args):
 
 def check_dual_class_combination(fixture, args):
     target = fixture.dual(args["target"])
-    combo = None
-    for name, coeff in args["combination"].items():
-        part = fixture.dual(name).scale(coeff)
-        combo = part if combo is None else combo + part
+    combo = _combination(fixture.dual, args["combination"])
     status = "pass" if combo.coords == target.coords else "fail"
     return status, {
         "combination": [rat_str(c) for c in combo.coords],
@@ -474,35 +473,8 @@ def check_coincidence_flags(fixture, args):
     return ("pass" if ok else "fail"), {"cases": witness}
 
 
+# claim kind -> checker: every ``check_<kind>`` above
 CHECKS = {
-    "dual_cone_equals": check_dual_cone_equals,
-    "extremal_rays_equal": check_extremal_rays_equal,
-    "interior_point": check_interior_point,
-    "combination_reproduces": check_combination_reproduces,
-    "separating_functional": check_separating_functional,
-    "difference_equals": check_difference_equals,
-    "no_preceq_maximum": check_no_preceq_maximum,
-    "cone_contained": check_cone_contained,
-    "ring_audit": check_ring_audit,
-    "top_values_equal": check_top_values_equal,
-    "intersection_table_equals": check_intersection_table_equals,
-    "product_equals": check_product_equals,
-    "surface_times_d2_identity": check_surface_times_d2_identity,
-    "named_element_equals": check_named_element_equals,
-    "element_combination_equals": check_element_combination_equals,
-    "facet_present": check_facet_present,
-    "pairing_dual_cone_equals": check_pairing_dual_cone_equals,
-    "gram_dual_cone_equals": check_gram_dual_cone_equals,
-    "decompose_equals": check_decompose_equals,
-    "objective_matches_pairing": check_objective_matches_pairing,
-    "dual_class_combination": check_dual_class_combination,
-    "pairings_equal": check_pairings_equal,
-    "printed_gamma_identity": check_printed_gamma_identity,
-    "linearly_independent": check_linearly_independent,
-    "epsilon_table": check_epsilon_table,
-    "nu_sigma_values": check_nu_sigma_values,
-    "class_in_mov_not_nef": check_class_in_mov_not_nef,
-    "self_pairing_value": check_self_pairing_value,
-    "closed_form_decomposition": check_closed_form_decomposition,
-    "coincidence_flags": check_coincidence_flags,
+    name[len("check_"):]: fn for name, fn in list(globals().items())
+    if name.startswith("check_")
 }

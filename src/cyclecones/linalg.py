@@ -10,6 +10,7 @@ these functions, and every certificate is re-checked with them:
 - ``violated``: the first functional negative on a vector, if any.
 - ``int_primitive``: coprime integer form of a row, orientation kept.
 - ``pivot``: one Gauss-Jordan pivot on a list of rows.
+- ``int_pivot``: the same pivot on integer rows, fraction-free.
 - ``rref``, ``mat_rank``, ``nullspace``, ``solve_unique``: elimination.
 
 Problem sizes in this package stay below dimension ~10, so there is no
@@ -89,6 +90,26 @@ def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
         if i != r and rows[i][c] != 0:
             factor = rows[i][c]
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+
+
+def int_pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Fraction-free ``pivot``: each row stands for itself over a positive scale.
+
+    Row ``r`` is negated if its entry ``a`` in column ``c`` is negative;
+    every other row with an entry ``b != 0`` there becomes
+    ``a·row − b·rows[r]`` divided by its content (Edmonds 1967; Bareiss 1968).
+    """
+    prow = rows[r]
+    a = prow[c]
+    if a < 0:
+        a = -a
+        prow = rows[r] = [-x for x in prow]
+    for i, row in enumerate(rows):
+        b = row[c]
+        if b and i != r:
+            new = [a * x - b * y for x, y in zip(row, prow)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
 
 
 def _to_rows(matrix) -> list[list[Fraction]]:

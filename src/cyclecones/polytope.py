@@ -65,9 +65,6 @@ class RationalPolytope:
         )
         return RationalPolytope(basis, dim, ineqs)
 
-    def is_empty(self) -> bool:
-        return not vertex_enumeration(self).vertices
-
 
 def _homogenized(p: RationalPolytope):
     """Vertices and a recession direction from one double description.

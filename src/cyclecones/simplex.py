@@ -1,103 +1,95 @@
-"""Exact two-phase simplex over Fractions.
+"""Exact phase-one simplex on integer rows, for nonnegative combinations.
 
-Used for nonnegative-combination feasibility certificates: membership
-combinations in ``cones.contains`` and LP-duality multipliers in
-``polytope.maximize_linear``.  Bland's rule throughout, so termination is
-guaranteed; the reduced-cost row is kept up to date through the pivots,
-which is plenty fast at the problem sizes in this package.
+``nonneg_solve`` finds the membership combinations of ``cones.contains``
+and the LP-duality multipliers of ``polytope.maximize_linear``: a basic
+solution of matrix·z = rhs, z >= 0.  That is phase one of the two-phase
+method: an artificial column per row, Bland's rule on minus the
+artificial total, then each artificial still basic is driven out, or
+its (redundant) row deleted.
+
+Each tableau row is a list of ``int``s standing for itself over its
+*scale*, its positive entry in the row's basic column; the reduced-cost
+row is one more such row over an implicit positive denominator.  A pivot
+is ``linalg.int_pivot``.  Every decision compares the rationals a
+Fraction tableau would hold: the entering column has the first positive
+reduced cost; a ratio rhs/entry does not depend on the row's scale, so
+the ratio test cross-multiplies, ties going to the lower basis index;
+the system is feasible iff each row still basic in an artificial has
+rhs 0.  So the pivots, and the solution ``Fraction(rhs, scale)``, are
+the Fraction routine's, call for call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .errors import CycleConesError
-from .linalg import dot, pivot
+from .errors import CycleConesError, DomainError
+from .linalg import int_pivot
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+_MAX_SIMPLEX_PIVOTS = 10_000  # per call; past it, a domain error
 
 
-def _optimize(rows, basis, costs):
-    """Maximize costs·z over the current standard-form tableau.
-
-    Returns OPTIMAL or UNBOUNDED; tableau and basis are updated in place.
-    The reduced-cost row is initialized from the basis once and then
-    maintained through pivots (Bland's rule on it).
-    """
-    ncols = len(costs)
-    reduced = [Fraction(c) for c in costs] + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        cb = costs[bi]
-        if cb != 0:
-            reduced = [a - cb * b for a, b in zip(reduced, rows[i])]
-    while True:
-        enter = next((j for j in range(ncols) if reduced[j] > 0), None)
-        if enter is None:
-            return OPTIMAL
-        # least ratio; Bland's rule breaks ties by the leaving variable
-        ratios = [
-            (row[-1] / row[enter], basis[i], i)
-            for i, row in enumerate(rows)
-            if row[enter] > 0
-        ]
-        if not ratios:
-            return UNBOUNDED
-        leave = min(ratios)[2]
-        pivot(rows, leave, enter)
-        basis[leave] = enter
-        factor = reduced[enter]
-        if factor != 0:
-            reduced = [a - factor * b for a, b in zip(reduced, rows[leave])]
-
-
-def _value(rows, basis, costs) -> Fraction:
-    return dot([costs[bi] for bi in basis], [row[-1] for row in rows])
-
-
-def solve_standard(matrix, rhs, costs):
-    """Maximize costs·z subject to matrix·z = rhs, z >= 0.
-
-    ``costs`` has one entry per column.  Returns ``(status, value, z)``;
-    value and z are None unless OPTIMAL.
-    """
-    m, n = len(matrix), len(costs)
-    # phase one: artificial basis, minimize the artificial total
+def solve_standard(matrix, rhs, ncols: int) -> tuple[Fraction, ...] | None:
+    """A basic solution z >= 0 of matrix·z = rhs (``ncols`` columns), or None."""
+    m, n = len(matrix), ncols
     rows = []
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        values = (*row, b)
+        den = lcm(*(x.denominator for x in values))
+        ints = [(-den if b < 0 else den) * x.numerator // x.denominator for x in values]
+        rows.append(ints[:-1] + [den * (i == j) for j in range(m)] + ints[-1:])
+    basis = list(range(n, n + m))
+    pivots = 0
+
+    def step(r: int, c: int) -> None:
+        nonlocal pivots
+        pivots += 1
+        if pivots > _MAX_SIMPLEX_PIVOTS:
+            raise DomainError(
+                "simplex exceeds its pivot budget", rows=m, columns=n, pivots=pivots
+            )
+        int_pivot(rows, r, c)
+        basis[r] = c
+
+    # reduced costs of maximizing minus the artificial total, priced out
+    # against the artificial basis
+    rows.append([0] * n + [-1] * m + [0])
     for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
-        units = [Fraction(int(i == j)) for j in range(m)]
-        row = [sign * Fraction(x) for x in matrix[i]]
-        rows.append(row + units + [sign * Fraction(rhs[i])])
-    basis = [n + i for i in range(m)]
-    phase1_costs = [Fraction(0)] * n + [Fraction(-1)] * m
-    status = _optimize(rows, basis, phase1_costs)
-    if status != OPTIMAL:
-        raise CycleConesError("phase-one simplex cannot be unbounded")
-    if _value(rows, basis, phase1_costs) != 0:
-        return INFEASIBLE, None, None
+        int_pivot(rows, i, n + i)
+    while True:
+        reduced = rows[m]
+        enter = next((j for j in range(n + m) if reduced[j] > 0), None)
+        if enter is None:
+            break
+        leave, bn, bd = None, 0, 1  # the least ratio so far, bn / bd
+        for i, row in enumerate(rows[:m]):
+            if row[enter] > 0:
+                cross, best = row[-1] * bd, bn * row[enter]
+                if leave is None or cross < best or (
+                    cross == best and basis[i] < basis[leave]
+                ):
+                    leave, bn, bd = i, row[-1], row[enter]
+        if leave is None:
+            raise CycleConesError("phase-one simplex cannot be unbounded")
+        step(leave, enter)
+    rows.pop()
+    if any(b >= n and row[-1] for row, b in zip(rows, basis)):
+        return None
 
     # drive leftover artificials out of the basis; drop redundant rows
     for i in range(m - 1, -1, -1):
         if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j] != 0), None)
+            col = next((j for j in range(n) if rows[i][j]), None)
             if col is None:
                 del rows[i], basis[i]
             else:
-                pivot(rows, i, col)
-                basis[i] = col
-
-    rows = [row[:n] + [row[-1]] for row in rows]
-    phase2_costs = [Fraction(c) for c in costs]
-    status = _optimize(rows, basis, phase2_costs)
-    if status != OPTIMAL:
-        return UNBOUNDED, None, None
+                step(i, col)
     solution = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        solution[bi] = rows[i][-1]
-    return OPTIMAL, _value(rows, basis, phase2_costs), tuple(solution)
+    for row, b in zip(rows, basis):
+        solution[b] = Fraction(row[-1], row[b])
+    return tuple(solution)
 
 
 def nonneg_solve(columns: Sequence[Sequence[Fraction]], target) -> tuple | None:
@@ -105,8 +97,4 @@ def nonneg_solve(columns: Sequence[Sequence[Fraction]], target) -> tuple | None:
     if not columns:
         return () if all(x == 0 for x in target) else None
     matrix = [list(row) for row in zip(*columns)]
-    status, _, solution = solve_standard(
-        matrix, target, [Fraction(0)] * len(columns)
-    )
-    return solution if status == OPTIMAL else None
-
+    return solve_standard(matrix, target, len(columns))

@@ -8,7 +8,8 @@ whether the candidate set has a domination-order maximum; when it does,
 the selected part equals it for every valid objective, and the output
 says so, with certificates found by peeling along faces (no simplex).
 When it does not, the order-theoretic failure is witnessed by a vertex
-pair with no common dominator, checked by double description.
+pair with no common dominator, checked by double description and
+certified by a Farkas vector.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .polytope import (
     vertex_enumeration,
 )
 from .rationals import rat_str
+from .simplex import nonneg_solve
 from .vectors import ClassVector
 
 
@@ -138,6 +140,7 @@ class DirectednessReport:
     witness_pair: tuple[ClassVector, ClassVector] | None = None
     failures: tuple[DominationFailure, ...] = ()
     pair_dominator_set_empty: bool | None = None
+    pair_certificate: tuple[Fraction, ...] | None = None  # not in to_json
 
     def verify(self) -> bool:
         """Re-verify every recorded certificate by direct arithmetic."""
@@ -166,7 +169,10 @@ class DirectednessReport:
         failed = {f.vertex.coords for f in self.failures}
         if failed != vertex_coords:
             return False
-        return all(f.verify(self.eff) for f in self.failures)
+        return all(f.verify(self.eff) for f in self.failures) and pair_certified(
+            self.eff, self.polytope, *self.witness_pair,
+            self.pair_dominator_set_empty, self.pair_certificate,
+        )
 
     def to_json(self) -> dict:
         payload: dict[str, Any] = {"status": self.status}
@@ -249,13 +255,15 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
             cert = DominationFailure(vertices[k], vertices[t], g.eff.inequalities[cut])
             failures.append(cert)
         u, w = vertices[i], vertices[j]
+        empty, certificate = dominator_set_empty(g, s, u, w)
         return DirectednessReport(
             "no-maximum",
             s,
             g.eff,
             witness_pair=(u, w),
             failures=tuple(failures),
-            pair_dominator_set_empty=dominator_set_empty(g, s, u, w),
+            pair_dominator_set_empty=empty,
+            pair_certificate=certificate,
         )
     raise DomainError(
         "inconsistent state: pairwise dominated vertices but no maximum"
@@ -289,21 +297,50 @@ def _peel(gen_values, slack) -> tuple[Fraction, ...]:
     raise DomainError("representations disagree: peeling found no eff combination")
 
 
+def _dominator_rows(eff: PolyCone, s: RationalPolytope, u, w):
+    """The rows of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff facet l."""
+    return s.inequalities + tuple(
+        AffineInequality(m, max(dot(m.coords, u.coords), dot(m.coords, w.coords)))
+        for m in eff.inequalities
+    )
+
+
+def pair_certified(eff: PolyCone, s: RationalPolytope, u, w, empty, certificate) -> bool:
+    """Re-check a ``dominator_set_empty`` verdict on its certificate."""
+    rows = _dominator_rows(eff, s, u, w)
+    if empty is True and certificate is not None:
+        zero = (0,) * s.dim
+        functionals = [r.functional.coords for r in rows]
+        return reproduces(certificate, functionals, zero) and (
+            dot(certificate, [r.offset for r in rows]) > 0
+        )
+    return empty is False and len(certificate or ()) == s.dim and all(
+        dot(r.functional.coords, certificate) >= r.offset for r in rows
+    )
+
+
 def dominator_set_empty(
     g: ConeGeometry, s: RationalPolytope, u: ClassVector, w: ClassVector
-) -> bool:
-    """Exact emptiness of {z in s : z dominates u and z dominates w}.
+) -> tuple[bool, tuple[Fraction, ...]]:
+    """Exact emptiness of {z in s : z dominates u and z dominates w}, and a
+    certificate: a point of the set, or a Farkas vector (Schrijver,
+    *Theory of Linear and Integer Programming*, §7).
 
     Decided by one double description (``vertex_enumeration``) of the rows
-    of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff facet l.  This is
-    the strong form of the witness: no point of the polytope, vertex or
-    not, dominates both.
+    <a_i, z> >= b_i of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff
+    facet l.  This is the strong form of the witness: no point of the
+    polytope, vertex or not, dominates both.  When the set is empty,
+    ``nonneg_solve`` on the columns (a_i, b_i) finds y >= 0 with
+    sum y_i a_i = 0 and sum y_i b_i = 1, so no point satisfies every row.
     """
-    rows = s.inequalities + tuple(
-        AffineInequality(m, max(dot(m.coords, u.coords), dot(m.coords, w.coords)))
-        for m in g.eff.inequalities
-    )
-    return RationalPolytope(s.basis, s.dim, rows, dual=s.dual).is_empty()
+    rows = _dominator_rows(g.eff, s, u, w)
+    points = vertex_enumeration(RationalPolytope(s.basis, s.dim, rows, dual=s.dual))
+    if points.vertices:
+        return False, points.vertices[0].coords
+    y = nonneg_solve([(*r.functional.coords, r.offset) for r in rows], (0,) * s.dim + (1,))
+    if y is None:
+        raise DomainError("representations disagree: no Farkas vector for an empty set")
+    return True, y
 
 
 def decompose(

@@ -12,10 +12,9 @@ import pytest
 
 from cyclecones.cones import PolyCone
 from cyclecones.errors import InputError
-from cyclecones.linalg import dot, int_primitive
+from cyclecones.linalg import dot, int_primitive, pivot
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import rat
-from cyclecones.simplex import OPTIMAL, solve_standard
 from cyclecones.vectors import ClassVector
 
 
@@ -74,11 +73,95 @@ def bareiss_det(matrix):
     return sign * m[n - 1][n - 1] if n else 1
 
 
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+def _optimize(rows, basis, costs):
+    """Maximize costs·z over the current standard-form tableau.
+
+    Returns OPTIMAL or UNBOUNDED; tableau and basis are updated in place.
+    The reduced-cost row is initialized from the basis once and then
+    maintained through pivots (Bland's rule on it).
+    """
+    ncols = len(costs)
+    reduced = [Fraction(c) for c in costs] + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        cb = costs[bi]
+        if cb != 0:
+            reduced = [a - cb * b for a, b in zip(reduced, rows[i])]
+    while True:
+        enter = next((j for j in range(ncols) if reduced[j] > 0), None)
+        if enter is None:
+            return OPTIMAL
+        # least ratio; Bland's rule breaks ties by the leaving variable
+        ratios = [
+            (row[-1] / row[enter], basis[i], i)
+            for i, row in enumerate(rows)
+            if row[enter] > 0
+        ]
+        if not ratios:
+            return UNBOUNDED
+        leave = min(ratios)[2]
+        pivot(rows, leave, enter)
+        basis[leave] = enter
+        factor = reduced[enter]
+        if factor != 0:
+            reduced = [a - factor * b for a, b in zip(reduced, rows[leave])]
+
+
+def _value(rows, basis, costs) -> Fraction:
+    return dot([costs[bi] for bi in basis], [row[-1] for row in rows])
+
+
+def two_phase_simplex(matrix, rhs, costs):
+    """Simplex oracle: maximize costs·z subject to matrix·z = rhs, z >= 0.
+
+    The exact two-phase method over Fractions, Bland's rule throughout;
+    ``costs`` has one entry per column.  Returns ``(status, value, z)``;
+    value and z are None unless OPTIMAL.  With zero costs its z is the
+    basic solution the library's integer phase one must reproduce.
+    """
+    m, n = len(matrix), len(costs)
+    # phase one: artificial basis, minimize the artificial total
+    rows = []
+    for i in range(m):
+        sign = -1 if rhs[i] < 0 else 1
+        units = [Fraction(int(i == j)) for j in range(m)]
+        row = [sign * Fraction(x) for x in matrix[i]]
+        rows.append(row + units + [sign * Fraction(rhs[i])])
+    basis = [n + i for i in range(m)]
+    phase1_costs = [Fraction(0)] * n + [Fraction(-1)] * m
+    assert _optimize(rows, basis, phase1_costs) == OPTIMAL, "phase one is bounded"
+    if _value(rows, basis, phase1_costs) != 0:
+        return INFEASIBLE, None, None
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
+            if col is None:
+                del rows[i], basis[i]
+            else:
+                pivot(rows, i, col)
+                basis[i] = col
+
+    rows = [row[:n] + [row[-1]] for row in rows]
+    phase2_costs = [Fraction(c) for c in costs]
+    if _optimize(rows, basis, phase2_costs) != OPTIMAL:
+        return UNBOUNDED, None, None
+    solution = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        solution[bi] = rows[i][-1]
+    return OPTIMAL, _value(rows, basis, phase2_costs), tuple(solution)
+
+
 def maximize_affine(functionals, offsets, objective):
     """LP oracle: maximize objective·x over {x : functionals·x >= offsets}.
 
     Free variables are split as x = u - w, and each constraint gains a
-    surplus variable, for the library's exact simplex.  Returns
+    surplus variable, for ``two_phase_simplex``.  Returns
     ``(status, value, x)``.
     """
     m, dim = len(functionals), len(functionals[0])
@@ -89,7 +172,7 @@ def maximize_affine(functionals, offsets, objective):
         matrix.append(split + surplus)
     costs = [Fraction(x) for x in objective]
     costs += [-c for c in costs] + [Fraction(0)] * m
-    status, value, z = solve_standard(matrix, offsets, costs)
+    status, value, z = two_phase_simplex(matrix, offsets, costs)
     if status != OPTIMAL:
         return status, None, None
     return OPTIMAL, value, tuple(z[i] - z[dim + i] for i in range(dim))

@@ -229,3 +229,21 @@ def test_directedness_rejects_failure_target_outside_pair():
             assert not replace(report, failures=failures).verify()
             return
     pytest.fail("no failure can be retargeted at a third vertex")
+
+
+def test_directedness_rejects_flipped_dominator_verdict():
+    report = _toric_no_maximum()
+    assert report.pair_dominator_set_empty is True
+    flipped = not report.pair_dominator_set_empty
+    assert not replace(report, pair_dominator_set_empty=flipped).verify()
+
+
+def test_directedness_rejects_tampered_farkas_vector():
+    # the Farkas vector with its last nonzero entry raised: the rows no
+    # longer cancel
+    report = _toric_no_maximum()
+    y = list(report.pair_certificate)
+    k = max(i for i, c in enumerate(y) if c)
+    y[k] += 1
+    assert not replace(report, pair_certificate=tuple(y)).verify()
+    assert not replace(report, pair_certificate=None).verify()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones import cli, cones
+from cyclecones import cli, cones, simplex
 from cyclecones.cli import main, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,6 +122,18 @@ def test_dd_ray_budget_is_domain_error(tmp_path, monkeypatch):
     document, code = run_json(["cone", "convert", "--input", path])
     assert code == 2 and document["status"] == "domain_error"
     assert document["payload"]["error"]["dim"] == 4
+
+
+def test_simplex_pivot_budget_is_domain_error(tmp_path, monkeypatch):
+    path = write(
+        tmp_path,
+        "cone.json",
+        {"basis": "cli2p", "dim": 2, "generators": [["1", "0"], ["0", "1"]]},
+    )
+    monkeypatch.setattr(simplex, "_MAX_SIMPLEX_PIVOTS", 0)
+    document, code = run_json(["cone", "contains", "--input", path, "--vector", "2,3"])
+    assert code == 2 and document["status"] == "domain_error"
+    assert document["payload"]["error"]["pivots"] == 1
 
 
 def test_projbundle_decomposition_payload():

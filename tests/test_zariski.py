@@ -13,7 +13,6 @@ from cyclecones.projbundle import (
     degree_functional,
     epsilon,
 )
-from cyclecones.simplex import INFEASIBLE
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
     cone_geometry,
@@ -21,12 +20,14 @@ from cyclecones.zariski import (
     decomposition_polytope,
     dominator_set_empty,
     negative_boundary_check,
+    pair_certified,
     preceq_maximum,
     validate_objective,
     verify_decomposition,
 )
 
 from conftest import (
+    INFEASIBLE,
     TORIC_ALPHA,
     TORIC_C,
     TORIC_M,
@@ -166,7 +167,7 @@ def test_toric_alpha_has_no_maximum(toric):
     # dominator anywhere in the candidate set
     m1 = ClassVector("toric3.curves", TORIC_M[0])
     m2 = ClassVector("toric3.curves", TORIC_M[1])
-    assert dominator_set_empty(toric, s, m1, m2)
+    assert dominator_set_empty(toric, s, m1, m2)[0] is True
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +196,8 @@ def lp_dominator_set_empty(g, s, u, w):
 def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
     # vertex pairs of the no-maximum toric classes, in a seeded order; each
     # verdict is compared with the simplex oracle until it has occurred 8
-    # times (46 of the 562 pairs have an empty dominator set)
+    # times (46 of the 562 pairs have an empty dominator set); its
+    # certificate must prove it and must not prove the flipped verdict
     pairs = [
         (report.polytope, u, w)
         for report in toric_reports
@@ -206,9 +208,11 @@ def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
     random.Random(5_077).shuffle(pairs)
     seen = {True: 0, False: 0}
     for s, u, w in pairs:
-        empty = dominator_set_empty(toric, s, u, w)
+        empty, certificate = dominator_set_empty(toric, s, u, w)
         if seen[empty] < 8:
             assert empty == lp_dominator_set_empty(toric, s, u, w)
+            assert pair_certified(toric.eff, s, u, w, empty, certificate)
+            assert not pair_certified(toric.eff, s, u, w, not empty, certificate)
             seen[empty] += 1
         if min(seen.values()) == 8:
             break
