@@ -9,9 +9,9 @@ these functions, and every certificate is re-checked with them:
 - ``separates``: a functional is nonnegative on rows, negative on a vector.
 - ``violated``: the first functional negative on a vector, if any.
 - ``int_primitive``: coprime integer form of a row, orientation kept.
-- ``pivot``: one Gauss-Jordan pivot on a list of rows.
-- ``int_pivot``: the same pivot on integer rows, fraction-free.
-- ``rref``, ``mat_rank``, ``nullspace``, ``solve_unique``: elimination.
+- ``int_pivot``: one Gauss-Jordan pivot on integer rows, fraction-free.
+- ``echelon``: reduced row echelon form by ``int_pivot``.
+- ``mat_rank``, ``nullspace``, ``solve_unique``: read off ``echelon``.
 
 Problem sizes in this package stay below dimension ~10, so there is no
 pivoting strategy beyond the first nonzero.
@@ -82,22 +82,15 @@ def int_primitive(row) -> tuple[int, ...]:
     return tuple(v // content for v in ints)
 
 
-def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """Scale row ``r`` to a 1 in column ``c`` and clear that column elsewhere."""
-    inv = 1 / rows[r][c]
-    rows[r] = [x * inv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            factor = rows[i][c]
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-
-
 def int_pivot(rows: list[list[int]], r: int, c: int) -> None:
-    """Fraction-free ``pivot``: each row stands for itself over a positive scale.
+    """Fraction-free Gauss-Jordan pivot on integer rows, in place.
 
-    Row ``r`` is negated if its entry ``a`` in column ``c`` is negative;
-    every other row with an entry ``b != 0`` there becomes
-    ``a·row − b·rows[r]`` divided by its content (Edmonds 1967; Bareiss 1968).
+    If each row is a positive multiple of a Fraction row, it stays one of
+    the row the Fraction pivot (row ``r`` scaled to a 1 in column ``c``, the
+    column cleared elsewhere) leaves.  Row ``r`` is negated if its entry
+    ``a`` in column ``c`` is negative; every other row with an entry
+    ``b != 0`` there becomes ``a·row − b·rows[r]`` divided by its content
+    (Edmonds 1967; Bareiss 1968).
     """
     prow = rows[r]
     a = prow[c]
@@ -112,52 +105,46 @@ def int_pivot(rows: list[list[int]], r: int, c: int) -> None:
             rows[i] = [x // g for x in new] if g > 1 else new
 
 
-def _to_rows(matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
+def echelon(matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form on integer rows, and the list of pivot columns.
 
-
-def rref(matrix) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows = _to_rows(matrix)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    Each row starts as ``int_primitive`` of its input row, and every step is
+    an ``int_pivot`` on the first nonzero entry at or below the current row,
+    swapped up.  So row r is a positive multiple of the reduced row, whose
+    entries are ``Fraction(x, row[pivots[r]])``; rows below the pivots are 0.
+    """
+    rows = [list(int_primitive(row)) for row in matrix]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        pivot(rows, r, c)
+        int_pivot(rows, r, c)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows], pivots
+    return rows, pivots
 
 
 def mat_rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    return len(echelon(matrix)[1])
 
 
 def nullspace(matrix, ncols: int | None = None) -> list[Row]:
     """Basis of the right null space {x : Mx = 0}."""
-    rows = _to_rows(matrix)
+    rows, pivots = echelon(matrix)
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        return [tuple(Fraction(i == j) for j in range(ncols)) for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis: list[Row] = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
+        for row, p in zip(rows, pivots):
+            vec[p] = Fraction(-row[f], row[p])
         basis.append(tuple(vec))
     return basis
 
@@ -168,20 +155,14 @@ def solve_unique(matrix, rhs) -> Row | None:
     None covers both inconsistent systems and systems with free variables;
     callers that need to distinguish should inspect ranks themselves.
     """
-    rows = _to_rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    if len(rows) != len(b):
+    matrix, rhs = list(matrix), list(rhs)
+    if len(matrix) != len(rhs):
         raise ValueError("matrix/rhs size mismatch")
-    if not rows:
+    if not matrix:
         return ()
-    ncols = len(rows[0])
-    augmented = [row + [bv] for row, bv in zip(rows, b)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:  # pivot in the rhs column: inconsistent
+    ncols = len(matrix[0])
+    rows, pivots = echelon([(*row, b) for row, b in zip(matrix, rhs)])
+    # a pivot in the rhs column: inconsistent; fewer pivots: a free variable
+    if ncols in pivots or len(pivots) < ncols:
         return None
-    if len([p for p in pivots if p < ncols]) < ncols:
-        return None
-    solution = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        solution[p] = reduced[r][ncols]
-    return tuple(solution)
+    return tuple(Fraction(row[ncols], row[p]) for row, p in zip(rows, pivots))

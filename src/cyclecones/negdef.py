@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .decomposition import Certificate, Decomposition
 from .errors import DomainError, InputError
-from .linalg import combine, pivot, solve_unique
+from .linalg import combine, int_pivot, int_primitive, solve_unique
 from .rationals import rat, rat_str
 from .vectors import ClassVector
 
@@ -67,13 +67,16 @@ def is_negative_definite(matrix) -> bool:
     The k-th pivot is the ratio of the leading principal minors of orders
     k and k - 1, so all pivots are negative exactly when (-1)^k times the
     k-th leading minor is positive for every k.  A zero pivot means a
-    singular leading minor: not negative definite.
+    singular leading minor: not negative definite.  The pivots run on
+    ``int_primitive`` rows with ``int_pivot``, which keeps every row a
+    positive multiple of the Fraction row, so each diagonal entry has the
+    sign of the Fraction pivot.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [list(int_primitive(row)) for row in matrix]
     for k in range(len(rows)):
         if rows[k][k] >= 0:
             return False
-        pivot(rows, k, k)
+        int_pivot(rows, k, k)
     return True
 
 
@@ -125,6 +128,17 @@ def _postconditions_hold(basis: PairingBasis, coeffs, support_coeffs) -> bool:
     return is_negative_definite(basis.submatrix(support))
 
 
+def _checked(basis: PairingBasis, coeffs) -> tuple[Fraction, ...]:
+    """The input as Fractions, one per basis vector, all >= 0.  Rank 0
+    needs no early return: both routes reach the empty splitting."""
+    coeffs = tuple(rat(c) for c in coeffs)
+    if len(coeffs) != basis.rank:
+        raise InputError("coefficient vector length does not match the basis")
+    if any(c < 0 for c in coeffs):
+        raise InputError("coefficients must be nonnegative")
+    return coeffs
+
+
 def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     """Support-growth decomposition.
 
@@ -135,14 +149,7 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     with non-negative-definite Gram, or a solve with a negative
     coefficient) the operation fails loudly instead of guessing.
     """
-    coeffs = tuple(rat(c) for c in coeffs)
-    if len(coeffs) != basis.rank:
-        raise InputError("coefficient vector length does not match the basis")
-    if any(c < 0 for c in coeffs):
-        raise InputError("coefficients must be nonnegative")
-    if basis.rank == 0:
-        return _build(basis, (), [])
-
+    coeffs = _checked(basis, coeffs)
     initial = combine(coeffs, basis.gram, basis.rank)
     support: set[int] = {i for i, v in enumerate(initial) if v < 0}
     solution: dict[int, Fraction] = {}
@@ -192,13 +199,7 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     several distinct results signal broken input data (or a broken
     invariant) and raise.
     """
-    coeffs = tuple(rat(c) for c in coeffs)
-    if len(coeffs) != basis.rank:
-        raise InputError("coefficient vector length does not match the basis")
-    if any(c < 0 for c in coeffs):
-        raise InputError("coefficients must be nonnegative")
-    if basis.rank == 0:
-        return _build(basis, (), [])
+    coeffs = _checked(basis, coeffs)
     if basis.rank > 16:
         raise InputError("brute force is limited to rank <= 16")
 

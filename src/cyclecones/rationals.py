@@ -11,11 +11,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def rat(value) -> Fraction:
     """Coerce ``value`` to an exact Fraction.

@@ -30,7 +30,7 @@ from .polytope import (
     maximize_linear,
     vertex_enumeration,
 )
-from .rationals import rat_str
+from .rationals import rat, rat_str
 from .simplex import nonneg_solve
 from .vectors import ClassVector
 
@@ -424,10 +424,31 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
         return False
     mov_cert = dec.certificate("positive-part-movable")
     eff_cert = dec.certificate("negative-part-pseudo-effective")
-    if mov_cert is None or eff_cert is None:
+    if mov_cert is None or eff_cert is None or not _optimum_consistent(dec):
         return False
     return reproduces(
         mov_cert.data["combination"], g.mov.generator_rows(), dec.positive.coords
     ) and reproduces(
         eff_cert.data["combination"], g.eff.generator_rows(), dec.negative.coords
+    )
+
+
+def _optimum_consistent(dec: Decomposition) -> bool:
+    """Every optimal-face vertex attains the objective value, the positive
+    part is the face's lexicographic minimum (so it attains it too), and
+    the uniqueness flag says whether the face is one vertex.  Missing or
+    malformed metadata fails."""
+    positive = dec.positive.coords
+    try:
+        objective = [rat(c) for c in dec.metadata["objective"]]
+        value = rat(dec.metadata["objective_value"])
+        face = [tuple(rat(c) for c in v) for v in dec.metadata["optimal_face"]]
+        unique = dec.metadata["optimum_unique"]
+    except (KeyError, TypeError, InputError):
+        return False
+    return (
+        len(objective) == len(positive)
+        and all(len(v) == len(positive) and dot(objective, v) == value for v in face)
+        and min(face, default=None) == positive
+        and unique is (len(face) == 1)
     )

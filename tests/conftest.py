@@ -12,7 +12,7 @@ import pytest
 
 from cyclecones.cones import PolyCone
 from cyclecones.errors import InputError
-from cyclecones.linalg import dot, int_primitive, pivot
+from cyclecones.linalg import dot, int_primitive
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import rat
 from cyclecones.vectors import ClassVector
@@ -71,6 +71,36 @@ def bareiss_det(matrix):
             m[i] = [(m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev for j in range(n)]
         prev = m[c][c]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def pivot(rows, r, c):
+    """Fraction Gauss-Jordan pivot: row ``r`` scaled to a 1 in column ``c``,
+    that column cleared elsewhere.  The oracle for ``linalg.int_pivot``."""
+    inv = 1 / rows[r][c]
+    rows[r] = [x * inv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            factor = rows[i][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+
+
+def rref(matrix):
+    """Reduced row echelon form over Fractions and the list of pivot
+    columns, first nonzero pivots with row swaps.  The oracle for
+    ``linalg.echelon``."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot(rows, r, c)
+        pivots.append(c)
+        if r + 1 == len(rows):
+            break
+    return [tuple(row) for row in rows], pivots
 
 
 OPTIMAL = "optimal"

@@ -20,6 +20,7 @@ from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.fixtures.checks import check_combination_reproduces
 from cyclecones.linalg import dot, reproduces
 from cyclecones.polytope import RationalPolytope, _certifies, vertex_enumeration
+from cyclecones.rationals import rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
@@ -105,9 +106,20 @@ def decomposition_positive_part():
             Certificate("positive-part-movable", {"combination": list(combo)}),
             dec.certificate("negative-part-pseudo-effective"),
         )
+        # the optimum metadata moved along with the target, so only the
+        # combination can reject
+        objective = [rat(c) for c in dec.metadata["objective"]]
+        metadata = {
+            **dec.metadata,
+            "objective_value": rat_str(dot(objective, target)),
+            "optimal_face": [[rat_str(c) for c in target]],
+            "optimum_unique": True,
+        }
         return verify_decomposition(
             g,
-            Decomposition(positive + dec.negative, positive, dec.negative, certificates),
+            Decomposition(
+                positive + dec.negative, positive, dec.negative, certificates, metadata
+            ),
         )
 
     target = dec.positive.coords
@@ -180,10 +192,14 @@ def test_verifiers_reject_tampered_certificates(case, tamper):
 # -- directedness reports: the fields beyond the coefficient lists ------------
 
 
-def _toric_no_maximum():
+def _toric_geometry():
     eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
     mov = PolyCone.from_generators("toric3.curves", TORIC_M, dual="toric3.divisors")
-    g = cone_geometry("toric", mov, eff, ClassVector("toric3.divisors", TORIC_OBJECTIVE))
+    return cone_geometry("toric", mov, eff, ClassVector("toric3.divisors", TORIC_OBJECTIVE))
+
+
+def _toric_no_maximum():
+    g = _toric_geometry()
     alpha = ClassVector("toric3.curves", TORIC_ALPHA)
     report = preceq_maximum(g, decomposition_polytope(g, alpha))
     assert report.status == "no-maximum" and report.verify()
@@ -247,3 +263,36 @@ def test_directedness_rejects_tampered_farkas_vector():
     y[k] += 1
     assert not replace(report, pair_certificate=tuple(y)).verify()
     assert not replace(report, pair_certificate=None).verify()
+
+
+# -- decompositions: the optimum metadata -------------------------------------
+
+
+def _lex_smaller_optimum(metadata):
+    # positive + (-1, 1, 0, 0, 0) attains the same objective value: the
+    # positive part stays on the face but is no longer its lexicographic minimum
+    objective = [rat(c) for c in metadata["objective"]]
+    first = [rat(c) for c in metadata["optimal_face"][0]]
+    shifted = [first[0] - 1, first[1] + 1, *first[2:]]
+    assert dot(objective, shifted) == dot(objective, first)
+    face = metadata["optimal_face"] + [[rat_str(c) for c in shifted]]
+    return {**metadata, "optimal_face": face}
+
+
+TAMPERED_OPTIMA = {
+    "objective-value": lambda m: {**m, "objective_value": "999"},
+    "face-vertex-value": lambda m: {**m, "optimal_face": [["0"] * 5]},
+    "positive-not-lexmin": _lex_smaller_optimum,
+    "uniqueness-flag": lambda m: {**m, "optimum_unique": not m["optimum_unique"]},
+    "missing-key": lambda m: {k: v for k, v in m.items() if k != "optimal_face"},
+    "malformed-value": lambda m: {**m, "objective_value": "1/0"},
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_OPTIMA))
+def test_decomposition_rejects_tampered_optimum(tamper):
+    g = _toric_geometry()
+    dec = decompose(g, ClassVector("toric3.curves", TORIC_ALPHA))
+    assert dec.metadata["optimum_unique"] is False and verify_decomposition(g, dec)
+    metadata = TAMPERED_OPTIMA[tamper](dec.metadata)
+    assert not verify_decomposition(g, replace(dec, metadata=metadata))

@@ -126,8 +126,23 @@ def test_empty_basis():
 
 def test_negative_coefficients_rejected():
     basis = PairingBasis(("a",), ((F(1),),))
-    with pytest.raises(InputError):
-        decompose(basis, (-1,))
+    cases = [
+        ((-1,), "coefficients must be nonnegative"),
+        ((1, 1), "coefficient vector length does not match the basis"),
+    ]
+    for route in (decompose, brute_force):
+        for coeffs, message in cases:
+            with pytest.raises(InputError) as caught:
+                route(basis, coeffs)
+            assert caught.value.message == message
+
+
+def test_brute_force_rank_limit():
+    labels = tuple(f"e{i}" for i in range(17))
+    gram = tuple(tuple(F(-(i == j)) for j in range(17)) for i in range(17))
+    with pytest.raises(InputError) as caught:
+        brute_force(PairingBasis(labels, gram), (0,) * 17)
+    assert caught.value.message == "brute force is limited to rank <= 16"
 
 
 def test_nonnegative_pairings_short_circuit():

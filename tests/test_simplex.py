@@ -16,10 +16,10 @@ import pytest
 from cyclecones import simplex
 from cyclecones.cones import PolyCone, dd_convert
 from cyclecones.errors import DomainError
-from cyclecones.linalg import int_pivot, mat_rank, pivot
+from cyclecones.linalg import int_pivot, mat_rank
 from cyclecones.simplex import nonneg_solve
 
-from conftest import INFEASIBLE, OPTIMAL, two_phase_simplex
+from conftest import INFEASIBLE, OPTIMAL, pivot, two_phase_simplex
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
