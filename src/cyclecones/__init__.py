@@ -8,55 +8,52 @@ presentations, the slope-polygon cone model for projective bundles over
 curves, surface-style decompositions over a pairing matrix, and a general
 positive/negative-part engine with directedness certificates.  Embedded,
 audited fixtures reproduce the motivating example geometries.
+
+Importing the package loads none of its modules: each public name below
+is looked up in its home module on first use (PEP 562), so a command
+pays only for the modules it runs.
 """
 
-from .cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays, is_salient
-from .decomposition import Certificate, Decomposition
-from .errors import CycleConesError, DomainError, InputError
-from .negdef import PairingBasis, brute_force, is_negative_definite
-from .polytope import RationalPolytope, maximize_linear, vertex_enumeration
-from .projbundle import HNProfile
-from .rings import RingPresentation, consistency_audit
-from .vectors import ClassVector
-from .zariski import (
-    ConeGeometry,
-    DirectednessReport,
-    cone_geometry,
-    decompose,
-    decomposition_polytope,
-    negative_boundary_check,
-    preceq_maximum,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "ClassVector",
-    "ConeGeometry",
-    "CycleConesError",
-    "Decomposition",
-    "DirectednessReport",
-    "DomainError",
-    "HNProfile",
-    "InputError",
-    "PairingBasis",
-    "PolyCone",
-    "RationalPolytope",
-    "RingPresentation",
-    "brute_force",
-    "cone_geometry",
-    "consistency_audit",
-    "contains",
-    "dd_convert",
-    "decompose",
-    "decomposition_polytope",
-    "dual_cone",
-    "extremal_rays",
-    "is_negative_definite",
-    "is_salient",
-    "maximize_linear",
-    "negative_boundary_check",
-    "preceq_maximum",
-    "vertex_enumeration",
-]
+# names of the embedded fixtures; here so the CLI can offer them without
+# importing the fixture loader
+FIXTURE_NAMES = ("toric-3fold", "p2-hilb2", "m07-s7", "projbundle-sample")
+
+_HOMES = {
+    "cones": ("PolyCone", "contains", "dd_convert", "dual_cone", "extremal_rays", "is_salient"),
+    "decomposition": ("Certificate", "Decomposition"),
+    "errors": ("CycleConesError", "DomainError", "InputError"),
+    "negdef": ("PairingBasis", "brute_force", "is_negative_definite"),
+    "polytope": ("RationalPolytope", "maximize_linear", "vertex_enumeration"),
+    "projbundle": ("HNProfile",),
+    "rings": ("RingPresentation", "consistency_audit"),
+    "vectors": ("ClassVector",),
+    "zariski": (
+        "ConeGeometry",
+        "DirectednessReport",
+        "cone_geometry",
+        "decompose",
+        "decomposition_polytope",
+        "negative_boundary_check",
+        "preceq_maximum",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    # not cached in globals(): the home module's current attribute is returned
+    # on every access, so a function replaced there is replaced here too
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,19 +4,21 @@ Exit codes: 0 ok, 1 input error, 2 domain error, 3 internal error; an
 internal error names the exception type and its innermost frame.  Output
 is deterministic for identical inputs; ``--meta`` adds a timestamp block
 alongside (never inside) the payload.
+
+Each handler imports the modules only it needs inside its body, so a
+command loads just the layers it runs; the top-level imports are the ones
+every command loads anyway.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
-from . import fixtures
+from . import FIXTURE_NAMES
 from .cones import contains, dd_convert, dual_cone, extremal_rays, is_salient
 from .errors import DomainError, InputError
 from .jsonio import (
@@ -27,30 +29,21 @@ from .jsonio import (
     parse_vector_text,
     rows_to_json,
 )
-from .negdef import brute_force as negdef_brute_force
-from .negdef import decompose as negdef_decompose
-from .projbundle import (
-    HNProfile,
-    class_basis,
-    cone_coincidence,
-    cones_at,
-    constants_table,
-    zariski_decompose,
-)
 from .rationals import rat_str
-from .rings import DualClass, RingElement, format_monomial
-from .ringexpr import evaluate
-from .section_plot import render_section
-from .zariski import (
-    decompose,
-    decomposition_polytope,
-    negative_boundary_check,
-    preceq_maximum,
-)
 
 SCHEMA = "cyclecones/v1"
 
 _EXIT_CODES = {"ok": 0, "input_error": 1, "domain_error": 2, "internal_error": 3}
+
+
+def __getattr__(name):
+    # ``negdef_brute_force`` stays an attribute of this module without every
+    # command importing negdef at start-up
+    if name == "negdef_brute_force":
+        from .negdef import brute_force
+
+        return brute_force
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_json(path: str):
@@ -74,6 +67,8 @@ def _reject_float(text):
 def _load_geometry(ref: str):
     """A geometry is a JSON file path or a fixture reference ``name:id``."""
     if ":" in ref and not ref.endswith(".json"):
+        from . import fixtures
+
         fixture_name, geometry_id = ref.split(":", 1)
         fixture = fixtures.load(fixture_name)
         return fixture.geometry(geometry_id)
@@ -108,6 +103,8 @@ def _cone_payload(args) -> dict:
 
 
 def _decompose_payload(args) -> dict:
+    from .zariski import decompose, negative_boundary_check
+
     geometry = _load_geometry(args.geometry)
     alpha = parse_vector_text(args.klass, geometry.basis, geometry.dim)
     objective = None
@@ -117,6 +114,8 @@ def _decompose_payload(args) -> dict:
     payload = result.to_json()
     payload["negative_on_eff_boundary"] = negative_boundary_check(geometry, result)
     if args.plot_section:
+        from .section_plot import render_section
+
         svg = render_section(geometry, result)
         with open(args.plot_section, "w", encoding="utf-8") as handle:
             handle.write(svg)
@@ -125,6 +124,8 @@ def _decompose_payload(args) -> dict:
 
 
 def _directed_payload(args) -> dict:
+    from .zariski import decomposition_polytope, preceq_maximum
+
     geometry = _load_geometry(args.geometry)
     alpha = parse_vector_text(args.klass, geometry.basis, geometry.dim)
     polytope = decomposition_polytope(geometry, alpha)
@@ -135,6 +136,15 @@ def _directed_payload(args) -> dict:
 
 
 def _projbundle_payload(args) -> dict:
+    from .projbundle import (
+        HNProfile,
+        class_basis,
+        cone_coincidence,
+        cones_at,
+        constants_table,
+        zariski_decompose,
+    )
+
     profile = HNProfile.parse(args.hn)
     payload = {"constants": constants_table(profile)}
     if args.k is not None:
@@ -160,16 +170,18 @@ def _projbundle_payload(args) -> dict:
 
 
 def _bck_payload(args) -> dict:
+    from .negdef import brute_force, decompose
+
     basis = gram_from_json(_read_json(args.gram))
     coeffs = tuple(
         parse_vector_text(args.klass, basis.basis_name, basis.rank).coords
         if basis.rank
         else ()
     )
-    result = negdef_decompose(basis, coeffs)
+    result = decompose(basis, coeffs)
     payload = result.to_json()
     if args.brute_force:
-        oracle = negdef_brute_force(basis, coeffs)
+        oracle = brute_force(basis, coeffs)
         payload["brute_force_agrees"] = (
             oracle.negative.coords == result.negative.coords
         )
@@ -177,6 +189,10 @@ def _bck_payload(args) -> dict:
 
 
 def _ring_payload(args) -> dict:
+    from . import fixtures
+    from .rings import DualClass, RingElement
+    from .ringexpr import evaluate
+
     fixture = fixtures.load(args.fixture)
     if fixture.ring is None:
         raise InputError(f"fixture {args.fixture!r} has no ring")
@@ -201,6 +217,8 @@ def _ring_payload(args) -> dict:
 
 
 def _ring_value_json(ring, value) -> dict:
+    from .rings import DualClass, format_monomial
+
     if isinstance(value, Fraction):
         return {"kind": "scalar", "value": rat_str(value)}
     if isinstance(value, DualClass):
@@ -225,6 +243,8 @@ def _ring_value_json(ring, value) -> dict:
 
 
 def _fixture_payload(args) -> dict:
+    from . import fixtures
+
     fixture = fixtures.load(args.name)
     payload = {
         "name": fixture.name,
@@ -306,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--b", required=True)
 
     fx = subparsers.add_parser("fixture", help="load and verify embedded geometries")
-    fx.add_argument("name", choices=list(fixtures.FIXTURE_NAMES))
+    fx.add_argument("name", choices=list(FIXTURE_NAMES))
     fx.add_argument("--verify", action="store_true")
 
     return parser
@@ -347,6 +367,8 @@ def run(argv) -> tuple[dict, int]:
         payload = {"error": exc.payload()}
         diagnostics.append(exc.message)
     except Exception as exc:  # a fault of the program: say where it happened
+        import traceback
+
         status = "internal_error"
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         payload = {
@@ -366,6 +388,8 @@ def run(argv) -> tuple[dict, int]:
         "diagnostics": diagnostics,
     }
     if getattr(args, "meta", False):
+        import datetime
+
         document["meta"] = {
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()
         }

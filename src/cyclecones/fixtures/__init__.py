@@ -13,24 +13,19 @@ import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
+
+from .. import FIXTURE_NAMES  # re-exported
 from ..cones import PolyCone
 from ..errors import InputError
 from ..jsonio import _dim, _names, _row
-from ..projbundle import HNProfile
 from ..rationals import rat
-from ..rings import (
-    AuditReport,
-    DualClass,
-    DualLayer,
-    RingElement,
-    RingPresentation,
-    consistency_audit,
-    parse_monomial,
-)
 from ..vectors import ClassVector
-from ..zariski import ConeGeometry, cone_geometry
 
-FIXTURE_NAMES = ("toric-3fold", "p2-hilb2", "m07-s7", "projbundle-sample")
+if TYPE_CHECKING:
+    from ..projbundle import HNProfile
+    from ..rings import AuditReport, DualClass, RingElement, RingPresentation
+    from ..zariski import ConeGeometry
 
 _NUMERIC_CHARS = set("0123456789")
 
@@ -191,6 +186,8 @@ def _need(node, keys: tuple[str, ...], where: str) -> None:
 
 
 def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
+    from ..rings import DualLayer, RingPresentation, consistency_audit, parse_monomial
+
     _need(doc, ("generators", "top_degree", "max_monomial_degree"), where)
     generators = tuple(doc["generators"])
 
@@ -260,7 +257,11 @@ def _class_vector(dims: dict[str, int], basis: str, value, what: str) -> ClassVe
 
 
 def load(name: str) -> Fixture:
-    """Load, lint, and validate a fixture by name."""
+    """Load, lint, and validate a fixture by name.
+
+    Each section imports its module where it is built, so a fixture without
+    a ring, geometries or profiles never loads rings, zariski or projbundle.
+    """
     raw, origin = _read_raw(name)
     problems = lint_sources(raw)
     if problems:
@@ -304,6 +305,8 @@ def load(name: str) -> Fixture:
         )
 
     for i, geom in enumerate(raw.get("geometries", [])):
+        from ..zariski import cone_geometry
+
         at = f"{origin}: geometries[{i}]"
         _need(geom, ("id", "eff", "mov", "objective"), at)
         _need(geom["objective"], ("coords",), f"{at} objective")
@@ -315,6 +318,8 @@ def load(name: str) -> Fixture:
         )
 
     for profile_name, text in raw.get("profiles", {}).get("entries", {}).items():
+        from ..projbundle import HNProfile
+
         fixture.profiles[profile_name] = HNProfile.parse(text)
 
     for i, c in enumerate(raw.get("claims", [])):

@@ -6,12 +6,22 @@ tolerated on input, floats never are.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .cones import PolyCone
-from .errors import InputError
-from .negdef import PairingBasis
+from .errors import DomainError, InputError
 from .rationals import rat, rat_str
 from .vectors import ClassVector, dual_basis
-from .zariski import ConeGeometry, cone_geometry
+
+if TYPE_CHECKING:
+    from .negdef import PairingBasis
+    from .zariski import ConeGeometry
+
+# Largest cone dimension accepted from JSON.  Converting the empty cone of
+# dimension d projects over a d-dimensional lineality space, O(d^3): dim 64
+# converts in about 0.2 s beyond interpreter start, dim 100 in 0.8 s and
+# dim 400 in 32 s.  Every fixture and benchmark cone has dim 9 or less.
+_MAX_CONE_DIM = 64
 
 
 def parse_vector_text(text: str, basis: str, dim: int) -> ClassVector:
@@ -99,6 +109,12 @@ def cone_from_json(doc: dict, basis: str | None = None, dim: int | None = None) 
         if not rows:
             raise InputError('cone document needs "dim" when both lists are empty')
         dim = len(rows[0])
+    if dim > _MAX_CONE_DIM:
+        raise DomainError(
+            f"cone dimension {dim} exceeds the cap of {_MAX_CONE_DIM}",
+            dim=dim,
+            cap=_MAX_CONE_DIM,
+        )
     gen_vectors = (
         tuple(ClassVector(basis, row) for row in generators)
         if generators is not None
@@ -115,6 +131,8 @@ def cone_from_json(doc: dict, basis: str | None = None, dim: int | None = None) 
 
 def geometry_from_json(doc: dict) -> ConeGeometry:
     """Parse {"basis", "dim", "mov": cone, "eff": cone, "objective": [...]}."""
+    from .zariski import cone_geometry
+
     if not isinstance(doc, dict):
         raise InputError("geometry document must be a JSON object")
     basis = doc.get("basis")
@@ -131,6 +149,8 @@ def geometry_from_json(doc: dict) -> ConeGeometry:
 
 
 def gram_from_json(doc: dict) -> PairingBasis:
+    from .negdef import PairingBasis
+
     if not isinstance(doc, dict) or "labels" not in doc or "gram" not in doc:
         raise InputError('pairing document needs "labels" and "gram"')
     labels = _names(doc["labels"], '"labels"')

@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 
 def rat(value) -> Fraction:
@@ -61,8 +61,20 @@ def _shown(value) -> str:
 
 
 def rat_str(value: Fraction) -> str:
-    """Canonical string form: ``"3"`` for integers, ``"p/q"`` otherwise."""
+    """Canonical string form: ``"3"`` for integers, ``"p/q"`` otherwise.
+
+    An integer longer than ``sys.get_int_max_str_digits()`` cannot be
+    printed; that is a ``DomainError`` naming the limit.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(
+            f"a result has an integer of more than {limit} digits, the "
+            "interpreter's limit (sys.get_int_max_str_digits())",
+            limit=limit,
+        ) from exc

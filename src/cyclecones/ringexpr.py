@@ -9,9 +9,10 @@ elements, or dual classes; mixed products follow the ring's rules.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .rationals import rat
 from .rings import DualClass, RingElement, RingPresentation
 
@@ -76,11 +77,7 @@ class _Parser:
             power_token = self.take()
             if power_token is None or not power_token.isdigit():
                 raise InputError("exponent must be a nonnegative integer")
-            power = int(power_token)
-            base = value
-            value = Fraction(1) if isinstance(base, Fraction) else self.ring.one()
-            for _ in range(power):
-                value = _mul(value, base, self.ring)
+            value = _power(value, int(rat(power_token)), self.ring)
         return value
 
     def atom(self):
@@ -124,6 +121,39 @@ def _mul(a, b, ring):
     if isinstance(a, RingElement) and isinstance(b, RingElement):
         return ring.multiply(a, b)
     raise InputError("cannot multiply these operands")
+
+
+def _power(base, power: int, ring):
+    """``base`` to a nonnegative integer ``power``, in at most
+    ``top_degree + 1`` products: a scalar or degree-0 power is one checked
+    ``**``, and the product loop of a positive-degree element raises in
+    ``ring.multiply`` once it passes the top degree."""
+    if isinstance(base, Fraction):
+        return _scalar_power(base, power)
+    if isinstance(base, RingElement) and base.degree == 0:
+        # c times the unit, so its power is c^power times the unit
+        unit = ring.one()
+        return unit.scale(_scalar_power(base.coeff((0,) * len(ring.generators)), power))
+    value = ring.one()
+    for _ in range(power):
+        value = _mul(value, base, ring)
+    return value
+
+
+def _scalar_power(base: Fraction, power: int) -> Fraction:
+    """``base ** power``, unless the result has more digits than the
+    interpreter's limit (its default when the limit is off)."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+    # an integer of b >= 1 bits raised to p has at least (b - 1) p + 1 bits,
+    # so at least floor((b - 1) p log10 2) + 1 digits; 3010/10000 < log10 2
+    if (bits - 1) * power * 3010 // 10000 + 1 > limit:
+        raise DomainError(
+            f"power {power} of a {bits}-bit rational has more than {limit} "
+            "digits, the interpreter's limit (sys.get_int_max_str_digits())",
+            limit=limit,
+        )
+    return base**power
 
 
 def evaluate(text: str, ring: RingPresentation, names: dict) -> object:

@@ -370,6 +370,95 @@ def test_over_long_json_integer_is_input_error(tmp_path):
     assert str(sys.get_int_max_str_digits()) in document["payload"]["error"]["message"]
 
 
+GEOMETRY_DOC = {
+    "basis": "clibr2",
+    "dim": 2,
+    "mov": {"generators": [["1", "1"], ["0", "1"]]},
+    "eff": {"generators": [["1", "0"], ["0", "1"]]},
+    "objective": ["1", "1"],
+}
+
+# One run of every handler branch.  Each handler imports what only it needs
+# inside its body, so a missing import shows on its own branch alone.
+HANDLER_BRANCHES = [
+    ("cone-convert", ["cone", "convert", "--input", "bench/data/cone-gens.json"], 0),
+    ("cone-dual", ["cone", "dual", "--input", "bench/data/cone-ineqs.json"], 0),
+    ("cone-rays", ["cone", "rays", "--input", "bench/data/cone-ineqs.json"], 0),
+    ("cone-contains-member", ["cone", "contains", "--input", "bench/data/cone-gens.json",
+                              "--vector", "1,1,1,1,7"], 0),
+    ("cone-contains-separated", ["cone", "contains", "--input", "bench/data/cone-gens.json",
+                                 "--vector", "1,1,0,1,2"], 0),
+    ("decompose-fixture", ["decompose", "--geometry", "toric-3fold:curves",
+                           "--class", "1,1,0,1,2"], 0),
+    ("decompose-objective", ["decompose", "--geometry", "{geometry}", "--class", "3,1",
+                             "--objective", "2,1"], 0),
+    ("decompose-plot-section", ["decompose", "--geometry", "p2-hilb2:surfaces",
+                                "--class", "1,0,1", "--plot-section", "{tmp}/s.svg"], 0),
+    ("decompose-geometry-file", ["decompose", "--geometry", "{geometry}", "--class", "3,1"], 0),
+    ("directed-fixture", ["directed", "--geometry", "toric-3fold:curves",
+                          "--class", "1,1,0,1,2"], 0),
+    ("directed-geometry-file", ["directed", "--geometry", "{geometry}", "--class", "3,1"], 0),
+    ("projbundle-constants", ["projbundle", "--hn", "2:0,2:2"], 0),
+    ("projbundle-k", ["projbundle", "--hn", "2:0,2:2", "--k", "2"], 0),
+    ("projbundle-class", ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3"], 0),
+    ("projbundle-class-without-k", ["projbundle", "--hn", "2:0,2:2", "--class", "2,-3"], 1),
+    ("bck", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2"], 0),
+    ("bck-brute-force", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2",
+                         "--brute-force"], 0),
+    ("ring-eval-scalar", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "2/3+1"], 0),
+    ("ring-eval-element", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "S3*E"], 0),
+    ("ring-eval-dual-class", ["ring", "eval", "--fixture", "m07-s7", "--expr", "2*S1"], 0),
+    ("ring-eval-no-ring", ["ring", "eval", "--fixture", "toric-3fold", "--expr", "1"], 1),
+    ("ring-pair", ["ring", "pair", "--fixture", "m07-s7", "--a", "(D1+3*D2)^2", "--b", "S1"], 0),
+    ("ring-pair-first-not-element", ["ring", "pair", "--fixture", "p2-hilb2",
+                                     "--a", "2", "--b", "S3"], 1),
+    ("ring-pair-second-not-class", ["ring", "pair", "--fixture", "p2-hilb2",
+                                    "--a", "S3", "--b", "2"], 1),
+    ("fixture", ["fixture", "projbundle-sample"], 0),
+    ("fixture-verify", ["fixture", "p2-hilb2", "--verify"], 0),
+    ("meta", ["--meta", "projbundle", "--hn", "3:1"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [b[1:] for b in HANDLER_BRANCHES], ids=[b[0] for b in HANDLER_BRANCHES]
+)
+def test_every_handler_branch_exits_as_expected(argv, expected, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("CYCLECONES_FIXTURE_DIR", raising=False)
+    geometry = write(tmp_path, "geometry.json", GEOMETRY_DOC)
+    argv = [a.format(tmp=tmp_path, geometry=geometry) for a in argv]
+    document, code = run_json(argv)
+    assert (code, document["status"]) == (expected, list(cli._EXIT_CODES)[expected])
+    if "--meta" in argv:
+        assert "generated_at" in document["meta"]
+    if "--plot-section" in argv:
+        assert (tmp_path / "s.svg").read_text().startswith("<svg")
+
+
+TOO_LONG = "*".join(["(2^4000)"] * 4)  # 2^16000 has 4 817 digits, past the default limit
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [("2^20000", 2), ("2^100000", 2), ("1^3000000", 0), ("(S3^0)^3000000", 0), (TOO_LONG, 2)],
+    ids=["2^20000", "2^100000", "1^3000000", "unit^3000000", "long-product"],
+)
+def test_oversized_ring_results_are_domain_errors(expr, expected):
+    document, code = run_json(["ring", "eval", "--fixture", "p2-hilb2", "--expr", expr])
+    assert code == expected
+    if expected:
+        limit = sys.get_int_max_str_digits()
+        assert f"more than {limit} digits" in document["payload"]["error"]["message"]
+
+
+def test_cone_dimension_past_the_cap_is_domain_error(tmp_path):
+    path = write(tmp_path, "cone.json", {"basis": "b", "dim": 400, "inequalities": []})
+    document, code = run_json(["cone", "convert", "--input", path])
+    assert (code, document["status"]) == (2, "domain_error")
+    assert document["payload"]["error"]["message"] == "cone dimension 400 exceeds the cap of 64"
+
+
 def _fixture_commands():
     """The (label, argv) pairs of ``COMMANDS`` in bench/cli_fixtures.py.
 

@@ -1,7 +1,8 @@
 import pytest
 
+from cyclecones import jsonio
 from cyclecones.cones import dd_convert
-from cyclecones.errors import InputError
+from cyclecones.errors import DomainError, InputError
 from cyclecones.jsonio import (
     cone_from_json,
     cone_to_json,
@@ -76,3 +77,23 @@ def test_gram_document():
     assert basis.gram == ((-2,),)
     with pytest.raises(InputError):
         gram_from_json({"labels": ["a"]})
+
+
+def test_cone_dimension_cap():
+    cap = jsonio._MAX_CONE_DIM
+    assert cone_from_json({"basis": "iocap", "dim": cap, "inequalities": []}).dim == cap
+    documents = [
+        {"basis": "iocap", "dim": cap + 1, "inequalities": []},
+        {"basis": "iocap", "dim": 10**6, "generators": []},
+        {"basis": "iocap", "generators": [["0"] * (cap + 1)]},
+    ]
+    for doc in documents:
+        with pytest.raises(DomainError) as caught:
+            cone_from_json(doc)
+        dim = doc.get("dim", cap + 1)
+        assert caught.value.message == f"cone dimension {dim} exceeds the cap of {cap}"
+        assert caught.value.details == {"dim": dim, "cap": cap}
+    with pytest.raises(DomainError):
+        geometry_from_json(
+            {"basis": "iocap", "dim": cap + 1, "mov": {"generators": []}, "eff": {"generators": []}}
+        )

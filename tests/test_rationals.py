@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclecones.errors import InputError
+from cyclecones.errors import DomainError, InputError
 from cyclecones.rationals import rat, rat_str
 
 
@@ -45,3 +45,14 @@ def test_over_long_integer_names_the_digit_limit():
         rat("x" * (limit + 1))
     assert caught.value.message.startswith("not a rational number: 'xxx")
     assert len(caught.value.message) < 100
+
+
+def test_over_long_result_is_domain_error_naming_the_limit():
+    limit = sys.get_int_max_str_digits()
+    for value in (Fraction(10**limit), Fraction(1, 10**limit), Fraction(-(10**limit), 3)):
+        with pytest.raises(DomainError) as caught:
+            rat_str(value)
+        assert f"more than {limit} digits" in caught.value.message
+        assert "sys.get_int_max_str_digits()" in caught.value.message
+        assert caught.value.details == {"limit": limit}
+    assert rat_str(Fraction(10 ** (limit - 1))) == "1" + "0" * (limit - 1)

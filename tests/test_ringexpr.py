@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cyclecones.errors import InputError
+from cyclecones import ringexpr
+from cyclecones.errors import DomainError, InputError
 from cyclecones.fixtures import load
 from cyclecones.ringexpr import evaluate
 
@@ -57,3 +59,63 @@ def test_errors_are_informative(hilb):
         evaluate("(D1", ring, names)
     with pytest.raises(InputError):
         evaluate("D1 ^ D2", ring, names)
+
+
+def looped_power(base, power, ring):
+    """The power as repeated products, one per unit of the exponent."""
+    value = Fraction(1) if isinstance(base, Fraction) else ring.one()
+    for _ in range(power):
+        value = ringexpr._mul(value, base, ring)
+    return value
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "1", "-1", "2/3", "-7/2", "2*(S3^0)", "-1/2*(D1^0)", "0*(D1^0)", "D1", "S3", "E"]
+)
+def test_power_matches_repeated_products(hilb, text):
+    ring, names = hilb
+    base = evaluate(f"({text})", ring, names)
+    for power in range(7):
+        try:
+            expected = looped_power(base, power, ring)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as caught:
+                ringexpr._power(base, power, ring)
+            assert caught.value.message == exc.message
+            continue
+        got = ringexpr._power(base, power, ring)
+        assert type(got) is type(expected)
+        assert got == expected
+
+
+def test_large_exponents_are_bounded_before_the_products(hilb, monkeypatch):
+    ring, names = hilb
+    calls = []
+    original = ringexpr._mul
+
+    def counted(a, b, ring):
+        calls.append(1)
+        return original(a, b, ring)
+
+    monkeypatch.setattr(ringexpr, "_mul", counted)
+    assert evaluate("1^3000000", ring, names) == 1
+    assert evaluate("(S3^0)^3000000", ring, names).terms == ring.one().terms
+    with pytest.raises(DomainError) as caught:
+        evaluate("S3^3000000", ring, names)
+    # S3 has degree 2: the loop used to fail at its third product, degree 6
+    assert caught.value.message == "p2-hilb2: product degree 6 exceeds top degree 4"
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    for text in ("2^100000", "(2*(S3^0))^100000", "(1/3)^100000"):
+        with pytest.raises(DomainError) as caught:
+            evaluate(text, ring, names)
+        assert f"more than {limit} digits" in caught.value.message
+    # three products of S3 up to degree 6, and the one in 2*(S3^0)
+    assert len(calls) == 4
+
+
+def test_dual_class_powers_keep_their_errors():
+    fixture = load("m07-s7")
+    names = dict(fixture.dual_classes)
+    assert evaluate("S1^0", fixture.ring, names).terms == fixture.ring.one().terms
+    with pytest.raises(InputError, match="cannot multiply these operands"):
+        evaluate("S1^3000000", fixture.ring, names)
