@@ -18,7 +18,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import FIXTURE_NAMES
 from .cones import contains, dd_convert, dual_cone, extremal_rays, is_salient
 from .errors import DomainError, InputError
 from .jsonio import (
@@ -27,6 +26,7 @@ from .jsonio import (
     geometry_from_json,
     gram_from_json,
     parse_vector_text,
+    read_json,
     rows_to_json,
 )
 from .rationals import rat_str
@@ -46,37 +46,20 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _read_json(path: str):
-    try:
-        if path == "-":
-            return json.load(sys.stdin, parse_float=_reject_float)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=_reject_float)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _reject_float(text):
-    raise InputError(f"floating-point literal {text!r} rejected; use exact rationals")
-
-
 def _load_geometry(ref: str):
-    """A geometry is a JSON file path or a fixture reference ``name:id``."""
+    """A geometry is a JSON file path or a fixture reference ``fixture:id``,
+    where ``fixture`` is a packaged name or a fixture ``.json`` file."""
     if ":" in ref and not ref.endswith(".json"):
         from . import fixtures
 
-        fixture_name, geometry_id = ref.split(":", 1)
-        fixture = fixtures.load(fixture_name)
+        fixture_ref, geometry_id = ref.rsplit(":", 1)
+        fixture = fixtures.load(fixture_ref)
         return fixture.geometry(geometry_id)
-    return geometry_from_json(_read_json(ref))
+    return geometry_from_json(read_json(ref))
 
 
 def _cone_payload(args) -> dict:
-    cone = cone_from_json(_read_json(args.input))
+    cone = cone_from_json(read_json(args.input))
     if args.cone_op == "convert":
         return {"cone": cone_to_json(dd_convert(cone))}
     if args.cone_op == "dual":
@@ -172,7 +155,7 @@ def _projbundle_payload(args) -> dict:
 def _bck_payload(args) -> dict:
     from .negdef import brute_force, decompose
 
-    basis = gram_from_json(_read_json(args.gram))
+    basis = gram_from_json(read_json(args.gram))
     coeffs = tuple(
         parse_vector_text(args.klass, basis.basis_name, basis.rank).coords
         if basis.rank
@@ -326,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--b", required=True)
 
     fx = subparsers.add_parser("fixture", help="load and verify embedded geometries")
-    fx.add_argument("name", choices=list(FIXTURE_NAMES))
+    fx.add_argument("name", help="packaged fixture name or fixture .json file")
     fx.add_argument("--verify", action="store_true")
 
     return parser
@@ -398,8 +381,14 @@ def run(argv) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     document, code = run(sys.argv[1:] if argv is None else argv)
-    json.dump(document, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        json.dump(document, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; stdout goes to devnull so the interpreter's
+        # own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

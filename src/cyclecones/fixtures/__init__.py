@@ -1,24 +1,24 @@
 """Embedded, audited example geometries and their claim catalogs.
 
-Each fixture is a JSON data file compiled into the package (overridable
-via the CYCLECONES_FIXTURE_DIR environment variable for experimentation).
-A lint pass refuses data files whose numeric literals are not covered by a
-``source`` annotation, and every fixture ships a catalog of claims whose
-checks re-derive the recorded facts from the raw data.
+Each packaged fixture is a JSON data file compiled into the package;
+``load`` takes its name, or the path of any fixture document ending in
+``.json``, and reads both through ``jsonio.read_json``.  A lint pass
+refuses data files whose numeric literals are not covered by a ``source``
+annotation, and every fixture ships a catalog of claims whose checks
+re-derive the recorded facts from the raw data.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from importlib import resources
+from math import comb
 from typing import TYPE_CHECKING
 
 from .. import FIXTURE_NAMES  # re-exported
 from ..cones import PolyCone
-from ..errors import InputError
-from ..jsonio import _dim, _names, _row
+from ..errors import DomainError, InputError
+from ..jsonio import _dim, _names, _row, read_json
 from ..rationals import rat
 from ..vectors import ClassVector
 
@@ -28,6 +28,14 @@ if TYPE_CHECKING:
     from ..zariski import ConeGeometry
 
 _NUMERIC_CHARS = set("0123456789")
+
+# Most monomials a fixture ring may have up to its top or largest declared
+# degree, C(generators + degree, generators).  The consistency audit grows
+# with that count: at the cap, with every top value declared, a ring loads
+# in 0.24 s (two generators to degree 43) to 0.46 s (six to degree 6) on
+# Python 3.11, 2-vCPU Xeon VM; 1 771 monomials took 0.69 s.  The packaged
+# rings have 15.
+_MAX_RING_MONOMIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class Fixture:
             ) from exc
 
     def _named(self, table: dict, name: str, what: str):
-        if name not in table:
+        if not isinstance(name, str) or name not in table:
             raise InputError(f"fixture {self.name}: unknown {what} {name!r}")
         return table[name]
 
@@ -160,24 +168,6 @@ def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
     return problems
 
 
-def _read_raw(name: str) -> tuple[dict, str]:
-    """The fixture document and the file it was read from."""
-    override = os.environ.get("CYCLECONES_FIXTURE_DIR")
-    if override:
-        candidate = os.path.join(override, f"{name}.json")
-        if os.path.exists(candidate):
-            with open(candidate, "r", encoding="utf-8") as handle:
-                try:
-                    return json.load(handle), candidate
-                except ValueError as exc:  # invalid JSON, or an over-long integer
-                    raise InputError(f"{candidate}: {exc}") from exc
-    try:
-        packaged = resources.files(__package__).joinpath(f"data/{name}.json")
-        return json.loads(packaged.read_text(encoding="utf-8")), str(packaged)
-    except FileNotFoundError as exc:
-        raise InputError(f"unknown fixture {name!r}") from exc
-
-
 def _need(node, keys: tuple[str, ...], where: str) -> None:
     """An input error naming ``where`` unless ``node`` is an object with ``keys``."""
     for key in keys:
@@ -185,47 +175,90 @@ def _need(node, keys: tuple[str, ...], where: str) -> None:
             raise InputError(f"{where} must be an object with the key {key!r}")
 
 
+def _part(node: dict, key: str, kind: type, where: str):
+    """``node[key]``, empty when absent; an input error unless it is a ``kind``."""
+    value = node.get(key, kind())
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise InputError(f"{where} {key!r} must be {shape}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
     from ..rings import DualLayer, RingPresentation, consistency_audit, parse_monomial
 
     _need(doc, ("generators", "top_degree", "max_monomial_degree"), where)
-    generators = tuple(doc["generators"])
+    generators = tuple(_names(doc["generators"], f"{where} generators"))
+    top_degree = _dim(doc["top_degree"], f"{where} top_degree")
+    max_degree = _dim(doc["max_monomial_degree"], f"{where} max_monomial_degree")
+    monomials = comb(len(generators) + max(top_degree, max_degree), len(generators))
+    if monomials > _MAX_RING_MONOMIALS:
+        raise DomainError(
+            f"{where}: {monomials} monomials up to degree "
+            f"{max(top_degree, max_degree)} exceed the cap of {_MAX_RING_MONOMIALS}",
+            monomials=monomials,
+            cap=_MAX_RING_MONOMIALS,
+        )
 
     def mono(text: str):
         return parse_monomial(text, generators)
 
+    def table(node, key: str) -> dict:
+        return {mono(m): rat(c) for m, c in _part(node, key, dict, where).items()}
+
     dual_layers = {}
-    for degree_text, layer in doc.get("dual_bases", {}).items():
-        _need(layer, ("names",), f"{where} dual_bases[{degree_text!r}]")
+    for degree_text, layer in _part(doc, "dual_bases", dict, where).items():
+        at = f"{where} dual_bases[{degree_text!r}]"
+        _need(layer, ("names",), at)
+        names = tuple(_names(layer["names"], f"{at} names"))
         cap = layer.get("cap_relations")
         if cap is not None:
-            cap = {mono(m): _row(row, f"cap relation {m!r}") for m, row in cap.items()}
-        degree = int(degree_text)
-        dual_layers[degree] = DualLayer(degree, tuple(layer["names"]), cap)
-    top_values = doc.get("top_values")
+            cap = {
+                mono(m): _row(row, f"cap relation {m!r}")
+                for m, row in _part(layer, "cap_relations", dict, at).items()
+            }
+            if any(len(row) != len(names) for row in cap.values()):
+                raise InputError(f"{at}: a cap relation row is not {len(names)} long")
+        degree = rat(degree_text)
+        if degree.denominator != 1 or degree < 0:
+            raise InputError(f"{at}: a degree must be a nonnegative integer")
+        dual_layers[int(degree)] = DualLayer(int(degree), names, cap)
+    relations = _part(doc, "relations", dict, where)
     ring = RingPresentation(
         name=fixture.name,
         generators=generators,
-        top_degree=doc["top_degree"],
-        rewrites={
-            mono(lhs): {mono(m): rat(c) for m, c in rhs.items()}
-            for lhs, rhs in doc.get("relations", {}).items()
-        },
-        top_values=(
-            {mono(m): rat(v) for m, v in top_values.items()}
-            if top_values is not None
-            else None
-        ),
-        max_monomial_degree=doc["max_monomial_degree"],
+        top_degree=top_degree,
+        rewrites={mono(lhs): table(relations, lhs) for lhs in relations},
+        top_values=None if doc.get("top_values") is None else table(doc, "top_values"),
+        max_monomial_degree=max_degree,
         dual_layers=dual_layers,
     )
+    for degree, layer in dual_layers.items():
+        if len(layer.names) != len(ring.monomial_basis(degree)):
+            raise InputError(
+                f"{where} dual_bases[{str(degree)!r}] names do not match the "
+                f"degree-{degree} monomial basis"
+            )
     fixture.ring = ring
-    for name, body in doc.get("named", {}).get("elements", {}).items():
+    named = _part(doc, "named", dict, where)
+    named = _part(named, "elements", dict, f"{where} named")
+    for name, body in named.items():
         _need(body, ("degree", "terms"), f"{where} element {name!r}")
         fixture.ring_elements[name] = ring.element(body["degree"], body["terms"])
-    for name, body in doc.get("dual_classes", {}).get("elements", {}).items():
-        _need(body, ("degree", "coords"), f"{where} dual class {name!r}")
-        fixture.dual_classes[name] = ring.dual_class(body["degree"], body["coords"])
+    duals = _part(doc, "dual_classes", dict, where)
+    duals = _part(duals, "elements", dict, f"{where} dual_classes")
+    for name, body in duals.items():
+        at = f"{where} dual class {name!r}"
+        _need(body, ("degree", "coords"), at)
+        fixture.dual_classes[name] = ring.dual_class(
+            _dim(body["degree"], f"{at} degree"), _row(body["coords"], at)
+        )
     fixture.audit = consistency_audit(ring)
 
 
@@ -233,12 +266,13 @@ def _declared_bases(raw: dict, origin: str) -> tuple[dict[str, int], dict[str, s
     """Dimensions of the declared bases and their duals; duals both ways."""
     dims: dict[str, int] = {}
     duals: dict[str, str] = {}
-    for i, basis in enumerate(raw.get("bases", [])):
+    for i, basis in enumerate(_part(raw, "bases", list, origin)):
         _need(basis, ("name", "dim"), f"{origin}: bases[{i}]")
-        name, dual = basis["name"], basis.get("dual")
+        name = _text(basis["name"], f'bases[{i}] "name"')
+        dual = basis.get("dual")
         dims[name] = _dim(basis["dim"], f'bases[{i}] "dim"')
         if dual is not None:
-            dims[dual] = dims[name]
+            dims[_text(dual, f'bases[{i}] "dual"')] = dims[name]
             duals[name], duals[dual] = dual, name
     return dims, duals
 
@@ -256,46 +290,51 @@ def _class_vector(dims: dict[str, int], basis: str, value, what: str) -> ClassVe
     return ClassVector(basis, coords)
 
 
-def load(name: str) -> Fixture:
-    """Load, lint, and validate a fixture by name.
+def load(ref: str) -> Fixture:
+    """Load, lint, and validate a fixture: a packaged name or a ``.json`` path.
 
     Each section imports its module where it is built, so a fixture without
     a ring, geometries or profiles never loads rings, zariski or projbundle.
     """
-    raw, origin = _read_raw(name)
+    if ref in FIXTURE_NAMES:
+        origin = os.path.join(os.path.dirname(__file__), "data", f"{ref}.json")
+    elif ref.endswith(".json"):
+        origin = ref
+    else:
+        raise InputError(
+            f"unknown fixture {ref!r}: give a packaged name "
+            f"({', '.join(FIXTURE_NAMES)}) or a path ending in .json"
+        )
+    raw = read_json(origin)
     problems = lint_sources(raw)
     if problems:
         raise InputError(
             "fixture data failed the source lint:\n  " + "\n  ".join(problems)
         )
     _need(raw, ("name",), origin)
-    fixture = Fixture(name=raw["name"], description=raw.get("description", ""), raw=raw)
+    name = _text(raw["name"], f"{origin}: name")
+    fixture = Fixture(name=name, description=raw.get("description", ""), raw=raw)
 
     dims, duals = _declared_bases(raw, origin)
 
-    for basis_name, table in raw.get("classes", {}).items():
+    for basis_name, table in _part(raw, "classes", dict, origin).items():
+        at = f"{origin}: classes[{basis_name!r}]"
+        _need(table, ("coords",), at)
         fixture.vectors[basis_name] = {
             class_name: _class_vector(
                 dims, basis_name, coords, f"class {class_name!r}"
             )
-            for class_name, coords in table.get("coords", {}).items()
+            for class_name, coords in _part(table, "coords", dict, at).items()
         }
 
     if "ring" in raw:
         _build_ring(fixture, raw["ring"], f"{origin}: ring")
 
-    extra = raw.get("surface_class_vectors")
-    if extra is not None:
-        basis_name = "m07.surfaces"
-        group = fixture.vectors.setdefault(basis_name, {})
-        for class_name, coords in extra.get("coords", {}).items():
-            group[class_name] = _class_vector(
-                dims, basis_name, coords, f"class {class_name!r}"
-            )
-
-    for i, cone_doc in enumerate(raw.get("cones", [])):
-        _need(cone_doc, ("basis", "id", "generators"), f"{origin}: cones[{i}]")
-        basis_name, cone_id = cone_doc["basis"], cone_doc["id"]
+    for i, cone_doc in enumerate(_part(raw, "cones", list, origin)):
+        at = f"{origin}: cones[{i}]"
+        _need(cone_doc, ("basis", "id", "generators"), at)
+        basis_name = _text(cone_doc["basis"], f"{at} basis")
+        cone_id = _text(cone_doc["id"], f"{at} id")
         names = _names(cone_doc["generators"], f"cone {cone_id!r} generators")
         fixture.cones[cone_id] = PolyCone.from_generators(
             basis_name,
@@ -304,28 +343,32 @@ def load(name: str) -> Fixture:
             dual=duals.get(basis_name),
         )
 
-    for i, geom in enumerate(raw.get("geometries", [])):
+    for i, geom in enumerate(_part(raw, "geometries", list, origin)):
         from ..zariski import cone_geometry
 
         at = f"{origin}: geometries[{i}]"
         _need(geom, ("id", "eff", "mov", "objective"), at)
         _need(geom["objective"], ("coords",), f"{at} objective")
+        geometry_id = _text(geom["id"], f"{at} id")
         eff = fixture.cone(geom["eff"])
-        what = f"geometry {geom['id']!r} objective"
+        what = f"geometry {geometry_id!r} objective"
         objective = ClassVector(eff.dual, _row(geom["objective"]["coords"], what))
-        fixture.geometries[geom["id"]] = cone_geometry(
-            f"{fixture.name}:{geom['id']}", fixture.cone(geom["mov"]), eff, objective
+        fixture.geometries[geometry_id] = cone_geometry(
+            f"{fixture.name}:{geometry_id}", fixture.cone(geom["mov"]), eff, objective
         )
 
-    for profile_name, text in raw.get("profiles", {}).get("entries", {}).items():
+    profiles = _part(raw, "profiles", dict, origin)
+    profiles = _part(profiles, "entries", dict, f"{origin}: profiles")
+    for profile_name, text in profiles.items():
         from ..projbundle import HNProfile
 
         fixture.profiles[profile_name] = HNProfile.parse(text)
 
-    for i, c in enumerate(raw.get("claims", [])):
-        _need(c, ("id", "check", "expect"), f"{origin}: claims[{i}]")
-        claim = Claim(c["id"], c["check"], c["expect"], c.get("args", {}), c.get("source", ""))
-        fixture.claims += (claim,)
+    for i, c in enumerate(_part(raw, "claims", list, origin)):
+        at = f"{origin}: claims[{i}]"
+        _need(c, ("id", "check", "expect"), at)
+        fields = [_text(c[key], f"{at} {key}") for key in ("id", "check", "expect")]
+        fixture.claims += (Claim(*fields, c.get("args", {}), c.get("source", "")),)
     return fixture
 
 

@@ -6,6 +6,8 @@ tolerated on input, floats never are.
 
 from __future__ import annotations
 
+import json
+import sys
 from typing import TYPE_CHECKING
 
 from .cones import PolyCone
@@ -22,6 +24,31 @@ if TYPE_CHECKING:
 # converts in about 0.2 s beyond interpreter start, dim 100 in 0.8 s and
 # dim 400 in 32 s.  Every fixture and benchmark cone has dim 9 or less.
 _MAX_CONE_DIM = 64
+
+# Largest pairing-matrix rank accepted from JSON.  ``bck`` on a tridiagonal
+# negative-definite gram, wall clock with interpreter start on Python 3.11
+# (2-vCPU Xeon VM): rank 32 0.26 s, 48 0.44 s, 64 1.1 s, 100 4.4 s; rank 120
+# took 7.5 s.  Every fixture and benchmark gram has rank 10 or less.
+_MAX_GRAM_RANK = 48
+
+
+def read_json(path: str):
+    """The JSON document at ``path`` (``-`` reads stdin); floats rejected."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin, parse_float=_reject_float)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle, parse_float=_reject_float)
+    except FileNotFoundError as exc:
+        raise InputError(f"no such file: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _reject_float(text):
+    raise InputError(f"floating-point literal {text!r} rejected; use exact rationals")
 
 
 def parse_vector_text(text: str, basis: str, dim: int) -> ClassVector:
@@ -154,4 +181,10 @@ def gram_from_json(doc: dict) -> PairingBasis:
     if not isinstance(doc, dict) or "labels" not in doc or "gram" not in doc:
         raise InputError('pairing document needs "labels" and "gram"')
     labels = _names(doc["labels"], '"labels"')
+    if len(labels) > _MAX_GRAM_RANK:
+        raise DomainError(
+            f"pairing rank {len(labels)} exceeds the cap of {_MAX_GRAM_RANK}",
+            rank=len(labels),
+            cap=_MAX_GRAM_RANK,
+        )
     return PairingBasis(tuple(labels), tuple(_rows(doc["gram"], '"gram"')))

@@ -49,6 +49,8 @@ class HNProfile:
     @staticmethod
     def parse(text: str) -> "HNProfile":
         """Parse the CLI syntax ``"r:d,r:d,..."``, e.g. ``"2:0,2:2"``."""
+        if not isinstance(text, str):
+            raise InputError(f"a profile is text like \"2:0,2:2\", got {text!r}")
         pieces = []
         for chunk in text.split(","):
             try:
@@ -209,12 +211,14 @@ def eff_coordinates(profile: HNProfile, k: int, v: ClassVector) -> tuple[Fractio
 
 
 def degree_functional(profile: HNProfile, k: int) -> ClassVector:
-    """Default objective: pairing with the sum of the two complementary-
-    dimension nef generators (1, nu_{n-k}) + (0, 1).
+    """Default objective: pairing with the sum (1, nu_{n-k} + 1) of the two
+    complementary-dimension nef generators (1, nu_{n-k}) and (0, 1).
 
-    As a functional on (x, y) this is x*(1 - eps_k) ... concretely
-    (d + nu_{n-k} + 1, 1); it is strictly positive on both eff extremal
-    rays, which a single nef generator is not.
+    By ``pair_classes`` this is the functional (d + nu_{n-k} + 1, 1) on
+    (x, y), d the bundle degree.  It takes the value 1 on both effective
+    extremal rays: on (0, 1) directly, and on (1, eps_k) because
+    nu_{n-k} = -d - eps_k.  Each nef generator alone vanishes on one of
+    the two rays, so only the sum is strictly positive on the whole cone.
     """
     n = profile.rank
     nu_comp = nu(profile, n - k)

@@ -40,15 +40,17 @@ def parse_monomial(text: str, generators) -> Monomial:
         return tuple(exps)
     for factor in text.split("*"):
         factor = factor.strip()
-        if "^" in factor:
-            name, power = factor.split("^")
-            power = int(power)
+        name, caret, power = factor.partition("^")
+        if caret:
+            power = rat(power)
+            if power.denominator != 1 or power < 0:
+                raise InputError(f"bad power in monomial {text!r}")
         else:
-            name, power = factor, 1
+            power = 1
         name = name.strip()
         if name not in generators:
             raise InputError(f"unknown generator {name!r} in monomial {text!r}")
-        exps[generators.index(name)] += power
+        exps[generators.index(name)] += int(power)
     return tuple(exps)
 
 
@@ -232,6 +234,8 @@ class RingPresentation:
 
     def element(self, degree: int, terms) -> RingElement:
         """Build an element from {monomial | text: coefficient} terms."""
+        if not isinstance(terms, dict):
+            raise InputError(f"element terms must be an object, got {terms!r}")
         parsed: dict[Monomial, Fraction] = {}
         for key, coeff in terms.items():
             mono = key if isinstance(key, tuple) else parse_monomial(key, self.generators)

@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
-from .errors import DomainError, InputError
+from .errors import CycleConesError, DomainError, InputError
 from .linalg import dot, int_primitive, reproduces, separates, violated
 from .polytope import (
     AffineInequality,
@@ -367,8 +367,6 @@ def decompose(
     negative = alpha - positive
 
     report = preceq_maximum(g, s)
-    is_max = report.status == "maximum" and report.maximum.coords == positive.coords
-
     certificates = (
         Certificate(
             "positive-part-movable",
@@ -386,9 +384,7 @@ def decompose(
         "objective_value": rat_str(value),
         "optimal_face": [[rat_str(c) for c in v.coords] for v in face],
         "optimum_unique": len(face) == 1,
-        "positive_part_status": (
-            "certified-preceq-maximum" if is_max else "objective-maximal-candidate"
-        ),
+        "positive_part_status": _positive_part_status(report, positive),
         "preceq_maximum": report.status,
         "canonical_choice": "lexicographically-smallest-optimal-vertex",
     }
@@ -430,7 +426,27 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
         mov_cert.data["combination"], g.mov.generator_rows(), dec.positive.coords
     ) and reproduces(
         eff_cert.data["combination"], g.eff.generator_rows(), dec.negative.coords
+    ) and _status_consistent(g, dec)
+
+
+def _status_consistent(g: ConeGeometry, dec: Decomposition) -> bool:
+    """The recorded directedness verdict and positive-part status match a
+    recomputed report, which must verify."""
+    try:
+        report = preceq_maximum(g, decomposition_polytope(g, dec.input))
+    except CycleConesError:
+        return False
+    return (
+        report.verify()
+        and dec.metadata.get("preceq_maximum") == report.status
+        and dec.metadata.get("positive_part_status")
+        == _positive_part_status(report, dec.positive)
     )
+
+
+def _positive_part_status(report: DirectednessReport, positive: ClassVector) -> str:
+    is_max = report.status == "maximum" and report.maximum.coords == positive.coords
+    return "certified-preceq-maximum" if is_max else "objective-maximal-candidate"
 
 
 def _optimum_consistent(dec: Decomposition) -> bool:

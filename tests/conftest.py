@@ -57,6 +57,15 @@ def random_profile(rng: random.Random, max_pieces: int = 4, max_rank: int = 5,
             return HNProfile(tuple(zip(ranks, degrees)))
 
 
+def chain_gram(rank: int) -> dict:
+    """Pairing document of a negative-definite tridiagonal gram (an A_n chain)."""
+    gram = [
+        ["-2" if i == j else "1" if abs(i - j) == 1 else "0" for j in range(rank)]
+        for i in range(rank)
+    ]
+    return {"labels": [f"C{i}" for i in range(rank)], "gram": gram}
+
+
 def bareiss_det(matrix):
     """Integer determinant by fraction-free (Bareiss) elimination."""
     m = [list(row) for row in matrix]

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 def fresh_process(argv):
     """Exit code and stdout of one command in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("CYCLECONES_FIXTURE_DIR", None)
     done = subprocess.run(
         [sys.executable, "-m", "cyclecones", *argv],
         capture_output=True,
@@ -43,7 +42,6 @@ def test_cli_results_do_not_depend_on_call_order(tmp_path, monkeypatch, capsys):
     assert '"basis": "toric3.curves*"' in expected[dual][1]
 
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("CYCLECONES_FIXTURE_DIR", raising=False)
     for order in ((dual, decompose), (decompose, dual)):
         for argv in order:
             code = main(list(argv))

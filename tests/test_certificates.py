@@ -296,3 +296,38 @@ def test_decomposition_rejects_tampered_optimum(tamper):
     assert dec.metadata["optimum_unique"] is False and verify_decomposition(g, dec)
     metadata = TAMPERED_OPTIMA[tamper](dec.metadata)
     assert not verify_decomposition(g, replace(dec, metadata=metadata))
+
+
+# -- decompositions: the directedness verdict -----------------------------------
+
+TAMPERED_VERDICTS = {
+    # toric-3fold:curves at 1,1,0,1,2 has no maximum
+    "no-maximum-claimed-certified": (
+        "toric",
+        {"positive_part_status": "certified-preceq-maximum", "preceq_maximum": "maximum"},
+    ),
+    "no-maximum-status-only": ("toric", {"positive_part_status": "certified-preceq-maximum"}),
+    "no-maximum-verdict-only": ("toric", {"preceq_maximum": "maximum"}),
+    # tamper2 at (3, 2) has the positive part as its certified maximum
+    "maximum-claimed-candidate": (
+        "tamper2", {"positive_part_status": "objective-maximal-candidate"}
+    ),
+    "maximum-verdict-flipped": ("tamper2", {"preceq_maximum": "no-maximum"}),
+    "verdict-missing": ("tamper2", {"preceq_maximum": None}),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_VERDICTS))
+def test_decomposition_rejects_tampered_directedness_verdict(tamper):
+    which, fields = TAMPERED_VERDICTS[tamper]
+    if which == "toric":
+        g = _toric_geometry()
+        dec = decompose(g, ClassVector("toric3.curves", TORIC_ALPHA))
+        assert dec.metadata["preceq_maximum"] == "no-maximum"
+    else:
+        g = _geometry()
+        dec = decompose(g, _vector((3, 2)))
+        assert dec.metadata["positive_part_status"] == "certified-preceq-maximum"
+    assert verify_decomposition(g, dec)
+    metadata = {**dec.metadata, **fields}
+    assert not verify_decomposition(g, replace(dec, metadata=metadata))

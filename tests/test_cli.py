@@ -1,13 +1,18 @@
 import ast
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cyclecones import cli, cones, simplex
+from cyclecones import cli, cones, jsonio, simplex
 from cyclecones.cli import main, run
+
+from conftest import chain_gram
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -425,7 +430,6 @@ HANDLER_BRANCHES = [
 )
 def test_every_handler_branch_exits_as_expected(argv, expected, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("CYCLECONES_FIXTURE_DIR", raising=False)
     geometry = write(tmp_path, "geometry.json", GEOMETRY_DOC)
     argv = [a.format(tmp=tmp_path, geometry=geometry) for a in argv]
     document, code = run_json(argv)
@@ -459,6 +463,42 @@ def test_cone_dimension_past_the_cap_is_domain_error(tmp_path):
     assert document["payload"]["error"]["message"] == "cone dimension 400 exceeds the cap of 64"
 
 
+def test_gram_rank_past_the_cap_is_domain_error_at_once(tmp_path):
+    rank = jsonio._MAX_GRAM_RANK + 1
+    path = write(tmp_path, "gram.json", chain_gram(rank))
+    start = time.monotonic()
+    document, code = run_json(["bck", "--gram", path, "--class", ",".join(["1"] * rank)])
+    assert time.monotonic() - start < 0.25
+    assert (code, document["status"]) == (2, "domain_error")
+    error = document["payload"]["error"]
+    assert (error["rank"], error["cap"]) == (rank, jsonio._MAX_GRAM_RANK)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fixture", "m07-s7", "--verify"], 0),
+        (["projbundle", "--hn", "2:0,2:2", "--class", "2,-3"], 1),
+    ],
+    ids=["ok", "input-error"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(argv, expected):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the child's first write to stdout fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclecones", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            cwd=ROOT,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (expected, b"")
+
+
 def _fixture_commands():
     """The (label, argv) pairs of ``COMMANDS`` in bench/cli_fixtures.py.
 
@@ -485,7 +525,6 @@ def test_fixture_commands_match_reference(label, argv, monkeypatch, capsys):
     with open(ROOT / "bench" / "reference" / "cli.json", encoding="utf-8") as handle:
         reference = json.load(handle)[label]
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("CYCLECONES_FIXTURE_DIR", raising=False)
     code = main(list(argv))
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == (reference["exit"], reference["stdout_sha256"])

@@ -1,9 +1,12 @@
 import copy
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from cyclecones.cli import run
+from cyclecones import fixtures
+from cyclecones.cli import main, run
 from cyclecones.errors import InputError
 from cyclecones.fixtures import (
     FIXTURE_NAMES,
@@ -24,6 +27,46 @@ def test_fixture_loads_and_all_claims_ok(name):
 def test_unknown_fixture_rejected():
     with pytest.raises(InputError):
         load("no-such-geometry")
+
+
+def test_unknown_fixture_name_exits_1_with_a_message():
+    document, code = run(["fixture", "no-such-geometry", "--verify"])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == (
+        "unknown fixture 'no-such-geometry': give a packaged name "
+        f"({', '.join(FIXTURE_NAMES)}) or a path ending in .json"
+    )
+
+
+def _copy_of(name, tmp_path):
+    packaged = Path(fixtures.__file__).parent / "data" / f"{name}.json"
+    return shutil.copy(packaged, tmp_path / f"copy-of-{name}.json")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_file_prints_the_bytes_of_its_name(name, tmp_path, capsys):
+    path = _copy_of(name, tmp_path)
+    assert main(["fixture", name, "--verify"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["fixture", str(path), "--verify"]) == 0
+    assert capsys.readouterr().out == by_name
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("toric-3fold", ["decompose", "--geometry", "{}:curves", "--class", "1,1,0,1,2"]),
+        ("p2-hilb2", ["directed", "--geometry", "{}:surfaces", "--class", "1,0,1"]),
+        ("m07-s7", ["ring", "pair", "--fixture", "{}", "--a", "(D1+3*D2)^2", "--b", "S1"]),
+    ],
+    ids=["decompose", "directed", "ring"],
+)
+def test_fixture_file_reaches_geometries_and_rings(name, argv, tmp_path, capsys):
+    path = _copy_of(name, tmp_path)
+    assert main([a.format(name) for a in argv]) == 0
+    by_name = capsys.readouterr().out
+    assert main([a.format(path) for a in argv]) == 0
+    assert capsys.readouterr().out == by_name
 
 
 def test_m07_audit_is_attached_and_flagged():
@@ -62,17 +105,18 @@ def test_lint_accepts_cited_blocks():
     assert lint_sources(doc) == []
 
 
-def test_env_override_takes_precedence(tmp_path, monkeypatch):
+def test_fixture_file_loads_by_path(tmp_path):
     custom = {
         "name": "toric-3fold",
-        "description": "override",
+        "description": "custom",
         "claims": [],
     }
-    (tmp_path / "toric-3fold.json").write_text(json.dumps(custom))
-    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
-    fixture = load("toric-3fold")
-    assert fixture.description == "override"
+    path = tmp_path / "toric-3fold.json"
+    path.write_text(json.dumps(custom))
+    fixture = load(str(path))
+    assert fixture.description == "custom"
     assert fixture.claims == ()
+    assert load("toric-3fold").description != "custom"
 
 
 def test_packaged_fixture_files_pass_lint():
@@ -100,12 +144,12 @@ def test_packaged_fixture_files_pass_lint():
     ],
     ids=["generators-not-a-list", "short-class", "dim-a-string"],
 )
-def test_malformed_fixture_file_is_input_error(tmp_path, monkeypatch, mutate, message):
+def test_malformed_fixture_file_is_input_error(tmp_path, mutate, message):
     doc = copy.deepcopy(load("toric-3fold").raw)
     mutate(doc)
-    (tmp_path / "toric-3fold.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
-    document, code = run(["fixture", "toric-3fold", "--verify"])
+    path = tmp_path / "toric-3fold.json"
+    path.write_text(json.dumps(doc))
+    document, code = run(["fixture", str(path), "--verify"])
     assert (code, document["status"]) == (1, "input_error")
     assert document["payload"]["error"]["message"] == message
 
@@ -123,23 +167,80 @@ def test_malformed_fixture_file_is_input_error(tmp_path, monkeypatch, mutate, me
     ],
     ids=["basis-without-name", "cone-without-id", "geometry-without-objective"],
 )
-def test_fixture_file_missing_a_key_is_input_error(
-    tmp_path, monkeypatch, mutate, where, key
-):
+def test_fixture_file_missing_a_key_is_input_error(tmp_path, mutate, where, key):
     doc = copy.deepcopy(load("toric-3fold").raw)
     mutate(doc)
     path = tmp_path / "toric-3fold.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
-    document, code = run(["fixture", "toric-3fold", "--verify"])
+    document, code = run(["fixture", str(path), "--verify"])
     assert (code, document["status"]) == (1, "input_error")
     assert document["payload"]["error"]["message"] == (
         f"{path}: {where} must be an object with the key {key!r}"
     )
 
 
-def test_unreadable_fixture_file_is_input_error(tmp_path, monkeypatch):
-    (tmp_path / "toric-3fold.json").write_text('{"name": "toric-3fold",')
-    monkeypatch.setenv("CYCLECONES_FIXTURE_DIR", str(tmp_path))
-    document, code = run(["fixture", "toric-3fold", "--verify"])
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+# one replaced node each; each case but the last exited 3 before the
+# loader checked it
+MALFORMED = {
+    "classes-null": ("toric-3fold", _set(("classes",), None), 1),
+    "class-table-a-string": ("toric-3fold", _set(("classes", "toric3.curves"), "curves"), 1),
+    "cone-basis-a-list": ("toric-3fold", _set(("cones", 0, "basis"), ["x"]), 1),
+    "cone-id-a-list": ("toric-3fold", _set(("cones", 2, "id"), []), 1),
+    "cone-id-false": ("m07-s7", _set(("cones", 3, "id"), False), 1),
+    "geometry-id-an-object": ("toric-3fold", _set(("geometries", 0, "id"), {}), 1),
+    "geometry-eff-a-list": ("p2-hilb2", _set(("geometries", 1, "eff"), []), 1),
+    "claim-check-a-list": ("projbundle-sample", _set(("claims", 1, "check"), []), 1),
+    "profiles-entries-null": ("projbundle-sample", _set(("profiles", "entries"), None), 1),
+    "profile-an-object": (
+        "projbundle-sample", _set(("profiles", "entries", "balanced"), {"coords": ":"}), 1
+    ),
+    "ring-top-degree-a-string": ("p2-hilb2", _set(("ring", "top_degree"), "4"), 1),
+    "ring-max-degree-null": ("m07-s7", _set(("ring", "max_monomial_degree"), None), 1),
+    "ring-relation-a-string": ("p2-hilb2", _set(("ring", "relations", "D1^3"), "1"), 1),
+    "ring-monomial-bad-power": (
+        "p2-hilb2", _set(("ring", "relations", "D1^x"), {"D1^2*D2": "1"}), 1
+    ),
+    "ring-element-terms-a-list": (
+        "p2-hilb2", _set(("ring", "named", "elements", "S3", "terms"), [{"1": ""}]), 1
+    ),
+    "ring-dual-classes-false": ("m07-s7", _set(("ring", "dual_classes"), False), 1),
+    "ring-dual-degree-not-a-number": (
+        "m07-s7", _set(("ring", "dual_bases", "x"), {"names": ["T1"]}), 1
+    ),
+    "ring-cap-row-short": (
+        "m07-s7", _set(("ring", "dual_bases", "2", "cap_relations", "D2^2"), []), 1
+    ),
+    # without the monomial cap the consistency audit walks all 10**6 degrees
+    "ring-degrees-huge": (
+        "m07-s7", lambda doc: doc["ring"].update(top_degree=10**6, max_monomial_degree=10**6), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_fixture_node_is_not_an_internal_error(case, tmp_path):
+    name, mutate, expected = MALFORMED[case]
+    doc = copy.deepcopy(load(name).raw)
+    mutate(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    document, code = run(["fixture", str(path), "--verify"])
+    status = {1: "input_error", 2: "domain_error"}[expected]
+    assert (code, document["status"]) == (expected, status)
+
+
+def test_unreadable_fixture_file_is_input_error(tmp_path):
+    path = tmp_path / "toric-3fold.json"
+    path.write_text('{"name": "toric-3fold",')
+    document, code = run(["fixture", str(path), "--verify"])
     assert (code, document["status"]) == (1, "input_error")

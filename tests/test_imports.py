@@ -33,7 +33,6 @@ def loaded_submodules(argv):
     """``cyclecones.*`` module names a fresh interpreter holds after ``argv``
     (after a bare ``import cyclecones`` when ``argv`` is empty)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("CYCLECONES_FIXTURE_DIR", None)
     done = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER, json.dumps(argv)],
         capture_output=True,

@@ -11,6 +11,8 @@ from cyclecones.jsonio import (
     parse_vector_text,
 )
 
+from conftest import chain_gram
+
 
 def test_cone_round_trip():
     doc = {
@@ -97,3 +99,12 @@ def test_cone_dimension_cap():
         geometry_from_json(
             {"basis": "iocap", "dim": cap + 1, "mov": {"generators": []}, "eff": {"generators": []}}
         )
+
+
+def test_gram_rank_cap():
+    cap = jsonio._MAX_GRAM_RANK
+    assert gram_from_json(chain_gram(cap)).rank == cap
+    with pytest.raises(DomainError) as caught:
+        gram_from_json(chain_gram(cap + 1))
+    assert caught.value.message == f"pairing rank {cap + 1} exceeds the cap of {cap}"
+    assert caught.value.details == {"rank": cap + 1, "cap": cap}
