@@ -6,12 +6,14 @@ combining adjacent positive/negative pairs.  Rays are primitive integer
 tuples and their tight sets are ``int`` bitmasks, so the adjacency test is
 a few machine-word operations per ray (Fukuda and Prodon, 1996; Terzer and
 Stelling, 2008).  Lineality (non-pointed input) is handled natively, so the
-zero cone and the full space are ordinary values.  ``dd_convert`` passes
-the integer rows of one pass straight to the next and checks supplied
-rows against them in integers.  Dimensions in this package stay small: at
-most 8 for cones of classes, and one more for the homogenized inequality
-systems whose vertices ``polytope.vertex_enumeration`` reads off.  No
-effort is spent on insertion-order heuristics.
+zero cone and the full space are ordinary values.  ``dd_convert`` runs
+one double description and, for most cones, reads the irredundant supplied
+rows off it by their tight rays; degenerate input takes a second pass over
+the first pass's integer rows.  Supplied rows are checked against the
+result in integers.  Dimensions in this package stay small: at most 8 for
+cones of classes, and one more for the homogenized inequality systems whose
+vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent on
+insertion-order heuristics.
 """
 
 from __future__ import annotations
@@ -227,6 +229,39 @@ class PolyCone:
         return [l.coords for l in self.inequalities or ()]
 
 
+def _irredundant_rows(rows, lineality, rays, dim: int):
+    """The facet rows of K = {x : <r, x> >= 0 for every r in rows}, or None.
+
+    ``rows`` are primitive integer rows and ``(lineality, rays)`` is K's
+    double description.  None means K is not full-dimensional or its
+    pointed quotient has dimension at most 1.  Otherwise each facet holds a
+    ray and is cut out by a supplied row, unique up to positive scaling,
+    and a face of the pointed quotient is fixed by the rays it holds
+    (Fukuda and Prodon, 1996).  So the facet rows are the nonzero rows
+    whose tight set over the rays no other row's tight set strictly
+    contains; a row tight on no ray is never one of them.
+    """
+    if dim - len(lineality) < 2:
+        return None
+    everywhere = (1 << len(rays)) - 1
+    by_tight: dict[int, set[tuple[int, ...]]] = {}
+    for a in rows:
+        if not any(a):
+            continue
+        tight = 0
+        for bit, r in enumerate(rays):
+            if not sum(map(mul, r, a)):
+                tight |= 1 << bit
+        if tight == everywhere:
+            return None  # an implicit equality (or no rays): K is not full-dimensional
+        by_tight.setdefault(tight, set()).add(a)
+    facets: set[tuple[int, ...]] = set()
+    for tight, same in by_tight.items():
+        if not any(t != tight and tight & t == tight for t in by_tight):
+            facets |= same
+    return sorted(facets)
+
+
 def dd_convert(cone: PolyCone) -> PolyCone:
     """Return the same cone with both representations present and canonical.
 
@@ -234,20 +269,34 @@ def dd_convert(cone: PolyCone) -> PolyCone:
     cone the generators are exactly the extremal rays; for a non-salient
     cone they are extremal rays of the pointed quotient plus a +/- pair per
     lineality basis vector).  If both representations were supplied, they
-    are cross-checked against each other before being replaced.
+    are cross-checked against each other before being replaced; the
+    inequalities are then the ones converted.
+
+    One double description of the supplied rows, read as inequalities,
+    gives the canonical form of the other representation.  Those rows cut
+    out K: the cone itself for inequality input, its dual for generator
+    input.  When K is full-dimensional (no nonzero supplied row is tight
+    on every ray) and its pointed quotient has dimension at least 2, the
+    supplied representation's canonical form is read off the same pass:
+    the primitive supplied rows whose tight sets over the rays are
+    nonempty and maximal (``_irredundant_rows``).  Every other input takes
+    a second double description of the first pass's output: no rays, a
+    pointed quotient of dimension at most 1, or a supplied row that is an
+    implicit equality.  There the canonical form holds that pass's own
+    lineality basis and quotient representatives, which the supplied rows
+    need not contain.
     """
     if cone.canonical:
         return cone
-    if cone.inequalities is not None:
-        lin, rays = double_description(cone.inequality_rows(), cone.dim)
-        gen_rows = _generators_from_dd(lin, rays)
-        lin2, rays2 = double_description(gen_rows, cone.dim)
-        canonical_ineqs = _generators_from_dd(lin2, rays2)
-    else:
-        lin, rays = double_description(cone.generator_rows(), cone.dim)
-        canonical_ineqs = _generators_from_dd(lin, rays)
-        lin2, rays2 = double_description(canonical_ineqs, cone.dim)
-        gen_rows = _generators_from_dd(lin2, rays2)
+    from_inequalities = cone.inequalities is not None
+    rows = cone.inequality_rows() if from_inequalities else cone.generator_rows()
+    supplied = [int_primitive(row) for row in rows]
+    lin, rays = double_description(supplied, cone.dim)
+    first = _generators_from_dd(lin, rays)
+    other = _irredundant_rows(supplied, lin, rays, cone.dim)
+    if other is None:
+        other = _generators_from_dd(*double_description(first, cone.dim))
+    gen_rows, canonical_ineqs = (first, other) if from_inequalities else (other, first)
 
     result = PolyCone(
         cone.basis,
@@ -374,20 +423,3 @@ def extremal_rays(cone: PolyCone) -> tuple[ClassVector, ...]:
             lineality=[[str(x) for x in row] for row in lineality_space(full)],
         )
     return full.generators
-
-
-def cones_equal(a: PolyCone, b: PolyCone) -> bool:
-    """Exact cone equality (basis-aware, representation-free)."""
-    if a.basis != b.basis or a.dim != b.dim:
-        return False
-    ca, cb = dd_convert(a), dd_convert(b)
-    gens_a = {g.coords for g in ca.generators}
-    gens_b = {g.coords for g in cb.generators}
-    if gens_a == gens_b:
-        return True
-    # mutual containment fallback for non-salient canonical forms, whose
-    # quotient-ray representatives may legitimately differ
-    ineqs_a, ineqs_b = ca.inequality_rows(), cb.inequality_rows()
-    return all(violated(ineqs_b, g) is None for g in gens_a) and all(
-        violated(ineqs_a, g) is None for g in gens_b
-    )

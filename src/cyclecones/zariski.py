@@ -143,16 +143,25 @@ class DirectednessReport:
     pair_certificate: tuple[Fraction, ...] | None = None  # not in to_json
 
     def verify(self) -> bool:
-        """Re-verify every recorded certificate by direct arithmetic."""
+        """Re-verify every recorded certificate by direct arithmetic.
+
+        The maximum and both witnesses must satisfy every row of the
+        polytope.  A Farkas vector then proves an empty dominator set
+        outright; a nonempty verdict, like the domination table, still
+        rests on the vertex list being complete.
+        """
         vertices = self.polytope.vertices or ()
+
+        def in_polytope(point: ClassVector) -> bool:
+            return point.dim == self.polytope.dim and all(
+                ineq.value_at(point) >= ineq.offset for ineq in self.polytope.inequalities
+            )
+
         if self.status == "maximum":
             if self.maximum is None or len(self.domination) != len(vertices):
                 return False
-            if self.maximum.dim != self.polytope.dim or any(
-                ineq.value_at(self.maximum) < ineq.offset
-                for ineq in self.polytope.inequalities
-            ):
-                return False  # the maximum must be a point of the polytope
+            if not in_polytope(self.maximum):
+                return False
             gens = self.eff.generator_rows()
             return all(
                 reproduces(combo, gens, (self.maximum - v).coords)
@@ -164,6 +173,8 @@ class DirectednessReport:
         pair = {v.coords for v in self.witness_pair}
         if len(pair) != 2 or not pair <= vertex_coords:
             return False  # two distinct vertices
+        if not all(map(in_polytope, self.witness_pair)):
+            return False
         if any(f.target.coords not in pair for f in self.failures):
             return False
         failed = {f.vertex.coords for f in self.failures}

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from cyclecones.cones import PolyCone
+from cyclecones.cones import PolyCone, _generators_from_dd, dd_convert, double_description
 from cyclecones.errors import InputError
-from cyclecones.linalg import dot, int_primitive
+from cyclecones.linalg import dot, int_primitive, violated
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import rat
 from cyclecones.vectors import ClassVector
@@ -293,6 +293,47 @@ def set_double_description(rows, dim):
     return (
         [tuple(Fraction(x) for x in v) for v in lineality],
         [tuple(Fraction(x) for x in v) for v in rays],
+    )
+
+
+def two_pass_dd_convert(cone: PolyCone) -> PolyCone:
+    """Conversion oracle: two double descriptions, the second re-deriving
+    the supplied representation from the first one's output, with no
+    combinatorial shortcut.  ``dd_convert`` must give the same canonical
+    pair; the cross-checks of supplied rows are left to it."""
+    def convert(rows):
+        return _generators_from_dd(*double_description(rows, cone.dim))
+
+    if cone.inequalities is not None:
+        gen_rows = convert(cone.inequality_rows())
+        ineq_rows = convert(gen_rows)
+    else:
+        ineq_rows = convert(cone.generator_rows())
+        gen_rows = convert(ineq_rows)
+    return PolyCone(
+        cone.basis,
+        cone.dim,
+        generators=tuple(ClassVector(cone.basis, row) for row in gen_rows),
+        inequalities=tuple(ClassVector(cone.dual, row) for row in ineq_rows),
+        dual=cone.dual,
+        canonical=True,
+    )
+
+
+def cones_equal(a: PolyCone, b: PolyCone) -> bool:
+    """Exact cone equality (basis-aware, representation-free)."""
+    if a.basis != b.basis or a.dim != b.dim:
+        return False
+    ca, cb = dd_convert(a), dd_convert(b)
+    gens_a = {g.coords for g in ca.generators}
+    gens_b = {g.coords for g in cb.generators}
+    if gens_a == gens_b:
+        return True
+    # mutual containment fallback for non-salient canonical forms, whose
+    # quotient-ray representatives may legitimately differ
+    ineqs_a, ineqs_b = ca.inequality_rows(), cb.inequality_rows()
+    return all(violated(ineqs_b, g) is None for g in gens_a) and all(
+        violated(ineqs_a, g) is None for g in gens_b
     )
 
 

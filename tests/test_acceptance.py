@@ -12,7 +12,6 @@ import pytest
 
 from cyclecones.cones import (
     contains,
-    cones_equal,
     dd_convert,
     dual_cone,
     extremal_rays,
@@ -41,7 +40,7 @@ from cyclecones.zariski import (
     verify_decomposition,
 )
 
-from conftest import random_profile
+from conftest import cones_equal, random_profile
 
 F = Fraction
 

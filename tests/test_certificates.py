@@ -19,7 +19,12 @@ from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.fixtures.checks import check_combination_reproduces
 from cyclecones.linalg import dot, reproduces
-from cyclecones.polytope import RationalPolytope, _certifies, vertex_enumeration
+from cyclecones.polytope import (
+    AffineInequality,
+    RationalPolytope,
+    _certifies,
+    vertex_enumeration,
+)
 from cyclecones.rationals import rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
@@ -28,6 +33,7 @@ from cyclecones.zariski import (
     cone_geometry,
     decompose,
     decomposition_polytope,
+    pair_certified,
     preceq_maximum,
     verify_decomposition,
 )
@@ -245,6 +251,21 @@ def test_directedness_rejects_failure_target_outside_pair():
             assert not replace(report, failures=failures).verify()
             return
     pytest.fail("no failure can be retargeted at a third vertex")
+
+
+def test_directedness_rejects_witness_outside_polytope():
+    # one more row, which the first witness violates, with a zero Farkas
+    # multiplier: the vertex list, the failures and the Farkas vector all
+    # still check, but the witness is no longer a point of the polytope
+    report = _toric_no_maximum()
+    s, (u, w) = report.polytope, report.witness_pair
+    unit = ClassVector(s.dual, (1,) + (0,) * (s.dim - 1))
+    cut = AffineInequality(unit, u.coords[0] + 1)
+    tampered = replace(s, inequalities=s.inequalities + (cut,))
+    y = list(report.pair_certificate)
+    y.insert(len(s.inequalities), 0)
+    assert pair_certified(report.eff, tampered, u, w, True, tuple(y))
+    assert not replace(report, polytope=tampered, pair_certificate=tuple(y)).verify()
 
 
 def test_directedness_rejects_flipped_dominator_verdict():

@@ -5,11 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones import cones
+from cyclecones import FIXTURE_NAMES, cones, fixtures
 from cyclecones.cones import (
     PolyCone,
     _generators_from_dd,
-    cones_equal,
     contains,
     dd_convert,
     double_description,
@@ -27,10 +26,12 @@ from conftest import (
     TORIC_C,
     TORIC_D,
     TORIC_M,
+    cones_equal,
     random_cone,
     random_member,
     random_vector,
     set_double_description,
+    two_pass_dd_convert,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -282,18 +283,35 @@ def _degenerate_rows(rng, dim):
     return rows
 
 
+def _bench_cones(seed):
+    """The rungs of the benchmark's cone-convert workload for ``seed``."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.cones(seed)
+
+
 def _cyclic_systems():
     """The first 12 row sets of each cyclic rung of the benchmark's
     cone-convert workload (seed 1): cones over cyclic polytopes in
     dimensions 7 and 8."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    systems = []
-    for rung in inputs.cones(1):
-        if rung["family"] == "cyclic":
-            systems += [(inst["rows"], rung["dim"]) for inst in rung["instances"][:12]]
-    return systems
+    return [
+        (inst["rows"], rung["dim"])
+        for rung in _bench_cones(1)
+        if rung["family"] == "cyclic"
+        for inst in rung["instances"][:12]
+    ]
+
+
+def _oracle_systems():
+    """The no-row system of each dimension 1-6, 1500 seeded degenerate
+    systems in dimensions 1-6 and 48 cyclic systems in dimensions 7-8."""
+    rng = random.Random(4_091_996)
+    systems = [([], dim) for dim in range(1, 7)]
+    systems += [
+        (_degenerate_rows(rng, dim), dim) for dim in range(1, 7) for _ in range(250)
+    ]
+    return systems + _cyclic_systems()
 
 
 def _assert_matches_oracle(rows, dim):
@@ -304,18 +322,97 @@ def _assert_matches_oracle(rows, dim):
 
 
 def test_double_description_matches_set_oracle():
-    # 1500 seeded degenerate systems in dimensions 1-6, the no-row system of
-    # each dimension and 48 cyclic systems in dimensions 7-8; each output
-    # is fed back in, as dd_convert's second pass does
-    rng = random.Random(4_091_996)
-    systems = [([], dim) for dim in range(1, 7)]
-    systems += [
-        (_degenerate_rows(rng, dim), dim) for dim in range(1, 7) for _ in range(250)
-    ]
-    systems += _cyclic_systems()
-    for rows, dim in systems:
+    # each output is fed back in, as dd_convert's second pass does on
+    # degenerate input
+    for rows, dim in _oracle_systems():
         lineality, rays = _assert_matches_oracle(rows, dim)
         _assert_matches_oracle(_generators_from_dd(lineality, rays), dim)
+
+
+def _counting_double_description(monkeypatch):
+    """Wrap ``cones.double_description``; the returned list counts calls."""
+    calls = [0]
+    inner = cones.double_description
+
+    def counted(rows, dim):
+        calls[0] += 1
+        return inner(rows, dim)
+
+    monkeypatch.setattr(cones, "double_description", counted)
+    return calls
+
+
+def _assert_matches_two_pass(cone, got):
+    want = two_pass_dd_convert(cone)
+    assert got.generators == want.generators, cone
+    assert got.inequalities == want.inequalities, cone
+
+
+def test_dd_convert_matches_two_pass_oracle(monkeypatch):
+    # every system of the set-oracle test, as generators and as
+    # inequalities; both the one-pass and the two-pass route must be taken
+    calls = _counting_double_description(monkeypatch)
+    passes = {1: 0, 2: 0}
+    for rows, dim in _oracle_systems():
+        for build in (PolyCone.from_generators, PolyCone.from_inequalities):
+            cone = build(f"dd{dim}", rows, dim=dim)
+            calls[0] = 0
+            got = dd_convert(cone)
+            passes[calls[0]] += 1
+            _assert_matches_two_pass(cone, got)
+    assert passes[1] and passes[2], passes
+
+
+# rows in dimension 3, what they give read as generators and as
+# inequalities, and the double descriptions dd_convert takes either way
+EDGE_CASES = {
+    # the zero cone; the full space
+    "no-rows": ([], 2),
+    # a one-ray cone; a half-space, with lineality and full-dimensional
+    "one-row": ([(1, 1, 0)], 2),
+    # a half-plane with lineality; a half-line times a line, which has an
+    # implicit equality
+    "line-and-row": ([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 2),
+    # pointed and not full-dimensional; full-dimensional with lineality
+    "redundant-row-in-a-plane": ([(1, 0, 0), (1, 1, 0), (0, 1, 0)], 1),
+    # the orthant, with duplicate, rescaled, zero and interior rows
+    "duplicate-rescaled-zero": (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, Fraction(3, 2), 0),
+         (0, 0, 0), (1, 1, 1), (2, 2, 2)],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build", [PolyCone.from_generators, PolyCone.from_inequalities], ids=["gens", "ineqs"]
+)
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_dd_convert_edge_cases_match_two_pass_oracle(case, build, monkeypatch):
+    rows, passes = EDGE_CASES[case]
+    cone = build("edge3", rows, dim=3)
+    calls = _counting_double_description(monkeypatch)
+    got = dd_convert(cone)
+    assert calls[0] == passes
+    _assert_matches_two_pass(cone, got)
+
+
+def test_dd_convert_takes_one_pass_on_real_cones(monkeypatch):
+    # every packaged fixture cone and every seed-1 cone-convert cone is
+    # full-dimensional and pointed, so one double description suffices
+    cones_in = [c for name in FIXTURE_NAMES for c in fixtures.load(name).cones.values()]
+    for rung in _bench_cones(1):
+        build = (
+            PolyCone.from_generators if rung["kind"] == "generators"
+            else PolyCone.from_inequalities
+        )
+        basis = f"bench{rung['dim']}"
+        cones_in += [build(basis, inst["rows"]) for inst in rung["instances"]]
+    calls = _counting_double_description(monkeypatch)
+    for cone in cones_in:
+        calls[0] = 0
+        dd_convert(cone)
+        assert calls[0] == 1, cone
 
 
 def test_double_description_ray_budget(monkeypatch):

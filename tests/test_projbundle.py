@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclecones.cones import contains, cones_equal
+from cyclecones.cones import contains
 from cyclecones.errors import DomainError, InputError
 from cyclecones.projbundle import (
     HNProfile,
@@ -20,7 +20,7 @@ from cyclecones.projbundle import (
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import cone_geometry, decompose, verify_decomposition
 
-from conftest import random_profile
+from conftest import cones_equal, random_profile
 
 F = Fraction
 
