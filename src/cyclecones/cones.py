@@ -10,7 +10,10 @@ zero cone and the full space are ordinary values.  ``dd_convert`` runs
 one double description and, for most cones, reads the irredundant supplied
 rows off it by their tight rays; degenerate input takes a second pass over
 the first pass's integer rows.  Supplied rows are checked against the
-result in integers.  Dimensions in this package stay small: at most 8 for
+result in integers.  The canonical cone keeps those primitive integer rows
+beside its ``ClassVector``s, so ``contains`` decides membership on them in
+``int`` arithmetic; its certificate is re-checked in Fractions on the
+vectors.  Dimensions in this package stay small: at most 8 for
 cones of classes, and one more for the homogenized inequality systems whose
 vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent on
 insertion-order heuristics.
@@ -31,6 +34,7 @@ from .simplex import nonneg_solve
 from .vectors import ClassVector, dual_basis
 
 Row = tuple[Fraction, ...]
+IntRow = tuple[int, ...]
 
 # Most rays one double description insertion may hold.  The benchmark's
 # largest output has 84; the pair scan grows with the square of the ray
@@ -176,8 +180,13 @@ class PolyCone:
     meaning <functional, x> >= 0.  A representation is authoritative
     exactly when it is not None; an empty tuple is meaningful (no
     generators: the zero cone; no inequalities: the full space).
-    ``canonical`` marks cones produced by ``dd_convert``; it is bookkeeping,
-    not part of the value.
+
+    ``int_rows`` is set by ``dd_convert`` (and swapped by ``dual_cone``),
+    never by the constructor: the canonical ``(generators, inequalities)``
+    pair as primitive integer rows, in the order of the vectors.
+    Membership is decided on these rows and certified on the vectors.  They
+    are bookkeeping, not part of the value; ``dataclasses.replace`` drops
+    them, so an edited cone is converted afresh.
     """
 
     basis: str
@@ -185,7 +194,9 @@ class PolyCone:
     generators: tuple[ClassVector, ...] | None = None
     inequalities: tuple[ClassVector, ...] | None = None
     dual: str | None = None
-    canonical: bool = field(default=False, compare=False)
+    int_rows: tuple[tuple[IntRow, ...], tuple[IntRow, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.dual is None:
@@ -198,6 +209,11 @@ class PolyCone:
         for l in self.inequalities or ():
             if l.basis != self.dual or l.dim != self.dim:
                 raise InputError("inequality functional outside the dual basis")
+
+    @property
+    def canonical(self) -> bool:
+        """True for the output of ``dd_convert``: its integer rows are present."""
+        return self.int_rows is not None
 
     @staticmethod
     def from_generators(
@@ -217,10 +233,6 @@ class PolyCone:
     @staticmethod
     def zero(basis: str, dim: int) -> "PolyCone":
         return PolyCone(basis, dim, generators=())
-
-    @staticmethod
-    def full_space(basis: str, dim: int) -> "PolyCone":
-        return PolyCone(basis, dim, inequalities=())
 
     def generator_rows(self) -> list[Row]:
         return [g.coords for g in self.generators or ()]
@@ -304,8 +316,8 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         generators=tuple(ClassVector(cone.basis, row) for row in gen_rows),
         inequalities=tuple(ClassVector(cone.dual, row) for row in canonical_ineqs),
         dual=cone.dual,
-        canonical=True,
     )
+    object.__setattr__(result, "int_rows", (tuple(gen_rows), tuple(canonical_ineqs)))
 
     # the checks run on integer rows: a positive rescaling keeps every sign
     if cone.generators is not None and cone.inequalities is not None:
@@ -315,18 +327,16 @@ def dd_convert(cone: PolyCone) -> PolyCone:
                     "inconsistent cone: a supplied generator violates the "
                     "supplied inequalities"
                 )
-        for l in cone.inequalities:
-            if violated(gen_rows, int_primitive(l.coords)) is not None:
-                raise InputError(
-                    "inconsistent cone: a supplied inequality cuts off part "
-                    "of the generated cone"
-                )
+        if any(violated(gen_rows, l) is not None for l in supplied):
+            raise InputError(
+                "inconsistent cone: a supplied inequality cuts off part "
+                "of the generated cone"
+            )
     elif cone.generators is not None:
         # the canonical generators must reproduce exactly the input cone;
         # every input generator has to satisfy the computed inequalities
-        for g in cone.generators:
-            if violated(canonical_ineqs, int_primitive(g.coords)) is not None:
-                raise InputError("double description produced an inconsistent pair")
+        if any(violated(canonical_ineqs, g) is not None for g in supplied):
+            raise InputError("double description produced an inconsistent pair")
     return result
 
 
@@ -343,10 +353,11 @@ def dual_cone(cone: PolyCone) -> PolyCone:
         generators=cone.inequalities,
         inequalities=cone.generators,
         dual=cone.basis,
+    )
+    if cone.canonical:
         # for a canonical pair the swap is again canonical: the facets of a
         # cone are the extremal data of its dual and vice versa
-        canonical=cone.canonical,
-    )
+        object.__setattr__(swapped, "int_rows", cone.int_rows[::-1])
     return dd_convert(swapped)
 
 
@@ -364,7 +375,11 @@ class ContainsResult:
         return self.member
 
     def verify(self) -> bool:
-        """Re-verify the certificate by direct arithmetic, trusting nothing."""
+        """Re-verify the certificate by direct arithmetic, trusting nothing.
+
+        The check runs in Fractions on the cone's generator vectors, never
+        on the integer rows that the verdict was decided on.
+        """
         gens = self.cone.generator_rows()
         if self.member:
             return self.combination is not None and reproduces(
@@ -378,21 +393,26 @@ class ContainsResult:
 def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     """Exact membership test with certificate.
 
-    Membership is decided on the inequality representation; the positive
-    certificate (a nonnegative generator combination) is then produced by
-    exact phase-one simplex on the generator representation.
+    Membership is decided on the canonical integer rows: the first facet
+    negative on ``int_primitive`` of the vector (a positive rescaling keeps
+    every sign) is the separating functional.  A member's certificate, a
+    nonnegative combination of the canonical generators, comes from exact
+    phase-one simplex on their integer rows and the unscaled vector.
+    ``ContainsResult.verify`` re-checks either certificate in Fractions.
     """
     if vector.basis != cone.basis or vector.dim != cone.dim:
         raise InputError("vector not in the cone's coordinate space")
     full = cone if cone.canonical else dd_convert(cone)
-    cut = violated(full.inequality_rows(), vector.coords)
+    int_gens, int_ineqs = full.int_rows
+    point = int_primitive(vector.coords)
+    cut = violated(int_ineqs, point)
     if cut is not None:
         return ContainsResult(full, vector, False, separating=full.inequalities[cut])
-    gens = full.generators
-    if vector.is_zero():
-        return ContainsResult(full, vector, True, combination=(Fraction(0),) * len(gens))
-    columns = [g.coords for g in gens]
-    coeffs = nonneg_solve(columns, vector.coords)
+    if not any(point):
+        return ContainsResult(
+            full, vector, True, combination=(Fraction(0),) * len(int_gens)
+        )
+    coeffs = nonneg_solve(int_gens, vector.coords)
     if coeffs is None:
         raise DomainError(
             "representations disagree: inequalities accept a vector the "
@@ -405,8 +425,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
 def lineality_space(cone: PolyCone) -> list[Row]:
     """Basis of cone ∩ (−cone) as a linear space."""
     full = cone if cone.canonical else dd_convert(cone)
-    rows = full.inequality_rows()
-    return nullspace(rows, ncols=cone.dim)
+    return nullspace(full.int_rows[1], ncols=cone.dim)
 
 
 def is_salient(cone: PolyCone) -> bool:

@@ -88,7 +88,11 @@ def _homogenized(p: RationalPolytope):
 
 
 def recession_direction(p: RationalPolytope) -> ClassVector | None:
-    """A nonzero direction of the recession cone, or None when bounded."""
+    """A nonzero direction of the recession cone, or None when bounded.
+
+    No caller in the package.  It stays because ``bench/tracing.py`` wraps
+    it by name; tests check ``vertex_enumeration``'s error details with it.
+    """
     return _homogenized(p)[1]
 
 

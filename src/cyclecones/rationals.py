@@ -20,6 +20,8 @@ def rat(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if type(value) is int:  # the common case; bool and int subclasses go on
+        return Fraction(value)
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):

@@ -361,18 +361,6 @@ class RingPresentation:
             raise DomainError("pairing needs complementary degrees")
         return self.top_value(self.multiply(a, b))
 
-    def top_intersection(self, elements) -> Fraction:
-        """Degree of a product of elements whose degrees sum to the top."""
-        total_degree = sum(e.degree for e in elements)
-        if total_degree != self.top_degree:
-            raise DomainError(
-                f"degrees sum to {total_degree}, not {self.top_degree}"
-            )
-        product = self.one()
-        for e in elements:
-            product = self.multiply(product, e)
-        return self.top_value(product)
-
     def cap_image_from_relations(self, element: RingElement) -> DualClass:
         """Expand into the dual basis using the printed cap relations.
 

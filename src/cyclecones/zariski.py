@@ -23,7 +23,7 @@ from typing import Any, Mapping
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import dot, int_primitive, reproduces, separates, violated
+from .linalg import dot, reproduces, separates, violated
 from .polytope import (
     AffineInequality,
     RationalPolytope,
@@ -43,6 +43,10 @@ class ConeGeometry:
     mov: PolyCone
     eff: PolyCone
     degree_functional: ClassVector | None = None
+
+    def __post_init__(self):
+        if not (self.mov.canonical and self.eff.canonical):
+            raise InputError("cone geometry needs converted cones (use cone_geometry)")
 
     @property
     def basis(self) -> str:
@@ -228,9 +232,10 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     if not vertices:
         raise DomainError("empty candidate polytope")
 
-    # integer values: primitive facets (a positive rescaling keeps the order
-    # and the peel's ratios) on points over one common denominator
-    facets = [int_primitive(l) for l in g.eff.inequality_rows()]
+    # integer values: the canonical primitive facets (a positive rescaling
+    # keeps the order and the peel's ratios) on points over one common
+    # denominator
+    facets = g.eff.int_rows[1]
     gens = g.eff.generator_rows()
     scale = lcm(*(c.denominator for row in gens for c in row),
                 *(c.denominator for v in vertices for c in v.coords))

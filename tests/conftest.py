@@ -10,11 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from cyclecones.cones import PolyCone, _generators_from_dd, dd_convert, double_description
+from cyclecones.cones import (
+    ContainsResult,
+    PolyCone,
+    _generators_from_dd,
+    dd_convert,
+    double_description,
+)
 from cyclecones.errors import InputError
 from cyclecones.linalg import dot, int_primitive, violated
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import rat
+from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
 
 
@@ -300,7 +307,8 @@ def two_pass_dd_convert(cone: PolyCone) -> PolyCone:
     """Conversion oracle: two double descriptions, the second re-deriving
     the supplied representation from the first one's output, with no
     combinatorial shortcut.  ``dd_convert`` must give the same canonical
-    pair; the cross-checks of supplied rows are left to it."""
+    pair; the cross-checks of supplied rows are left to it, and the result
+    carries no integer rows."""
     def convert(rows):
         return _generators_from_dd(*double_description(rows, cone.dim))
 
@@ -316,8 +324,22 @@ def two_pass_dd_convert(cone: PolyCone) -> PolyCone:
         generators=tuple(ClassVector(cone.basis, row) for row in gen_rows),
         inequalities=tuple(ClassVector(cone.dual, row) for row in ineq_rows),
         dual=cone.dual,
-        canonical=True,
     )
+
+
+def fraction_contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
+    """Membership oracle: the decision ``cones.contains`` made before it
+    read the canonical integer rows.  The canonical inequality vectors are
+    scanned in Fraction arithmetic, and a member's combination is solved
+    on the generator vectors' Fraction coordinates."""
+    full = dd_convert(cone)
+    cut = violated(full.inequality_rows(), vector.coords)
+    if cut is not None:
+        return ContainsResult(full, vector, False, separating=full.inequalities[cut])
+    gens = full.generator_rows()
+    if vector.is_zero():
+        return ContainsResult(full, vector, True, combination=(Fraction(0),) * len(gens))
+    return ContainsResult(full, vector, True, combination=nonneg_solve(gens, vector.coords))
 
 
 def cones_equal(a: PolyCone, b: PolyCone) -> bool:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import importlib.util
 import random
 from fractions import Fraction
@@ -17,6 +19,7 @@ from cyclecones.cones import (
     is_salient,
 )
 from cyclecones.errors import DomainError, InputError
+from cyclecones.linalg import dot, int_primitive
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
 
@@ -27,6 +30,7 @@ from conftest import (
     TORIC_D,
     TORIC_M,
     cones_equal,
+    fraction_contains,
     random_cone,
     random_member,
     random_vector,
@@ -35,6 +39,10 @@ from conftest import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def full_space(basis, dim):
+    return PolyCone(basis, dim, inequalities=())
 
 
 def rays_of(cone):
@@ -91,7 +99,7 @@ def test_toric_dual_of_nef_is_mori():
 
 
 def test_dual_of_full_space_is_zero():
-    full = PolyCone.full_space("cx2", 2)
+    full = full_space("cx2", 2)
     dual = dual_cone(full)
     assert dual.generators == ()
     assert is_salient(dual)
@@ -155,7 +163,7 @@ def test_toric_eff_curves_salient():
 
 
 def test_full_space_and_line_not_salient():
-    assert not is_salient(PolyCone.full_space("cx2", 2))
+    assert not is_salient(full_space("cx2", 2))
     assert not is_salient(PolyCone.from_generators("cx2", [(1, 0), (-1, 0), (0, 1)]))
 
 
@@ -187,7 +195,7 @@ def test_all_five_mori_rays_extremal():
 
 def test_extremal_rays_require_salient():
     with pytest.raises(DomainError):
-        extremal_rays(dd_convert(PolyCone.full_space("cx2", 2)))
+        extremal_rays(dd_convert(full_space("cx2", 2)))
 
 
 # -- randomized properties --------------------------------------------------
@@ -342,10 +350,21 @@ def _counting_double_description(monkeypatch):
     return calls
 
 
+def _assert_stores_its_rows(full):
+    """``full`` carries the primitive integer rows of its vectors, in order."""
+    assert full.canonical
+    assert full.int_rows == (
+        tuple(int_primitive(g.coords) for g in full.generators),
+        tuple(int_primitive(l.coords) for l in full.inequalities),
+    ), full
+    assert all(type(x) is int for part in full.int_rows for row in part for x in row)
+
+
 def _assert_matches_two_pass(cone, got):
     want = two_pass_dd_convert(cone)
     assert got.generators == want.generators, cone
     assert got.inequalities == want.inequalities, cone
+    _assert_stores_its_rows(got)
 
 
 def test_dd_convert_matches_two_pass_oracle(monkeypatch):
@@ -397,17 +416,32 @@ def test_dd_convert_edge_cases_match_two_pass_oracle(case, build, monkeypatch):
     _assert_matches_two_pass(cone, got)
 
 
-def test_dd_convert_takes_one_pass_on_real_cones(monkeypatch):
-    # every packaged fixture cone and every seed-1 cone-convert cone is
-    # full-dimensional and pointed, so one double description suffices
-    cones_in = [c for name in FIXTURE_NAMES for c in fixtures.load(name).cones.values()]
-    for rung in _bench_cones(1):
+def _fixture_cones():
+    return [c for name in FIXTURE_NAMES for c in fixtures.load(name).cones.values()]
+
+
+def _cone_convert_cones(seed):
+    """The cones of the benchmark's cone-convert workload for ``seed``."""
+    cones_in = []
+    for rung in _bench_cones(seed):
         build = (
             PolyCone.from_generators if rung["kind"] == "generators"
             else PolyCone.from_inequalities
         )
         basis = f"bench{rung['dim']}"
         cones_in += [build(basis, inst["rows"]) for inst in rung["instances"]]
+    return cones_in
+
+
+@functools.cache
+def _converted_cone_convert_cones(seed):
+    return [dd_convert(cone) for cone in _cone_convert_cones(seed)]
+
+
+def test_dd_convert_takes_one_pass_on_real_cones(monkeypatch):
+    # every packaged fixture cone and every seed-1 cone-convert cone is
+    # full-dimensional and pointed, so one double description suffices
+    cones_in = _fixture_cones() + _cone_convert_cones(1)
     calls = _counting_double_description(monkeypatch)
     for cone in cones_in:
         calls[0] = 0
@@ -423,3 +457,89 @@ def test_double_description_ray_budget(monkeypatch):
     with pytest.raises(DomainError) as caught:
         double_description(rows, 4)
     assert caught.value.details == {"dim": 4, "row": 4, "rays": 6}
+
+
+# -- integer rows and membership against the Fraction oracle ------------------
+
+
+def _edge_cones():
+    """Every edge case of ``EDGE_CASES``, read as generators and as
+    inequalities: zero cone, full space, lineality, not full-dimensional."""
+    return [
+        build("edge3", rows, dim=3)
+        for rows, _ in EDGE_CASES.values()
+        for build in (PolyCone.from_generators, PolyCone.from_inequalities)
+    ]
+
+
+def _membership_queries(rng, full, facets, members):
+    """Vectors in ``full``'s space: the zero vector, a random vector with
+    negative entries and mixed denominators, and for up to ``facets``
+    random facets a boundary point (a rescaled sum of the facet's tight
+    rays) pushed across the facet.  With ``members``, also a second random
+    vector, a random member and the boundary points themselves."""
+    basis, dim = full.basis, full.dim
+    queries = [ClassVector(basis, (0,) * dim), random_vector(rng, dim, basis)]
+    if not full.generators:
+        return queries
+    if members:
+        queries += [random_vector(rng, dim, basis), random_member(rng, full)]
+    gens, ineqs = full.int_rows  # the vectors' own rows, as the test below checks
+    total = [sum(column) for column in zip(*gens)]
+    for l in rng.sample(ineqs, min(facets, len(ineqs))):
+        tight = [g for g in gens if dot(l, g) == 0]
+        if tight:
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            boundary = [scale * sum(column) for column in zip(*tight)]
+            pushed = [b - Fraction(t, 7) for b, t in zip(boundary, total)]
+            queries.append(ClassVector(basis, pushed))
+            if members:
+                queries.append(ClassVector(basis, boundary))
+    return queries
+
+
+def test_contains_matches_fraction_oracle():
+    # verdict, combination and separating functional equal the Fraction-row
+    # decision on every packaged fixture cone and its dual, every edge case
+    # and its dual, and every seed 1-3 cone-convert cone.  A member's
+    # simplex on a cone-convert cone takes about 60 pivots over up to 84
+    # rays, so those cones get one facet each and member queries on every
+    # fourth cone (each rung's instance count is a multiple of 4); member
+    # queries on all of them would add about 10 s.
+    rng = random.Random(1_996)
+    work = []
+    for cone in _fixture_cones() + _edge_cones():
+        full = dd_convert(cone)
+        work += [(full, 2, True), (dual_cone(full), 2, True)]
+    for seed in (1, 2, 3):
+        work += [
+            (full, 1, i % 4 == 0)
+            for i, full in enumerate(_converted_cone_convert_cones(seed))
+        ]
+    seen = {True: 0, False: 0}
+    for full, facets, members in work:
+        for vector in _membership_queries(rng, full, facets, members):
+            got, want = contains(full, vector), fraction_contains(full, vector)
+            assert (got.member, got.combination, got.separating) == (
+                want.member, want.combination, want.separating
+            ), (full, vector)
+            seen[got.member] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_canonical_cones_store_their_integer_rows():
+    # dd_convert stores int_primitive of its vectors, in order; dual_cone
+    # swaps the pair; a constructed or edited cone carries no rows
+    fulls = [dd_convert(cone) for cone in _fixture_cones() + _edge_cones()]
+    for seed in (1, 2, 3):
+        fulls += _converted_cone_convert_cones(seed)
+    for full in fulls:
+        _assert_stores_its_rows(full)
+        dual = dual_cone(full)
+        _assert_stores_its_rows(dual)
+        assert dual.int_rows == (full.int_rows[1], full.int_rows[0])
+        assert dual_cone(dual).int_rows == full.int_rows
+        edited = dataclasses.replace(full, generators=full.generators)
+        assert edited == full and not edited.canonical
+    for cone in _fixture_cones() + _edge_cones() + _cone_convert_cones(1):
+        assert not cone.canonical

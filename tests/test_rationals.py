@@ -1,4 +1,5 @@
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,21 @@ def test_rejects_floats_and_garbage():
         rat("1/0")
     with pytest.raises(InputError):
         rat(True)
+
+
+def test_integers_convert_exactly_and_bools_stay_rejected():
+    class Rank(IntEnum):
+        BIG = 10**30 + 1
+
+    for value in (3, -7, 0, 10**40):
+        got = rat(value)
+        assert type(got) is Fraction and got == value
+    # an int subclass skips the plain-int fast path and still converts exactly
+    got = rat(Rank.BIG)
+    assert type(got) is Fraction and got == 10**30 + 1
+    for flag in (True, False):
+        with pytest.raises(InputError):
+            rat(flag)
 
 
 def test_canonical_strings():

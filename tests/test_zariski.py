@@ -15,6 +15,7 @@ from cyclecones.projbundle import (
 )
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
+    ConeGeometry,
     cone_geometry,
     decompose,
     decomposition_polytope,
@@ -81,6 +82,17 @@ def test_eff_must_be_salient():
     eff = PolyCone.from_generators("zv2", [(1, 0), (-1, 0), (0, 1)])
     with pytest.raises(DomainError):
         cone_geometry("bad", eff, eff)
+
+
+def test_geometry_needs_converted_cones():
+    # preceq_maximum reads the converted eff cone's integer facet rows
+    eff = PolyCone.from_generators("zv2", [(1, 0), (0, 1)])
+    g = cone_geometry("good", eff, eff)
+    with pytest.raises(InputError):
+        ConeGeometry("bad", g.mov, eff)
+    with pytest.raises(InputError):
+        ConeGeometry("bad", eff, g.eff)
+    assert ConeGeometry("good", g.mov, g.eff) == g
 
 
 def test_objective_validation_lists_offending_ray():
