@@ -5,18 +5,21 @@ Input: a symmetric Gram matrix with nonnegative off-diagonal entries
 vector.  Output: a splitting into a part pairing nonnegatively against
 every basis vector and a leftover supported on a negative-definite
 block, orthogonal to the first part on its own support.  The iterative
-algorithm grows the support; a brute-force subset enumeration serves as
-an independent oracle.
+algorithm grows the support.  The independent oracle ``brute_force``
+searches every negative-definite support instead of every subset.  That
+loses no splitting: a valid one lives on a negative-definite support T,
+and its negative part is the unique orthogonality solve on T, so the
+search finds it at T.  Negative definiteness passes to principal
+submatrices, so no superset of a support that fails it needs a visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .decomposition import Certificate, Decomposition
-from .errors import DomainError, InputError
+from .errors import CycleConesError, DomainError, InputError
 from .linalg import combine, int_pivot, int_primitive, solve_unique
 from .rationals import rat, rat_str
 from .vectors import ClassVector
@@ -192,41 +195,60 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
 
 
 def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
-    """Independent oracle: try every support subset.
+    """Independent oracle: search every negative-definite support.
 
-    Each subset gets the orthogonality solve and the full postcondition
-    check; exactly one distinct valid splitting must emerge.  Zero or
-    several distinct results signal broken input data (or a broken
-    invariant) and raise.
+    Supports S are visited depth first in lexicographic order, carrying
+    the Gauss-Jordan state of the integer rows ``[gram_i | pairing_i]``,
+    one ``int_pivot`` per step.  For j ∉ S the entry (j, j) is a positive
+    multiple of the Schur complement of S in S ∪ {j}, so the child
+    S ∪ {j}, j > max S, is negative definite exactly when it is < 0, the
+    test ``is_negative_definite`` makes; a failed child's whole subtree is
+    skipped.  The last column holds positive multiples of the solve's x_i
+    for i ∈ S and of the positive part's pairings for i ∉ S, so S gives a
+    candidate when that column is >= 0.  A valid splitting is the unique
+    solve on its negative-definite support, so none is missed.
+
+    Each distinct candidate must pass the full postcondition check;
+    exactly one must emerge.  Zero or several distinct results signal
+    broken input data (or a broken invariant) and raise.
     """
     coeffs = _checked(basis, coeffs)
-    if basis.rank > 16:
+    rank = basis.rank
+    if rank > 16:
         raise InputError("brute force is limited to rank <= 16")
 
-    initial = combine(coeffs, basis.gram, basis.rank)
-    found: dict[tuple, list] = {}
-    indices = range(basis.rank)
-    for size in range(basis.rank + 1):
-        for subset in combinations(indices, size):
-            support_coeffs = [Fraction(0)] * basis.rank
-            if subset:
-                sub = basis.submatrix(subset)
-                solved = solve_unique(sub, [initial[i] for i in subset])
-                if solved is None:
-                    continue
-                for i, x in zip(subset, solved):
-                    support_coeffs[i] = x
-            if _postconditions_hold(basis, coeffs, support_coeffs):
-                found.setdefault(tuple(support_coeffs), []).append(subset)
-    if not found:
+    initial = combine(coeffs, basis.gram, rank)
+    found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}  # -> its support
+
+    def visit(rows: list[list[int]], support: tuple[int, ...]) -> None:
+        if all(row[rank] >= 0 for row in rows):
+            negative = [Fraction(0)] * rank
+            for i in support:
+                negative[i] = Fraction(rows[i][rank], rows[i][i])
+            found[tuple(negative)] = tuple(i for i in support if negative[i])
+        for j in range(support[-1] + 1 if support else 0, rank):
+            if rows[j][j] < 0:
+                child = rows[:]  # int_pivot rebinds rows, never edits one
+                int_pivot(child, j, j)
+                visit(child, support + (j,))
+
+    visit([list(int_primitive(row + (v,))) for row, v in zip(basis.gram, initial)], ())
+    # in the order a loop over subsets by size, then lexicographic, meets them
+    ordered = sorted(found, key=lambda key: (len(found[key]), found[key]))
+    for support_coeffs in ordered:
+        if not _postconditions_hold(basis, coeffs, support_coeffs):
+            raise CycleConesError(
+                "brute force candidate violates the output contract",
+                negative=[rat_str(x) for x in support_coeffs],
+            )
+    if not ordered:
         raise DomainError("no valid decomposition exists for this input")
-    if len(found) > 1:
+    if len(ordered) > 1:
         raise DomainError(
             "multiple distinct decompositions found; uniqueness is broken",
-            negatives=[[rat_str(x) for x in key] for key in found],
+            negatives=[[rat_str(x) for x in key] for key in ordered],
         )
-    (support_coeffs,) = found
-    return _build(basis, coeffs, list(support_coeffs))
+    return _build(basis, coeffs, list(ordered[0]))
 
 
 def verify(basis: PairingBasis, dec: Decomposition) -> bool:

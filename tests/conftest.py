@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,10 +18,11 @@ from cyclecones.cones import (
     dd_convert,
     double_description,
 )
-from cyclecones.errors import InputError
-from cyclecones.linalg import dot, int_primitive, violated
+from cyclecones.errors import DomainError, InputError
+from cyclecones.linalg import combine, dot, int_primitive, solve_unique, violated
+from cyclecones.negdef import PairingBasis, _build, _checked, _postconditions_hold
 from cyclecones.projbundle import HNProfile
-from cyclecones.rationals import rat
+from cyclecones.rationals import rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
 
@@ -340,6 +342,44 @@ def fraction_contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     if vector.is_zero():
         return ContainsResult(full, vector, True, combination=(Fraction(0),) * len(gens))
     return ContainsResult(full, vector, True, combination=nonneg_solve(gens, vector.coords))
+
+
+def subset_brute_force(basis: PairingBasis, coeffs):
+    """Oracle for ``negdef.brute_force``: try every support subset.
+
+    Each subset gets the orthogonality solve and the full postcondition
+    check; exactly one distinct valid splitting must emerge.  Zero or
+    several distinct results signal broken input data (or a broken
+    invariant) and raise.
+    """
+    coeffs = _checked(basis, coeffs)
+    if basis.rank > 16:
+        raise InputError("brute force is limited to rank <= 16")
+
+    initial = combine(coeffs, basis.gram, basis.rank)
+    found: dict[tuple, list] = {}
+    indices = range(basis.rank)
+    for size in range(basis.rank + 1):
+        for subset in combinations(indices, size):
+            support_coeffs = [Fraction(0)] * basis.rank
+            if subset:
+                sub = basis.submatrix(subset)
+                solved = solve_unique(sub, [initial[i] for i in subset])
+                if solved is None:
+                    continue
+                for i, x in zip(subset, solved):
+                    support_coeffs[i] = x
+            if _postconditions_hold(basis, coeffs, support_coeffs):
+                found.setdefault(tuple(support_coeffs), []).append(subset)
+    if not found:
+        raise DomainError("no valid decomposition exists for this input")
+    if len(found) > 1:
+        raise DomainError(
+            "multiple distinct decompositions found; uniqueness is broken",
+            negatives=[[rat_str(x) for x in key] for key in found],
+        )
+    (support_coeffs,) = found
+    return _build(basis, coeffs, list(support_coeffs))
 
 
 def cones_equal(a: PolyCone, b: PolyCone) -> bool:

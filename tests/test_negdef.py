@@ -1,9 +1,14 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclecones.errors import DomainError, InputError
+from cyclecones import linalg, negdef
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine
 from cyclecones.negdef import (
     PairingBasis,
@@ -13,7 +18,9 @@ from cyclecones.negdef import (
     verify,
 )
 
-from conftest import bareiss_det
+from conftest import bareiss_det, chain_gram, subset_brute_force
+
+ROOT = Path(__file__).resolve().parents[1]
 
 F = Fraction
 
@@ -219,4 +226,157 @@ def test_uniqueness_never_violated_on_random_instances():
         try:
             brute_force(basis, coeffs)
         except DomainError as err:
-            assert "multiple distinct" not in str(err.value)
+            assert "multiple distinct" not in err.message
+
+
+def _basis(gram) -> PairingBasis:
+    return PairingBasis(
+        tuple(f"v{i}" for i in range(len(gram))), tuple(tuple(row) for row in gram)
+    )
+
+
+def _forged(gram) -> PairingBasis:
+    """A basis whose gram skips validation.  With nonnegative off-diagonal
+    pairings the splitting is unique, so negative ones are how a test
+    reaches the oracle's "several found" error."""
+    basis = _basis([[int(i == j) for j in range(len(gram))] for i in range(len(gram))])
+    object.__setattr__(basis, "gram", tuple(tuple(Fraction(x) for x in row) for row in gram))
+    return basis
+
+
+def _outcome(route, basis, coeffs):
+    """A route's result as JSON, or the type and payload of its error."""
+    try:
+        return route(basis, coeffs).to_json()
+    except CycleConesError as err:
+        return type(err).__name__, err.payload()
+
+
+def _bench_pairings(seed, rounds=2):
+    """The first ``rounds`` rounds of pairing instances of the benchmark's
+    small-batch workload for ``seed``."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [
+        (_basis(inst["gram"]), tuple(inst["coeffs"]))
+        for rung in inputs.small_batch(seed)
+        if rung["label"] != "slope"
+        for inst in rung["instances"][: rounds * rung["per_round"]]
+    ]
+
+
+HAND_CASES = [
+    # rank 0: the empty splitting
+    (_basis([]), ()),
+    # nothing pairs negatively, though the pair block is indefinite
+    (_basis([[-1, 2], [2, -1]]), (1, 1)),
+    # the subset loop also reaches (1, 0) from {v0, v1}, which is not
+    # negative definite but whose solve (1, 0) has a zero coordinate
+    (_basis([[-1, 0], [0, 1]]), (1, 0)),
+    # {v0, v1} is singular and not negative definite; the splitting is on {v0}
+    (_basis([[-1, 1], [1, -1]]), (2, 1)),
+    # input errors, raised before any search
+    (_basis([[-1]]), (-1,)),
+    (_basis([[-1]]), (1, 1)),
+    (_basis([[-(i == j) for j in range(17)] for i in range(17)]), (0,) * 17),
+    # no valid splitting at all
+    (_forged([[0, -1], [-1, 0]]), (1, 0)),
+    # two splittings, on {v1} and on {v0, v2}: listed by support size first
+    (_forged([[-1, -2, 1], [-2, -1, 0], [1, 0, -2]]), (2, 3, 0)),
+]
+
+
+def test_brute_force_matches_subset_oracle():
+    rng = random.Random(0xB0F_5EA)
+    instances = [_random_admissible(rng) for _ in range(300)]
+    instances += [pair for seed in (1, 2, 3) for pair in _bench_pairings(seed)]
+    instances += HAND_CASES
+    errors = set()
+    for basis, coeffs in instances:
+        expected = _outcome(subset_brute_force, basis, coeffs)
+        assert _outcome(brute_force, basis, coeffs) == expected, (basis, coeffs)
+        if isinstance(expected, tuple):
+            errors.add(expected[1]["message"])
+    assert len(instances) == 300 + 36 + len(HAND_CASES)
+    assert errors == {
+        "coefficients must be nonnegative",
+        "coefficient vector length does not match the basis",
+        "brute force is limited to rank <= 16",
+        "no valid decomposition exists for this input",
+        "multiple distinct decompositions found; uniqueness is broken",
+    }
+
+
+def test_brute_force_candidate_must_pass_postconditions(monkeypatch):
+    # a candidate that fails the contract is a broken invariant, not an
+    # input without a splitting
+    monkeypatch.setattr(negdef, "_postconditions_hold", lambda *args: False)
+    with pytest.raises(CycleConesError) as caught:
+        brute_force(_basis([[-2]]), (1,))
+    assert type(caught.value) is CycleConesError
+    assert caught.value.payload() == {
+        "message": "brute force candidate violates the output contract",
+        "negative": ["1"],
+    }
+
+
+def _count_pivots(monkeypatch) -> list:
+    """Count every ``int_pivot`` call, from ``negdef`` or from ``linalg``'s
+    own eliminations."""
+    calls = []
+    real = linalg.int_pivot
+
+    def counting(rows, r, c):
+        calls.append((r, c))
+        real(rows, r, c)
+
+    monkeypatch.setattr(negdef, "int_pivot", counting)
+    monkeypatch.setattr(linalg, "int_pivot", counting)
+    return calls
+
+
+def test_brute_force_pivots_once_per_negative_definite_support(monkeypatch):
+    # Every principal submatrix of a negative-definite matrix is negative
+    # definite, and a support with a nonnegative diagonal entry is not one.
+    # Both grams below have a negative-definite block of negative curves, so
+    # they have 2^k - 1 nonempty negative-definite supports (k = 12 for the
+    # chain, k < 10 for the bench matrix).  The search may pivot once per
+    # support, plus the postcondition check of its one candidate: at most
+    # rank pivots.
+    chain = chain_gram(12)
+    chain_case = (PairingBasis(tuple(chain["labels"]), chain["gram"]), (1,) * 12)
+    bench_case = next(pair for pair in _bench_pairings(1, rounds=1) if pair[0].rank == 10)
+    for basis, coeffs in (chain_case, bench_case):
+        negative = [i for i in range(basis.rank) if basis.gram[i][i] < 0]
+        assert is_negative_definite(basis.submatrix(negative))
+        calls = _count_pivots(monkeypatch)
+        result = brute_force(basis, coeffs)
+        monkeypatch.undo()
+        assert verify(basis, result)
+        assert len(calls) <= 2 ** len(negative) - 1 + basis.rank, (basis.rank, len(calls))
+
+
+@st.composite
+def _admissible(draw):
+    rank = draw(st.integers(0, 6))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = draw(st.integers(-5, 5))
+        for j in range(i + 1, rank):
+            gram[i][j] = gram[j][i] = draw(st.integers(0, 5))
+    coeffs = draw(st.lists(st.integers(0, 5), min_size=rank, max_size=rank))
+    return _basis(gram), tuple(coeffs)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_admissible())
+def test_brute_force_property_against_oracle_and_support_growth(instance):
+    basis, coeffs = instance
+    expected = _outcome(subset_brute_force, basis, coeffs)
+    assert _outcome(brute_force, basis, coeffs) == expected
+    try:
+        fast = decompose(basis, coeffs)
+    except DomainError:
+        return
+    assert fast.to_json() == expected
