@@ -18,8 +18,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# names of the embedded fixtures; here so the CLI can offer them without
-# importing the fixture loader
+# names of the packaged fixtures, which ``fixtures.load`` takes besides a
+# path ending in .json; here so they import without the fixture loader
 FIXTURE_NAMES = ("toric-3fold", "p2-hilb2", "m07-s7", "projbundle-sample")
 
 _HOMES = {

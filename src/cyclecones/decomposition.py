@@ -63,8 +63,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, ClassVector):
-        return [rat_str(c) for c in value.coords]
     from fractions import Fraction
 
     if isinstance(value, Fraction):

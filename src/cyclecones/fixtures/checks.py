@@ -58,11 +58,7 @@ def _same_rays(cone: PolyCone, target: PolyCone):
 
 def check_dual_cone_equals(fixture, args):
     source = fixture.cone(args["cone"])
-    target = fixture.cone(args["equals_generators_of"])
-    got = _rays_set(extremal_rays(dual_cone(source)))
-    want = _rays_set(extremal_rays(dd_convert(target)))
-    status = "pass" if got == want else "fail"
-    return status, {"computed": got, "expected": want}
+    return _same_rays(dual_cone(source), fixture.cone(args["equals_generators_of"]))
 
 
 def check_extremal_rays_equal(fixture, args):

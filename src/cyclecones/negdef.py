@@ -4,13 +4,15 @@ Input: a symmetric Gram matrix with nonnegative off-diagonal entries
 (distinct "curves" meet nonnegatively) and a nonnegative coefficient
 vector.  Output: a splitting into a part pairing nonnegatively against
 every basis vector and a leftover supported on a negative-definite
-block, orthogonal to the first part on its own support.  The iterative
-algorithm grows the support.  The independent oracle ``brute_force``
-searches every negative-definite support instead of every subset.  That
-loses no splitting: a valid one lives on a negative-definite support T,
-and its negative part is the unique orthogonality solve on T, so the
-search finds it at T.  Negative definiteness passes to principal
-submatrices, so no superset of a support that fails it needs a visit.
+block, orthogonal to the first part on its own support.  Both routes
+walk one elimination of the integer rows ``[gram_i | pairing_i]``:
+``decompose`` grows the support by the indices that pair negatively, and
+the independent oracle ``brute_force`` searches every negative-definite
+support instead of every subset.  That loses no splitting: a valid one
+lives on a negative-definite support T, and its negative part is the
+unique orthogonality solve on T, so the search finds it at T.  Negative
+definiteness passes to principal submatrices, so no superset of a
+support that fails it needs a visit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import combine, int_pivot, int_primitive, solve_unique
+from .linalg import combine, int_pivot, int_primitive
 from .rationals import rat, rat_str
 from .vectors import ClassVector
 
@@ -143,55 +145,44 @@ def _checked(basis: PairingBasis, coeffs) -> tuple[Fraction, ...]:
 
 
 def decompose(basis: PairingBasis, coeffs) -> Decomposition:
-    """Support-growth decomposition.
+    """Support growth on ``brute_force``'s carried elimination.
 
-    Start from the indices pairing negatively against the input; solve for
-    the unique support-supported correction that is orthogonal to the
-    support; enlarge the support by any indices that still pair
-    negatively; repeat.  Outside the surface-type regime (a grown support
-    with non-negative-definite Gram, or a solve with a negative
-    coefficient) the operation fails loudly instead of guessing.
+    Once the support S is pivoted, the last column holds positive
+    multiples of the solve's x_i for i in S and of the positive part's
+    pairings for i not in S; each pass pivots in every i whose entry is
+    negative.  Outside the surface-type regime (a grown support that is
+    not negative definite, or a negative x_i) it fails loudly.
     """
     coeffs = _checked(basis, coeffs)
-    initial = combine(coeffs, basis.gram, basis.rank)
-    support: set[int] = {i for i, v in enumerate(initial) if v < 0}
-    solution: dict[int, Fraction] = {}
-    for _ in range(basis.rank + 1):
-        ordered = sorted(support)
-        if ordered:
-            sub = basis.submatrix(ordered)
-            if not is_negative_definite(sub):
+    rank = basis.rank
+    initial = combine(coeffs, basis.gram, rank)
+    rows = [list(int_primitive(row + (v,))) for row, v in zip(basis.gram, initial)]
+    support: list[int] = []
+    while grow := [i for i in range(rank) if rows[i][rank] < 0]:
+        if any(i in support for i in grow):
+            raise DomainError(
+                "outside surface-type regime: orthogonality solve has "
+                "negative coefficients",
+                support=[basis.labels[i] for i in support],
+            )
+        support = sorted(support + grow)
+        for j in grow:
+            if rows[j][j] >= 0:
                 raise DomainError(
                     "outside surface-type regime: support gram is not "
                     "negative definite",
-                    support=[basis.labels[i] for i in ordered],
-                    submatrix=[[rat_str(x) for x in row] for row in sub],
+                    support=[basis.labels[i] for i in support],
+                    submatrix=[[rat_str(x) for x in row] for row in basis.submatrix(support)],
                 )
-            solved = solve_unique(sub, [initial[i] for i in ordered])
-            if solved is None or any(x < 0 for x in solved):
-                raise DomainError(
-                    "outside surface-type regime: orthogonality solve has "
-                    "negative coefficients",
-                    support=[basis.labels[i] for i in ordered],
-                )
-            solution = dict(zip(ordered, solved))
-        support_coeffs = [solution.get(i, Fraction(0)) for i in range(basis.rank)]
-        positive = [c - n for c, n in zip(coeffs, support_coeffs)]
-        violated = {
-            i
-            for i, v in enumerate(combine(positive, basis.gram, basis.rank))
-            if v < 0 and i not in support
-        }
-        if not violated:
-            if not _postconditions_hold(basis, coeffs, support_coeffs):
-                raise DomainError(
-                    "outside surface-type regime: fixed point violates the "
-                    "output contract",
-                    support=[basis.labels[i] for i in sorted(support)],
-                )
-            return _build(basis, coeffs, support_coeffs)
-        support |= violated
-    raise DomainError("support growth failed to stabilize")
+            int_pivot(rows, j, j)
+    solved = {i: Fraction(rows[i][rank], rows[i][i]) for i in support}
+    support_coeffs = [solved.get(i, Fraction(0)) for i in range(rank)]
+    if not _postconditions_hold(basis, coeffs, support_coeffs):
+        raise DomainError(
+            "outside surface-type regime: fixed point violates the output contract",
+            support=[basis.labels[i] for i in support],
+        )
+    return _build(basis, coeffs, support_coeffs)
 
 
 def brute_force(basis: PairingBasis, coeffs) -> Decomposition:

@@ -115,12 +115,6 @@ class RingElement:
             self.degree, {m: factor * c for m, c in self.terms}
         )
 
-    def __mul__(self, other):
-        return self.ring.multiply(self, other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self):
         if not self.terms:
             return "RingElement(0)"
@@ -246,9 +240,6 @@ class RingPresentation:
                 )
             parsed[mono] = parsed.get(mono, Fraction(0)) + rat(coeff)
         return self._element_from_dict(degree, self.normal_form(parsed))
-
-    def zero(self, degree: int) -> RingElement:
-        return RingElement(self, degree, ())
 
     def one(self) -> RingElement:
         return self.element(0, {"1": 1})

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Any, Mapping
+from typing import Any
 
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
@@ -30,7 +30,7 @@ from .polytope import (
     maximize_linear,
     vertex_enumeration,
 )
-from .rationals import rat, rat_str
+from .rationals import rat_str
 from .simplex import nonneg_solve
 from .vectors import ClassVector
 
@@ -393,23 +393,12 @@ def decompose(
             {"combination": list(contains(g.eff, negative).combination)},
         ),
     )
-    metadata: Mapping[str, Any] = {
-        "method": "degree-maximization",
-        "geometry": g.name,
-        "objective": [rat_str(c) for c in objective.coords],
-        "objective_value": rat_str(value),
-        "optimal_face": [[rat_str(c) for c in v.coords] for v in face],
-        "optimum_unique": len(face) == 1,
-        "positive_part_status": _positive_part_status(report, positive),
-        "preceq_maximum": report.status,
-        "canonical_choice": "lexicographically-smallest-optimal-vertex",
-    }
     return Decomposition(
         input=alpha,
         positive=positive,
         negative=negative,
         certificates=certificates,
-        metadata=metadata,
+        metadata=_metadata(g, objective, value, face, report),
     )
 
 
@@ -430,57 +419,55 @@ def negative_boundary_check(g: ConeGeometry, dec: Decomposition) -> bool:
     return any(dot(l, n.coords) == 0 for l in rows)
 
 
+def _metadata(g: ConeGeometry, objective, value, face, report) -> dict[str, Any]:
+    """What ``decompose`` records about the optimum (``face[0]`` is the
+    positive part) and the directedness verdict."""
+    is_max = report.status == "maximum" and report.maximum.coords == face[0].coords
+    status = "certified-preceq-maximum" if is_max else "objective-maximal-candidate"
+    return {
+        "method": "degree-maximization",
+        "geometry": g.name,
+        "objective": [rat_str(c) for c in objective.coords],
+        "objective_value": rat_str(value),
+        "optimal_face": [[rat_str(c) for c in v.coords] for v in face],
+        "optimum_unique": len(face) == 1,
+        "positive_part_status": status,
+        "preceq_maximum": report.status,
+        "canonical_choice": "lexicographically-smallest-optimal-vertex",
+    }
+
+
 def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
-    """Re-verify a decomposition against its geometry from scratch."""
+    """Re-verify a decomposition against its geometry from scratch.
+
+    The split and both membership combinations are checked by arithmetic.
+    One recomputation for the recorded objective, which must be valid,
+    checks the rest: the positive part heads the optimal face, the
+    metadata (geometry name included) is what ``decompose`` records, and
+    the directedness report verifies.  A malformed record fails.
+    """
     if (dec.positive + dec.negative).coords != dec.input.coords:
         return False
-    mov_cert = dec.certificate("positive-part-movable")
-    eff_cert = dec.certificate("negative-part-pseudo-effective")
-    if mov_cert is None or eff_cert is None or not _optimum_consistent(dec):
-        return False
-    return reproduces(
-        mov_cert.data["combination"], g.mov.generator_rows(), dec.positive.coords
-    ) and reproduces(
-        eff_cert.data["combination"], g.eff.generator_rows(), dec.negative.coords
-    ) and _status_consistent(g, dec)
-
-
-def _status_consistent(g: ConeGeometry, dec: Decomposition) -> bool:
-    """The recorded directedness verdict and positive-part status match a
-    recomputed report, which must verify."""
     try:
-        report = preceq_maximum(g, decomposition_polytope(g, dec.input))
-    except CycleConesError:
+        for fact, cone, part in (
+            ("positive-part-movable", g.mov, dec.positive),
+            ("negative-part-pseudo-effective", g.eff, dec.negative),
+        ):
+            cert = dec.certificate(fact)
+            if cert is None or not reproduces(
+                cert.data["combination"], cone.generator_rows(), part.coords
+            ):
+                return False
+        objective = ClassVector(g.eff.dual, tuple(dec.metadata["objective"]))
+        validate_objective(g, objective)
+        s = decomposition_polytope(g, dec.input)
+        value, face = maximize_linear(s, objective)
+        report = preceq_maximum(g, s)
+    except (KeyError, TypeError, CycleConesError):
         return False
     return (
         report.verify()
-        and dec.metadata.get("preceq_maximum") == report.status
-        and dec.metadata.get("positive_part_status")
-        == _positive_part_status(report, dec.positive)
-    )
-
-
-def _positive_part_status(report: DirectednessReport, positive: ClassVector) -> str:
-    is_max = report.status == "maximum" and report.maximum.coords == positive.coords
-    return "certified-preceq-maximum" if is_max else "objective-maximal-candidate"
-
-
-def _optimum_consistent(dec: Decomposition) -> bool:
-    """Every optimal-face vertex attains the objective value, the positive
-    part is the face's lexicographic minimum (so it attains it too), and
-    the uniqueness flag says whether the face is one vertex.  Missing or
-    malformed metadata fails."""
-    positive = dec.positive.coords
-    try:
-        objective = [rat(c) for c in dec.metadata["objective"]]
-        value = rat(dec.metadata["objective_value"])
-        face = [tuple(rat(c) for c in v) for v in dec.metadata["optimal_face"]]
-        unique = dec.metadata["optimum_unique"]
-    except (KeyError, TypeError, InputError):
-        return False
-    return (
-        len(objective) == len(positive)
-        and all(len(v) == len(positive) and dot(objective, v) == value for v in face)
-        and min(face, default=None) == positive
-        and unique is (len(face) == 1)
+        and face[0] == dec.positive
+        # repr, unlike ==, tells an optimum_unique of 1 from True
+        and repr(dict(dec.metadata)) == repr(_metadata(g, objective, value, face, report))
     )

@@ -20,7 +20,13 @@ from cyclecones.cones import (
 )
 from cyclecones.errors import DomainError, InputError
 from cyclecones.linalg import combine, dot, int_primitive, solve_unique, violated
-from cyclecones.negdef import PairingBasis, _build, _checked, _postconditions_hold
+from cyclecones.negdef import (
+    PairingBasis,
+    _build,
+    _checked,
+    _postconditions_hold,
+    is_negative_definite,
+)
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import rat, rat_str
 from cyclecones.simplex import nonneg_solve
@@ -380,6 +386,58 @@ def subset_brute_force(basis: PairingBasis, coeffs):
         )
     (support_coeffs,) = found
     return _build(basis, coeffs, list(support_coeffs))
+
+
+def solve_per_step_decompose(basis: PairingBasis, coeffs):
+    """Oracle for ``negdef.decompose``: grow the support, re-solving each.
+
+    Start from the indices pairing negatively against the input; solve for
+    the unique support-supported correction that is orthogonal to the
+    support; enlarge the support by any indices that still pair
+    negatively; repeat.  Outside the surface-type regime (a grown support
+    with non-negative-definite Gram, or a solve with a negative
+    coefficient) the operation fails loudly instead of guessing.
+    """
+    coeffs = _checked(basis, coeffs)
+    initial = combine(coeffs, basis.gram, basis.rank)
+    support: set[int] = {i for i, v in enumerate(initial) if v < 0}
+    solution: dict[int, Fraction] = {}
+    for _ in range(basis.rank + 1):
+        ordered = sorted(support)
+        if ordered:
+            sub = basis.submatrix(ordered)
+            if not is_negative_definite(sub):
+                raise DomainError(
+                    "outside surface-type regime: support gram is not "
+                    "negative definite",
+                    support=[basis.labels[i] for i in ordered],
+                    submatrix=[[rat_str(x) for x in row] for row in sub],
+                )
+            solved = solve_unique(sub, [initial[i] for i in ordered])
+            if solved is None or any(x < 0 for x in solved):
+                raise DomainError(
+                    "outside surface-type regime: orthogonality solve has "
+                    "negative coefficients",
+                    support=[basis.labels[i] for i in ordered],
+                )
+            solution = dict(zip(ordered, solved))
+        support_coeffs = [solution.get(i, Fraction(0)) for i in range(basis.rank)]
+        positive = [c - n for c, n in zip(coeffs, support_coeffs)]
+        violated = {
+            i
+            for i, v in enumerate(combine(positive, basis.gram, basis.rank))
+            if v < 0 and i not in support
+        }
+        if not violated:
+            if not _postconditions_hold(basis, coeffs, support_coeffs):
+                raise DomainError(
+                    "outside surface-type regime: fixed point violates the "
+                    "output contract",
+                    support=[basis.labels[i] for i in sorted(support)],
+                )
+            return _build(basis, coeffs, support_coeffs)
+        support |= violated
+    raise DomainError("support growth failed to stabilize")
 
 
 def cones_equal(a: PolyCone, b: PolyCone) -> bool:

@@ -112,8 +112,9 @@ def decomposition_positive_part():
             Certificate("positive-part-movable", {"combination": list(combo)}),
             dec.certificate("negative-part-pseudo-effective"),
         )
-        # the optimum metadata moved along with the target, so only the
-        # combination can reject
+        # the optimum metadata moved along with the target, and the
+        # combinations are checked before the recomputed optimum, so the
+        # combination is what rejects
         objective = [rat(c) for c in dec.metadata["objective"]]
         metadata = {
             **dec.metadata,
@@ -305,8 +306,10 @@ TAMPERED_OPTIMA = {
     "face-vertex-value": lambda m: {**m, "optimal_face": [["0"] * 5]},
     "positive-not-lexmin": _lex_smaller_optimum,
     "uniqueness-flag": lambda m: {**m, "optimum_unique": not m["optimum_unique"]},
+    "uniqueness-flag-as-int": lambda m: {**m, "optimum_unique": int(m["optimum_unique"])},
     "missing-key": lambda m: {k: v for k, v in m.items() if k != "optimal_face"},
     "malformed-value": lambda m: {**m, "objective_value": "1/0"},
+    "geometry-name": lambda m: {**m, "geometry": "other"},
 }
 
 
@@ -317,6 +320,56 @@ def test_decomposition_rejects_tampered_optimum(tamper):
     assert dec.metadata["optimum_unique"] is False and verify_decomposition(g, dec)
     metadata = TAMPERED_OPTIMA[tamper](dec.metadata)
     assert not verify_decomposition(g, replace(dec, metadata=metadata))
+
+
+def test_decomposition_rejects_certificate_without_combination():
+    g = _geometry()
+    dec = decompose(g, _vector((3, 2)))
+    hollow = (Certificate("positive-part-movable", {}), *dec.certificates[1:])
+    assert not verify_decomposition(g, replace(dec, certificates=hollow))
+
+
+def test_decomposition_names_its_geometry():
+    g = _toric_geometry()
+    dec = decompose(g, ClassVector("toric3.curves", TORIC_ALPHA))
+    assert verify_decomposition(g, dec)
+    assert not verify_decomposition(replace(g, name="other"), dec)
+
+
+def _vertex_record(g, dec, vertex):
+    """``dec`` with ``vertex`` as its positive part, honest membership
+    combinations and optimum metadata claiming that vertex alone."""
+    negative = dec.input - vertex
+    certificates = (
+        Certificate(
+            "positive-part-movable", {"combination": list(contains(g.mov, vertex).combination)}
+        ),
+        Certificate(
+            "negative-part-pseudo-effective",
+            {"combination": list(contains(g.eff, negative).combination)},
+        ),
+    )
+    objective = [rat(c) for c in dec.metadata["objective"]]
+    metadata = {
+        **dec.metadata,
+        "objective_value": rat_str(dot(objective, vertex.coords)),
+        "optimal_face": [[rat_str(c) for c in vertex.coords]],
+        "optimum_unique": True,
+    }
+    return Decomposition(dec.input, vertex, negative, certificates, metadata)
+
+
+def test_decomposition_rejects_every_single_vertex_optimum():
+    # the optimum is a two-vertex face; a record naming any one vertex as
+    # the unique optimum is false, whether or not that vertex is optimal
+    g = _toric_geometry()
+    alpha = ClassVector("toric3.curves", TORIC_ALPHA)
+    dec = decompose(g, alpha)
+    assert len(dec.metadata["optimal_face"]) == 2
+    vertices = decomposition_polytope(g, alpha).vertices
+    assert len(vertices) == 7
+    for vertex in vertices:
+        assert not verify_decomposition(g, _vertex_record(g, dec, vertex)), vertex.coords
 
 
 # -- decompositions: the directedness verdict -----------------------------------

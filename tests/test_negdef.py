@@ -18,7 +18,12 @@ from cyclecones.negdef import (
     verify,
 )
 
-from conftest import bareiss_det, chain_gram, subset_brute_force
+from conftest import (
+    bareiss_det,
+    chain_gram,
+    solve_per_step_decompose,
+    subset_brute_force,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -355,6 +360,79 @@ def test_brute_force_pivots_once_per_negative_definite_support(monkeypatch):
         monkeypatch.undo()
         assert verify(basis, result)
         assert len(calls) <= 2 ** len(negative) - 1 + basis.rank, (basis.rank, len(calls))
+
+
+def _random_forged(rng):
+    """A gram that skips validation: off-diagonals -2..3, diagonals -4..2."""
+    r = rng.randint(1, 5)
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        gram[i][i] = rng.randint(-4, 2)
+        for j in range(i + 1, r):
+            gram[i][j] = gram[j][i] = rng.randint(-2, 3)
+    coeffs = tuple(rng.choice((F(0), F(1), F(2), F(3), F(1, 2))) for _ in range(r))
+    return _forged(gram), coeffs
+
+
+NOT_NEGATIVE_DEFINITE = "outside surface-type regime: support gram is not negative definite"
+NEGATIVE_COEFFICIENTS = (
+    "outside surface-type regime: orthogonality solve has negative coefficients"
+)
+
+
+def test_decompose_matches_solve_per_step_oracle():
+    # forged grams reach both regime errors, whose payloads must match too
+    rng = random.Random(0xDEC0_5E)
+    instances = [_random_admissible(rng) for _ in range(1000)]
+    instances += [_random_forged(rng) for _ in range(1000)]
+    errors = set()
+    for basis, coeffs in instances:
+        expected = _outcome(solve_per_step_decompose, basis, coeffs)
+        assert _outcome(decompose, basis, coeffs) == expected, (basis, coeffs)
+        if isinstance(expected, tuple):
+            errors.add(expected[1]["message"])
+    assert {NOT_NEGATIVE_DEFINITE, NEGATIVE_COEFFICIENTS} <= errors
+
+
+def test_decompose_regime_error_payloads():
+    cases = [
+        (
+            _forged([[-2, -2], [-2, -2]]),
+            (0, 1),
+            {
+                "message": NOT_NEGATIVE_DEFINITE,
+                "support": ["v0", "v1"],
+                "submatrix": [["-2", "-2"], ["-2", "-2"]],
+            },
+        ),
+        # {v0, v2} is negative definite; its solve is (3, -2)
+        (
+            _forged([[-2, -2, -1], [-2, -2, 1], [-1, 1, -1]]),
+            (0, 1, 2),
+            {"message": NEGATIVE_COEFFICIENTS, "support": ["v0", "v2"]},
+        ),
+    ]
+    for basis, coeffs, payload in cases:
+        for route in (decompose, solve_per_step_decompose):
+            with pytest.raises(DomainError) as caught:
+                route(basis, coeffs)
+            assert caught.value.payload() == payload
+
+
+def test_decompose_pivots_twice_per_support_index(monkeypatch):
+    # one pivot per support index in the search, and one more in the
+    # postcondition check of the result
+    chain = chain_gram(12)
+    chain_case = (PairingBasis(tuple(chain["labels"]), chain["gram"]), (1,) * 12)
+    bench_case = next(pair for pair in _bench_pairings(1, rounds=1) if pair[0].rank == 6)
+    for basis, coeffs in (chain_case, bench_case):
+        calls = _count_pivots(monkeypatch)
+        result = decompose(basis, coeffs)
+        monkeypatch.undo()
+        assert verify(basis, result)
+        support = result.metadata["support"]
+        assert support
+        assert len(calls) <= 2 * len(support), (basis.rank, len(support), len(calls))
 
 
 @st.composite

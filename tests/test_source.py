@@ -3,6 +3,9 @@
 import ast
 from pathlib import Path
 
+from cyclecones import FIXTURE_NAMES, fixtures
+from cyclecones.fixtures.checks import CHECKS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "cyclecones"
 
 
@@ -19,3 +22,10 @@ def test_no_assert_statements_in_library():
         ]
     assert len(list(SRC.rglob("*.py"))) > 10
     assert found == []
+
+
+def test_every_check_kind_is_claimed_by_a_packaged_fixture():
+    # a check no packaged claim names is code nothing runs; a claim naming
+    # an unknown kind can only fail
+    named = {claim.check for name in FIXTURE_NAMES for claim in fixtures.load(name).claims}
+    assert CHECKS and named == set(CHECKS)
