@@ -230,10 +230,6 @@ class PolyCone:
         vectors, dim = _vectors(dual, rows, dim, "inequalities")
         return PolyCone(basis, dim, inequalities=vectors, dual=dual)
 
-    @staticmethod
-    def zero(basis: str, dim: int) -> "PolyCone":
-        return PolyCone(basis, dim, generators=())
-
     def generator_rows(self) -> list[Row]:
         return [g.coords for g in self.generators or ()]
 

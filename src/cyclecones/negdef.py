@@ -151,7 +151,9 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     multiples of the solve's x_i for i in S and of the positive part's
     pairings for i not in S; each pass pivots in every i whose entry is
     negative.  Outside the surface-type regime (a grown support that is
-    not negative definite, or a negative x_i) it fails loudly.
+    not negative definite, or a negative x_i) it fails loudly.  A fixed
+    point that fails the postcondition check is a broken invariant, an
+    internal error.
     """
     coeffs = _checked(basis, coeffs)
     rank = basis.rank
@@ -178,8 +180,8 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     solved = {i: Fraction(rows[i][rank], rows[i][i]) for i in support}
     support_coeffs = [solved.get(i, Fraction(0)) for i in range(rank)]
     if not _postconditions_hold(basis, coeffs, support_coeffs):
-        raise DomainError(
-            "outside surface-type regime: fixed point violates the output contract",
+        raise CycleConesError(
+            "support growth fixed point violates the output contract",
             support=[basis.labels[i] for i in support],
         )
     return _build(basis, coeffs, support_coeffs)

@@ -1,10 +1,11 @@
 """Bounded rational polytopes: exact vertex enumeration and optimization.
 
-Vertices and boundedness come from one double description of the
-homogenized inequality system (Motzkin, Raiffa, Thompson and Thrall,
-1953; Fukuda and Prodon, 1996).  The linear optimizer scans the vertices
-and proves the maximum with an LP-duality certificate that is re-verified
-by direct arithmetic on every call.
+Each inequality <a, x> >= b is kept as its homogenized primitive integer
+row r = (a, -b), which x satisfies iff <r, (x, 1)> >= 0.  Vertices and
+boundedness come from one double description of these rows (Motzkin,
+Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).  The linear
+optimizer scans the vertices and proves the maximum with an LP-duality
+certificate, one ``reproduces`` on the rows, checked on every call.
 """
 
 from __future__ import annotations
@@ -13,63 +14,54 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import dot, reproduces
+from .linalg import dot, int_primitive, reproduces, violated
 from .rationals import rat
 from .simplex import nonneg_solve
 from . import cones
 from .vectors import ClassVector, dual_basis
 
 
-@dataclass(frozen=True)
-class AffineInequality:
-    """<functional, x> >= offset, with the functional in the dual basis."""
-
-    functional: ClassVector
-    offset: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", rat(self.offset))
-
-    def value_at(self, point: ClassVector) -> Fraction:
-        return dot(self.functional.coords, point.coords)
+def inequality(a, b) -> tuple[int, ...]:
+    """The homogenized row of <a, x> >= b (rationals): primitive integer (a, -b)."""
+    return int_primitive((*a, -b))
 
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Points satisfying every inequality; functionals live in ``dual``."""
+    """Points x with <r, (x, 1)> >= 0 for every row r (``inequality``,
+    ``dim + 1`` entries) of ``inequalities``; objectives live in ``dual``."""
 
     basis: str
     dim: int
-    inequalities: tuple[AffineInequality, ...]
+    inequalities: tuple[tuple[int, ...], ...]
     vertices: tuple[ClassVector, ...] | None = None
     dual: str | None = None
 
     def __post_init__(self):
         if self.dual is None:
             object.__setattr__(self, "dual", dual_basis(self.basis))
-        for ineq in self.inequalities:
-            if ineq.functional.basis != self.dual or ineq.functional.dim != self.dim:
-                raise InputError("inequality functional outside the dual basis")
+        if any(len(row) != self.dim + 1 for row in self.inequalities):
+            raise InputError("inequality row outside the polytope's dimension")
         for v in self.vertices or ():
             if v.basis != self.basis or v.dim != self.dim:
                 raise InputError("vertex outside the polytope's basis")
 
     @staticmethod
     def from_inequalities(basis: str, dim: int, rows) -> "RationalPolytope":
-        dual = dual_basis(basis)
-        ineqs = tuple(
-            AffineInequality(
-                ClassVector(dual, tuple(rat(x) for x in row)), rat(offset)
-            )
-            for row, offset in rows
-        )
+        """The polytope of ``rows``, pairs ``(a, b)`` meaning <a, x> >= b."""
+        ineqs = tuple(inequality(map(rat, a), rat(b)) for a, b in rows)
         return RationalPolytope(basis, dim, ineqs)
+
+    def holds_at(self, coords) -> bool:
+        """True iff ``coords`` is a point satisfying every row."""
+        point = int_primitive((*coords, 1))  # a positive multiple of (x, 1)
+        return len(coords) == self.dim and violated(self.inequalities, point) is None
 
 
 def _homogenized(p: RationalPolytope):
     """Vertices and a recession direction from one double description.
 
-    The cone {(x, t) : <a, x> - b t >= 0, t >= 0} over the system has the
+    The cone {(x, t) : <r, (x, t)> >= 0 for every row r, t >= 0} has the
     vertices, scaled by t > 0, as its rays with t > 0; a ray with t = 0 or
     any lineality is a nonzero direction d with <a, d> >= 0 for every row.
     The rays are primitive integer tuples, so a vertex is read off as
@@ -77,8 +69,7 @@ def _homogenized(p: RationalPolytope):
     Returns ``(vertices, direction)``, sorted vertices and None when the
     system is bounded, ``((), direction)`` otherwise.
     """
-    rows = [(*ineq.functional.coords, -ineq.offset) for ineq in p.inequalities]
-    rows.append((Fraction(0),) * p.dim + (Fraction(1),))
+    rows = (*p.inequalities, (0,) * p.dim + (1,))
     lineality, rays = cones.double_description(rows, p.dim + 1)
     witnesses = lineality or [r for r in rays if r[-1] == 0]
     if witnesses:
@@ -120,11 +111,11 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
 
     The maximum is read off the enumerated vertices and proved by an
     LP-duality certificate, checked on every call: multipliers y >= 0 on
-    the inequalities <a_i, x> >= b_i tight at an optimal vertex with
-    objective = -sum y_i a_i and sum y_i b_i = -maximum, so that
-    <objective, x> = -sum y_i <a_i, x> <= maximum on the whole polytope.
-    Ties are never broken here; the whole optimal face's vertex set is
-    returned, sorted.
+    the rows r_i = (a_i, -b_i) tight at an optimal vertex with
+    sum y_i r_i = (-objective, maximum), so that
+    <objective, x> = -sum y_i <a_i, x> <= -sum y_i b_i = maximum on the
+    whole polytope.  Ties are never broken here; the whole optimal face's
+    vertex set is returned, sorted.
     """
     if objective.basis != p.dual or objective.dim != p.dim:
         raise InputError("objective must be a functional in the dual basis")
@@ -137,23 +128,14 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
         v for v, val in zip(enumerated.vertices, values) if val == best
     )
 
-    tight = [
-        ineq for ineq in p.inequalities if ineq.value_at(optimal[0]) == ineq.offset
-    ]
-    target = tuple(-c for c in objective.coords)
-    y = nonneg_solve([ineq.functional.coords for ineq in tight], target)
-    if y is None or not _certifies(tight, y, target, best):
+    point = int_primitive((*optimal[0].coords, 1))
+    tight = [r for r in p.inequalities if dot(r, point) == 0]
+    target = (*(-c for c in objective.coords), best)
+    y = nonneg_solve(tight, target)
+    if y is None or not reproduces(y, tight, target):
         raise CycleConesError(
             f"no optimality certificate for vertex scan maximum {best}",
             objective=[str(c) for c in objective.coords],
             vertex=[str(c) for c in optimal[0].coords],
         )
     return best, optimal
-
-
-def _certifies(tight, y, target, best) -> bool:
-    """Re-verify the dual certificate by direct arithmetic."""
-    rows = [ineq.functional.coords for ineq in tight]
-    return reproduces(y, rows, target) and (
-        dot(y, [ineq.offset for ineq in tight]) == -best
-    )

@@ -25,8 +25,8 @@ from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import dot, reproduces, separates, violated
 from .polytope import (
-    AffineInequality,
     RationalPolytope,
+    inequality,
     maximize_linear,
     vertex_enumeration,
 )
@@ -105,16 +105,15 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     """
     if alpha.basis != g.basis or alpha.dim != g.dim:
         raise InputError("class not in the geometry's coordinate space")
-    rows = [AffineInequality(l, Fraction(0)) for l in g.mov.inequalities]
-    for m in g.eff.inequalities:
-        bound = dot(m.coords, alpha.coords)
+    rows = [inequality(l, 0) for l in g.mov.int_rows[1]]
+    for m in g.eff.int_rows[1]:
+        bound = dot(m, alpha.coords)
         if bound < 0:
             raise DomainError(
                 "class is not pseudo-effective",
-                separating_functional=[rat_str(c) for c in m.coords],
+                separating_functional=[rat_str(c) for c in m],
             )
-        flipped = ClassVector(g.eff.dual, tuple(-c for c in m.coords))
-        rows.append(AffineInequality(flipped, -bound))
+        rows.append(inequality([-c for c in m], -bound))
     polytope = RationalPolytope(g.basis, g.dim, tuple(rows), dual=g.eff.dual)
     return vertex_enumeration(polytope)
 
@@ -155,16 +154,10 @@ class DirectednessReport:
         rests on the vertex list being complete.
         """
         vertices = self.polytope.vertices or ()
-
-        def in_polytope(point: ClassVector) -> bool:
-            return point.dim == self.polytope.dim and all(
-                ineq.value_at(point) >= ineq.offset for ineq in self.polytope.inequalities
-            )
-
         if self.status == "maximum":
             if self.maximum is None or len(self.domination) != len(vertices):
                 return False
-            if not in_polytope(self.maximum):
+            if not self.polytope.holds_at(self.maximum.coords):
                 return False
             gens = self.eff.generator_rows()
             return all(
@@ -177,7 +170,7 @@ class DirectednessReport:
         pair = {v.coords for v in self.witness_pair}
         if len(pair) != 2 or not pair <= vertex_coords:
             return False  # two distinct vertices
-        if not all(map(in_polytope, self.witness_pair)):
+        if not all(self.polytope.holds_at(v.coords) for v in self.witness_pair):
             return False
         if any(f.target.coords not in pair for f in self.failures):
             return False
@@ -313,26 +306,26 @@ def _peel(gen_values, slack) -> tuple[Fraction, ...]:
     raise DomainError("representations disagree: peeling found no eff combination")
 
 
-def _dominator_rows(eff: PolyCone, s: RationalPolytope, u, w):
-    """The rows of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff facet l."""
-    return s.inequalities + tuple(
-        AffineInequality(m, max(dot(m.coords, u.coords), dot(m.coords, w.coords)))
-        for m in eff.inequalities
+def _dominators(eff: PolyCone, s: RationalPolytope, u, w) -> RationalPolytope:
+    """``s`` with one more row <l, z> >= max(<l, u>, <l, w>) per eff facet l."""
+    rows = tuple(
+        inequality(l, max(dot(l, u.coords), dot(l, w.coords)))
+        for l in eff.inequality_rows()
     )
+    return RationalPolytope(s.basis, s.dim, s.inequalities + rows, dual=s.dual)
 
 
 def pair_certified(eff: PolyCone, s: RationalPolytope, u, w, empty, certificate) -> bool:
-    """Re-check a ``dominator_set_empty`` verdict on its certificate."""
-    rows = _dominator_rows(eff, s, u, w)
+    """Re-check a ``dominator_set_empty`` verdict on its certificate: a
+    point of the set, or y >= 0 whose combination of the set's rows is
+    zero but for a negative last entry."""
+    dominators = _dominators(eff, s, u, w)
+    rows = dominators.inequalities
     if empty is True and certificate is not None:
-        zero = (0,) * s.dim
-        functionals = [r.functional.coords for r in rows]
-        return reproduces(certificate, functionals, zero) and (
-            dot(certificate, [r.offset for r in rows]) > 0
+        return reproduces(certificate, [r[:-1] for r in rows], (0,) * s.dim) and (
+            dot(certificate, [r[-1] for r in rows]) < 0
         )
-    return empty is False and len(certificate or ()) == s.dim and all(
-        dot(r.functional.coords, certificate) >= r.offset for r in rows
-    )
+    return empty is False and certificate is not None and dominators.holds_at(certificate)
 
 
 def dominator_set_empty(
@@ -343,17 +336,17 @@ def dominator_set_empty(
     *Theory of Linear and Integer Programming*, §7).
 
     Decided by one double description (``vertex_enumeration``) of the rows
-    <a_i, z> >= b_i of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff
-    facet l.  This is the strong form of the witness: no point of the
-    polytope, vertex or not, dominates both.  When the set is empty,
-    ``nonneg_solve`` on the columns (a_i, b_i) finds y >= 0 with
-    sum y_i a_i = 0 and sum y_i b_i = 1, so no point satisfies every row.
+    of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff facet l.  This is
+    the strong form of the witness: no point of the polytope, vertex or
+    not, dominates both.  When the set is empty, ``nonneg_solve`` on those
+    rows r_i = (a_i, -b_i) finds y >= 0 with sum y_i r_i = (0, ..., 0, -1),
+    so sum y_i a_i = 0 and sum y_i b_i = 1: no point satisfies every row.
     """
-    rows = _dominator_rows(g.eff, s, u, w)
-    points = vertex_enumeration(RationalPolytope(s.basis, s.dim, rows, dual=s.dual))
+    dominators = _dominators(g.eff, s, u, w)
+    points = vertex_enumeration(dominators)
     if points.vertices:
         return False, points.vertices[0].coords
-    y = nonneg_solve([(*r.functional.coords, r.offset) for r in rows], (0,) * s.dim + (1,))
+    y = nonneg_solve(dominators.inequalities, (0,) * s.dim + (-1,))
     if y is None:
         raise DomainError("representations disagree: no Farkas vector for an empty set")
     return True, y

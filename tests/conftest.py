@@ -440,6 +440,25 @@ def solve_per_step_decompose(basis: PairingBasis, coeffs):
     raise DomainError("support growth failed to stabilize")
 
 
+def affine_decomposition_rows(g, alpha: ClassVector):
+    """The inequalities of ``zariski.decomposition_polytope`` as pairs
+    ``(a, b)``, meaning <a, x> >= b, in its row order: each movable facet
+    l as <l, x> >= 0, then each effective facet m on the leftover as
+    <-m, x> >= -<m, alpha>, with the cones' Fraction facets."""
+    rows = [(l.coords, Fraction(0)) for l in g.mov.inequalities]
+    for m in g.eff.inequalities:
+        rows.append((tuple(-c for c in m.coords), -dot(m.coords, alpha.coords)))
+    return rows
+
+
+def affine_dominator_rows(g, rows, u: ClassVector, w: ClassVector):
+    """``rows`` plus <m, z> >= max(<m, u>, <m, w>) per effective facet m."""
+    return rows + [
+        (m.coords, max(dot(m.coords, u.coords), dot(m.coords, w.coords)))
+        for m in g.eff.inequalities
+    ]
+
+
 def cones_equal(a: PolyCone, b: PolyCone) -> bool:
     """Exact cone equality (basis-aware, representation-free)."""
     if a.basis != b.basis or a.dim != b.dim:

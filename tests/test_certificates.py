@@ -19,12 +19,7 @@ from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.fixtures.checks import check_combination_reproduces
 from cyclecones.linalg import dot, reproduces
-from cyclecones.polytope import (
-    AffineInequality,
-    RationalPolytope,
-    _certifies,
-    vertex_enumeration,
-)
+from cyclecones.polytope import RationalPolytope, inequality, vertex_enumeration
 from cyclecones.rationals import rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
@@ -154,15 +149,15 @@ def lp_optimality():
     objective = (F(1), F(1))
     best = max(dot(objective, v.coords) for v in p.vertices)
     vertex = next(v for v in p.vertices if dot(objective, v.coords) == best)
-    tight = [i for i in p.inequalities if i.value_at(vertex) == i.offset]
-    target = tuple(-c for c in objective)
-    y = nonneg_solve([i.functional.coords for i in tight], target)
+    # a row r means <r[:-1], x> >= -r[-1]; the tight ones hold with equality
+    tight = [r for r in p.inequalities if dot(r[:-1], vertex.coords) == -r[-1]]
+    target = (*(-c for c in objective), best)
+    y = nonneg_solve(tight, target)
 
     def check(coeffs, target):
-        # target: minus the objective, then minus the maximum
-        return _certifies(tight, coeffs, target[:-1], -target[-1])
+        # target: minus the objective, then the maximum
+        return reproduces(coeffs, tight, target)
 
-    target += (-best,)
     return check, y, target, target[:-1] + (target[-1] + 1,)
 
 
@@ -260,8 +255,7 @@ def test_directedness_rejects_witness_outside_polytope():
     # still check, but the witness is no longer a point of the polytope
     report = _toric_no_maximum()
     s, (u, w) = report.polytope, report.witness_pair
-    unit = ClassVector(s.dual, (1,) + (0,) * (s.dim - 1))
-    cut = AffineInequality(unit, u.coords[0] + 1)
+    cut = inequality((1,) + (0,) * (s.dim - 1), u.coords[0] + 1)
     tampered = replace(s, inequalities=s.inequalities + (cut,))
     y = list(report.pair_certificate)
     y.insert(len(s.inequalities), 0)
@@ -285,6 +279,16 @@ def test_directedness_rejects_tampered_farkas_vector():
     y[k] += 1
     assert not replace(report, pair_certificate=tuple(y)).verify()
     assert not replace(report, pair_certificate=None).verify()
+    # zero cancels every row but proves nothing
+    assert not replace(report, pair_certificate=(0,) * len(y)).verify()
+
+
+def test_directedness_accepts_a_rescaled_farkas_vector():
+    # a positive multiple of a Farkas vector proves the same emptiness
+    report = _toric_no_maximum()
+    doubled = tuple(2 * c for c in report.pair_certificate)
+    assert pair_certified(report.eff, report.polytope, *report.witness_pair, True, doubled)
+    assert replace(report, pair_certificate=doubled).verify()
 
 
 # -- decompositions: the optimum metadata -------------------------------------

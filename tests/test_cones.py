@@ -45,6 +45,10 @@ def full_space(basis, dim):
     return PolyCone(basis, dim, inequalities=())
 
 
+def zero_cone(basis, dim):
+    return PolyCone(basis, dim, generators=())
+
+
 def rays_of(cone):
     return sorted(v.coords for v in extremal_rays(dd_convert(cone)))
 
@@ -106,7 +110,7 @@ def test_dual_of_full_space_is_zero():
 
 
 def test_dual_of_zero_cone_is_full_space():
-    zero = PolyCone.zero("cx2", 2)
+    zero = zero_cone("cx2", 2)
     dual = dual_cone(zero)
     assert not is_salient(dual)
     assert sorted(g.coords for g in dual.generators) == as_rows(

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecones import linalg, negdef
+from cyclecones import cli, linalg, negdef
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine
 from cyclecones.negdef import (
@@ -324,6 +325,27 @@ def test_brute_force_candidate_must_pass_postconditions(monkeypatch):
         "message": "brute force candidate violates the output contract",
         "negative": ["1"],
     }
+
+
+def test_decompose_fixed_point_must_pass_postconditions(monkeypatch, tmp_path):
+    # the carried elimination guarantees the contract, so a fixed point
+    # that fails it is a broken invariant (exit 3), not an input outside
+    # the surface-type regime (exit 2)
+    monkeypatch.setattr(negdef, "_postconditions_hold", lambda *args: False)
+    with pytest.raises(CycleConesError) as caught:
+        decompose(_basis([[-2]]), (1,))
+    assert type(caught.value) is CycleConesError
+    assert caught.value.payload() == {
+        "message": "support growth fixed point violates the output contract",
+        "support": ["v0"],
+    }
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"labels": ["Z"], "gram": [["-2"]], "source": "t"}))
+    document, code = cli.run(["bck", "--gram", str(path), "--class", "1"])
+    assert code == 3 and document["status"] == "internal_error"
+    error = document["payload"]["error"]
+    assert error["type"] == "CycleConesError"
+    assert error["frame"].startswith("negdef.py:") and error["frame"].endswith(" in decompose")
 
 
 def _count_pivots(monkeypatch) -> list:

@@ -103,9 +103,10 @@ def test_lp_optimum_matches_vertex_scan_randomized():
             sum((a * b for a, b in zip(objective, v.coords)), F(0))
             for v in enumerated.vertices
         )
+        # a row r means <r[:-1], x> >= -r[-1]
         status, lp_value, _ = maximize_affine(
-            [ineq.functional.coords for ineq in p.inequalities],
-            [ineq.offset for ineq in p.inequalities],
+            [r[:-1] for r in p.inequalities],
+            [-r[-1] for r in p.inequalities],
             objective,
         )
         assert status == OPTIMAL
@@ -215,6 +216,25 @@ def test_vertex_enumeration_matches_subset_oracle_randomized():
             assert [v.coords for v in vertices] == [(0,) * dim]
         seen.add(kind if vertices else "empty")
     assert seen >= {"box", "degenerate", "zero-class", "empty", "unbounded"}
+
+
+def test_holds_at_agrees_with_fraction_check():
+    # seeded systems and points, some of the wrong length, against
+    # <a, x> >= b evaluated in Fractions
+    rng = random.Random(6_007)
+    verdicts = set()
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        _, rows = _random_system(rng, dim)
+        p = RationalPolytope.from_inequalities(f"ha{dim}", dim, rows)
+        length = rng.choice([dim, dim, dim, dim - 1, dim + 1])
+        x = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(length))
+        want = length == dim and all(
+            sum((F(ai) * xi for ai, xi in zip(a, x)), F(0)) >= b for a, b in rows
+        )
+        assert p.holds_at(x) is want
+        verdicts.add((length == dim, want))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_simplex_with_no_rows_left():

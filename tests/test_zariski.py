@@ -6,7 +6,7 @@ import pytest
 
 from cyclecones.cones import PolyCone, contains
 from cyclecones.errors import DomainError, InputError
-from cyclecones.linalg import combine, dot, reproduces
+from cyclecones.linalg import combine, dot, int_primitive, reproduces
 from cyclecones.projbundle import (
     class_basis,
     cones_at,
@@ -16,6 +16,7 @@ from cyclecones.projbundle import (
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
     ConeGeometry,
+    _dominators,
     cone_geometry,
     decompose,
     decomposition_polytope,
@@ -33,6 +34,8 @@ from conftest import (
     TORIC_C,
     TORIC_M,
     TORIC_OBJECTIVE,
+    affine_decomposition_rows,
+    affine_dominator_rows,
     maximize_affine,
     random_profile,
 )
@@ -195,14 +198,34 @@ def toric_reports(toric):
 
 def lp_dominator_set_empty(g, s, u, w):
     """The dominator-set emptiness question as a linear program."""
-    functionals = [ineq.functional.coords for ineq in s.inequalities]
-    offsets = [ineq.offset for ineq in s.inequalities]
+    # a row r means <r[:-1], z> >= -r[-1]
+    functionals = [r[:-1] for r in s.inequalities]
+    offsets = [-r[-1] for r in s.inequalities]
     for target in (u, w):
         for m in g.eff.inequalities:
             functionals.append(m.coords)
             offsets.append(dot(m.coords, target.coords))
     status, _, _ = maximize_affine(functionals, offsets, (F(0),) * s.dim)
     return status == INFEASIBLE
+
+
+def test_polytope_rows_are_the_homogenized_affine_rows(toric):
+    # every toric class sum c_i C_i with c_i in {0, 1, 2}: the rows are
+    # int_primitive((a, -b)) of the oracle's <a, x> >= b, in order; so are
+    # the dominator rows of 8 vertex pairs in a seeded order
+    gens = toric.eff.generator_rows()
+    pairs = []
+    for coeffs in itertools.product(range(3), repeat=len(gens)):
+        alpha = ClassVector(toric.basis, combine(coeffs, gens, toric.dim))
+        s = decomposition_polytope(toric, alpha)
+        rows = affine_decomposition_rows(toric, alpha)
+        assert list(s.inequalities) == [int_primitive((*a, -b)) for a, b in rows]
+        pairs += [(s, rows, u, w) for u, w in itertools.combinations(s.vertices, 2)]
+    assert len(pairs) > 8
+    random.Random(1_531).shuffle(pairs)
+    for s, rows, u, w in pairs[:8]:
+        want = [int_primitive((*a, -b)) for a, b in affine_dominator_rows(toric, rows, u, w)]
+        assert list(_dominators(toric.eff, s, u, w).inequalities) == want
 
 
 def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
