@@ -10,10 +10,10 @@ zero cone and the full space are ordinary values.  ``dd_convert`` runs
 one double description and, for most cones, reads the irredundant supplied
 rows off it by their tight rays; degenerate input takes a second pass over
 the first pass's integer rows.  Supplied rows are checked against the
-result in integers.  The canonical cone keeps those primitive integer rows
-beside its ``ClassVector``s, so ``contains`` decides membership on them in
-``int`` arithmetic; its certificate is re-checked in Fractions on the
-vectors.  Dimensions in this package stay small: at most 8 for
+result in integers.  A coordinate is an ``int`` when it is integral
+(``rationals.exact``), so the vectors of a canonical cone are its primitive
+integer rows, and ``contains`` decides membership on them in ``int``
+arithmetic.  Dimensions in this package stay small: at most 8 for
 cones of classes, and one more for the homogenized inequality systems whose
 vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent on
 insertion-order heuristics.
@@ -34,7 +34,6 @@ from .simplex import nonneg_solve
 from .vectors import ClassVector, dual_basis
 
 Row = tuple[Fraction, ...]
-IntRow = tuple[int, ...]
 
 # Most rays one double description insertion may hold.  The benchmark's
 # largest output has 84; the pair scan grows with the square of the ray
@@ -181,12 +180,9 @@ class PolyCone:
     exactly when it is not None; an empty tuple is meaningful (no
     generators: the zero cone; no inequalities: the full space).
 
-    ``int_rows`` is set by ``dd_convert`` (and swapped by ``dual_cone``),
-    never by the constructor: the canonical ``(generators, inequalities)``
-    pair as primitive integer rows, in the order of the vectors.
-    Membership is decided on these rows and certified on the vectors.  They
-    are bookkeeping, not part of the value; ``dataclasses.replace`` drops
-    them, so an edited cone is converted afresh.
+    ``canonical`` is set by ``dd_convert`` (and kept by ``dual_cone``),
+    never by the constructor.  It is bookkeeping, not part of the value;
+    ``dataclasses.replace`` resets it, so an edited cone is converted afresh.
     """
 
     basis: str
@@ -194,9 +190,7 @@ class PolyCone:
     generators: tuple[ClassVector, ...] | None = None
     inequalities: tuple[ClassVector, ...] | None = None
     dual: str | None = None
-    int_rows: tuple[tuple[IntRow, ...], tuple[IntRow, ...]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dual is None:
@@ -209,11 +203,6 @@ class PolyCone:
         for l in self.inequalities or ():
             if l.basis != self.dual or l.dim != self.dim:
                 raise InputError("inequality functional outside the dual basis")
-
-    @property
-    def canonical(self) -> bool:
-        """True for the output of ``dd_convert``: its integer rows are present."""
-        return self.int_rows is not None
 
     @staticmethod
     def from_generators(
@@ -313,7 +302,7 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         inequalities=tuple(ClassVector(cone.dual, row) for row in canonical_ineqs),
         dual=cone.dual,
     )
-    object.__setattr__(result, "int_rows", (tuple(gen_rows), tuple(canonical_ineqs)))
+    object.__setattr__(result, "canonical", True)
 
     # the checks run on integer rows: a positive rescaling keeps every sign
     if cone.generators is not None and cone.inequalities is not None:
@@ -353,7 +342,7 @@ def dual_cone(cone: PolyCone) -> PolyCone:
     if cone.canonical:
         # for a canonical pair the swap is again canonical: the facets of a
         # cone are the extremal data of its dual and vice versa
-        object.__setattr__(swapped, "int_rows", cone.int_rows[::-1])
+        object.__setattr__(swapped, "canonical", True)
     return dd_convert(swapped)
 
 
@@ -371,11 +360,8 @@ class ContainsResult:
         return self.member
 
     def verify(self) -> bool:
-        """Re-verify the certificate by direct arithmetic, trusting nothing.
-
-        The check runs in Fractions on the cone's generator vectors, never
-        on the integer rows that the verdict was decided on.
-        """
+        """Re-verify the certificate by direct arithmetic, trusting nothing:
+        on the vector as given, not the primitive form the verdict used."""
         gens = self.cone.generator_rows()
         if self.member:
             return self.combination is not None and reproduces(
@@ -389,26 +375,27 @@ class ContainsResult:
 def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     """Exact membership test with certificate.
 
-    Membership is decided on the canonical integer rows: the first facet
-    negative on ``int_primitive`` of the vector (a positive rescaling keeps
-    every sign) is the separating functional.  A member's certificate, a
-    nonnegative combination of the canonical generators, comes from exact
-    phase-one simplex on their integer rows and the unscaled vector.
-    ``ContainsResult.verify`` re-checks either certificate in Fractions.
+    Membership is decided in ``int`` on the canonical cone, whose vectors
+    are primitive integer rows: the first facet negative on
+    ``int_primitive`` of the vector (a positive rescaling keeps every sign)
+    is the separating functional.  A member's certificate, a nonnegative
+    combination of the canonical generators, comes from exact phase-one
+    simplex on those rows and the unscaled vector.
+    ``ContainsResult.verify`` re-checks either certificate.
     """
     if vector.basis != cone.basis or vector.dim != cone.dim:
         raise InputError("vector not in the cone's coordinate space")
     full = cone if cone.canonical else dd_convert(cone)
-    int_gens, int_ineqs = full.int_rows
+    gens = full.generator_rows()
     point = int_primitive(vector.coords)
-    cut = violated(int_ineqs, point)
+    cut = violated(full.inequality_rows(), point)
     if cut is not None:
         return ContainsResult(full, vector, False, separating=full.inequalities[cut])
     if not any(point):
         return ContainsResult(
-            full, vector, True, combination=(Fraction(0),) * len(int_gens)
+            full, vector, True, combination=(Fraction(0),) * len(gens)
         )
-    coeffs = nonneg_solve(int_gens, vector.coords)
+    coeffs = nonneg_solve(gens, vector.coords)
     if coeffs is None:
         raise DomainError(
             "representations disagree: inequalities accept a vector the "
@@ -421,7 +408,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
 def lineality_space(cone: PolyCone) -> list[Row]:
     """Basis of cone ∩ (−cone) as a linear space."""
     full = cone if cone.canonical else dd_convert(cone)
-    return nullspace(full.int_rows[1], ncols=cone.dim)
+    return nullspace(full.inequality_rows(), ncols=cone.dim)
 
 
 def is_salient(cone: PolyCone) -> bool:

@@ -1,4 +1,4 @@
-"""The exact kernel: rows of Fractions (or integers) and their arithmetic.
+"""The exact kernel: rows of ``int``s and ``Fraction``s and their arithmetic.
 
 Every pairing, combination and elimination in the package goes through
 these functions, and every certificate is re-checked with them:
@@ -35,8 +35,9 @@ def dot(a, b):
 
 
 def combine(coeffs, rows, dim: int) -> Row:
-    """The combination sum c_i rows_i, a row of length ``dim``."""
-    total = [Fraction(0)] * dim
+    """The combination sum c_i rows_i, a row of length ``dim``; integer
+    coefficients on integer rows give an integer row."""
+    total = [0] * dim
     for c, row in zip(coeffs, rows):
         if c:
             for i, x in enumerate(row):

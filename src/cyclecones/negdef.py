@@ -23,7 +23,7 @@ from fractions import Fraction
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import combine, int_pivot, int_primitive
-from .rationals import rat, rat_str
+from .rationals import exact, rat_str
 from .vectors import ClassVector
 
 
@@ -32,14 +32,14 @@ class PairingBasis:
     """Labelled basis vectors with their exact symmetric pairing matrix.
 
     By symmetry, ``combine(coeffs, gram, rank)`` is the tuple of pairings
-    <sum_j coeffs_j v_j, v_i>.
+    <sum_j coeffs_j v_j, v_i>.  Gram entries are ``rationals.exact``.
     """
 
     labels: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
-        gram = tuple(tuple(rat(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(map(exact, row)) for row in self.gram)
         object.__setattr__(self, "gram", gram)
         r = len(self.labels)
         if len(gram) != r or any(len(row) != r for row in gram):
@@ -133,10 +133,10 @@ def _postconditions_hold(basis: PairingBasis, coeffs, support_coeffs) -> bool:
     return is_negative_definite(basis.submatrix(support))
 
 
-def _checked(basis: PairingBasis, coeffs) -> tuple[Fraction, ...]:
-    """The input as Fractions, one per basis vector, all >= 0.  Rank 0
-    needs no early return: both routes reach the empty splitting."""
-    coeffs = tuple(rat(c) for c in coeffs)
+def _checked(basis: PairingBasis, coeffs) -> tuple[int | Fraction, ...]:
+    """The input by ``rationals.exact``, one per basis vector, all >= 0.
+    Rank 0 needs no early return: both routes reach the empty splitting."""
+    coeffs = tuple(map(exact, coeffs))
     if len(coeffs) != basis.rank:
         raise InputError("coefficient vector length does not match the basis")
     if any(c < 0 for c in coeffs):

@@ -255,8 +255,8 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
         positive, negative = alpha, ClassVector(basis, (0, 0))
         negative_multiple = Fraction(0)
     else:
-        positive = ClassVector(basis, (1, sig)).scale(b / gap)
-        negative_multiple = (a * gap - b) / gap
+        positive = ClassVector(basis, (1, sig)).scale(Fraction(b, gap))
+        negative_multiple = Fraction(a * gap - b, gap)
         negative = ClassVector(basis, (1, eps)).scale(negative_multiple)
     certificates = (
         Certificate(

@@ -1,6 +1,7 @@
 """Exact rational parsing and formatting.
 
-All arithmetic in the package runs on ``fractions.Fraction``; floats are
+``rat`` parses to ``fractions.Fraction``; ``exact`` stores a coordinate as
+an ``int`` when it is integral, a ``Fraction`` otherwise.  Floats are
 rejected at every boundary so no rounding can sneak in through I/O.
 """
 
@@ -41,6 +42,18 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(_unparsable(text, value)) from exc
     raise InputError(f"not a rational number: {_shown(value)}")
+
+
+def exact(value) -> int | Fraction:
+    """``value`` as a coordinate: an ``int`` when integral, else a Fraction.
+
+    An ``int`` passes through unchanged; any other value is ``rat(value)``,
+    unwrapped to its numerator when its denominator is 1.
+    """
+    if type(value) is int:
+        return value
+    value = rat(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _unparsable(text: str, value) -> str:

@@ -33,7 +33,7 @@ def _normalize(v: ClassVector, objective: ClassVector) -> tuple[Fraction, ...]:
     value = dot(objective.coords, v.coords)
     if value <= 0:
         raise InputError("cannot normalize a class with nonpositive degree")
-    return tuple(c / value for c in v.coords)
+    return tuple(Fraction(c, value) for c in v.coords)
 
 
 def _chart(points_3d, frame):

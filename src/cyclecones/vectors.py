@@ -5,7 +5,7 @@ A basis name identifies both the vector space and the chosen coordinates
 ``D1, D2, D3, D7, D8``).  Vectors combine arithmetically only within one
 basis and one dimension, which is the number of coordinates.  Linear
 functionals live in a dual basis, whose name a cone or polytope carries;
-it defaults to ``dual_basis(basis)``.
+it defaults to ``dual_basis(basis)``.  Coordinates are ``rationals.exact``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import int_primitive
-from .rationals import rat
+from .rationals import exact, rat_str
 
 
 def dual_basis(name: str) -> str:
@@ -28,10 +28,10 @@ class ClassVector:
     """An exact coordinate vector in a named basis."""
 
     basis: str
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(rat(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
 
     @property
     def dim(self) -> int:
@@ -60,7 +60,7 @@ class ClassVector:
         return ClassVector(self.basis, tuple(-a for a in self.coords))
 
     def scale(self, factor) -> "ClassVector":
-        factor = rat(factor)
+        factor = exact(factor)
         return ClassVector(self.basis, tuple(factor * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -71,7 +71,5 @@ class ClassVector:
         return ClassVector(self.basis, int_primitive(self.coords))
 
     def __repr__(self):
-        from .rationals import rat_str
-
         body = ",".join(rat_str(c) for c in self.coords)
         return f"ClassVector({self.basis!r}, ({body}))"

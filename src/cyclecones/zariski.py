@@ -105,8 +105,8 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     """
     if alpha.basis != g.basis or alpha.dim != g.dim:
         raise InputError("class not in the geometry's coordinate space")
-    rows = [inequality(l, 0) for l in g.mov.int_rows[1]]
-    for m in g.eff.int_rows[1]:
+    rows = [inequality(l, 0) for l in g.mov.inequality_rows()]
+    for m in g.eff.inequality_rows():
         bound = dot(m, alpha.coords)
         if bound < 0:
             raise DomainError(
@@ -226,12 +226,11 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
         raise DomainError("empty candidate polytope")
 
     # integer values: the canonical primitive facets (a positive rescaling
-    # keeps the order and the peel's ratios) on points over one common
-    # denominator
-    facets = g.eff.int_rows[1]
+    # keeps the order and the peel's ratios) on the canonical generators and
+    # the vertices over one common denominator
+    facets = g.eff.inequality_rows()
     gens = g.eff.generator_rows()
-    scale = lcm(*(c.denominator for row in gens for c in row),
-                *(c.denominator for v in vertices for c in v.coords))
+    scale = lcm(*(c.denominator for v in vertices for c in v.coords))
 
     def table(row) -> tuple[int, ...]:
         point = [c.numerator * (scale // c.denominator) for c in row]

@@ -316,7 +316,7 @@ def two_pass_dd_convert(cone: PolyCone) -> PolyCone:
     the supplied representation from the first one's output, with no
     combinatorial shortcut.  ``dd_convert`` must give the same canonical
     pair; the cross-checks of supplied rows are left to it, and the result
-    carries no integer rows."""
+    is not marked canonical."""
     def convert(rows):
         return _generators_from_dd(*double_description(rows, cone.dim))
 
@@ -337,17 +337,19 @@ def two_pass_dd_convert(cone: PolyCone) -> PolyCone:
 
 def fraction_contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     """Membership oracle: the decision ``cones.contains`` made before it
-    read the canonical integer rows.  The canonical inequality vectors are
-    scanned in Fraction arithmetic, and a member's combination is solved
-    on the generator vectors' Fraction coordinates."""
+    decided in ``int``.  The canonical inequalities, lifted to Fractions,
+    are scanned on the unscaled vector, and a member's combination is
+    solved on the generators lifted to Fractions."""
     full = dd_convert(cone)
-    cut = violated(full.inequality_rows(), vector.coords)
+    point = tuple(map(Fraction, vector.coords))
+    ineqs = [tuple(map(Fraction, row)) for row in full.inequality_rows()]
+    cut = violated(ineqs, point)
     if cut is not None:
         return ContainsResult(full, vector, False, separating=full.inequalities[cut])
-    gens = full.generator_rows()
+    gens = [tuple(map(Fraction, row)) for row in full.generator_rows()]
     if vector.is_zero():
         return ContainsResult(full, vector, True, combination=(Fraction(0),) * len(gens))
-    return ContainsResult(full, vector, True, combination=nonneg_solve(gens, vector.coords))
+    return ContainsResult(full, vector, True, combination=nonneg_solve(gens, point))
 
 
 def subset_brute_force(basis: PairingBasis, coeffs):

@@ -71,7 +71,7 @@ def contains_separating():
     f, target = verdict.separating.coords, verdict.vector.coords
     k = next(i for i, c in enumerate(f) if c != 0)
     moved = list(target)
-    moved[k] -= dot(f, target) / f[k]  # now <f, target> = 0: no separation
+    moved[k] -= Fraction(dot(f, target)) / f[k]  # now <f, target> = 0: no separation
     return check, f, target, tuple(moved)
 
 

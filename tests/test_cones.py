@@ -355,13 +355,12 @@ def _counting_double_description(monkeypatch):
 
 
 def _assert_stores_its_rows(full):
-    """``full`` carries the primitive integer rows of its vectors, in order."""
+    """``full``'s vectors are primitive integer rows: ``int`` coordinates,
+    each row its own ``int_primitive``."""
     assert full.canonical
-    assert full.int_rows == (
-        tuple(int_primitive(g.coords) for g in full.generators),
-        tuple(int_primitive(l.coords) for l in full.inequalities),
-    ), full
-    assert all(type(x) is int for part in full.int_rows for row in part for x in row)
+    rows = full.generator_rows() + full.inequality_rows()
+    assert all(type(x) is int for row in rows for x in row), full
+    assert all(int_primitive(row) == row for row in rows), full
 
 
 def _assert_matches_two_pass(cone, got):
@@ -488,7 +487,7 @@ def _membership_queries(rng, full, facets, members):
         return queries
     if members:
         queries += [random_vector(rng, dim, basis), random_member(rng, full)]
-    gens, ineqs = full.int_rows  # the vectors' own rows, as the test below checks
+    gens, ineqs = full.generator_rows(), full.inequality_rows()  # integer rows
     total = [sum(column) for column in zip(*gens)]
     for l in rng.sample(ineqs, min(facets, len(ineqs))):
         tight = [g for g in gens if dot(l, g) == 0]
@@ -532,8 +531,8 @@ def test_contains_matches_fraction_oracle():
 
 
 def test_canonical_cones_store_their_integer_rows():
-    # dd_convert stores int_primitive of its vectors, in order; dual_cone
-    # swaps the pair; a constructed or edited cone carries no rows
+    # the vectors of dd_convert's output are primitive integer rows; dual_cone
+    # swaps the pair and stays canonical; a constructed or edited cone is not
     fulls = [dd_convert(cone) for cone in _fixture_cones() + _edge_cones()]
     for seed in (1, 2, 3):
         fulls += _converted_cone_convert_cones(seed)
@@ -541,8 +540,12 @@ def test_canonical_cones_store_their_integer_rows():
         _assert_stores_its_rows(full)
         dual = dual_cone(full)
         _assert_stores_its_rows(dual)
-        assert dual.int_rows == (full.int_rows[1], full.int_rows[0])
-        assert dual_cone(dual).int_rows == full.int_rows
+        assert dual.generator_rows() == full.inequality_rows()
+        assert dual.inequality_rows() == full.generator_rows()
+        twice = dual_cone(dual)
+        assert (twice.generator_rows(), twice.inequality_rows()) == (
+            full.generator_rows(), full.inequality_rows()
+        )
         edited = dataclasses.replace(full, generators=full.generators)
         assert edited == full and not edited.canonical
     for cone in _fixture_cones() + _edge_cones() + _cone_convert_cones(1):

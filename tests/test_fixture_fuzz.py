@@ -1,8 +1,10 @@
-"""A fixture document with one node replaced never makes the CLI exit 3.
+"""A JSON document with one node replaced never makes the CLI exit 3.
 
-Each example takes a packaged fixture document, replaces one node (any
-depth) with a random JSON value, writes it to a file and runs
-``fixture PATH --verify``.  Malformed data must be an input error (exit 1)
+Each example takes a document, replaces one node (any depth) with a
+random JSON value, writes it to a file and runs a command on it: a
+packaged fixture under ``fixture PATH --verify``, or the README's cone,
+pairing and geometry documents under ``cone``, ``bck`` and
+``decompose --geometry``.  Malformed data must be an input error (exit 1)
 or a domain error (exit 2), never an internal error (exit 3); a harmless
 replacement, such as a new description, still exits 0.
 """
@@ -12,6 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,17 +59,93 @@ MUTATIONS = st.sampled_from(FIXTURE_NAMES).flatmap(
 )
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(MUTATIONS)
-def test_mutated_fixture_document_never_exits_3(mutation):
-    name, path, value = mutation
-    doc = copy.deepcopy(DOCUMENTS[name])
+def _replaced(doc, path, value):
+    """A copy of ``doc`` whose node at ``path`` is ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
+    return doc
+
+
+def _exit_code(doc, name, argv):
+    """The exit code of ``argv`` with ``doc`` written to a file standing for
+    ``PATH`` in it, and the result document."""
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / f"{name}.json"
         target.write_text(json.dumps(doc), encoding="utf-8")
-        document, code = run(["fixture", str(target), "--verify"])
+        document, code = run([str(target) if a == "PATH" else a for a in argv])
+    return code, document
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(MUTATIONS)
+def test_mutated_fixture_document_never_exits_3(mutation):
+    name, path, value = mutation
+    doc = _replaced(DOCUMENTS[name], path, value)
+    code, document = _exit_code(doc, name, ["fixture", "PATH", "--verify"])
     assert code in (0, 1, 2), (path, value, document["payload"])
+
+
+# the README's JSON schema examples, each with the commands that read it
+INPUTS = {
+    "cone": (
+        {"basis": "demo.div", "dim": 2,
+         "generators": [["1", "0"], ["1", "2"]],
+         "inequalities": [["0", "1"], ["2", "-1"]]},
+        [["cone", op, "--input", "PATH"] for op in ("convert", "dual", "rays")]
+        + [["cone", "contains", "--input", "PATH", "--vector", "1,1"]],
+    ),
+    "gram": (
+        {"labels": ["a", "b"], "gram": [["-2", "1"], ["1", "-2"]]},
+        [["bck", "--gram", "PATH", "--class", "1,2", *flag]
+         for flag in ((), ("--brute-force",))],
+    ),
+    "geometry": (
+        {"name": "demo", "basis": "plane", "dim": 2,
+         "mov": {"generators": [["1", "1"], ["0", "1"]]},
+         "eff": {"generators": [["1", "0"], ["0", "1"]]},
+         "objective": ["1", "1"]},
+        [["decompose", "--geometry", "PATH", "--class", "3,1"]],
+    ),
+}
+
+INPUT_MUTATIONS = st.sampled_from(sorted(INPUTS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.sampled_from(INPUTS[name][1]),
+        st.sampled_from([(), *_paths(INPUTS[name][0])]),
+        JSON_VALUES,
+    )
+)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_input_documents_run_as_given(name):
+    doc, commands = INPUTS[name]
+    for argv in commands:
+        code, document = _exit_code(doc, name, argv)
+        assert code == 0, (argv, document["payload"])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(INPUT_MUTATIONS)
+def test_mutated_input_document_never_exits_3(mutation):
+    name, argv, path, value = mutation
+    doc = _replaced(INPUTS[name][0], path, value)
+    code, document = _exit_code(doc, name, argv)
+    assert code in (0, 1, 2), (argv, path, value, document["payload"])
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_each_node_of_an_input_document_takes_every_json_type(name):
+    # the sweep the random examples above may miss: every node replaced by
+    # a value of each JSON type, under the document's first command
+    doc, commands = INPUTS[name]
+    for path in [(), *_paths(doc)]:
+        for value in (None, True, 0, "x", [], {}):
+            code, document = _exit_code(_replaced(doc, path, value), name, commands[0])
+            assert code in (0, 1, 2), (path, value, document["payload"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cyclecones.errors import DomainError, InputError
-from cyclecones.rationals import rat, rat_str
+from cyclecones.rationals import exact, rat, rat_str
 
 
 def test_parses_integers_and_fractions():
@@ -40,6 +40,19 @@ def test_integers_convert_exactly_and_bools_stay_rejected():
     for flag in (True, False):
         with pytest.raises(InputError):
             rat(flag)
+
+
+def test_exact_is_int_when_integral_and_rat_stays_fraction():
+    for value, want in ((3, 3), ("6/2", 3), (Fraction(4, 2), 2), (" -8 / 4 ", -2)):
+        got = exact(value)
+        assert type(got) is int and got == want
+    got = exact("1/2")
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    for bad in (True, 1.0, "x"):
+        with pytest.raises(InputError):
+            exact(bad)
+    for value in (3, "6/2", Fraction(4, 2)):
+        assert type(rat(value)) is Fraction
 
 
 def test_canonical_strings():

@@ -4,6 +4,7 @@ import pytest
 
 from cyclecones.cones import PolyCone, dual_cone
 from cyclecones.errors import InputError
+from cyclecones.negdef import PairingBasis
 from cyclecones.vectors import ClassVector, dual_basis
 
 F = Fraction
@@ -46,3 +47,18 @@ def test_primitive_scaling():
     assert v.primitive().coords == (1, -2, 0)
     zero = ClassVector("vbq", (0, 0, 0))
     assert zero.primitive().coords == (0, 0, 0)
+
+
+def test_integral_coordinates_are_int():
+    v = ClassVector("vb4", (3, "6/2", F(4, 2), "1/2"))
+    assert [type(c) for c in v.coords] == [int, int, int, F]
+    assert v.coords == (3, 3, 2, F(1, 2))
+    for bad in (True, 1.0, "x"):
+        with pytest.raises(InputError):
+            ClassVector("vb4", (bad,))
+    a, b = ClassVector("vb2", (1, 2)), ClassVector("vb2", (F(1), F(2)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "ClassVector('vb2', (1,2))"
+    gram = PairingBasis(("x", "y"), (("-2", F(1, 2)), (F(1, 2), F(-4, 2)))).gram
+    assert [[type(x) for x in row] for row in gram] == [[int, F], [F, int]]
+    assert gram == ((-2, F(1, 2)), (F(1, 2), -2))
