@@ -28,12 +28,10 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
-from .linalg import dot, int_primitive, nullspace, reproduces, separates, violated
+from .linalg import Row, dot, int_primitive, nullspace, reproduces, separates, violated
 from .rationals import rat
 from .simplex import nonneg_solve
 from .vectors import ClassVector, dual_basis
-
-Row = tuple[Fraction, ...]
 
 # Most rays one double description insertion may hold.  The benchmark's
 # largest output has 84; the pair scan grows with the square of the ray

@@ -5,9 +5,11 @@ these functions, and every certificate is re-checked with them:
 
 - ``dot``: the pairing sum a_i b_i; integer rows stay integers.
 - ``combine``: the combination sum c_i row_i.
-- ``reproduces``: a nonnegative combination of rows equals a target.
+- ``reproduces``: a nonnegative combination of rows equals a target,
+  checked on integers over one common denominator.
 - ``separates``: a functional is nonnegative on rows, negative on a vector.
 - ``violated``: the first functional negative on a vector, if any.
+- ``numerators``: rationals times a common denominator, as integers.
 - ``int_primitive``: coprime integer form of a row, orientation kept.
 - ``int_pivot``: one Gauss-Jordan pivot on integer rows, fraction-free.
 - ``echelon``: reduced row echelon form by ``int_pivot``.
@@ -23,15 +25,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-Row = tuple[Fraction, ...]
+Row = tuple[int | Fraction, ...]
 
 
 def dot(a, b):
-    """The pairing sum a_i b_i of two rows of equal length."""
+    """The pairing sum a_i b_i of two rows of equal length; 0 of empty rows."""
     products = map(mul, a, b)
     # starting from the first product keeps integer rows in integers and
     # spares Fraction rows a mixed int + Fraction addition
-    return sum(products, next(products, Fraction(0)))
+    first = next(products, None)
+    if first is None:
+        return Fraction(0)
+    return sum(products, first)
 
 
 def combine(coeffs, rows, dim: int) -> Row:
@@ -46,12 +51,24 @@ def combine(coeffs, rows, dim: int) -> Row:
 
 
 def reproduces(coeffs, rows, target) -> bool:
-    """True iff one nonnegative coefficient per row combines to ``target``."""
-    return (
-        len(coeffs) == len(rows)
-        and all(c >= 0 for c in coeffs)
-        and combine(coeffs, rows, len(target)) == tuple(target)
-    )
+    """True iff one nonnegative coefficient per row combines to ``target``.
+
+    Every coefficient and target entry must be an ``int`` or a
+    ``Fraction``; any other type (a float, a bool, a string) fails.  Over
+    ``den``, the lcm of their denominators, the integer coefficients
+    ``c·den`` must combine to ``den·target``: a positive rescaling of the
+    same test, with no Fraction arithmetic on integer rows.
+    """
+    entries = (*coeffs, *target)
+    if len(coeffs) != len(rows) or not all(
+        type(x) is int or type(x) is Fraction for x in entries
+    ):
+        return False
+    if any(c < 0 for c in coeffs):
+        return False
+    den = lcm(*(x.denominator for x in entries))
+    scaled = combine(numerators(coeffs, den), rows, len(target))
+    return scaled == tuple(numerators(target, den))
 
 
 def separates(functional, rows, vector) -> bool:
@@ -73,10 +90,15 @@ def violated(functionals, vector) -> int | None:
     )
 
 
+def numerators(values, den: int) -> list[int]:
+    """The integers x·den of rationals ``values`` whose denominators divide
+    ``den`` (an ``int`` is its own numerator over 1)."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def int_primitive(row) -> tuple[int, ...]:
     """Coprime integer form of a rational row, preserving orientation."""
-    common = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (common // x.denominator) for x in row]
+    ints = numerators(row, lcm(*(x.denominator for x in row)))
     content = gcd(*ints)
     if content <= 1:
         return tuple(ints)

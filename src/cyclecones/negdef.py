@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import combine, int_pivot, int_primitive
+from .linalg import combine, int_pivot, int_primitive, numerators
 from .rationals import exact, rat_str
 from .vectors import ClassVector
 
@@ -120,10 +121,18 @@ def _build(basis: PairingBasis, coeffs, support_coeffs) -> Decomposition:
 
 
 def _postconditions_hold(basis: PairingBasis, coeffs, support_coeffs) -> bool:
-    """The literal output contract, re-checked from scratch."""
+    """The literal output contract, re-checked from scratch.
+
+    The positive part's pairings are taken on its integer numerators over
+    one common denominator; a positive rescaling keeps every sign and
+    every zero.
+    """
     if any(c < 0 for c in support_coeffs):
         return False
-    positive = [c - n for c, n in zip(coeffs, support_coeffs)]
+    den = lcm(*(x.denominator for x in (*coeffs, *support_coeffs)))
+    positive = [
+        c - n for c, n in zip(numerators(coeffs, den), numerators(support_coeffs, den))
+    ]
     pairings = combine(positive, basis.gram, basis.rank)
     if any(v < 0 for v in pairings):
         return False

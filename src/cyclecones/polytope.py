@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import dot, int_primitive, reproduces, violated
@@ -65,7 +66,9 @@ def _homogenized(p: RationalPolytope):
     vertices, scaled by t > 0, as its rays with t > 0; a ray with t = 0 or
     any lineality is a nonzero direction d with <a, d> >= 0 for every row.
     The rays are primitive integer tuples, so a vertex is read off as
-    ``Fraction(c, t)`` per coordinate.
+    ``Fraction(c, t)`` per coordinate.  Over ``D``, the lcm of the rays'
+    last entries, the integers ``c·(D // t)`` are the vertex scaled by D,
+    so sorting on them is the lexicographic order of the vertices.
     Returns ``(vertices, direction)``, sorted vertices and None when the
     system is bounded, ``((), direction)`` otherwise.
     """
@@ -74,7 +77,9 @@ def _homogenized(p: RationalPolytope):
     witnesses = lineality or [r for r in rays if r[-1] == 0]
     if witnesses:
         return (), ClassVector(p.basis, witnesses[0][:-1])
-    points = sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in rays)
+    common = lcm(*(r[-1] for r in rays))
+    rays = sorted(rays, key=lambda r: [c * (common // r[-1]) for c in r[:-1]])
+    points = (r[:-1] if r[-1] == 1 else [Fraction(c, r[-1]) for c in r[:-1]] for r in rays)
     return tuple(ClassVector(p.basis, x) for x in points), None
 
 

@@ -23,7 +23,7 @@ from typing import Any
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import dot, reproduces, separates, violated
+from .linalg import dot, numerators, reproduces, separates, violated
 from .polytope import (
     RationalPolytope,
     inequality,
@@ -233,7 +233,7 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     scale = lcm(*(c.denominator for v in vertices for c in v.coords))
 
     def table(row) -> tuple[int, ...]:
-        point = [c.numerator * (scale // c.denominator) for c in row]
+        point = numerators(row, scale)
         return tuple(dot(l, point) for l in facets)
 
     values = [table(v.coords) for v in vertices]
@@ -284,22 +284,29 @@ def _peel(gen_values, slack) -> tuple[Fraction, ...]:
     Each step removes from the slack (the difference's facet values) the
     largest multiple of the first generator vanishing wherever it does, so
     in the residual's minimal face.  A new facet turns tight: at most
-    ``dim`` steps, and zero slack is a zero residual (salience).
+    ``dim`` steps, and zero slack is a zero residual (salience).  The
+    steps run on integers: the least ratio is found by cross-multiplying,
+    and the coefficients are kept over the residual's denominator, then
+    read off as Fractions once.
     """
-    coeffs = [Fraction(0)] * len(gen_values)
+    coeffs = [0] * len(gen_values)  # the coefficients times den
     den = 1  # the residual's facet values are slack / den
+    zero = Fraction(0)
     for _ in range(len(slack) + 1):  # each step makes another facet tight
         if not any(slack):
-            return tuple(coeffs)
+            return tuple(Fraction(c, den) if c else zero for c in coeffs)
         zeros = [l for l, sl in enumerate(slack) if sl == 0]
         face = (k for k, gv in enumerate(gen_values) if not any(gv[l] for l in zeros))
         pick = next(face, None)
         if pick is None:
             break
         gv = gen_values[pick]
-        ratios = ((sl, x) for x, sl in zip(gv, slack) if x > 0)
-        sl, x = min(ratios, key=lambda pair: Fraction(*pair))
-        coeffs[pick] += Fraction(sl, x * den)
+        sl, x = None, 0  # the least ratio sl / x over x > 0, the first on ties
+        for xi, si in zip(gv, slack):
+            if xi > 0 and (sl is None or si * x < sl * xi):
+                sl, x = si, xi
+        coeffs = [x * c for c in coeffs]
+        coeffs[pick] += sl
         slack = [x * a - sl * b for a, b in zip(slack, gv)]
         den *= x
     raise DomainError("representations disagree: peeling found no eff combination")

@@ -461,6 +461,48 @@ def affine_dominator_rows(g, rows, u: ClassVector, w: ClassVector):
     ]
 
 
+def fraction_reproduces(coeffs, rows, target) -> bool:
+    """Oracle for ``linalg.reproduces``: the check as it was before it
+    cleared denominators, a combination compared in Fraction arithmetic."""
+    return (
+        len(coeffs) == len(rows)
+        and all(c >= 0 for c in coeffs)
+        and combine(coeffs, rows, len(target)) == tuple(target)
+    )
+
+
+def fraction_sorted_vertices(p) -> list[tuple[Fraction, ...]]:
+    """Oracle for the vertex order of ``polytope._homogenized``: the
+    bounded polytope's double description rays as Fraction points, sorted
+    as tuples of Fractions."""
+    rows = (*p.inequalities, (0,) * p.dim + (1,))
+    lineality, rays = double_description(rows, p.dim + 1)
+    assert not lineality and all(r[-1] > 0 for r in rays)
+    return sorted(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in rays)
+
+
+def fraction_key_peel(gen_values, slack) -> tuple[Fraction, ...]:
+    """Oracle for ``zariski._peel``: each step picks the least ratio by a
+    Fraction key and adds its coefficient as a Fraction."""
+    coeffs = [Fraction(0)] * len(gen_values)
+    den = 1
+    for _ in range(len(slack) + 1):
+        if not any(slack):
+            return tuple(coeffs)
+        zeros = [l for l, sl in enumerate(slack) if sl == 0]
+        face = (k for k, gv in enumerate(gen_values) if not any(gv[l] for l in zeros))
+        pick = next(face, None)
+        if pick is None:
+            break
+        gv = gen_values[pick]
+        ratios = ((sl, x) for x, sl in zip(gv, slack) if x > 0)
+        sl, x = min(ratios, key=lambda pair: Fraction(*pair))
+        coeffs[pick] += Fraction(sl, x * den)
+        slack = [x * a - sl * b for a, b in zip(slack, gv)]
+        den *= x
+    raise DomainError("peeling found no eff combination")
+
+
 def cones_equal(a: PolyCone, b: PolyCone) -> bool:
     """Exact cone equality (basis-aware, representation-free)."""
     if a.basis != b.basis or a.dim != b.dim:

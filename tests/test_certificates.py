@@ -291,6 +291,45 @@ def test_directedness_accepts_a_rescaled_farkas_vector():
     assert replace(report, pair_certificate=doubled).verify()
 
 
+# -- certificates are exact: int and Fraction entries only --------------------
+
+
+def test_contains_certificate_rejects_inexact_coefficients():
+    cone = PolyCone.from_generators("unit", [(1, 0), (0, 1)])
+    verdict = contains(cone, ClassVector("unit", (1, 2)))
+    assert verdict.combination == (2, 1) and verdict.verify()
+    for combination in ((2.0, 1.0), (2, True)):
+        assert not replace(verdict, combination=combination).verify()
+
+
+def test_decomposition_rejects_inexact_combinations():
+    g = _geometry()
+    dec = decompose(g, _vector((3, 2)))
+    assert verify_decomposition(g, dec)
+    negative = dec.certificate("negative-part-pseudo-effective").data["combination"]
+    assert negative == [0, 1]
+    for fact, combination in (
+        ("positive-part-movable", [0.0, 2.0]),
+        ("negative-part-pseudo-effective", [0.0, 1.0]),
+        ("negative-part-pseudo-effective", [False, True]),
+    ):
+        certificates = tuple(
+            Certificate(fact, {"combination": combination}) if c.fact == fact else c
+            for c in dec.certificates
+        )
+        assert not verify_decomposition(g, replace(dec, certificates=certificates))
+
+
+def test_pair_certificate_rejects_inexact_farkas_vector():
+    report = _toric_no_maximum()
+    tripled = tuple(3 * c for c in report.pair_certificate)  # integral
+    args = (report.eff, report.polytope, *report.witness_pair, True)
+    assert pair_certified(*args, tripled)
+    inexact = tuple(map(float, tripled))
+    assert not pair_certified(*args, inexact)
+    assert not replace(report, pair_certificate=inexact).verify()
+
+
 # -- decompositions: the optimum metadata -------------------------------------
 
 

@@ -1,9 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from cyclecones import linalg
 from cyclecones.linalg import (
     combine,
     dot,
@@ -17,7 +19,7 @@ from cyclecones.linalg import (
     violated,
 )
 
-from conftest import bareiss_det, pivot, rref
+from conftest import bareiss_det, fraction_reproduces, pivot, rref
 
 F = Fraction
 
@@ -72,6 +74,75 @@ def test_kernel_pairings_and_certificates():
     assert not separates((F(0), F(1), F(0)), rows, (F(1), F(-1)))  # length
     assert violated(rows, (F(1), F(0))) is None
     assert violated([(F(1), F(0)), (F(0), F(1))], (F(1), F(-1))) == 1
+
+
+def test_dot_builds_no_fraction_on_integer_rows(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    assert type(dot((1, 2), (3, 4))) is int and dot((5,), (-1,)) == -5
+    assert built == []
+    assert dot((), ()) == 0 and built == [(0,)]
+
+
+def test_reproduces_rejects_inexact_entries():
+    # floats, bools and strings, in a coefficient or in the target
+    rows = [(2,), (1,)]
+    assert reproduces([F(1, 2), 0], rows, (1,)) and reproduces([0, 1], rows, (1,))
+    assert not reproduces([0.5, 0], rows, (1,))
+    assert not reproduces([0, True], rows, (1,))
+    assert not reproduces(["1", 0], rows, (2,))
+    assert not reproduces([1, 0], rows, (2.0,))
+    assert not reproduces([0, 1], rows, (True,))
+    assert not reproduces([1, 0], rows, ("2",))
+
+
+def _random_triple(rng):
+    """Coefficients, rows, a target and how the target was made; exact
+    entries only."""
+    dim, count = rng.randint(1, 4), rng.randint(0, 4)
+
+    def entry(lo, hi):
+        if rng.random() < 0.5:
+            return F(rng.randint(lo, hi), rng.randint(1, 4))
+        return rng.randint(lo, hi)
+
+    rows = [tuple(entry(-3, 3) for _ in range(dim)) for _ in range(count)]
+    coeffs = [rng.choice((0, 0, entry(0, 4), entry(-2, 4))) for _ in range(count)]
+    target = list(combine(coeffs, rows, dim + rng.randint(0, 1)))
+    kind = rng.choice(("exact", "exact", "off", "random")) if target else "exact"
+    if kind == "off":
+        den = lcm(*(x.denominator for x in (*coeffs, *target)))
+        target[rng.randrange(len(target))] += F(rng.choice((-1, 1)), den)
+    elif kind == "random":
+        target = [entry(-4, 4) for _ in target]
+    if rng.random() < 0.1:
+        coeffs = coeffs[:-1] if coeffs and rng.random() < 0.5 else coeffs + [1]
+    return coeffs, rows, tuple(target), kind
+
+
+def test_reproduces_matches_fraction_oracle():
+    # 600 seeded triples; both verdicts occur, and zero and negative
+    # coefficients, Fraction rows, wrong lengths and off-by-1/den targets
+    # each occur at least 30 times
+    rng = random.Random(2_718_281)
+    seen = Counter()
+    for _ in range(600):
+        coeffs, rows, target, kind = _random_triple(rng)
+        want = fraction_reproduces(coeffs, rows, target)
+        assert reproduces(coeffs, rows, target) is want, (coeffs, rows, target)
+        seen[want] += 1
+        seen[kind] += 1
+        seen["zero"] += 0 in coeffs
+        seen["negative"] += any(c < 0 for c in coeffs)
+        seen["fraction-row"] += any(type(x) is F for row in rows for x in row)
+        seen["wrong-length"] += len(coeffs) != len(rows)
+        seen["fraction-target"] += any(type(x) is F for x in target)
+    assert all(seen[k] >= 30 for k in seen) and len(seen) == 10, seen
 
 
 def test_int_primitive_and_pivot():

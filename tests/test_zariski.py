@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclecones import zariski
 from cyclecones.cones import PolyCone, contains
 from cyclecones.errors import DomainError, InputError
 from cyclecones.linalg import combine, dot, int_primitive, reproduces
@@ -36,6 +37,8 @@ from conftest import (
     TORIC_OBJECTIVE,
     affine_decomposition_rows,
     affine_dominator_rows,
+    fraction_key_peel,
+    fraction_sorted_vertices,
     maximize_affine,
     random_profile,
 )
@@ -226,6 +229,32 @@ def test_polytope_rows_are_the_homogenized_affine_rows(toric):
     for s, rows, u, w in pairs[:8]:
         want = [int_primitive((*a, -b)) for a, b in affine_dominator_rows(toric, rows, u, w)]
         assert list(_dominators(toric.eff, s, u, w).inequalities) == want
+
+
+def test_vertex_order_is_the_fraction_tuple_sort(toric_reports):
+    # every toric class sum c_i C_i with c_i in {0, 1, 2}
+    assert len(toric_reports) == 243
+    for report in toric_reports:
+        s = report.polytope
+        assert [v.coords for v in s.vertices] == fraction_sorted_vertices(s)
+
+
+def test_peel_matches_fraction_key_oracle(toric, toric_reports, monkeypatch):
+    # every peel that the maximum reports among the toric classes ask for:
+    # 383 peels, 131 of them with a coefficient that is not an integer
+    peel, calls = zariski._peel, []
+
+    def checked(gen_values, slack):
+        got = peel(gen_values, slack)
+        assert got == fraction_key_peel(gen_values, slack), (gen_values, slack)
+        assert all(type(c) is Fraction for c in got)
+        calls.append(any(c.denominator > 1 for c in got))
+        return got
+
+    monkeypatch.setattr(zariski, "_peel", checked)
+    for report in toric_reports:
+        assert preceq_maximum(toric, report.polytope) == report
+    assert (len(calls), sum(calls)) == (383, 131)
 
 
 def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
