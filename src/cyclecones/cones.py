@@ -144,7 +144,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
 def _project(v, z, az: int, a) -> tuple[int, ...]:
     """``az * v - <a, v> * z``, made primitive: a positive rescaling of the
     projection of ``v`` along ``z`` onto the hyperplane ``<a, x> = 0``."""
-    av = dot(v, a)
+    av = sum(map(mul, v, a))
     return int_primitive(tuple(az * v_i - av * z_i for v_i, z_i in zip(v, z)))
 
 

@@ -5,12 +5,15 @@ these functions, and every certificate is re-checked with them:
 
 - ``dot``: the pairing sum a_i b_i; integer rows stay integers.
 - ``combine``: the combination sum c_i row_i.
+- ``all_exact``: every entry is an ``int`` or a ``Fraction``, the entries a
+  certificate may hold.
 - ``reproduces``: a nonnegative combination of rows equals a target,
   checked on integers over one common denominator.
 - ``separates``: a functional is nonnegative on rows, negative on a vector.
 - ``violated``: the first functional negative on a vector, if any.
 - ``numerators``: rationals times a common denominator, as integers.
-- ``int_primitive``: coprime integer form of a row, orientation kept.
+- ``int_primitive``: coprime integer form of a row, orientation kept; a
+  row of ``int``s is only divided by its content.
 - ``int_pivot``: one Gauss-Jordan pivot on integer rows, fraction-free.
 - ``echelon``: reduced row echelon form by ``int_pivot``.
 - ``mat_rank``, ``nullspace``, ``solve_unique``: read off ``echelon``.
@@ -50,6 +53,12 @@ def combine(coeffs, rows, dim: int) -> Row:
     return tuple(total)
 
 
+def all_exact(values) -> bool:
+    """True iff every entry is exactly an ``int`` or a ``Fraction``, not a
+    float, a bool, a string or a subclass."""
+    return all(type(x) is int or type(x) is Fraction for x in values)
+
+
 def reproduces(coeffs, rows, target) -> bool:
     """True iff one nonnegative coefficient per row combines to ``target``.
 
@@ -60,9 +69,7 @@ def reproduces(coeffs, rows, target) -> bool:
     same test, with no Fraction arithmetic on integer rows.
     """
     entries = (*coeffs, *target)
-    if len(coeffs) != len(rows) or not all(
-        type(x) is int or type(x) is Fraction for x in entries
-    ):
+    if len(coeffs) != len(rows) or not all_exact(entries):
         return False
     if any(c < 0 for c in coeffs):
         return False
@@ -97,8 +104,15 @@ def numerators(values, den: int) -> list[int]:
 
 
 def int_primitive(row) -> tuple[int, ...]:
-    """Coprime integer form of a rational row, preserving orientation."""
-    ints = numerators(row, lcm(*(x.denominator for x in row)))
+    """Coprime integer form of a rational row, preserving orientation.
+
+    A row of exact ``int``s is only divided by its content; any other row
+    is first scaled by the lcm of its denominators to integers.
+    """
+    if all(type(x) is int for x in row):
+        ints = row
+    else:
+        ints = numerators(row, lcm(*(x.denominator for x in row)))
     content = gcd(*ints)
     if content <= 1:
         return tuple(ints)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import dot, int_primitive, reproduces, violated
+from .linalg import all_exact, dot, int_primitive, reproduces, violated
 from .rationals import rat
 from .simplex import nonneg_solve
 from . import cones
@@ -54,9 +54,13 @@ class RationalPolytope:
         return RationalPolytope(basis, dim, ineqs)
 
     def holds_at(self, coords) -> bool:
-        """True iff ``coords`` is a point satisfying every row."""
+        """True iff ``coords`` is a point satisfying every row: ``dim``
+        coordinates, each an ``int`` or a ``Fraction`` (``linalg.all_exact``);
+        anything else, a float or a string, is no point and fails."""
+        if len(coords) != self.dim or not all_exact(coords):
+            return False
         point = int_primitive((*coords, 1))  # a positive multiple of (x, 1)
-        return len(coords) == self.dim and violated(self.inequalities, point) is None
+        return violated(self.inequalities, point) is None
 
 
 def _homogenized(p: RationalPolytope):

@@ -108,17 +108,18 @@ def epsilon(profile: HNProfile, k: int) -> Fraction:
 
     The polygon starts at (0, -degree), glues segments of horizontal
     length rank_i and slope slope_i in increasing order, and ends at
-    (rank, 0).
+    (rank, 0).  The breakpoints (x, y) are integer points, so the height
+    on the segment of piece (r, d) is the one Fraction
+    (y·r + (k − x)·d) / r.
     """
     _check_k(profile, k, 0, profile.rank)
-    x = Fraction(0)
-    y = Fraction(-profile.degree)
-    for (r, _), slope in zip(profile.pieces, profile.slopes):
-        if k <= x + r:
-            return y + (Fraction(k) - x) * slope
+    x, y = 0, -profile.degree
+    for r, d in profile.pieces:
+        if k <= x + r:  # always breaks, as k <= rank
+            break
         x += r
-        y += r * slope
-    return y  # k == rank: polygon ends at height 0
+        y += d
+    return Fraction(y * r + (k - x) * d, r)
 
 
 def nu(profile: HNProfile, k: int) -> Fraction:

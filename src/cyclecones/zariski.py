@@ -4,12 +4,16 @@ Given the two cones and a pseudo-effective class, the candidate positive
 parts form a bounded polytope: movable classes dominated by the input.
 A positive part is selected by exact maximization of a degree functional
 (strictly positive on the effective cone), and the engine certifies
-whether the candidate set has a domination-order maximum; when it does,
-the selected part equals it for every valid objective, and the output
-says so, with certificates found by peeling along faces (no simplex).
-When it does not, the order-theoretic failure is witnessed by a vertex
-pair with no common dominator, checked by double description and
-certified by a Farkas vector.
+whether the candidate set has a domination-order maximum: the vertex
+whose eff facet values are the column-wise maxima over all vertices, if
+one is.  When it exists, the selected part equals it for every valid
+objective, and the output says so, with certificates found by peeling
+along faces (no simplex).  When it does not, the order-theoretic failure
+is witnessed by a vertex pair with no common dominator, checked by double
+description and certified by a Farkas vector.  A step that cannot fail on
+converted cones (a peel that finds no combination, an empty set without
+a Farkas vector) raises ``CycleConesError``, an internal error, never a
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -214,11 +218,15 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
 
     A maximum, if any, must be a vertex (salience), and dominating every
     vertex suffices for the whole polytope (convexity), so the decision is
-    exact over a table of the vertices' eff facet values; certificates
-    come from ``_peel``.  In the negative case some vertex pair has no
-    vertex dominating both (a finite directed order would have a maximum);
-    each failure names the first facet where the vertex falls short, and
-    the pair gets an exact emptiness check of its whole dominator set.
+    exact over a table of the vertices' eff facet values.  A vertex
+    dominates every vertex iff its row of the table is the column-wise
+    maximum, so one pass over the columns decides; the row is unique, as
+    the facet values of a salient full-dimensional eff fix the point.
+    Certificates come from ``_peel``.  In the negative case some vertex
+    pair has no vertex dominating both (a finite directed order would have
+    a maximum); each failure names the first facet where the vertex falls
+    short, and the pair gets an exact emptiness check of its whole
+    dominator set.
     """
     s = vertex_enumeration(s)
     vertices = s.vertices
@@ -237,22 +245,22 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
         return tuple(dot(l, point) for l in facets)
 
     values = [table(v.coords) for v in vertices]
+    column_max = tuple(map(max, zip(*values)))
+    if column_max in values:
+        top = values.index(column_max)
+        gen_values = [table(gen) for gen in gens]
+        domination = tuple(
+            _peel(gen_values, [a - b for a, b in zip(column_max, row)])
+            for row in values
+        )
+        return DirectednessReport(
+            "maximum", s, g.eff, maximum=vertices[top], domination=domination
+        )
 
     def dominates(i: int, j: int) -> bool:
         return all(a >= b for a, b in zip(values[i], values[j]))
 
     indices = range(len(vertices))
-    for top in indices:
-        if all(dominates(top, j) for j in indices):
-            gen_values = [table(gen) for gen in gens]
-            domination = tuple(
-                _peel(gen_values, [a - b for a, b in zip(values[top], values[j])])
-                for j in indices
-            )
-            return DirectednessReport(
-                "maximum", s, g.eff, maximum=vertices[top], domination=domination
-            )
-
     for i, j in combinations(indices, 2):
         if any(dominates(k, i) and dominates(k, j) for k in indices):
             continue
@@ -273,7 +281,7 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
             pair_dominator_set_empty=empty,
             pair_certificate=certificate,
         )
-    raise DomainError(
+    raise CycleConesError(
         "inconsistent state: pairwise dominated vertices but no maximum"
     )
 
@@ -309,7 +317,7 @@ def _peel(gen_values, slack) -> tuple[Fraction, ...]:
         coeffs[pick] += sl
         slack = [x * a - sl * b for a, b in zip(slack, gv)]
         den *= x
-    raise DomainError("representations disagree: peeling found no eff combination")
+    raise CycleConesError("representations disagree: peeling found no eff combination")
 
 
 def _dominators(eff: PolyCone, s: RationalPolytope, u, w) -> RationalPolytope:
@@ -354,7 +362,7 @@ def dominator_set_empty(
         return False, points.vertices[0].coords
     y = nonneg_solve(dominators.inequalities, (0,) * s.dim + (-1,))
     if y is None:
-        raise DomainError("representations disagree: no Farkas vector for an empty set")
+        raise CycleConesError("representations disagree: no Farkas vector for an empty set")
     return True, y
 
 

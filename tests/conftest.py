@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -501,6 +502,43 @@ def fraction_key_peel(gen_values, slack) -> tuple[Fraction, ...]:
         slack = [x * a - sl * b for a, b in zip(slack, gv)]
         den *= x
     raise DomainError("peeling found no eff combination")
+
+
+def pairwise_maximum(g, s) -> tuple[str, tuple | None]:
+    """Oracle for the decision of ``zariski.preceq_maximum``: the all-pairs
+    scan, each vertex tested against every other on its Fraction eff facet
+    values.  Returns the status and the maximum's coordinates (or None)."""
+    values = [
+        [dot(l.coords, v.coords) for l in g.eff.inequalities] for v in s.vertices
+    ]
+    for top, row in enumerate(values):
+        if all(all(a >= b for a, b in zip(row, other)) for other in values):
+            return "maximum", s.vertices[top].coords
+    return "no-maximum", None
+
+
+def fraction_int_primitive(row) -> tuple[int, ...]:
+    """Oracle for ``linalg.int_primitive``: every row, integer or not,
+    scaled by the lcm of its denominators, then divided by its content."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    content = gcd(*ints)
+    if content <= 1:
+        return tuple(ints)
+    return tuple(v // content for v in ints)
+
+
+def fraction_epsilon(profile: HNProfile, k: int) -> Fraction:
+    """Oracle for ``projbundle.epsilon``: the slope polygon walked in
+    Fractions, one segment of slope d/r per piece."""
+    x = Fraction(0)
+    y = Fraction(-profile.degree)
+    for (r, _), slope in zip(profile.pieces, profile.slopes):
+        if k <= x + r:
+            return y + (Fraction(k) - x) * slope
+        x += r
+        y += r * slope
+    return y
 
 
 def cones_equal(a: PolyCone, b: PolyCone) -> bool:

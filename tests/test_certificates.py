@@ -11,6 +11,7 @@ pass, so no rejection is vacuous.
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +29,7 @@ from cyclecones.zariski import (
     cone_geometry,
     decompose,
     decomposition_polytope,
+    dominator_set_empty,
     pair_certified,
     preceq_maximum,
     verify_decomposition,
@@ -328,6 +330,28 @@ def test_pair_certificate_rejects_inexact_farkas_vector():
     inexact = tuple(map(float, tripled))
     assert not pair_certified(*args, inexact)
     assert not replace(report, pair_certificate=inexact).verify()
+
+
+def test_point_certificate_rejects_inexact_coordinates():
+    # a nonempty verdict with a float point fails rather than raising: on
+    # the toric report, and on a toric pair whose dominator set has a point
+    report = _toric_no_maximum()
+    u, w = report.witness_pair
+    inexact = tuple(map(float, u.coords))
+    args = (report.eff, report.polytope, u, w, False)
+    assert not pair_certified(*args, inexact)
+    assert not replace(
+        report, pair_dominator_set_empty=False, pair_certificate=inexact
+    ).verify()
+    g, s = _toric_geometry(), report.polytope
+    u, w = next(
+        pair for pair in combinations(s.vertices, 2)
+        if not dominator_set_empty(g, s, *pair)[0]
+    )
+    point = dominator_set_empty(g, s, u, w)[1]
+    args = (report.eff, s, u, w, False)
+    assert pair_certified(*args, point)
+    assert not pair_certified(*args, tuple(map(float, point)))
 
 
 # -- decompositions: the optimum metadata -------------------------------------

@@ -13,13 +13,14 @@ from cyclecones.linalg import (
     int_primitive,
     mat_rank,
     nullspace,
+    numerators,
     reproduces,
     separates,
     solve_unique,
     violated,
 )
 
-from conftest import bareiss_det, fraction_reproduces, pivot, rref
+from conftest import bareiss_det, fraction_int_primitive, fraction_reproduces, pivot, rref
 
 F = Fraction
 
@@ -152,6 +153,48 @@ def test_int_primitive_and_pivot():
     rows = [[F(2), F(4), F(2)], [F(1), F(3), F(0)]]
     pivot(rows, 0, 0)
     assert rows == [[1, 2, 1], [0, 1, -1]]
+
+
+def _random_primitive_row(rng):
+    """A row and its kind: all-``int`` (zero, negative content, one entry,
+    large entries or plain) or mixed ``int``/``Fraction``."""
+    kind = rng.choice(("zero", "negative", "single", "large", "int", "mixed", "mixed"))
+    length = 1 if kind == "single" else rng.randint(1, 7)
+    if kind == "zero":
+        return (0,) * length, kind
+    bound = 10**30 if kind == "large" else 9
+    row = [rng.randint(-bound, bound) for _ in range(length)]
+    if kind == "negative":  # content at least 2, a negative first entry
+        content = rng.randint(2, 6)
+        row = [content * -rng.randint(1, 9)] + [content * x for x in row[1:]]
+    if kind == "mixed":
+        k = rng.randrange(length)
+        row[k] = F(rng.randint(-9, 9), rng.randint(2, 6))
+    return tuple(row), kind
+
+
+def test_int_primitive_matches_fraction_oracle(monkeypatch):
+    # 600 seeded rows: all-int rows take the gcd-only path, which never
+    # scales by denominators; every kind occurs at least 50 times
+    scaled = []
+
+    def counting(values, den):
+        scaled.append(den)
+        return numerators(values, den)
+
+    monkeypatch.setattr(linalg, "numerators", counting)
+    rng = random.Random(1_618_033)
+    seen = Counter()
+    for _ in range(600):
+        row, kind = _random_primitive_row(rng)
+        before = len(scaled)
+        got = int_primitive(row)
+        assert got == fraction_int_primitive(row), row
+        assert all(type(x) is int for x in got)
+        assert (len(scaled) > before) == (kind == "mixed"), row
+        seen[kind] += 1
+        seen["divided"] += kind != "mixed" and got != row
+    assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
 def test_echelon_identity():

@@ -237,6 +237,17 @@ def test_holds_at_agrees_with_fraction_check():
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
+def test_holds_at_rejects_inexact_coordinates():
+    # (1, 1) is a point of the square; a float, a string or a bool in its
+    # place is none, and fails instead of raising
+    square = RationalPolytope.from_inequalities(
+        "sq2", 2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
+    )
+    assert square.holds_at((1, 1)) and square.holds_at((F(1), F(3, 2)))
+    for point in ((1.0, 1), ("1", 1), (True, 1), (1, F(1), 0), (1,)):
+        assert square.holds_at(point) is False, point
+
+
 def test_simplex_with_no_rows_left():
     # phase one drops every row as redundant
     assert nonneg_solve([(0, 0)], (0, 0)) == (F(0),)

@@ -20,7 +20,7 @@ from cyclecones.projbundle import (
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import cone_geometry, decompose, verify_decomposition
 
-from conftest import cones_equal, random_profile
+from conftest import cones_equal, fraction_epsilon, random_profile
 
 F = Fraction
 
@@ -54,6 +54,15 @@ def test_epsilon_semistable_is_linear():
     profile = HNProfile(((4, 2),))
     for k in range(5):
         assert epsilon(profile, k) == -2 + F(k) * F(2, 4)
+
+
+def test_epsilon_matches_fraction_oracle(rng):
+    # every k in 0..rank of 60 seeded profiles: the same value, a Fraction
+    for _ in range(60):
+        profile = random_profile(rng)
+        for k in range(profile.rank + 1):
+            got = epsilon(profile, k)
+            assert type(got) is Fraction and got == fraction_epsilon(profile, k)
 
 
 def test_nu_values():

@@ -6,7 +6,7 @@ import pytest
 
 from cyclecones import zariski
 from cyclecones.cones import PolyCone, contains
-from cyclecones.errors import DomainError, InputError
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine, dot, int_primitive, reproduces
 from cyclecones.projbundle import (
     class_basis,
@@ -40,6 +40,7 @@ from conftest import (
     fraction_key_peel,
     fraction_sorted_vertices,
     maximize_affine,
+    pairwise_maximum,
     random_profile,
 )
 
@@ -321,6 +322,32 @@ def test_peel_certificates_are_sparse_and_reproduce(toric, toric_reports):
             assert reproduces(combo, rows, (report.maximum - v).coords)
         for f in report.failures:
             assert f.separating == contains(g.eff, f.vertex - f.target).separating
+
+
+def test_preceq_maximum_matches_pairwise_oracle(toric, toric_reports):
+    # the column-maximum decision against the all-pairs scan: every toric
+    # class sum c_i C_i with c_i in {0, 1, 2}, then seeded ladder classes
+    # in dimensions 3 to 6 (these all have a maximum)
+    cases = [(toric, report) for report in toric_reports]
+    rng = random.Random(4_241)
+    for dim in (3,) * 16 + (4,) * 8 + (5,) * 4 + (6,) * 4:
+        g, alpha = ladder_geometry(rng, dim)
+        cases.append((g, preceq_maximum(g, decomposition_polytope(g, alpha))))
+    seen = set()
+    for g, report in cases:
+        status, maximum = pairwise_maximum(g, report.polytope)
+        assert report.status == status
+        assert (report.maximum and report.maximum.coords) == maximum
+        seen.add((g is toric, status))
+    assert seen == {(True, "maximum"), (True, "no-maximum"), (False, "maximum")}
+
+
+def test_peel_without_a_combination_is_an_internal_error():
+    # one generator with facet values (1, 0) cannot reach the slack (0, 1):
+    # a broken invariant, not a question outside the domain
+    with pytest.raises(CycleConesError) as err:
+        zariski._peel([(1, 0)], [0, 1])
+    assert not isinstance(err.value, DomainError)
 
 
 def test_two_dimensional_geometries_always_have_maximum(rng):
