@@ -100,8 +100,13 @@ def _decompose_payload(args) -> dict:
         from .section_plot import render_section
 
         svg = render_section(geometry, result)
-        with open(args.plot_section, "w", encoding="utf-8") as handle:
-            handle.write(svg)
+        try:
+            with open(args.plot_section, "w", encoding="utf-8") as handle:
+                handle.write(svg)
+        except OSError as exc:  # no such directory, a directory, ...
+            raise InputError(
+                f"cannot write {args.plot_section}: {exc.strerror or exc}"
+            ) from exc
         payload["plot_section"] = args.plot_section
     return payload
 

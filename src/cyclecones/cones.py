@@ -6,14 +6,20 @@ combining adjacent positive/negative pairs.  Rays are primitive integer
 tuples and their tight sets are ``int`` bitmasks, so the adjacency test is
 a few machine-word operations per ray (Fukuda and Prodon, 1996; Terzer and
 Stelling, 2008).  Lineality (non-pointed input) is handled natively, so the
-zero cone and the full space are ordinary values.  ``dd_convert`` runs
-one double description and, for most cones, reads the irredundant supplied
-rows off it by their tight rays; degenerate input takes a second pass over
-the first pass's integer rows.  Supplied rows are checked against the
-result in integers.  A coordinate is an ``int`` when it is integral
-(``rationals.exact``), so the vectors of a canonical cone are its primitive
-integer rows, and ``contains`` decides membership on them in ``int``
-arithmetic.  Dimensions in this package stay small: at most 8 for
+zero cone and the full space are ordinary values.
+
+``double_description`` returns ``(lineality, rays)``, where ``rays`` is a
+dict from each primitive ray, in insertion order, to its tight set: bit
+``i`` is set exactly when row ``i`` is nonzero and vanishes on the ray.
+A dict, not a third value, keeps the result a pair that iterates and
+counts like the ray list, which is what the benchmark's tracer unpacks.
+``dd_convert`` runs one double description and, for most cones, reads the
+irredundant supplied rows off that incidence; degenerate input takes a
+second pass over the first pass's integer rows.  Supplied rows are checked
+against the result in integers.  A coordinate is an ``int`` when it is
+integral (``rationals.exact``), so the vectors of a canonical cone are its
+primitive integer rows, and ``contains`` decides membership on them in
+``int`` arithmetic.  Dimensions in this package stay small: at most 8 for
 cones of classes, and one more for the homogenized inequality systems whose
 vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent on
 insertion-order heuristics.
@@ -43,15 +49,20 @@ _MAX_DD_RAYS = 10_000
 def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     """Generators of the cone {x : <r, x> >= 0 for every r in rows}.
 
-    Returns ``(lineality, rays)``: a basis of the lineality space and the
-    extremal rays of the pointed quotient, as primitive integer tuples.
+    Returns ``(lineality, rays)``: a basis of the lineality space, as a
+    list, and the extremal rays of the pointed quotient, as a dict from
+    each ray to its tight set; both hold primitive integer tuples.
     Together they generate the cone as ``span(lineality) + cone(rays)``.
+    ``rays`` iterates and counts like a ray list, in insertion order; the
+    result stays a pair, not a triple, because the benchmark's tracer
+    unpacks it as ``lineality, rays``.
 
     Insertion maintains three invariants: every processed constraint
     vanishes on the current lineality span, the ray list is exactly the
     extremal rays of the current cone modulo lineality, and each ray's
     tight set, an ``int`` whose bit ``i`` stands for row ``i``, holds every
-    processed nonzero row vanishing on it and no row that does not.
+    processed nonzero row vanishing on it and no other row: a zero row's
+    bit is never set.  The returned dict holds these tight sets.
     Adjacency of a positive/negative ray pair is decided combinatorially:
     no third ray's tight set ``t`` may contain the pair's common tight set
     ``c`` (``c & t == c``).  A pair is rejected before that scan when ``c``
@@ -68,6 +79,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     ]
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []
+    processed = 0  # the bits of the nonzero rows read so far
 
     for idx, raw in enumerate(rows):
         checked = tuple(x if type(x) is int else rat(x) for x in raw)
@@ -77,6 +89,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
             continue
         a = int_primitive(checked)
         bit = 1 << idx
+        earlier, processed = processed, processed | bit
 
         hit = next((i for i, l in enumerate(lineality) if dot(l, a) != 0), None)
         if hit is not None:
@@ -88,10 +101,11 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
             lineality = [_project(l, z, az, a) for l in lineality]
             rays = [_project(r, z, az, a) for r in rays]
             # adjusted rays land exactly on the new hyperplane, and z is
-            # tight on every earlier row, since those vanish on lineality
+            # tight on every earlier nonzero row, since those vanish on
+            # lineality
             tight = [t | bit for t in tight]
             rays.append(z)
-            tight.append(bit - 1)
+            tight.append(earlier)
             continue
 
         values = [sum(map(mul, r, a)) for r in rays]
@@ -138,13 +152,16 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
                     )
         rays, tight = new_rays, new_tight
 
-    return lineality, rays
+    return lineality, dict(zip(rays, tight))
 
 
 def _project(v, z, az: int, a) -> tuple[int, ...]:
     """``az * v - <a, v> * z``, made primitive: a positive rescaling of the
-    projection of ``v`` along ``z`` onto the hyperplane ``<a, x> = 0``."""
+    projection of ``v`` along ``z`` onto the hyperplane ``<a, x> = 0``.
+    ``v`` is primitive, so when ``<a, v> = 0`` that is ``v`` itself."""
     av = sum(map(mul, v, a))
+    if not av:
+        return v
     return int_primitive(tuple(az * v_i - av * z_i for v_i, z_i in zip(v, z)))
 
 
@@ -228,25 +245,31 @@ def _irredundant_rows(rows, lineality, rays, dim: int):
     """The facet rows of K = {x : <r, x> >= 0 for every r in rows}, or None.
 
     ``rows`` are primitive integer rows and ``(lineality, rays)`` is K's
-    double description.  None means K is not full-dimensional or its
-    pointed quotient has dimension at most 1.  Otherwise each facet holds a
-    ray and is cut out by a supplied row, unique up to positive scaling,
-    and a face of the pointed quotient is fixed by the rays it holds
-    (Fukuda and Prodon, 1996).  So the facet rows are the nonzero rows
-    whose tight set over the rays no other row's tight set strictly
-    contains; a row tight on no ray is never one of them.
+    double description of exactly these rows, so bit ``i`` of a ray's
+    tight set stands for ``rows[i]``.  None means K is not
+    full-dimensional or its pointed quotient has dimension at most 1.
+    Otherwise each facet holds a ray and is cut out by a supplied row,
+    unique up to positive scaling, and a face of the pointed quotient is
+    fixed by the rays it holds (Fukuda and Prodon, 1996).  So the facet
+    rows are the nonzero rows whose tight set over the rays no other row's
+    tight set strictly contains; a row tight on no ray is never one of
+    them.  Those row tight sets are the ray tight sets transposed: no dot
+    product is taken.
     """
     if dim - len(lineality) < 2:
         return None
+    holders = [0] * len(rows)  # per row, the bits of the rays it vanishes on
+    for j, mask in enumerate(rays.values()):
+        ray_bit = 1 << j
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= ray_bit
+            mask ^= low
     everywhere = (1 << len(rays)) - 1
     by_tight: dict[int, set[tuple[int, ...]]] = {}
-    for a in rows:
+    for a, tight in zip(rows, holders):
         if not any(a):
             continue
-        tight = 0
-        for bit, r in enumerate(rays):
-            if not sum(map(mul, r, a)):
-                tight |= 1 << bit
         if tight == everywhere:
             return None  # an implicit equality (or no rays): K is not full-dimensional
         by_tight.setdefault(tight, set()).add(a)

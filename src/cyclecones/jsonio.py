@@ -41,6 +41,8 @@ def read_json(path: str):
             return json.load(handle, parse_float=_reject_float)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:  # a directory, no permission, ...
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()

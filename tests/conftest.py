@@ -238,11 +238,15 @@ def set_double_description(rows, dim):
 
     The engine ``cones.double_description`` replaced: the same insertion
     order and list order, no rank prefilter, and every positive/negative
-    pair checked against every other ray.  Returns ``(lineality, rays)``
-    as tuples of Fractions.
+    pair checked against every other ray.  Returns ``(lineality, rays,
+    tight)``: the first two as lists of Fraction tuples, and each ray's
+    tight set, the indices of the nonzero rows vanishing on it.  A ray
+    born from a lineality vector is tight on the nonzero rows read before
+    it, never on a zero row.
     """
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays, tight = [], []
+    processed = set()  # indices of the nonzero rows read so far
 
     def project(v, z, az, a):
         av = dot(v, a)
@@ -255,6 +259,8 @@ def set_double_description(rows, dim):
         if not any(checked):
             continue
         a = int_primitive(checked)
+        earlier = set(processed)
+        processed.add(idx)
 
         hit = next((i for i, l in enumerate(lineality) if dot(l, a) != 0), None)
         if hit is not None:
@@ -268,7 +274,7 @@ def set_double_description(rows, dim):
             for t in tight:
                 t.add(idx)
             rays.append(z)
-            tight.append(set(range(idx)))
+            tight.append(earlier)
             continue
 
         values = [dot(r, a) for r in rays]
@@ -309,7 +315,33 @@ def set_double_description(rows, dim):
     return (
         [tuple(Fraction(x) for x in v) for v in lineality],
         [tuple(Fraction(x) for x in v) for v in rays],
+        tight,
     )
+
+
+def dot_irredundant_rows(rows, lineality, rays, dim: int):
+    """Oracle for ``cones._irredundant_rows``: the same facet rule, with each
+    supplied row's tight set rebuilt from its dot products with every ray
+    instead of read off the double description's incidence."""
+    if dim - len(lineality) < 2:
+        return None
+    everywhere = (1 << len(rays)) - 1
+    by_tight: dict[int, set[tuple[int, ...]]] = {}
+    for a in rows:
+        if not any(a):
+            continue
+        tight = 0
+        for bit, r in enumerate(rays):
+            if not dot(r, a):
+                tight |= 1 << bit
+        if tight == everywhere:
+            return None
+        by_tight.setdefault(tight, set()).add(a)
+    facets: set[tuple[int, ...]] = set()
+    for tight, same in by_tight.items():
+        if not any(t != tight and tight & t == tight for t in by_tight):
+            facets |= same
+    return sorted(facets)
 
 
 def two_pass_dd_convert(cone: PolyCone) -> PolyCone:

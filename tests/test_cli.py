@@ -86,6 +86,32 @@ def test_missing_file_is_input_error():
     assert document["diagnostics"]
 
 
+# paths that name a directory or lie under a missing one, read and written
+UNUSABLE_PATHS = [
+    ("cone-input-directory", ["cone", "convert", "--input", "{tmp}/dir"], "{tmp}/dir"),
+    ("bck-gram-directory", ["bck", "--gram", "{tmp}/dir", "--class", "1"], "{tmp}/dir"),
+    ("fixture-directory", ["fixture", "{tmp}/dir.json"], "{tmp}/dir.json"),
+    ("plot-section-missing-directory",
+     ["decompose", "--geometry", "p2-hilb2:surfaces", "--class", "1,0,1",
+      "--plot-section", "{tmp}/missing/x.svg"], "{tmp}/missing/x.svg"),
+    ("plot-section-directory",
+     ["decompose", "--geometry", "p2-hilb2:surfaces", "--class", "1,0,1",
+      "--plot-section", "{tmp}/dir"], "{tmp}/dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, path", [u[1:] for u in UNUSABLE_PATHS], ids=[u[0] for u in UNUSABLE_PATHS]
+)
+def test_unusable_path_is_input_error_naming_it(argv, path, tmp_path):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir.json").mkdir()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    document, code = run_json(argv)
+    assert (code, document["status"]) == (1, "input_error")
+    assert path.format(tmp=tmp_path) in document["payload"]["error"]["message"]
+
+
 def test_float_in_input_is_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"basis": "cli2f", "dim": 2, "generators": [[0.5, 1]]}')

@@ -11,6 +11,7 @@ from cyclecones import FIXTURE_NAMES, cones, fixtures
 from cyclecones.cones import (
     PolyCone,
     _generators_from_dd,
+    _irredundant_rows,
     contains,
     dd_convert,
     double_description,
@@ -30,6 +31,7 @@ from conftest import (
     TORIC_D,
     TORIC_M,
     cones_equal,
+    dot_irredundant_rows,
     fraction_contains,
     random_cone,
     random_member,
@@ -326,19 +328,71 @@ def _oracle_systems():
     return systems + _cyclic_systems()
 
 
+def _bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def _assert_matches_oracle(rows, dim):
-    got = double_description(rows, dim)
-    assert got == set_double_description(rows, dim), (dim, rows)
-    assert all(type(x) is int for part in got for row in part for x in row)
-    return got
+    """The engine's lineality, its rays in order and each ray's tight set
+    equal the set oracle's."""
+    lineality, rays = double_description(rows, dim)
+    want_lineality, want_rays, want_tight = set_double_description(rows, dim)
+    assert lineality == want_lineality, (dim, rows)
+    assert list(rays) == want_rays, (dim, rows)
+    assert [_bits(mask) for mask in rays.values()] == want_tight, (dim, rows)
+    assert all(type(x) is int for part in (lineality, rays) for row in part for x in row)
+    return lineality, rays
+
+
+def _with_zero_rows(rng, rows, dim):
+    """``rows`` with one to three zero rows inserted at seeded positions."""
+    rows = list(rows)
+    for _ in range(rng.randint(1, 3)):
+        rows.insert(rng.randint(0, len(rows)), (0,) * dim)
+    return rows
+
+
+def _zero_row_systems():
+    """300 seeded degenerate systems in dimensions 1-6, zero rows interleaved."""
+    rng = random.Random(1_996)
+    return [
+        (_with_zero_rows(rng, _degenerate_rows(rng, dim), dim), dim)
+        for dim in range(1, 7)
+        for _ in range(50)
+    ]
 
 
 def test_double_description_matches_set_oracle():
     # each output is fed back in, as dd_convert's second pass does on
     # degenerate input
-    for rows, dim in _oracle_systems():
+    for rows, dim in _oracle_systems() + _zero_row_systems():
         lineality, rays = _assert_matches_oracle(rows, dim)
         _assert_matches_oracle(_generators_from_dd(lineality, rays), dim)
+
+
+def test_tight_sets_are_the_exact_incidence():
+    # bit i of a ray's mask is set exactly when row i is nonzero and
+    # vanishes on the ray; a zero row is tight on no ray
+    for rows, dim in _oracle_systems() + _zero_row_systems():
+        lineality, rays = double_description(rows, dim)
+        for ray, mask in rays.items():
+            want = {i for i, row in enumerate(rows) if any(row) and dot(row, ray) == 0}
+            assert _bits(mask) == want, (dim, rows, ray)
+
+
+def test_irredundant_rows_match_dot_product_oracle():
+    # the rows dd_convert hands over, read as generators and as
+    # inequalities: the incidence transpose and the dot-product table
+    # pick the same facet rows, or both give up
+    for rows, dim in _oracle_systems():
+        for build in (PolyCone.from_generators, PolyCone.from_inequalities):
+            cone = build(f"irr{dim}", rows, dim=dim)
+            held = cone.generator_rows() or cone.inequality_rows()
+            supplied = [int_primitive(row) for row in held]
+            lineality, rays = double_description(supplied, dim)
+            assert _irredundant_rows(supplied, lineality, rays, dim) == (
+                dot_irredundant_rows(supplied, lineality, list(rays), dim)
+            ), (dim, rows)
 
 
 def _counting_double_description(monkeypatch):
