@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .cones import contains, dd_convert, dual_cone, extremal_rays, is_salient
 from .errors import DomainError, InputError
@@ -205,10 +204,8 @@ def _ring_payload(args) -> dict:
 
 
 def _ring_value_json(ring, value) -> dict:
-    from .rings import DualClass, format_monomial
+    from .rings import DualClass, RingElement, format_monomial
 
-    if isinstance(value, Fraction):
-        return {"kind": "scalar", "value": rat_str(value)}
     if isinstance(value, DualClass):
         layer = ring.dual_layers[value.degree]
         return {
@@ -217,6 +214,8 @@ def _ring_value_json(ring, value) -> dict:
             "basis": list(layer.names),
             "coords": [rat_str(c) for c in value.coords],
         }
+    if not isinstance(value, RingElement):
+        return {"kind": "scalar", "value": rat_str(value)}
     payload = {
         "kind": "element",
         "degree": value.degree,

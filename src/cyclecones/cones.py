@@ -17,7 +17,7 @@ counts like the ray list, which is what the benchmark's tracer unpacks.
 irredundant supplied rows off that incidence; degenerate input takes a
 second pass over the first pass's integer rows.  Supplied rows are checked
 against the result in integers.  A coordinate is an ``int`` when it is
-integral (``rationals.exact``), so the vectors of a canonical cone are its
+integral (``rationals.rat``), so the vectors of a canonical cone are its
 primitive integer rows, and ``contains`` decides membership on them in
 ``int`` arithmetic.  Dimensions in this package stay small: at most 8 for
 cones of classes, and one more for the homogenized inequality systems whose
@@ -27,13 +27,13 @@ insertion-order heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError
+from .errors import CycleConesError, DomainError, InputError
 from .linalg import Row, dot, int_primitive, nullspace, reproduces, separates, violated
 from .rationals import rat
 from .simplex import nonneg_solve
@@ -286,9 +286,9 @@ def dd_convert(cone: PolyCone) -> PolyCone:
     Canonical means: primitive vectors, sorted, irredundant (for a salient
     cone the generators are exactly the extremal rays; for a non-salient
     cone they are extremal rays of the pointed quotient plus a +/- pair per
-    lineality basis vector).  If both representations were supplied, they
-    are cross-checked against each other before being replaced; the
-    inequalities are then the ones converted.
+    lineality basis vector).  If both representations were supplied, the
+    inequalities are converted, and so are the generators on their own;
+    unless the two give the same cone, the input is an ``InputError``.
 
     One double description of the supplied rows, read as inequalities,
     gives the canonical form of the other representation.  Those rows cut
@@ -325,24 +325,21 @@ def dd_convert(cone: PolyCone) -> PolyCone:
     )
     object.__setattr__(result, "canonical", True)
 
-    # the checks run on integer rows: a positive rescaling keeps every sign
     if cone.generators is not None and cone.inequalities is not None:
-        for g in cone.generators:
-            if violated(canonical_ineqs, int_primitive(g.coords)) is not None:
-                raise InputError(
-                    "inconsistent cone: a supplied generator violates the "
-                    "supplied inequalities"
-                )
-        if any(violated(gen_rows, l) is not None for l in supplied):
+        # same cone: each side's generators satisfy the other's inequalities
+        alone = dd_convert(replace(cone, inequalities=None))
+        sides = ((alone.generator_rows(), canonical_ineqs), (gen_rows, alone.inequality_rows()))
+        if any(violated(rows, g) is not None for gens, rows in sides for g in gens):
             raise InputError(
-                "inconsistent cone: a supplied inequality cuts off part "
-                "of the generated cone"
+                "inconsistent cone: the supplied generators and inequalities "
+                "describe different cones"
             )
     elif cone.generators is not None:
         # the canonical generators must reproduce exactly the input cone;
         # every input generator has to satisfy the computed inequalities
+        # (integer rows: a positive rescaling keeps every sign)
         if any(violated(canonical_ineqs, g) is not None for g in supplied):
-            raise InputError("double description produced an inconsistent pair")
+            raise CycleConesError("double description produced an inconsistent pair")
     return result
 
 
@@ -418,7 +415,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
         )
     coeffs = nonneg_solve(gens, vector.coords)
     if coeffs is None:
-        raise DomainError(
+        raise CycleConesError(
             "representations disagree: inequalities accept a vector the "
             "generators cannot produce",
             vector=[str(c) for c in vector.coords],

@@ -38,6 +38,13 @@ _NUMERIC_CHARS = set("0123456789")
 _MAX_RING_MONOMIALS = 1000
 
 
+class ClaimArgs(dict):
+    """A claim's ``args``: a missing key is an input error, not a crash."""
+
+    def __missing__(self, key):
+        raise InputError(f"no argument {key!r}")
+
+
 @dataclass(frozen=True)
 class Claim:
     id: str
@@ -51,7 +58,7 @@ class Claim:
 class ClaimResult:
     claim_id: str
     check: str
-    status: str  # "pass" | "fail" | "flagged"
+    status: str  # "pass" | "fail" | "flagged" | "error" (a check crashed)
     expected: str
     witness: dict
 
@@ -225,10 +232,8 @@ def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
             }
             if any(len(row) != len(names) for row in cap.values()):
                 raise InputError(f"{at}: a cap relation row is not {len(names)} long")
-        degree = rat(degree_text)
-        if degree.denominator != 1 or degree < 0:
-            raise InputError(f"{at}: a degree must be a nonnegative integer")
-        dual_layers[int(degree)] = DualLayer(int(degree), names, cap)
+        degree = _dim(rat(degree_text), f"{at}: a degree")
+        dual_layers[degree] = DualLayer(degree, names, cap)
     relations = _part(doc, "relations", dict, where)
     ring = RingPresentation(
         name=fixture.name,
@@ -367,8 +372,11 @@ def load(ref: str) -> Fixture:
     for i, c in enumerate(_part(raw, "claims", list, origin)):
         at = f"{origin}: claims[{i}]"
         _need(c, ("id", "check", "expect"), at)
-        fields = [_text(c[key], f"{at} {key}") for key in ("id", "check", "expect")]
-        fixture.claims += (Claim(*fields, c.get("args", {}), c.get("source", "")),)
+        claim_id, check, expect = (_text(c[k], f"{at} {k}") for k in ("id", "check", "expect"))
+        if expect not in ("pass", "fail", "flagged"):
+            raise InputError(f'{at} expect must be "pass", "fail" or "flagged", got {expect!r}')
+        args = ClaimArgs(_part(c, "args", dict, at))
+        fixture.claims += (Claim(claim_id, check, expect, args, c.get("source", "")),)
     return fixture
 
 
@@ -390,27 +398,28 @@ class ClaimReport:
 
 
 def verify_claims(fixture: Fixture) -> ClaimReport:
-    """Run every claim check; failures are report entries, not exceptions."""
+    """Run every claim check.  A ``DomainError`` is a ``fail``, any other
+    crash an ``error``, which no ``expect`` accepts; a malformed claim (an
+    unknown check, an ``InputError`` from its check) raises."""
     from . import checks
 
     results = []
     for claim in fixture.claims:
         runner = checks.CHECKS.get(claim.check)
         if runner is None:
-            results.append(
-                ClaimResult(
-                    claim.id,
-                    claim.check,
-                    "fail",
-                    claim.expect,
-                    {"error": f"unknown check {claim.check!r}"},
-                )
+            raise InputError(
+                f"fixture {fixture.name}: claim {claim.id!r}: unknown check {claim.check!r}"
             )
-            continue
         try:
             status, witness = runner(fixture, claim.args)
-        except Exception as exc:  # findings are data, not crashes
-            status, witness = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+        except InputError as exc:  # name the claim whose data is malformed
+            raise InputError(
+                f"fixture {fixture.name}: claim {claim.id!r}: {exc.message}", **exc.details
+            ) from exc
+        except DomainError as exc:
+            status, witness = "fail", {"error": f"DomainError: {exc}"}
+        except Exception as exc:  # a fault, not a finding
+            status, witness = "error", {"error": f"{type(exc).__name__}: {exc}"}
         results.append(
             ClaimResult(claim.id, claim.check, status, claim.expect, witness)
         )

@@ -7,9 +7,8 @@ stay green while a data discrepancy stays visible.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays
+from ..jsonio import _row
 from ..linalg import combine, dot, mat_rank
 from ..projbundle import (
     HNProfile,
@@ -38,10 +37,6 @@ from ..zariski import (
 
 def _rays_set(vectors):
     return sorted(tuple(rat_str(c) for c in v.primitive().coords) for v in vectors)
-
-
-def _coords(value) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in value)
 
 
 def _combination(lookup, coefficients):
@@ -79,7 +74,7 @@ def check_interior_point(fixture, args):
 def check_combination_reproduces(fixture, args):
     cone = fixture.cone(args["cone"])
     vector = fixture.vector(args["vector"])
-    coefficients = _coords(args["coefficients"])
+    coefficients = _row(args["coefficients"], "coefficients")
     gens = cone.generators
     if len(coefficients) != len(gens) or any(c < 0 for c in coefficients):
         return "fail", {"error": "coefficient list does not match the generators"}
@@ -91,7 +86,7 @@ def check_combination_reproduces(fixture, args):
 def check_separating_functional(fixture, args):
     cone = fixture.cone(args["cone"])
     vector = fixture.vector(args["vector"])
-    functional = _coords(args["functional"])
+    functional = _row(args["functional"], "functional")
     on_generators = [dot(functional, g.coords) for g in cone.generators]
     at_vector = dot(functional, vector.coords)
     separates = all(v >= 0 for v in on_generators) and at_vector < 0
@@ -236,7 +231,7 @@ def check_element_combination_equals(fixture, args):
 def check_facet_present(fixture, args):
     cone = dd_convert(fixture.cone(args["cone"]))
     facet = ClassVector(
-        cone.inequalities[0].basis, _coords(args["facet"])
+        cone.inequalities[0].basis, _row(args["facet"], "facet")
     ).primitive()
     present = any(l.coords == facet.coords for l in cone.inequalities)
     return ("pass" if present else "fail"), {
@@ -275,11 +270,11 @@ def check_gram_dual_cone_equals(fixture, args):
 
 def check_decompose_equals(fixture, args):
     geometry = fixture.geometry(args["geometry"])
-    alpha = ClassVector(geometry.basis, _coords(args["vector"]))
+    alpha = ClassVector(geometry.basis, _row(args["vector"], "vector"))
     result = decompose(geometry, alpha)
     ok = (
-        result.positive.coords == _coords(args["positive"])
-        and result.negative.coords == _coords(args["negative"])
+        result.positive.coords == _row(args["positive"], "positive")
+        and result.negative.coords == _row(args["negative"], "negative")
         and verify_decomposition(geometry, result)
     )
     if args.get("expect_maximum"):
@@ -390,7 +385,7 @@ def check_class_in_mov_not_nef(fixture, args):
     profile = _profile(fixture, args)
     k = args["k"]
     _, nef, mov = cones_at(profile, k)
-    vector = ClassVector(class_basis(profile, k), _coords(args["vector"]))
+    vector = ClassVector(class_basis(profile, k), _row(args["vector"], "vector"))
     in_mov = contains(mov, vector)
     in_nef = contains(nef, vector)
     ok = (
@@ -411,9 +406,9 @@ def check_class_in_mov_not_nef(fixture, args):
 def check_self_pairing_value(fixture, args):
     profile = _profile(fixture, args)
     k = args["k"]
-    vector = ClassVector(class_basis(profile, k), _coords(args["vector"]))
+    vector = ClassVector(class_basis(profile, k), _row(args["vector"], "vector"))
     other = ClassVector(
-        class_basis(profile, profile.rank - k), _coords(args["vector"])
+        class_basis(profile, profile.rank - k), _row(args["vector"], "vector")
     )
     value = pair_classes(profile, k, vector, other)
     status = "pass" if value == rat(args["value"]) else "fail"
@@ -424,10 +419,10 @@ def check_closed_form_decomposition(fixture, args):
     profile = _profile(fixture, args)
     k = args["k"]
     basis = class_basis(profile, k)
-    alpha = ClassVector(basis, _coords(args["vector"]))
+    alpha = ClassVector(basis, _row(args["vector"], "vector"))
     result = zariski_decompose(profile, k, alpha)
-    ok = result.positive.coords == _coords(args["positive"])
-    ok = ok and result.negative.coords == _coords(args["negative"])
+    ok = result.positive.coords == _row(args["positive"], "positive")
+    ok = ok and result.negative.coords == _row(args["negative"], "negative")
     witness = {
         "positive": [rat_str(c) for c in result.positive.coords],
         "negative": [rat_str(c) for c in result.negative.coords],

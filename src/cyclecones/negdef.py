@@ -24,7 +24,7 @@ from math import lcm
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import combine, int_pivot, int_primitive, numerators
-from .rationals import exact, rat_str
+from .rationals import rat, rat_str
 from .vectors import ClassVector
 
 
@@ -33,14 +33,14 @@ class PairingBasis:
     """Labelled basis vectors with their exact symmetric pairing matrix.
 
     By symmetry, ``combine(coeffs, gram, rank)`` is the tuple of pairings
-    <sum_j coeffs_j v_j, v_i>.  Gram entries are ``rationals.exact``.
+    <sum_j coeffs_j v_j, v_i>.  Gram entries are ``rationals.rat``.
     """
 
     labels: tuple[str, ...]
     gram: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
-        gram = tuple(tuple(map(exact, row)) for row in self.gram)
+        gram = tuple(tuple(map(rat, row)) for row in self.gram)
         object.__setattr__(self, "gram", gram)
         r = len(self.labels)
         if len(gram) != r or any(len(row) != r for row in gram):
@@ -143,9 +143,9 @@ def _postconditions_hold(basis: PairingBasis, coeffs, support_coeffs) -> bool:
 
 
 def _checked(basis: PairingBasis, coeffs) -> tuple[int | Fraction, ...]:
-    """The input by ``rationals.exact``, one per basis vector, all >= 0.
+    """The input by ``rationals.rat``, one per basis vector, all >= 0.
     Rank 0 needs no early return: both routes reach the empty splitting."""
-    coeffs = tuple(map(exact, coeffs))
+    coeffs = tuple(map(rat, coeffs))
     if len(coeffs) != basis.rank:
         raise InputError("coefficient vector length does not match the basis")
     if any(c < 0 for c in coeffs):
@@ -216,8 +216,10 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     """
     coeffs = _checked(basis, coeffs)
     rank = basis.rank
-    if rank > 16:
-        raise InputError("brute force is limited to rank <= 16")
+    if rank > 16:  # 2^16 supports at most; the work grows with their count
+        raise DomainError(
+            f"brute force rank {rank} exceeds the cap of 16", rank=rank, cap=16
+        )
 
     initial = combine(coeffs, basis.gram, rank)
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}  # -> its support

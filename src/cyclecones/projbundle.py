@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cones import PolyCone, contains
 from .decomposition import Certificate, Decomposition
-from .errors import DomainError, InputError
+from .errors import CycleConesError, DomainError, InputError
 from .rationals import rat_str
 from .vectors import ClassVector, dual_basis
 
@@ -177,9 +177,9 @@ def cone_coincidence(profile: HNProfile, k: int):
     mov_eq_eff = profile.rank - profile.pieces[-1][0] < k
     nef_eq_eff = len(profile.pieces) == 1
     if mov_eq_eff != (sigma(profile, k) == epsilon(profile, k)):
-        raise DomainError("movable/effective coincidence flags disagree")
+        raise CycleConesError("movable/effective coincidence flags disagree")
     if nef_eq_eff != (nu(profile, k) == epsilon(profile, k)):
-        raise DomainError("nef/effective coincidence flags disagree")
+        raise CycleConesError("nef/effective coincidence flags disagree")
     return mov_eq_eff, nef_eq_eff
 
 
@@ -292,7 +292,7 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
 def _combination(cone: PolyCone, v: ClassVector) -> list[str]:
     verdict = contains(cone, v)
     if not verdict:
-        raise DomainError("expected member produced a separation certificate")
+        raise CycleConesError("expected member produced a separation certificate")
     return [rat_str(c) for c in verdict.combination]
 
 

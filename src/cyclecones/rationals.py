@@ -1,7 +1,7 @@
 """Exact rational parsing and formatting.
 
-``rat`` parses to ``fractions.Fraction``; ``exact`` stores a coordinate as
-an ``int`` when it is integral, a ``Fraction`` otherwise.  Floats are
+``rat`` is the one rule for exact numbers: an integral value comes back
+as an ``int``, any other as a reduced ``fractions.Fraction``.  Floats are
 rejected at every boundary so no rounding can sneak in through I/O.
 """
 
@@ -13,20 +13,20 @@ from fractions import Fraction
 from .errors import DomainError, InputError
 
 
-def rat(value) -> Fraction:
-    """Coerce ``value`` to an exact Fraction.
+def rat(value) -> int | Fraction:
+    """``value`` as an exact number: an ``int`` when integral, else a Fraction.
 
-    Accepts Fraction, int, and strings of the form ``"3"``, ``"-2/7"``.
-    Floats are rejected: callers must supply exact data.
+    Accepts int, Fraction, and strings of the form ``"3"``, ``"-2/7"``.
+    Floats and bools are rejected: callers must supply exact data.
     """
-    if isinstance(value, Fraction):
-        return value
     if type(value) is int:  # the common case; bool and int subclasses go on
-        return Fraction(value)
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, float):
         raise InputError(
             f"floating-point input rejected: {value!r}; pass an exact "
@@ -35,25 +35,14 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         try:
-            if "/" in text:
-                num, den = text.split("/")
-                return Fraction(int(num.strip()), int(den.strip()))
-            return Fraction(int(text))
+            if "/" not in text:
+                return int(text)
+            num, den = text.split("/")
+            value = Fraction(int(num.strip()), int(den.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(_unparsable(text, value)) from exc
+        return value.numerator if value.denominator == 1 else value
     raise InputError(f"not a rational number: {_shown(value)}")
-
-
-def exact(value) -> int | Fraction:
-    """``value`` as a coordinate: an ``int`` when integral, else a Fraction.
-
-    An ``int`` passes through unchanged; any other value is ``rat(value)``,
-    unwrapped to its numerator when its denominator is 1.
-    """
-    if type(value) is int:
-        return value
-    value = rat(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 def _unparsable(text: str, value) -> str:

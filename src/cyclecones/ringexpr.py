@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, InputError
 from .rationals import rat
@@ -77,7 +76,7 @@ class _Parser:
             power_token = self.take()
             if power_token is None or not power_token.isdigit():
                 raise InputError("exponent must be a nonnegative integer")
-            value = _power(value, int(rat(power_token)), self.ring)
+            value = _power(value, rat(power_token), self.ring)
         return value
 
     def atom(self):
@@ -100,23 +99,21 @@ class _Parser:
 
 def _scale(value, factor):
     factor = rat(factor)
-    if isinstance(value, Fraction):
-        return value * factor
-    return value.scale(factor)
+    if isinstance(value, (RingElement, DualClass)):
+        return value.scale(factor)
+    return value * factor
 
 
 def _add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
+    if isinstance(a, (RingElement, DualClass)) != isinstance(b, (RingElement, DualClass)):
         raise InputError("cannot add a scalar to a class")
     return a + b
 
 
 def _mul(a, b, ring):
-    if isinstance(a, Fraction):
-        return _scale(b, a) if not isinstance(b, Fraction) else a * b
-    if isinstance(b, Fraction):
+    if not isinstance(a, (RingElement, DualClass)):
+        return _scale(b, a)
+    if not isinstance(b, (RingElement, DualClass)):
         return _scale(a, b)
     if isinstance(a, RingElement) and isinstance(b, RingElement):
         return ring.multiply(a, b)
@@ -128,7 +125,7 @@ def _power(base, power: int, ring):
     ``top_degree + 1`` products: a scalar or degree-0 power is one checked
     ``**``, and the product loop of a positive-degree element raises in
     ``ring.multiply`` once it passes the top degree."""
-    if isinstance(base, Fraction):
+    if not isinstance(base, (RingElement, DualClass)):
         return _scalar_power(base, power)
     if isinstance(base, RingElement) and base.degree == 0:
         # c times the unit, so its power is c^power times the unit
@@ -140,7 +137,7 @@ def _power(base, power: int, ring):
     return value
 
 
-def _scalar_power(base: Fraction, power: int) -> Fraction:
+def _scalar_power(base, power: int):
     """``base ** power``, unless the result has more digits than the
     interpreter's limit (its default when the limit is off)."""
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -157,7 +154,8 @@ def _scalar_power(base: Fraction, power: int) -> Fraction:
 
 
 def evaluate(text: str, ring: RingPresentation, names: dict) -> object:
-    """Evaluate ``text`` to a Fraction, RingElement, or DualClass."""
+    """Evaluate ``text`` to a RingElement, a DualClass, or else a scalar:
+    an ``int`` or a ``Fraction``."""
     full_names = dict(names)
     for generator in ring.generators:
         full_names.setdefault(generator, ring.generator(generator))

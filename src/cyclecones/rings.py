@@ -50,7 +50,7 @@ def parse_monomial(text: str, generators) -> Monomial:
         name = name.strip()
         if name not in generators:
             raise InputError(f"unknown generator {name!r} in monomial {text!r}")
-        exps[generators.index(name)] += int(power)
+        exps[generators.index(name)] += power
     return tuple(exps)
 
 
@@ -78,7 +78,7 @@ class DualLayer:
 
     degree: int
     names: tuple[str, ...]
-    cap_images: dict[Monomial, tuple[Fraction, ...]] | None = None
+    cap_images: dict[Monomial, tuple[int | Fraction, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,15 @@ class RingElement:
 
     ring: "RingPresentation"
     degree: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, int | Fraction], ...]
 
-    def coeff(self, mono: Monomial) -> Fraction:
+    def coeff(self, mono: Monomial) -> int | Fraction:
         for m, c in self.terms:
             if m == mono:
                 return c
-        return Fraction(0)
+        return 0
 
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple[int | Fraction, ...]:
         basis = self.ring.monomial_basis(self.degree)
         return tuple(self.coeff(m) for m in basis)
 
@@ -103,7 +103,7 @@ class RingElement:
         self.ring._check_same(other, self.degree)
         merged = dict(self.terms)
         for m, c in other.terms:
-            merged[m] = merged.get(m, Fraction(0)) + c
+            merged[m] = merged.get(m, 0) + c
         return self.ring._element_from_dict(self.degree, merged)
 
     def __sub__(self, other):
@@ -131,7 +131,7 @@ class DualClass:
 
     ring: "RingPresentation"
     degree: int  # the monomial degree it pairs against
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __add__(self, other):
         if (other.ring, other.degree) != (self.ring, self.degree):
@@ -178,8 +178,8 @@ class RingPresentation:
     name: str
     generators: tuple[str, ...]
     top_degree: int
-    rewrites: dict[Monomial, dict[Monomial, Fraction]]
-    top_values: dict[Monomial, Fraction] | None
+    rewrites: dict[Monomial, dict[Monomial, int | Fraction]]
+    top_values: dict[Monomial, int | Fraction] | None
     max_monomial_degree: int
     dual_layers: dict[int, DualLayer] = field(default_factory=dict)
 
@@ -230,7 +230,7 @@ class RingPresentation:
         """Build an element from {monomial | text: coefficient} terms."""
         if not isinstance(terms, dict):
             raise InputError(f"element terms must be an object, got {terms!r}")
-        parsed: dict[Monomial, Fraction] = {}
+        parsed: dict[Monomial, int | Fraction] = {}
         for key, coeff in terms.items():
             mono = key if isinstance(key, tuple) else parse_monomial(key, self.generators)
             if sum(mono) != degree:
@@ -238,7 +238,7 @@ class RingPresentation:
                     f"monomial {format_monomial(mono, self.generators)} is not "
                     f"of degree {degree}"
                 )
-            parsed[mono] = parsed.get(mono, Fraction(0)) + rat(coeff)
+            parsed[mono] = parsed.get(mono, 0) + rat(coeff)
         return self._element_from_dict(degree, self.normal_form(parsed))
 
     def one(self) -> RingElement:
@@ -285,7 +285,7 @@ class RingPresentation:
             coeff = work.pop(target)
             for rhs_mono, rhs_coeff in self.rewrites[rule].items():
                 key = _mono_mul(rhs_mono, rest)
-                value = work.get(key, Fraction(0)) + coeff * rhs_coeff
+                value = work.get(key, 0) + coeff * rhs_coeff
                 if value == 0:
                     work.pop(key, None)
                 else:
@@ -308,21 +308,21 @@ class RingPresentation:
             raise DomainError(
                 f"{self.name}: no declared monomial basis in degree {degree}"
             )
-        raw: dict[Monomial, Fraction] = {}
+        raw: dict[Monomial, int | Fraction] = {}
         for ma, ca in a.terms:
             for mb, cb in b.terms:
                 key = _mono_mul(ma, mb)
-                raw[key] = raw.get(key, Fraction(0)) + ca * cb
+                raw[key] = raw.get(key, 0) + ca * cb
         return self._element_from_dict(degree, self.normal_form(raw))
 
-    def top_value(self, element: RingElement) -> Fraction:
+    def top_value(self, element: RingElement) -> int | Fraction:
         if element.degree != self.top_degree:
             raise DomainError("top value needs a top-degree element")
         if self.top_values is None:
             raise DomainError(
                 f"{self.name}: no trusted top-degree structure is declared"
             )
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self._element_from_dict(
             element.degree, self.normal_form(dict(element.terms))
         ).terms:
@@ -334,7 +334,7 @@ class RingPresentation:
             total += coeff * self.top_values[mono]
         return total
 
-    def pair(self, a: RingElement, b) -> Fraction:
+    def pair(self, a: RingElement, b) -> int | Fraction:
         """Exact pairing of complementary-degree elements.
 
         Against a ``DualClass`` this is the defining coordinate dot product;
@@ -364,7 +364,7 @@ class RingPresentation:
             raise DomainError(
                 f"{self.name}: no printed cap relations in degree {element.degree}"
             )
-        coords = [Fraction(0)] * len(layer.names)
+        coords = [0] * len(layer.names)
         for mono, coeff in element.terms:
             image = layer.cap_images.get(mono)
             if image is None:
@@ -391,14 +391,14 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
     gens = [ring.generator(name) for name in ring.generators]
     for degree in range(ring.max_monomial_degree - 1):
         for mono in ring.monomial_basis(degree):
-            base = ring._element_from_dict(degree, {mono: Fraction(1)})
+            base = ring._element_from_dict(degree, {mono: 1})
             for i, j in combinations_with_replacement(range(len(gens)), 2):
                 left = ring.multiply(ring.multiply(base, gens[i]), gens[j])
                 right = ring.multiply(ring.multiply(base, gens[j]), gens[i])
                 pair_mono = tuple(
                     int(k == i) + int(k == j) for k in range(len(gens))
                 )
-                raw = {_mono_mul(mono, pair_mono): Fraction(1)}
+                raw = {_mono_mul(mono, pair_mono): 1}
                 first = ring.normal_form(raw, strategy="first")
                 last = ring.normal_form(raw, strategy="last")
                 checked += 1
@@ -460,8 +460,8 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
 
     if ring.top_values is not None:
         for mono in ring._all_monomials(ring.top_degree):
-            first = ring.normal_form({mono: Fraction(1)}, strategy="first")
-            last = ring.normal_form({mono: Fraction(1)}, strategy="last")
+            first = ring.normal_form({mono: 1}, strategy="first")
+            last = ring.normal_form({mono: 1}, strategy="last")
             if first != last:
                 findings.append(
                     AuditFinding(
@@ -499,7 +499,7 @@ def _middle_gram(ring: RingPresentation, middle: int):
         return rows
     if ring.top_values is not None:
         elements = [
-            ring._element_from_dict(middle, {m: Fraction(1)}) for m in basis
+            ring._element_from_dict(middle, {m: 1}) for m in basis
         ]
         return [
             [ring.top_value(ring.multiply(a, b)) for b in elements]

@@ -5,7 +5,8 @@ A basis name identifies both the vector space and the chosen coordinates
 ``D1, D2, D3, D7, D8``).  Vectors combine arithmetically only within one
 basis and one dimension, which is the number of coordinates.  Linear
 functionals live in a dual basis, whose name a cone or polytope carries;
-it defaults to ``dual_basis(basis)``.  Coordinates are ``rationals.exact``.
+it defaults to ``dual_basis(basis)``.  Coordinates are ``rationals.rat``:
+an ``int`` when integral, a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import int_primitive
-from .rationals import exact, rat_str
+from .rationals import rat, rat_str
 
 
 def dual_basis(name: str) -> str:
@@ -31,7 +32,7 @@ class ClassVector:
     coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
+        object.__setattr__(self, "coords", tuple(map(rat, self.coords)))
 
     @property
     def dim(self) -> int:
@@ -60,7 +61,7 @@ class ClassVector:
         return ClassVector(self.basis, tuple(-a for a in self.coords))
 
     def scale(self, factor) -> "ClassVector":
-        factor = exact(factor)
+        factor = rat(factor)
         return ClassVector(self.basis, tuple(factor * a for a in self.coords))
 
     def is_zero(self) -> bool:

@@ -29,9 +29,37 @@ from cyclecones.negdef import (
     is_negative_definite,
 )
 from cyclecones.projbundle import HNProfile
-from cyclecones.rationals import rat, rat_str
+from cyclecones.rationals import _shown, _unparsable, rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
+
+
+def fraction_rat(value) -> Fraction:
+    """Oracle for ``rationals.rat``: the earlier rule, a Fraction always,
+    with the same messages for what it rejects."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, bool):
+        raise InputError(f"not a rational number: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise InputError(
+            f"floating-point input rejected: {value!r}; pass an exact "
+            'rational such as "3/4"'
+        )
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            if "/" in text:
+                num, den = text.split("/")
+                return Fraction(int(num.strip()), int(den.strip()))
+            return Fraction(int(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(_unparsable(text, value)) from exc
+    raise InputError(f"not a rational number: {_shown(value)}")
 
 
 def random_cone(rng: random.Random, dim: int, basis: str) -> PolyCone:
@@ -395,7 +423,11 @@ def subset_brute_force(basis: PairingBasis, coeffs):
     """
     coeffs = _checked(basis, coeffs)
     if basis.rank > 16:
-        raise InputError("brute force is limited to rank <= 16")
+        raise DomainError(
+            f"brute force rank {basis.rank} exceeds the cap of 16",
+            rank=basis.rank,
+            cap=16,
+        )
 
     initial = combine(coeffs, basis.gram, basis.rank)
     found: dict[tuple, list] = {}

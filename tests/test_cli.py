@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones import cli, cones, jsonio, simplex
+from cyclecones import cli, cones, jsonio, projbundle, simplex
 from cyclecones.cli import main, run
 
 from conftest import chain_gram
@@ -210,6 +210,39 @@ def test_ring_eval_and_pair():
         ["ring", "pair", "--fixture", "m07-s7", "--a", "(D1+3*D2)^2", "--b", "S2"]
     )
     assert code == 0 and document["payload"]["value"] == "0"
+
+
+@pytest.mark.parametrize(
+    "expr, value", [("1/2*2", "1"), ("2/3", "2/3"), ("2*3 - 6", "0"), ("(1/2)^2*4", "1")]
+)
+def test_ring_eval_scalar_is_a_scalar(expr, value):
+    # a scalar is whatever is neither a ring element nor a dual class, an
+    # int or a Fraction alike
+    document, code = run_json(["ring", "eval", "--fixture", "p2-hilb2", "--expr", expr])
+    assert code == 0
+    assert document["payload"] == {"expr": expr, "kind": "scalar", "value": value}
+
+
+def test_cone_given_both_ways_must_agree(tmp_path, capsys):
+    # the ray (1, 0) satisfies the quadrant's inequalities, yet is not the quadrant
+    two_sided = {"basis": "b", "dim": 2, "generators": [["1", "0"]],
+                 "inequalities": [["1", "0"], ["0", "1"]]}
+    document, code = run_json(["cone", "convert", "--input", write(tmp_path, "c.json", two_sided)])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == (
+        "inconsistent cone: the supplied generators and inequalities describe "
+        "different cones"
+    )
+    # a consistent document prints the bytes of each one-sided form
+    readme = {"basis": "demo.div", "dim": 2, "generators": [["1", "0"], ["1", "2"]],
+              "inequalities": [["0", "1"], ["2", "-1"]]}
+    printed = []
+    for drop in (None, "inequalities", "generators"):
+        doc = {k: v for k, v in readme.items() if k != drop}
+        for op in ("convert", "dual", "rays"):
+            assert main(["cone", op, "--input", write(tmp_path, "d.json", doc)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[2]
 
 
 def test_fixture_verify_payload():
@@ -554,3 +587,51 @@ def test_fixture_commands_match_reference(label, argv, monkeypatch, capsys):
     code = main(list(argv))
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == (reference["exit"], reference["stdout_sha256"])
+
+
+# broken invariants are internal errors (3); a cap on work is a domain error (2)
+RECLASSIFIED = {
+    "dd-inconsistent-pair": (
+        ["cone", "convert", "--input", "{cone}"], (cones, "violated", lambda rows, point: 0),
+        3, "double description produced an inconsistent pair",
+    ),
+    "contains-representations-disagree": (
+        ["cone", "contains", "--input", "{cone}", "--vector", "1,1"],
+        (cones, "nonneg_solve", lambda columns, target: None),
+        3, "representations disagree: inequalities accept a vector the generators cannot produce",
+    ),
+    "projbundle-member-separated": (
+        ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3"],
+        (projbundle, "contains", lambda cone, v: cones.ContainsResult(cone, v, False)),
+        3, "expected member produced a separation certificate",
+    ),
+    "projbundle-mov-flags": (
+        ["projbundle", "--hn", "2:0,2:2", "--k", "1"], (projbundle, "sigma", projbundle.epsilon),
+        3, "movable/effective coincidence flags disagree",
+    ),
+    "projbundle-nef-flags": (
+        ["projbundle", "--hn", "2:0,2:2", "--k", "3"], (projbundle, "nu", projbundle.epsilon),
+        3, "nef/effective coincidence flags disagree",
+    ),
+    "brute-force-rank-cap": (
+        ["bck", "--gram", "{gram}", "--class", ",".join(["1"] * 17), "--brute-force"], None,
+        2, "brute force rank 17 exceeds the cap of 16",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECLASSIFIED))
+def test_error_class_follows_the_taxonomy(case, tmp_path, monkeypatch):
+    argv, patch, expected, message = RECLASSIFIED[case]
+    cone = write(tmp_path, "cone.json", {"basis": "b", "dim": 2, "generators": [[1, 0], [0, 1]]})
+    gram = write(tmp_path, "gram.json", chain_gram(17))
+    argv = [a.format(cone=cone, gram=gram) for a in argv]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    document, code = run_json(argv)
+    assert (code, document["status"]) == (expected, list(cli._EXIT_CODES)[expected])
+    error = document["payload"]["error"]
+    if expected == 3:
+        assert (error["type"], error["message"]) == ("CycleConesError", f"CycleConesError: {message}")
+    else:
+        assert error["message"] == message

@@ -96,6 +96,28 @@ def test_inconsistent_double_representation_rejected():
         dd_convert(cone)
 
 
+def test_double_representation_is_checked_both_ways():
+    # the ray (1, 0) satisfies the quadrant's inequalities, yet is not the quadrant
+    ray = PolyCone("b", 2, generators=(ClassVector("b", (1, 0)),),
+                   inequalities=(ClassVector("b*", (1, 0)), ClassVector("b*", (0, 1))))
+    with pytest.raises(InputError, match="describe different cones"):
+        dd_convert(ray)
+    rng = random.Random(20_21)
+    for _ in range(200):
+        dim = rng.randint(2, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+        alone = dd_convert(PolyCone.from_inequalities("b", rows, dim=dim))
+        gens = list(alone.generators)
+        rng.shuffle(gens)
+        both = dd_convert(PolyCone("b", dim, generators=tuple(gens), inequalities=tuple(
+            ClassVector("b*", row) for row in rows)))
+        assert (both.generators, both.inequalities) == (alone.generators, alone.inequalities)
+        if gens and is_salient(alone):  # an extremal ray left out: a smaller cone
+            short = PolyCone("b", dim, generators=tuple(gens[1:]), inequalities=alone.inequalities)
+            with pytest.raises(InputError, match="describe different cones"):
+                dd_convert(short)
+
+
 # -- dual_cone ------------------------------------------------------------
 
 

@@ -244,3 +244,81 @@ def test_unreadable_fixture_file_is_input_error(tmp_path):
     path.write_text('{"name": "toric-3fold",')
     document, code = run(["fixture", str(path), "--verify"])
     assert (code, document["status"]) == (1, "input_error")
+
+
+def _first_claim(mutate):
+    def apply(doc):
+        mutate(doc["claims"][0])
+
+    return apply
+
+
+# malformed claim data is an input error naming it, never a verdict: with
+# "expect": "fail", a missing argument or an unknown check used to verify ok
+CLAIM_REPROS = {
+    "arg-missing": (
+        _first_claim(lambda c: (c["args"].pop("cone"), c.update(expect="fail"))),
+        "fixture toric-3fold: claim 'dual-of-nef-is-mori-cone': no argument 'cone'",
+    ),
+    "unknown-check": (
+        _first_claim(lambda c: c.update(check="no_such_check", expect="fail")),
+        "fixture toric-3fold: claim 'dual-of-nef-is-mori-cone': unknown check 'no_such_check'",
+    ),
+    "expect-maybe": (
+        _first_claim(lambda c: c.update(expect="maybe")),
+        "claims[0] expect must be \"pass\", \"fail\" or \"flagged\", got 'maybe'",
+    ),
+    "coefficients-not-a-list": (
+        lambda doc: doc["claims"][4]["args"].update(coefficients="1,2"),
+        "claim 'alpha-mori-combination': coefficients must be a list of rationals, got str",
+    ),
+    "args-a-list": (
+        _first_claim(lambda c: c.update(args=["nef-divisors"])),
+        "claims[0] 'args' must be an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLAIM_REPROS))
+def test_malformed_claim_is_input_error(case, tmp_path):
+    mutate, message = CLAIM_REPROS[case]
+    doc = copy.deepcopy(load("toric-3fold").raw)
+    mutate(doc)
+    path = tmp_path / "toric-3fold.json"
+    path.write_text(json.dumps(doc))
+    document, code = run(["fixture", str(path), "--verify"])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"].endswith(message)
+
+
+def test_check_outcomes_are_classified(monkeypatch):
+    # a DomainError is a failed claim, any other crash an error that no
+    # expect accepts, and an InputError is malformed input
+    from cyclecones.errors import CycleConesError, DomainError
+    from cyclecones.fixtures import checks
+
+    fixture = load("toric-3fold")
+    kind = fixture.claims[0].check
+    raised = {
+        "domain": (DomainError("out of range"), "fail", "DomainError: out of range"),
+        "internal": (CycleConesError("broken"), "error", "CycleConesError: broken"),
+        "type": (TypeError("bad operand"), "error", "TypeError: bad operand"),
+    }
+    for exc, status, error in raised.values():
+        def crash(fixture, args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(checks.CHECKS, kind, crash)
+        result = fixtures.verify_claims(fixture).results[0]
+        assert (result.status, result.witness) == (status, {"error": error})
+        assert not result.ok  # the claim expects "pass"
+
+    def malformed(fixture, args):
+        raise InputError("bad claim data")
+
+    monkeypatch.setitem(checks.CHECKS, kind, malformed)
+    with pytest.raises(InputError) as caught:
+        fixtures.verify_claims(fixture)
+    assert caught.value.message == (
+        f"fixture toric-3fold: claim {fixture.claims[0].id!r}: bad claim data"
+    )

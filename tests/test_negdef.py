@@ -153,9 +153,10 @@ def test_negative_coefficients_rejected():
 def test_brute_force_rank_limit():
     labels = tuple(f"e{i}" for i in range(17))
     gram = tuple(tuple(F(-(i == j)) for j in range(17)) for i in range(17))
-    with pytest.raises(InputError) as caught:
+    with pytest.raises(DomainError) as caught:
         brute_force(PairingBasis(labels, gram), (0,) * 17)
-    assert caught.value.message == "brute force is limited to rank <= 16"
+    assert caught.value.message == "brute force rank 17 exceeds the cap of 16"
+    assert caught.value.details == {"rank": 17, "cap": 16}
 
 
 def test_nonnegative_pairings_short_circuit():
@@ -308,7 +309,7 @@ def test_brute_force_matches_subset_oracle():
     assert errors == {
         "coefficients must be nonnegative",
         "coefficient vector length does not match the basis",
-        "brute force is limited to rank <= 16",
+        "brute force rank 17 exceeds the cap of 16",
         "no valid decomposition exists for this input",
         "multiple distinct decompositions found; uniqueness is broken",
     }

@@ -1,3 +1,4 @@
+import random
 import sys
 from enum import IntEnum
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cyclecones.errors import DomainError, InputError
-from cyclecones.rationals import exact, rat, rat_str
+from cyclecones.rationals import rat, rat_str
+
+from conftest import fraction_rat
 
 
 def test_parses_integers_and_fractions():
@@ -33,32 +36,78 @@ def test_integers_convert_exactly_and_bools_stay_rejected():
 
     for value in (3, -7, 0, 10**40):
         got = rat(value)
-        assert type(got) is Fraction and got == value
-    # an int subclass skips the plain-int fast path and still converts exactly
+        assert type(got) is int and got == value
+    # an int subclass skips the plain-int fast path and comes back a plain int
     got = rat(Rank.BIG)
-    assert type(got) is Fraction and got == 10**30 + 1
+    assert type(got) is int and got == 10**30 + 1
     for flag in (True, False):
         with pytest.raises(InputError):
             rat(flag)
 
 
-def test_exact_is_int_when_integral_and_rat_stays_fraction():
+def test_rat_is_int_exactly_when_integral():
     for value, want in ((3, 3), ("6/2", 3), (Fraction(4, 2), 2), (" -8 / 4 ", -2)):
-        got = exact(value)
+        got = rat(value)
         assert type(got) is int and got == want
-    got = exact("1/2")
-    assert type(got) is Fraction and got == Fraction(1, 2)
+    for value in ("1/2", Fraction(-1, 3), " 4 / 6 "):
+        got = rat(value)
+        assert type(got) is Fraction and got == fraction_rat(value)
     for bad in (True, 1.0, "x"):
         with pytest.raises(InputError):
-            exact(bad)
-    for value in (3, "6/2", Fraction(4, 2)):
-        assert type(rat(value)) is Fraction
+            rat(bad)
+
+
+def _inputs(rng: random.Random):
+    """Seeded exact inputs of every accepted shape."""
+
+    class Count(int):
+        pass
+
+    def integer():
+        return rng.choice([rng.randint(-9, 9), rng.randint(-(10**6), 10**6), rng.randint(-(10**40), 10**40)])
+
+    def spaced(text):
+        return " " * rng.randint(0, 2) + text + " " * rng.randint(0, 2)
+
+    shapes = [
+        lambda: integer(),
+        lambda: Count(integer()),
+        lambda: Fraction(integer(), rng.randint(1, 12)),
+        lambda: Fraction(integer() * 5, 5),
+        lambda: spaced(str(integer())),
+        lambda: spaced(rng.choice("+-") + str(abs(integer()))),
+        lambda: spaced(f"{integer()} / {rng.randint(1, 12)}"),
+        lambda: spaced(f"{rng.choice(['', '+', '-'])}{abs(integer()) * 3}/{rng.choice([1, 3, -3])}"),
+    ]
+    return [rng.choice(shapes)() for _ in range(600)]
+
+
+def test_rat_matches_fraction_oracle():
+    for seed in (1, 7919):
+        for value in _inputs(random.Random(seed)):
+            got, want = rat(value), fraction_rat(value)
+            assert got == want, value
+            assert (type(got) is int) == (want.denominator == 1), value
+            assert type(got) in (int, Fraction), value
+
+
+def test_rejections_keep_their_messages():
+    limit = sys.get_int_max_str_digits()
+    bad = [0.5, 1.0, float("inf"), True, False, "1/0", " 3 / 0 ", "0.5", "x", "",
+           "1/2/3", "/", "2/", None, [1], {"a": 1}, complex(1, 0), "9" * (limit + 1)]
+    for value in bad:
+        with pytest.raises(InputError) as want:
+            fraction_rat(value)
+        with pytest.raises(InputError) as got:
+            rat(value)
+        assert got.value.message == want.value.message, value
 
 
 def test_canonical_strings():
     assert rat_str(Fraction(4, 2)) == "2"
     assert rat_str(Fraction(-3, 9)) == "-1/3"
     assert rat_str(Fraction(0)) == "0"
+    assert rat_str(-12) == "-12"
 
 
 def test_over_long_integer_names_the_digit_limit():
