@@ -10,6 +10,7 @@ re-derive the recorded facts from the raw data.
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass, field
 from math import comb
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 from .. import FIXTURE_NAMES  # re-exported
 from ..cones import PolyCone
 from ..errors import DomainError, InputError
-from ..jsonio import _dim, _names, _row, read_json
+from ..jsonio import _dim, _names, _need, _part, _row, _text, read_json
 from ..rationals import rat
 from ..vectors import ClassVector
 
@@ -38,20 +39,12 @@ _NUMERIC_CHARS = set("0123456789")
 _MAX_RING_MONOMIALS = 1000
 
 
-class ClaimArgs(dict):
-    """A claim's ``args``: a missing key is an input error, not a crash."""
-
-    def __missing__(self, key):
-        raise InputError(f"no argument {key!r}")
-
-
 @dataclass(frozen=True)
 class Claim:
     id: str
     check: str
     expect: str
-    args: dict
-    source: str
+    args: dict  # the check's keyword arguments; lint annotations left out
 
 
 @dataclass(frozen=True)
@@ -148,6 +141,11 @@ def _looks_numeric(leaf) -> bool:
     return False
 
 
+def _is_source_key(key: str) -> bool:
+    """A lint annotation: ``source`` or a ``*_source`` key."""
+    return key == "source" or key.endswith("_source")
+
+
 def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
     """Uncited numeric literals in a fixture document.
 
@@ -160,9 +158,7 @@ def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
         problems.append(f"{path}: floating-point literal {node!r}")
         return problems
     if isinstance(node, dict):
-        here = covered or any(
-            key == "source" or key.endswith("_source") for key in node
-        )
+        here = covered or any(_is_source_key(key) for key in node)
         for key, value in node.items():
             problems.extend(lint_sources(value, here, f"{path}.{key}"))
         return problems
@@ -173,28 +169,6 @@ def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
     if _looks_numeric(node) and not covered:
         problems.append(f"{path}: numeric literal {node!r} without a source")
     return problems
-
-
-def _need(node, keys: tuple[str, ...], where: str) -> None:
-    """An input error naming ``where`` unless ``node`` is an object with ``keys``."""
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            raise InputError(f"{where} must be an object with the key {key!r}")
-
-
-def _part(node: dict, key: str, kind: type, where: str):
-    """``node[key]``, empty when absent; an input error unless it is a ``kind``."""
-    value = node.get(key, kind())
-    if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "a list"
-        raise InputError(f"{where} {key!r} must be {shape}")
-    return value
-
-
-def _text(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"{what} must be a string, got {type(value).__name__}")
-    return value
 
 
 def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
@@ -375,8 +349,9 @@ def load(ref: str) -> Fixture:
         claim_id, check, expect = (_text(c[k], f"{at} {k}") for k in ("id", "check", "expect"))
         if expect not in ("pass", "fail", "flagged"):
             raise InputError(f'{at} expect must be "pass", "fail" or "flagged", got {expect!r}')
-        args = ClaimArgs(_part(c, "args", dict, at))
-        fixture.claims += (Claim(claim_id, check, expect, args, c.get("source", "")),)
+        args = _part(c, "args", dict, at)
+        args = {key: value for key, value in args.items() if not _is_source_key(key)}
+        fixture.claims += (Claim(claim_id, check, expect, args),)
     return fixture
 
 
@@ -398,20 +373,35 @@ class ClaimReport:
 
 
 def verify_claims(fixture: Fixture) -> ClaimReport:
-    """Run every claim check.  A ``DomainError`` is a ``fail``, any other
-    crash an ``error``, which no ``expect`` accepts; a malformed claim (an
-    unknown check, an ``InputError`` from its check) raises."""
+    """Check every claim's arguments, then run every claim's check.
+
+    A check declares its arguments as keyword-only parameters, required
+    unless they have a default; ``source`` keys are lint annotations.  An
+    unknown check or an unknown or missing argument raises before any check
+    runs, and an ``InputError`` from a check raises too, each naming the
+    claim.  A ``DomainError`` is a ``fail``, any other crash an ``error``,
+    which no ``expect`` accepts.
+    """
     from . import checks
 
-    results = []
+    runners = []
     for claim in fixture.claims:
+        at = f"fixture {fixture.name}: claim {claim.id!r}"
         runner = checks.CHECKS.get(claim.check)
         if runner is None:
-            raise InputError(
-                f"fixture {fixture.name}: claim {claim.id!r}: unknown check {claim.check!r}"
-            )
+            raise InputError(f"{at}: unknown check {claim.check!r}")
+        params = inspect.signature(runner).parameters.values()
+        declared = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        required = {p.name for p in params if p.name in declared and p.default is p.empty}
+        given = claim.args.keys()
+        for problem, keys in (("unknown", given - declared), ("missing", required - given)):
+            if keys:
+                raise InputError(f"{at}: {problem} argument {min(keys)!r}")
+        runners.append(runner)
+    results = []
+    for claim, runner in zip(fixture.claims, runners):
         try:
-            status, witness = runner(fixture, claim.args)
+            status, witness = runner(fixture, **claim.args)
         except InputError as exc:  # name the claim whose data is malformed
             raise InputError(
                 f"fixture {fixture.name}: claim {claim.id!r}: {exc.message}", **exc.details

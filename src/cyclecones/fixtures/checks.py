@@ -1,25 +1,25 @@
 """Claim checkers: each re-derives one recorded fact from raw fixture data.
 
-Checkers return ``(status, witness)`` with status "pass", "fail", or
-"flagged"; the claim catalog says which status is expected, so a suite can
-stay green while a data discrepancy stays visible.
+``check_<kind>(fixture, *, ...)`` declares a claim's arguments as its
+keyword-only parameters, required unless they have a default.  Checkers
+return ``(status, witness)`` with status "pass", "fail", or "flagged";
+the claim catalog says which status is expected, so a suite can stay
+green while a data discrepancy stays visible.
 """
 
 from __future__ import annotations
 
+from .. import projbundle
 from ..cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays
+from ..errors import InputError
 from ..jsonio import _row
 from ..linalg import combine, dot, mat_rank
 from ..projbundle import (
-    HNProfile,
     class_basis,
     cone_coincidence,
     cones_at,
     degree_functional,
-    epsilon,
-    nu,
     pair_classes,
-    sigma,
     zariski_decompose,
 )
 from ..rationals import rat, rat_str
@@ -33,6 +33,7 @@ from ..zariski import (
     preceq_maximum,
     verify_decomposition,
 )
+from . import Claim
 
 
 def _rays_set(vectors):
@@ -51,30 +52,29 @@ def _same_rays(cone: PolyCone, target: PolyCone):
     return ("pass" if got == want else "fail"), {"computed": got, "expected": want}
 
 
-def check_dual_cone_equals(fixture, args):
-    source = fixture.cone(args["cone"])
-    return _same_rays(dual_cone(source), fixture.cone(args["equals_generators_of"]))
+def check_dual_cone_equals(fixture, *, cone, equals_generators_of):
+    return _same_rays(dual_cone(fixture.cone(cone)), fixture.cone(equals_generators_of))
 
 
-def check_extremal_rays_equal(fixture, args):
-    got = _rays_set(extremal_rays(dd_convert(fixture.cone(args["cone"]))))
-    want = sorted(tuple(rat_str(rat(x)) for x in row) for row in args["rays"])
+def check_extremal_rays_equal(fixture, *, cone, rays):
+    got = _rays_set(extremal_rays(dd_convert(fixture.cone(cone))))
+    want = sorted(tuple(rat_str(rat(x)) for x in row) for row in rays)
     status = "pass" if got == want else "fail"
     return status, {"computed": got, "expected": want}
 
 
-def check_interior_point(fixture, args):
-    cone = dd_convert(fixture.cone(args["cone"]))
-    vector = fixture.vector(args["vector"])
+def check_interior_point(fixture, *, cone, vector):
+    cone = dd_convert(fixture.cone(cone))
+    vector = fixture.vector(vector)
     values = [dot(l.coords, vector.coords) for l in cone.inequalities]
     status = "pass" if all(v > 0 for v in values) else "fail"
     return status, {"facet_values": [rat_str(v) for v in values]}
 
 
-def check_combination_reproduces(fixture, args):
-    cone = fixture.cone(args["cone"])
-    vector = fixture.vector(args["vector"])
-    coefficients = _row(args["coefficients"], "coefficients")
+def check_combination_reproduces(fixture, *, cone, vector, coefficients):
+    cone = fixture.cone(cone)
+    vector = fixture.vector(vector)
+    coefficients = _row(coefficients, "coefficients")
     gens = cone.generators
     if len(coefficients) != len(gens) or any(c < 0 for c in coefficients):
         return "fail", {"error": "coefficient list does not match the generators"}
@@ -83,10 +83,10 @@ def check_combination_reproduces(fixture, args):
     return status, {"reconstructed": [rat_str(v) for v in total]}
 
 
-def check_separating_functional(fixture, args):
-    cone = fixture.cone(args["cone"])
-    vector = fixture.vector(args["vector"])
-    functional = _row(args["functional"], "functional")
+def check_separating_functional(fixture, *, cone, vector, functional):
+    cone = fixture.cone(cone)
+    vector = fixture.vector(vector)
+    functional = _row(functional, "functional")
     on_generators = [dot(functional, g.coords) for g in cone.generators]
     at_vector = dot(functional, vector.coords)
     separates = all(v >= 0 for v in on_generators) and at_vector < 0
@@ -99,19 +99,16 @@ def check_separating_functional(fixture, args):
     }
 
 
-def check_difference_equals(fixture, args):
-    basis = args["basis"]
-    diff = fixture.vector_in(basis, args["minuend"]) - fixture.vector_in(
-        basis, args["subtrahend"]
-    )
-    want = fixture.vector_in(basis, args["equals"])
+def check_difference_equals(fixture, *, basis, minuend, subtrahend, equals):
+    diff = fixture.vector_in(basis, minuend) - fixture.vector_in(basis, subtrahend)
+    want = fixture.vector_in(basis, equals)
     status = "pass" if diff.coords == want.coords else "fail"
     return status, {"difference": [rat_str(c) for c in diff.coords]}
 
 
-def check_no_preceq_maximum(fixture, args):
-    geometry = fixture.geometry(args["geometry"])
-    alpha = fixture.vector(args["vector"])
+def check_no_preceq_maximum(fixture, *, geometry, vector, pair_without_dominator=None):
+    geometry = fixture.geometry(geometry)
+    alpha = fixture.vector(vector)
     polytope = decomposition_polytope(geometry, alpha)
     report = preceq_maximum(geometry, polytope)
     if report.status != "no-maximum" or not report.verify():
@@ -124,9 +121,8 @@ def check_no_preceq_maximum(fixture, args):
         "pair_dominator_set_empty": report.pair_dominator_set_empty,
         "vertex_count": len(polytope.vertices),
     }
-    pair = args.get("pair_without_dominator")
-    if pair is not None:
-        u, w = (fixture.vector(n) for n in pair)
+    if pair_without_dominator is not None:
+        u, w = (fixture.vector(n) for n in pair_without_dominator)
         vertex_coords = {v.coords for v in polytope.vertices}
         in_polytope = u.coords in vertex_coords and w.coords in vertex_coords
         empty, certificate = dominator_set_empty(geometry, polytope, u, w)
@@ -138,15 +134,15 @@ def check_no_preceq_maximum(fixture, args):
     return "pass", witness
 
 
-def check_cone_contained(fixture, args):
-    inner = fixture.cone(args["inner"])
-    outer = dd_convert(fixture.cone(args["outer"]))
+def check_cone_contained(fixture, *, inner, outer):
+    inner = fixture.cone(inner)
+    outer = dd_convert(fixture.cone(outer))
     verdicts = [contains(outer, g) for g in inner.generators]
     status = "pass" if all(bool(v) and v.verify() for v in verdicts) else "fail"
     return status, {"generators_checked": len(verdicts)}
 
 
-def check_ring_audit(fixture, args):
+def check_ring_audit(fixture, *, required_finding=None):
     report = fixture.audit
     if report is None:
         return "fail", {"error": "fixture has no ring"}
@@ -157,22 +153,21 @@ def check_ring_audit(fixture, args):
             {"kind": f.kind, **f.detail} for f in report.findings
         ],
     }
-    required = args.get("required_finding")
-    if required is not None:
+    if required_finding is not None:
         hits = [
             f
-            for f in report.findings_of_kind(required["kind"])
-            if sorted(f.detail.get("values", [])) == sorted(required["values"])
+            for f in report.findings_of_kind(required_finding["kind"])
+            if sorted(f.detail.get("values", [])) == sorted(required_finding["values"])
         ]
         return ("flagged" if hits else "fail"), witness
     return ("pass" if report.clean else "flagged"), witness
 
 
-def check_top_values_equal(fixture, args):
+def check_top_values_equal(fixture, *, values):
     ring = fixture.ring
     computed = {}
     ok = True
-    for text, expected in args["values"].items():
+    for text, expected in values.items():
         element = ring.element(ring.top_degree, {text: 1})
         value = ring.top_value(element)
         computed[text] = rat_str(value)
@@ -180,28 +175,26 @@ def check_top_values_equal(fixture, args):
     return ("pass" if ok else "fail"), {"computed": computed}
 
 
-def check_intersection_table_equals(fixture, args):
+def check_intersection_table_equals(fixture, *, elements, table):
     ring = fixture.ring
-    elements = [fixture.element(name) for name in args["elements"]]
-    table = [[ring.pair(a, b) for b in elements] for a in elements]
-    want = [[rat(x) for x in row] for row in args["table"]]
-    status = "pass" if table == want else "fail"
-    return status, {
-        "computed": [[rat_str(x) for x in row] for row in table]
-    }
+    elements = [fixture.element(name) for name in elements]
+    computed = [[ring.pair(a, b) for b in elements] for a in elements]
+    want = [[rat(x) for x in row] for row in table]
+    status = "pass" if computed == want else "fail"
+    return status, {"computed": [[rat_str(x) for x in row] for row in computed]}
 
 
-def check_product_equals(fixture, args):
+def check_product_equals(fixture, *, factors, combination):
     ring = fixture.ring
     product = ring.one()
-    for name in args["factors"]:
+    for name in factors:
         product = ring.multiply(product, fixture.element(name))
-    target = _combination(fixture.element, args["combination"])
+    target = _combination(fixture.element, combination)
     status = "pass" if product.terms == target.terms else "fail"
     return status, {"product": repr(product), "target": repr(target)}
 
 
-def check_surface_times_d2_identity(fixture, args):
+def check_surface_times_d2_identity(fixture):
     ring = fixture.ring
     s1, s2, s3 = (fixture.element(n) for n in ("S1", "S2", "S3"))
     c1, c2 = fixture.element("C1"), fixture.element("C2")
@@ -214,70 +207,78 @@ def check_surface_times_d2_identity(fixture, args):
     return ("pass" if ok else "fail"), {"unit_vectors_checked": 3}
 
 
-def check_named_element_equals(fixture, args):
-    element = fixture.element(args["name"])
-    want = fixture.ring.element(element.degree, args["terms"])
+def check_named_element_equals(fixture, *, name, terms):
+    element = fixture.element(name)
+    want = fixture.ring.element(element.degree, terms)
     status = "pass" if element.terms == want.terms else "fail"
     return status, {"element": repr(element)}
 
 
-def check_element_combination_equals(fixture, args):
-    target = fixture.element(args["target"])
-    combo = _combination(fixture.element, args["combination"])
+def check_element_combination_equals(fixture, *, target, combination):
+    target = fixture.element(target)
+    combo = _combination(fixture.element, combination)
     status = "pass" if target.terms == combo.terms else "fail"
     return status, {"target": repr(target), "combination": repr(combo)}
 
 
-def check_facet_present(fixture, args):
-    cone = dd_convert(fixture.cone(args["cone"]))
-    facet = ClassVector(
-        cone.inequalities[0].basis, _row(args["facet"], "facet")
-    ).primitive()
+def check_facet_present(fixture, *, cone, facet):
+    cone = dd_convert(fixture.cone(cone))
+    facet = ClassVector(cone.inequalities[0].basis, _row(facet, "facet")).primitive()
     present = any(l.coords == facet.coords for l in cone.inequalities)
     return ("pass" if present else "fail"), {
         "facets": [[rat_str(c) for c in l.coords] for l in cone.inequalities]
     }
 
 
-def check_pairing_dual_cone_equals(fixture, args):
+def check_pairing_dual_cone_equals(
+    fixture, *, eff_divisors, curve_basis_elements, equals_generators_of
+):
     """Cone of classes pairing >= 0 with given divisors, via the ring."""
     ring = fixture.ring
-    divisors = [fixture.element(name) for name in args["eff_divisors"]]
-    curve_elements = [fixture.element(name) for name in args["curve_basis_elements"]]
+    divisors = [fixture.element(name) for name in eff_divisors]
+    curve_elements = [fixture.element(name) for name in curve_basis_elements]
     rows = [
         [ring.top_value(ring.multiply(c, d)) for c in curve_elements]
         for d in divisors
     ]
-    target = fixture.cone(args["equals_generators_of"])
+    target = fixture.cone(equals_generators_of)
     cone = PolyCone.from_inequalities(
         target.basis, rows, dim=len(curve_elements), dual=target.dual
     )
     return _same_rays(cone, target)
 
 
-def check_gram_dual_cone_equals(fixture, args):
-    table_args = fixture.claim(args["table_claim"]).args
-    names = table_args["elements"]
-    table = [[rat(x) for x in row] for row in table_args["table"]]
-    indices = [names.index(n) for n in args["eff_elements"]]
-    target = fixture.cone(args["equals_generators_of"])
-    rows = [[table[i][j] for j in indices] for i in indices]
+def check_gram_dual_cone_equals(
+    fixture, *, table_claim, eff_elements, equals_generators_of
+):
+    match fixture.claim(table_claim):
+        case Claim(check="intersection_table_equals", args={"elements": names, "table": table}):
+            indices = [names.index(n) for n in eff_elements]
+        case other:
+            raise InputError(
+                f"table_claim {table_claim!r} is a {other.check} claim, "
+                "not intersection_table_equals"
+            )
+    target = fixture.cone(equals_generators_of)
+    rows = [[rat(table[i][j]) for j in indices] for i in indices]
     cone = PolyCone.from_inequalities(
         target.basis, rows, dim=len(indices), dual=target.dual
     )
     return _same_rays(cone, target)
 
 
-def check_decompose_equals(fixture, args):
-    geometry = fixture.geometry(args["geometry"])
-    alpha = ClassVector(geometry.basis, _row(args["vector"], "vector"))
+def check_decompose_equals(
+    fixture, *, geometry, vector, positive, negative, expect_maximum=False
+):
+    geometry = fixture.geometry(geometry)
+    alpha = ClassVector(geometry.basis, _row(vector, "vector"))
     result = decompose(geometry, alpha)
     ok = (
-        result.positive.coords == _row(args["positive"], "positive")
-        and result.negative.coords == _row(args["negative"], "negative")
+        result.positive.coords == _row(positive, "positive")
+        and result.negative.coords == _row(negative, "negative")
         and verify_decomposition(geometry, result)
     )
-    if args.get("expect_maximum"):
+    if expect_maximum:
         ok = ok and result.metadata["positive_part_status"] == (
             "certified-preceq-maximum"
         )
@@ -288,25 +289,27 @@ def check_decompose_equals(fixture, args):
     }
 
 
-def check_objective_matches_pairing(fixture, args):
+def check_objective_matches_pairing(
+    fixture, *, geometry, pair_with, pair_degree, basis_elements
+):
     ring = fixture.ring
-    geometry = fixture.geometry(args["geometry"])
-    divisor = ring.element(1, args["pair_with"])
+    geometry = fixture.geometry(geometry)
+    divisor = ring.element(1, pair_with)
     weight = ring.one()
-    for _ in range(args["pair_degree"]):
+    for _ in range(pair_degree):
         weight = ring.multiply(weight, divisor)
     recomputed = tuple(
         ring.top_value(ring.multiply(weight, fixture.element(name)))
-        for name in args["basis_elements"]
+        for name in basis_elements
     )
     want = geometry.degree_functional.coords
     status = "pass" if recomputed == want else "fail"
     return status, {"recomputed": [rat_str(v) for v in recomputed]}
 
 
-def check_dual_class_combination(fixture, args):
-    target = fixture.dual(args["target"])
-    combo = _combination(fixture.dual, args["combination"])
+def check_dual_class_combination(fixture, *, target, combination):
+    target = fixture.dual(target)
+    combo = _combination(fixture.dual, combination)
     status = "pass" if combo.coords == target.coords else "fail"
     return status, {
         "combination": [rat_str(c) for c in combo.coords],
@@ -314,16 +317,16 @@ def check_dual_class_combination(fixture, args):
     }
 
 
-def check_pairings_equal(fixture, args):
+def check_pairings_equal(fixture, *, element, pairings=None, difference_pairings=()):
     ring = fixture.ring
-    element = ring.element(args["element"]["degree"], args["element"]["terms"])
+    element = ring.element(element["degree"], element["terms"])
     computed = {}
     ok = True
-    for name, expected in args.get("pairings", {}).items():
+    for name, expected in (pairings or {}).items():
         value = ring.pair(element, fixture.dual(name))
         computed[name] = rat_str(value)
         ok = ok and value == rat(expected)
-    for entry in args.get("difference_pairings", []):
+    for entry in difference_pairings:
         value = ring.pair(
             element, fixture.dual(entry["minuend"]) - fixture.dual(entry["subtrahend"])
         )
@@ -332,15 +335,12 @@ def check_pairings_equal(fixture, args):
     return ("pass" if ok else "fail"), {"pairings": computed}
 
 
-def check_printed_gamma_identity(fixture, args):
+def check_printed_gamma_identity(fixture, *, nef_square, scale, correction, target):
     ring = fixture.ring
-    square = ring.element(args["nef_square"]["degree"], args["nef_square"]["terms"])
-    lhs = ring.cap_image_from_relations(square).scale(args["scale"])
-    correction = fixture.dual(args["correction"]["class"]).scale(
-        args["correction"]["scale"]
-    )
-    lhs = lhs + correction
-    target = fixture.dual(args["target"])
+    square = ring.element(nef_square["degree"], nef_square["terms"])
+    lhs = ring.cap_image_from_relations(square).scale(scale)
+    lhs = lhs + fixture.dual(correction["class"]).scale(correction["scale"])
+    target = fixture.dual(target)
     witness = {
         "identity_lhs": [rat_str(c) for c in lhs.coords],
         "target": [rat_str(c) for c in target.coords],
@@ -348,44 +348,37 @@ def check_printed_gamma_identity(fixture, args):
     return ("pass" if lhs.coords == target.coords else "flagged"), witness
 
 
-def check_linearly_independent(fixture, args):
-    rows = [fixture.vector(name).coords for name in args["vectors"]]
+def check_linearly_independent(fixture, *, vectors):
+    rows = [fixture.vector(name).coords for name in vectors]
     rank = mat_rank(rows)
     status = "pass" if rank == len(rows) else "fail"
     return status, {"rank": rank, "count": len(rows)}
 
 
-def _profile(fixture, args) -> HNProfile:
-    return fixture.profile(args["profile"])
-
-
-def check_epsilon_table(fixture, args):
-    profile = _profile(fixture, args)
-    computed = [rat_str(epsilon(profile, k)) for k in range(profile.rank + 1)]
-    status = "pass" if computed == args["epsilon"] else "fail"
+def check_epsilon_table(fixture, *, profile, epsilon):
+    profile = fixture.profile(profile)
+    computed = [rat_str(projbundle.epsilon(profile, k)) for k in range(profile.rank + 1)]
+    status = "pass" if computed == epsilon else "fail"
     return status, {"computed": computed}
 
 
-def check_nu_sigma_values(fixture, args):
-    profile = _profile(fixture, args)
+def check_nu_sigma_values(fixture, *, profile, nu, sigma):
+    profile = fixture.profile(profile)
     ok = True
     computed = {"nu": {}, "sigma": {}}
-    for k_text, expected in args["nu"].items():
-        value = nu(profile, int(k_text))
-        computed["nu"][k_text] = rat_str(value)
-        ok = ok and value == rat(expected)
-    for k_text, expected in args["sigma"].items():
-        value = sigma(profile, int(k_text))
-        computed["sigma"][k_text] = rat_str(value)
-        ok = ok and value == rat(expected)
+    tables = (("nu", nu, projbundle.nu), ("sigma", sigma, projbundle.sigma))
+    for kind, table, constant in tables:
+        for k_text, expected in table.items():
+            value = constant(profile, int(k_text))
+            computed[kind][k_text] = rat_str(value)
+            ok = ok and value == rat(expected)
     return ("pass" if ok else "fail"), computed
 
 
-def check_class_in_mov_not_nef(fixture, args):
-    profile = _profile(fixture, args)
-    k = args["k"]
+def check_class_in_mov_not_nef(fixture, *, profile, k, vector):
+    profile = fixture.profile(profile)
     _, nef, mov = cones_at(profile, k)
-    vector = ClassVector(class_basis(profile, k), _row(args["vector"], "vector"))
+    vector = ClassVector(class_basis(profile, k), _row(vector, "vector"))
     in_mov = contains(mov, vector)
     in_nef = contains(nef, vector)
     ok = (
@@ -403,31 +396,30 @@ def check_class_in_mov_not_nef(fixture, args):
     }
 
 
-def check_self_pairing_value(fixture, args):
-    profile = _profile(fixture, args)
-    k = args["k"]
-    vector = ClassVector(class_basis(profile, k), _row(args["vector"], "vector"))
-    other = ClassVector(
-        class_basis(profile, profile.rank - k), _row(args["vector"], "vector")
-    )
-    value = pair_classes(profile, k, vector, other)
-    status = "pass" if value == rat(args["value"]) else "fail"
-    return status, {"value": rat_str(value)}
+def check_self_pairing_value(fixture, *, profile, k, vector, value):
+    profile = fixture.profile(profile)
+    coords = _row(vector, "vector")
+    vector = ClassVector(class_basis(profile, k), coords)
+    other = ClassVector(class_basis(profile, profile.rank - k), coords)
+    pairing = pair_classes(profile, k, vector, other)
+    status = "pass" if pairing == rat(value) else "fail"
+    return status, {"value": rat_str(pairing)}
 
 
-def check_closed_form_decomposition(fixture, args):
-    profile = _profile(fixture, args)
-    k = args["k"]
+def check_closed_form_decomposition(
+    fixture, *, profile, k, vector, positive, negative, cross_check_lp=False
+):
+    profile = fixture.profile(profile)
     basis = class_basis(profile, k)
-    alpha = ClassVector(basis, _row(args["vector"], "vector"))
+    alpha = ClassVector(basis, _row(vector, "vector"))
     result = zariski_decompose(profile, k, alpha)
-    ok = result.positive.coords == _row(args["positive"], "positive")
-    ok = ok and result.negative.coords == _row(args["negative"], "negative")
+    ok = result.positive.coords == _row(positive, "positive")
+    ok = ok and result.negative.coords == _row(negative, "negative")
     witness = {
         "positive": [rat_str(c) for c in result.positive.coords],
         "negative": [rat_str(c) for c in result.negative.coords],
     }
-    if args.get("cross_check_lp"):
+    if cross_check_lp:
         eff, _, mov = cones_at(profile, k)
         geometry = cone_geometry(
             f"{fixture.name}:{profile.text()}:k={k}",
@@ -446,10 +438,10 @@ def check_closed_form_decomposition(fixture, args):
     return ("pass" if ok else "fail"), witness
 
 
-def check_coincidence_flags(fixture, args):
+def check_coincidence_flags(fixture, *, cases):
     ok = True
     witness = []
-    for case in args["cases"]:
+    for case in cases:
         profile = fixture.profile(case["profile"])
         mov_eq, nef_eq = cone_coincidence(profile, case["k"])
         ok = ok and mov_eq == case["mov_eq_eff"] and nef_eq == case["nef_eq_eff"]

@@ -98,6 +98,31 @@ def _dim(value, what: str) -> int:
     return value
 
 
+def _text(value, what: str) -> str:
+    """A JSON string; any other value is an input error."""
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _need(node, keys: tuple[str, ...], where: str) -> None:
+    """An input error naming ``where`` unless ``node`` is an object with ``keys``."""
+    if not isinstance(node, dict):
+        raise InputError(f"{where} must be an object, got {type(node).__name__}")
+    for key in keys:
+        if key not in node:
+            raise InputError(f"{where} must be an object with the key {key!r}")
+
+
+def _part(node: dict, key: str, kind: type, where: str):
+    """``node[key]``, empty when absent; an input error unless it is a ``kind``."""
+    value = node.get(key, kind())
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise InputError(f"{where} {key!r} must be {shape}")
+    return value
+
+
 def rows_to_json(vectors) -> list[list[str]]:
     return [[rat_str(c) for c in v.coords] for v in vectors]
 
@@ -112,14 +137,9 @@ def cone_to_json(cone: PolyCone) -> dict:
 
 
 def cone_from_json(doc: dict, basis: str | None = None, dim: int | None = None) -> PolyCone:
-    if not isinstance(doc, dict):
-        raise InputError("cone document must be a JSON object")
-    basis = doc.get("basis", basis)
+    _need(doc, ("basis",) if basis is None else (), "cone document")
+    basis = _text(doc.get("basis", basis), '"basis"')
     dim = doc.get("dim", dim)
-    if basis is None:
-        raise InputError('cone document needs a "basis"')
-    if not isinstance(basis, str):
-        raise InputError(f'"basis" must be a string, got {type(basis).__name__}')
     if dim is not None:
         _dim(dim, '"dim"')
     generators = doc.get("generators")
@@ -162,26 +182,22 @@ def geometry_from_json(doc: dict) -> ConeGeometry:
     """Parse {"basis", "dim", "mov": cone, "eff": cone, "objective": [...]}."""
     from .zariski import cone_geometry
 
-    if not isinstance(doc, dict):
-        raise InputError("geometry document must be a JSON object")
+    _need(doc, ("mov", "eff"), "geometry document")
+    name = _text(doc.get("name", "geometry"), '"name"')
     basis = doc.get("basis")
     dim = doc.get("dim")
-    for key in ("mov", "eff"):
-        if key not in doc:
-            raise InputError(f'geometry document needs "{key}"')
     mov = cone_from_json(doc["mov"], basis=basis, dim=dim)
     eff = cone_from_json(doc["eff"], basis=basis, dim=dim)
     objective = None
     if doc.get("objective") is not None:
         objective = ClassVector(eff.dual, _row(doc["objective"], '"objective"'))
-    return cone_geometry(doc.get("name", "geometry"), mov, eff, objective)
+    return cone_geometry(name, mov, eff, objective)
 
 
 def gram_from_json(doc: dict) -> PairingBasis:
     from .negdef import PairingBasis
 
-    if not isinstance(doc, dict) or "labels" not in doc or "gram" not in doc:
-        raise InputError('pairing document needs "labels" and "gram"')
+    _need(doc, ("labels", "gram"), "pairing document")
     labels = _names(doc["labels"], '"labels"')
     if len(labels) > _MAX_GRAM_RANK:
         raise DomainError(

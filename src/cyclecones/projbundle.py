@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cones import PolyCone, contains
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .rationals import rat_str
+from .rationals import rat, rat_str
 from .vectors import ClassVector, dual_basis
 
 
@@ -31,11 +31,13 @@ class HNProfile:
     pieces: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pieces = tuple((int(r), int(d)) for r, d in self.pieces)
+        pieces = tuple((rat(r), rat(d)) for r, d in self.pieces)
         object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise InputError("profile needs at least one (rank, degree) piece")
-        for r, _ in pieces:
+        for r, d in pieces:
+            if type(r) is not int or type(d) is not int:
+                raise InputError(f"ranks and degrees must be integers, got {r}:{d}")
             if r < 1:
                 raise InputError("ranks must be positive integers")
         slopes = self.slopes

@@ -105,15 +105,13 @@ def render_section(
     mov_chart = _order_polygon(_chart(mov_pts, frame))
     marks = []
     if decomposition is not None:
-        marks.append(("input", _chart([_normalize(decomposition.input, objective)], frame)[0]))
-        if not decomposition.positive.is_zero():
-            marks.append(
-                ("P", _chart([_normalize(decomposition.positive, objective)], frame)[0])
-            )
-        if not decomposition.negative.is_zero():
-            marks.append(
-                ("N", _chart([_normalize(decomposition.negative, objective)], frame)[0])
-            )
+        for label, v in (
+            ("input", decomposition.input),
+            ("P", decomposition.positive),
+            ("N", decomposition.negative),
+        ):
+            if not v.is_zero():  # the zero class has no point on the slice
+                marks.append((label, _chart([_normalize(v, objective)], frame)[0]))
 
     everything = eff_chart + mov_chart + [p for _, p in marks]
     xs = [p[0] for p in everything]

@@ -136,8 +136,10 @@ def fixture_combination_claim():
 
     def check(coeffs, target):
         fixture = SimpleNamespace(cone=lambda _: cone, vector=lambda _: _vector(target))
-        args = {"cone": "eff", "vector": "v", "coefficients": list(coeffs)}
-        return check_combination_reproduces(fixture, args)[0] == "pass"
+        status, _ = check_combination_reproduces(
+            fixture, cone="eff", vector="v", coefficients=list(coeffs)
+        )
+        return status == "pass"
 
     return check, (F(3), F(2)), (F(3), F(2)), (F(3), F(3))
 

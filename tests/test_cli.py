@@ -387,6 +387,17 @@ def test_geometry_file_input(tmp_path):
             {"labels": "ab", "gram": [["-2", "0"], ["0", "-2"]]},
             '"labels" must be a list of strings',
         ),
+        (
+            "decompose",
+            {
+                "name": ["x"],
+                "basis": "climn",
+                "dim": 2,
+                "mov": {"generators": [["1", "1"]]},
+                "eff": {"generators": [["1", "0"], ["0", "1"]]},
+            },
+            '"name" must be a string, got list',
+        ),
     ],
 )
 def test_malformed_documents_are_input_errors(tmp_path, command, doc, message):
@@ -458,6 +469,9 @@ HANDLER_BRANCHES = [
                              "--objective", "2,1"], 0),
     ("decompose-plot-section", ["decompose", "--geometry", "p2-hilb2:surfaces",
                                 "--class", "1,0,1", "--plot-section", "{tmp}/s.svg"], 0),
+    ("decompose-plot-section-zero-class", ["decompose", "--geometry", "p2-hilb2:surfaces",
+                                           "--class", "0,0,0", "--plot-section",
+                                           "{tmp}/s.svg"], 0),
     ("decompose-geometry-file", ["decompose", "--geometry", "{geometry}", "--class", "3,1"], 0),
     ("directed-fixture", ["directed", "--geometry", "toric-3fold:curves",
                           "--class", "1,1,0,1,2"], 0),

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import shutil
 from pathlib import Path
@@ -246,33 +247,65 @@ def test_unreadable_fixture_file_is_input_error(tmp_path):
     assert (code, document["status"]) == (1, "input_error")
 
 
-def _first_claim(mutate):
+def _claim(claim_id, mutate):
     def apply(doc):
-        mutate(doc["claims"][0])
+        mutate(next(c for c in doc["claims"] if c["id"] == claim_id))
 
     return apply
 
 
+def _first_claim(mutate):
+    return _claim("dual-of-nef-is-mori-cone", mutate)
+
+
 # malformed claim data is an input error naming it, never a verdict: with
-# "expect": "fail", a missing argument or an unknown check used to verify ok
+# "expect": "fail", a missing argument or an unknown check used to verify ok,
+# and a misspelled optional argument used to pass unchecked
 CLAIM_REPROS = {
     "arg-missing": (
+        "toric-3fold",
         _first_claim(lambda c: (c["args"].pop("cone"), c.update(expect="fail"))),
-        "fixture toric-3fold: claim 'dual-of-nef-is-mori-cone': no argument 'cone'",
+        "fixture toric-3fold: claim 'dual-of-nef-is-mori-cone': missing argument 'cone'",
+    ),
+    "arg-unknown": (
+        "toric-3fold",
+        _first_claim(lambda c: c["args"].update(cnoe="x")),
+        "fixture toric-3fold: claim 'dual-of-nef-is-mori-cone': unknown argument 'cnoe'",
+    ),
+    "optional-arg-misspelled": (
+        "m07-s7",
+        _claim(
+            "nef-certificate-ample-square",
+            lambda c: (
+                c["args"].pop("pairings"),
+                c["args"].update(pairing={"S1": "5", "S2": "7"}),  # false values
+            ),
+        ),
+        "fixture m07-s7: claim 'nef-certificate-ample-square': unknown argument 'pairing'",
+    ),
+    "table-claim-of-another-kind": (
+        "p2-hilb2",
+        _claim("nef-surfaces-from-table", lambda c: c["args"].update(table_claim="top-values")),
+        "claim 'nef-surfaces-from-table': table_claim 'top-values' is a "
+        "top_values_equal claim, not intersection_table_equals",
     ),
     "unknown-check": (
+        "toric-3fold",
         _first_claim(lambda c: c.update(check="no_such_check", expect="fail")),
         "fixture toric-3fold: claim 'dual-of-nef-is-mori-cone': unknown check 'no_such_check'",
     ),
     "expect-maybe": (
+        "toric-3fold",
         _first_claim(lambda c: c.update(expect="maybe")),
         "claims[0] expect must be \"pass\", \"fail\" or \"flagged\", got 'maybe'",
     ),
     "coefficients-not-a-list": (
+        "toric-3fold",
         lambda doc: doc["claims"][4]["args"].update(coefficients="1,2"),
         "claim 'alpha-mori-combination': coefficients must be a list of rationals, got str",
     ),
     "args-a-list": (
+        "toric-3fold",
         _first_claim(lambda c: c.update(args=["nef-divisors"])),
         "claims[0] 'args' must be an object",
     ),
@@ -281,14 +314,43 @@ CLAIM_REPROS = {
 
 @pytest.mark.parametrize("case", sorted(CLAIM_REPROS))
 def test_malformed_claim_is_input_error(case, tmp_path):
-    mutate, message = CLAIM_REPROS[case]
-    doc = copy.deepcopy(load("toric-3fold").raw)
+    name, mutate, message = CLAIM_REPROS[case]
+    doc = copy.deepcopy(load(name).raw)
     mutate(doc)
-    path = tmp_path / "toric-3fold.json"
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     document, code = run(["fixture", str(path), "--verify"])
     assert (code, document["status"]) == (1, "input_error")
     assert document["payload"]["error"]["message"].endswith(message)
+
+
+def test_claim_arguments_are_checked_before_any_check_runs(tmp_path, monkeypatch):
+    from cyclecones.fixtures import checks
+
+    calls = []
+
+    def counted(check):
+        @functools.wraps(check)  # keeps the signature the arguments are checked against
+        def run_check(*args, **kwargs):
+            calls.append(check.__name__)
+            return check(*args, **kwargs)
+
+        return run_check
+
+    for kind, check in list(checks.CHECKS.items()):
+        monkeypatch.setitem(checks.CHECKS, kind, counted(check))
+    doc = copy.deepcopy(load("toric-3fold").raw)
+    assert doc["claims"][-1]["id"] == "movable-inside-effective"
+    del doc["claims"][-1]["args"]["inner"]
+    path = tmp_path / "toric-3fold.json"
+    path.write_text(json.dumps(doc))
+    document, code = run(["fixture", str(path), "--verify"])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == (
+        "fixture toric-3fold: claim 'movable-inside-effective': missing argument 'inner'"
+    )
+    assert calls == []
+    assert verify_claims(load("toric-3fold")).all_ok and len(calls) == 10
 
 
 def test_check_outcomes_are_classified(monkeypatch):
@@ -304,19 +366,20 @@ def test_check_outcomes_are_classified(monkeypatch):
         "internal": (CycleConesError("broken"), "error", "CycleConesError: broken"),
         "type": (TypeError("bad operand"), "error", "TypeError: bad operand"),
     }
-    for exc, status, error in raised.values():
-        def crash(fixture, args, exc=exc):
+
+    def raising(exc):
+        def check(fixture, *, cone, equals_generators_of):
             raise exc
 
-        monkeypatch.setitem(checks.CHECKS, kind, crash)
+        return check
+
+    for exc, status, error in raised.values():
+        monkeypatch.setitem(checks.CHECKS, kind, raising(exc))
         result = fixtures.verify_claims(fixture).results[0]
         assert (result.status, result.witness) == (status, {"error": error})
         assert not result.ok  # the claim expects "pass"
 
-    def malformed(fixture, args):
-        raise InputError("bad claim data")
-
-    monkeypatch.setitem(checks.CHECKS, kind, malformed)
+    monkeypatch.setitem(checks.CHECKS, kind, raising(InputError("bad claim data")))
     with pytest.raises(InputError) as caught:
         fixtures.verify_claims(fixture)
     assert caught.value.message == (

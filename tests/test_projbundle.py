@@ -39,6 +39,16 @@ def test_profile_parsing_and_validation():
         HNProfile.parse("nonsense")
 
 
+@pytest.mark.parametrize(
+    "pieces", [((2.7, 0), (2, 2)), ((True, 0),), ((2, False),), ((F(1, 2), 0),), ((2, F(1, 2)),)]
+)
+def test_profile_pieces_follow_the_number_rule(pieces):
+    # floats, bools and fractions used to be truncated by int()
+    with pytest.raises(InputError):
+        HNProfile(pieces)
+    assert HNProfile(((F(4, 2), "0"), ("2", 2))) == SPLIT
+
+
 def test_polygon_endpoints_for_any_profile(rng):
     for _ in range(40):
         profile = random_profile(rng)

@@ -1,9 +1,11 @@
 """Invariants of the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 from cyclecones import FIXTURE_NAMES, fixtures
+from cyclecones.fixtures import _is_source_key
 from cyclecones.fixtures.checks import CHECKS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cyclecones"
@@ -29,3 +31,18 @@ def test_every_check_kind_is_claimed_by_a_packaged_fixture():
     # an unknown kind can only fail
     named = {claim.check for name in FIXTURE_NAMES for claim in fixtures.load(name).claims}
     assert CHECKS and named == set(CHECKS)
+
+
+def test_every_packaged_claim_fits_its_check_signature():
+    # a check's keyword-only parameters are its arguments, required unless
+    # they have a default; lint annotations are no arguments
+    for name in FIXTURE_NAMES:
+        fixture = fixtures.load(name)
+        for claim in fixture.claims:
+            params = inspect.signature(CHECKS[claim.check]).parameters.values()
+            declared = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+            required = {p.name for p in params if p.name in declared and p.default is p.empty}
+            raw = next(c for c in fixture.raw["claims"] if c["id"] == claim.id)
+            keys = {k for k in raw.get("args", {}) if not _is_source_key(k)}
+            assert claim.args.keys() == keys, (name, claim.id)
+            assert required <= keys <= declared, (name, claim.id)
