@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .cones import contains, dd_convert, dual_cone, extremal_rays, is_salient
+from .cones import contains, dd_convert, dual_cone, extremal_rays
 from .errors import DomainError, InputError
 from .jsonio import (
     cone_from_json,
@@ -64,11 +64,8 @@ def _cone_payload(args) -> dict:
     if args.cone_op == "dual":
         return {"cone": cone_to_json(dual_cone(cone))}
     if args.cone_op == "rays":
-        full = dd_convert(cone)
-        return {
-            "salient": is_salient(full),
-            "rays": rows_to_json(extremal_rays(full)),
-        }
+        # extremal_rays raises on a non-salient cone, so "salient" is always true
+        return {"salient": True, "rays": rows_to_json(extremal_rays(cone))}
     if args.cone_op == "contains":
         vector = parse_vector_text(args.vector, cone.basis, cone.dim)
         verdict = contains(cone, vector)

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import Row, dot, int_primitive, nullspace, reproduces, separates, violated
-from .rationals import rat
+from .rationals import rat, rat_str
 from .simplex import nonneg_solve
 from .vectors import ClassVector, dual_basis
 
@@ -44,6 +44,15 @@ from .vectors import ClassVector, dual_basis
 # count, so a larger input fails with a DomainError instead of running on
 # for minutes.
 _MAX_DD_RAYS = 10_000
+
+# Most positive/negative ray pairs one double description may test, summed
+# over its insertions.  The pair tests are the method's work: the
+# decomposition polytope of one dimension-10 geometry (227 rows in
+# dimension 11) makes 37.7 million of them in 163 s of pair loops, 4.3 us
+# each (Python 3.11, 2-vCPU Xeon VM), while never holding more than 5 667
+# rays.  The budget is about 9 s of that work; the benchmark's heaviest
+# double description makes 1 913.
+_MAX_DD_PAIRS = 2_000_000
 
 
 def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
@@ -71,8 +80,10 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     whose linear hull is cut out by the rows tight on it, and those have
     rank ``dim - len(lineality) - 2``.
 
-    An insertion that would hold more than ``_MAX_DD_RAYS`` rays raises
-    ``DomainError`` instead of running on.
+    An insertion that would hold more than ``_MAX_DD_RAYS`` rays, or would
+    bring the call's positive/negative pair tests past ``_MAX_DD_PAIRS``,
+    raises ``DomainError`` instead of running on.  The pair count is
+    checked once per insertion, before its pair loop.
     """
     lineality: list[tuple[int, ...]] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
@@ -80,6 +91,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []
     processed = 0  # the bits of the nonzero rows read so far
+    pairs = 0  # the positive/negative pairs the insertions so far test
 
     for idx, raw in enumerate(rows):
         checked = tuple(x if type(x) is int else rat(x) for x in raw)
@@ -114,6 +126,14 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
             tight = [t if v else t | bit for t, v in zip(tight, values)]
             continue
         positive = [i for i, v in enumerate(values) if v > 0]
+        pairs += len(positive) * len(negative)
+        if pairs > _MAX_DD_PAIRS:
+            raise DomainError(
+                "double description exceeds its pair-test budget",
+                dim=dim,
+                row=idx,
+                pairs=pairs,
+            )
 
         new_rays = [rays[i] for i in positive]
         new_tight = [tight[i] for i in positive]
@@ -418,7 +438,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
         raise CycleConesError(
             "representations disagree: inequalities accept a vector the "
             "generators cannot produce",
-            vector=[str(c) for c in vector.coords],
+            vector=[rat_str(c) for c in vector.coords],
         )
     return ContainsResult(full, vector, True, combination=coeffs)
 
@@ -440,6 +460,6 @@ def extremal_rays(cone: PolyCone) -> tuple[ClassVector, ...]:
     if not is_salient(full):
         raise DomainError(
             "extremal rays are only defined for salient cones",
-            lineality=[[str(x) for x in row] for row in lineality_space(full)],
+            lineality=[[rat_str(x) for x in row] for row in lineality_space(full)],
         )
     return full.generators

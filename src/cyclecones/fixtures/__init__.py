@@ -171,6 +171,12 @@ def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
     return problems
 
 
+def _element(ring: RingPresentation, node, what: str) -> RingElement:
+    """A ring element given as ``{"degree": d, "terms": {monomial: c}}``."""
+    _need(node, ("degree", "terms"), what)
+    return ring.element(_dim(node["degree"], f"{what} degree"), node["terms"])
+
+
 def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
     from ..rings import DualLayer, RingPresentation, consistency_audit, parse_monomial
 
@@ -228,8 +234,7 @@ def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
     named = _part(doc, "named", dict, where)
     named = _part(named, "elements", dict, f"{where} named")
     for name, body in named.items():
-        _need(body, ("degree", "terms"), f"{where} element {name!r}")
-        fixture.ring_elements[name] = ring.element(body["degree"], body["terms"])
+        fixture.ring_elements[name] = _element(ring, body, f"{where} element {name!r}")
     duals = _part(doc, "dual_classes", dict, where)
     duals = _part(duals, "elements", dict, f"{where} dual_classes")
     for name, body in duals.items():

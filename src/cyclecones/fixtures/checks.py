@@ -12,7 +12,7 @@ from __future__ import annotations
 from .. import projbundle
 from ..cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays
 from ..errors import InputError
-from ..jsonio import _row
+from ..jsonio import _dim, _names, _need, _row, _text
 from ..linalg import combine, dot, mat_rank
 from ..projbundle import (
     class_basis,
@@ -33,7 +33,7 @@ from ..zariski import (
     preceq_maximum,
     verify_decomposition,
 )
-from . import Claim
+from . import Claim, _element
 
 
 def _rays_set(vectors):
@@ -154,10 +154,13 @@ def check_ring_audit(fixture, *, required_finding=None):
         ],
     }
     if required_finding is not None:
+        _need(required_finding, ("kind", "values"), "required_finding")
+        kind = _text(required_finding["kind"], "required_finding kind")
+        values = sorted(_names(required_finding["values"], "required_finding values"))
         hits = [
             f
-            for f in report.findings_of_kind(required_finding["kind"])
-            if sorted(f.detail.get("values", [])) == sorted(required_finding["values"])
+            for f in report.findings_of_kind(kind)
+            if sorted(f.detail.get("values", [])) == values
         ]
         return ("flagged" if hits else "fail"), witness
     return ("pass" if report.clean else "flagged"), witness
@@ -253,6 +256,11 @@ def check_gram_dual_cone_equals(
 ):
     match fixture.claim(table_claim):
         case Claim(check="intersection_table_equals", args={"elements": names, "table": table}):
+            for name in _names(eff_elements, "eff_elements"):
+                if name not in names:
+                    raise InputError(
+                        f"eff_elements: {name!r} is not an element of table_claim {table_claim!r}"
+                    )
             indices = [names.index(n) for n in eff_elements]
         case other:
             raise InputError(
@@ -318,15 +326,18 @@ def check_dual_class_combination(fixture, *, target, combination):
 
 
 def check_pairings_equal(fixture, *, element, pairings=None, difference_pairings=()):
+    if not (pairings or difference_pairings):
+        raise InputError("pairings_equal needs pairings or difference_pairings")
     ring = fixture.ring
-    element = ring.element(element["degree"], element["terms"])
+    element = _element(ring, element, "element")
     computed = {}
     ok = True
     for name, expected in (pairings or {}).items():
         value = ring.pair(element, fixture.dual(name))
         computed[name] = rat_str(value)
         ok = ok and value == rat(expected)
-    for entry in difference_pairings:
+    for i, entry in enumerate(difference_pairings):
+        _need(entry, ("minuend", "subtrahend", "value"), f"difference_pairings[{i}]")
         value = ring.pair(
             element, fixture.dual(entry["minuend"]) - fixture.dual(entry["subtrahend"])
         )
@@ -337,7 +348,8 @@ def check_pairings_equal(fixture, *, element, pairings=None, difference_pairings
 
 def check_printed_gamma_identity(fixture, *, nef_square, scale, correction, target):
     ring = fixture.ring
-    square = ring.element(nef_square["degree"], nef_square["terms"])
+    square = _element(ring, nef_square, "nef_square")
+    _need(correction, ("class", "scale"), "correction")
     lhs = ring.cap_image_from_relations(square).scale(scale)
     lhs = lhs + fixture.dual(correction["class"]).scale(correction["scale"])
     target = fixture.dual(target)
@@ -441,14 +453,16 @@ def check_closed_form_decomposition(
 def check_coincidence_flags(fixture, *, cases):
     ok = True
     witness = []
-    for case in cases:
+    for i, case in enumerate(cases):
+        _need(case, ("profile", "k", "mov_eq_eff", "nef_eq_eff"), f"cases[{i}]")
         profile = fixture.profile(case["profile"])
-        mov_eq, nef_eq = cone_coincidence(profile, case["k"])
+        k = _dim(case["k"], f"cases[{i}] k")
+        mov_eq, nef_eq = cone_coincidence(profile, k)
         ok = ok and mov_eq == case["mov_eq_eff"] and nef_eq == case["nef_eq_eff"]
         witness.append(
             {
                 "profile": profile.text(),
-                "k": case["k"],
+                "k": k,
                 "mov_eq_eff": mov_eq,
                 "nef_eq_eff": nef_eq,
             }

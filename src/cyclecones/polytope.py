@@ -16,7 +16,7 @@ from math import lcm
 
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import all_exact, dot, int_primitive, reproduces, violated
-from .rationals import rat
+from .rationals import rat, rat_str
 from .simplex import nonneg_solve
 from . import cones
 from .vectors import ClassVector, dual_basis
@@ -110,7 +110,7 @@ def vertex_enumeration(p: RationalPolytope) -> RationalPolytope:
     if direction is not None:
         raise DomainError(
             "inequality system is unbounded",
-            recession_direction=[str(c) for c in direction.coords],
+            recession_direction=[rat_str(c) for c in direction.coords],
         )
     return replace(p, vertices=vertices)
 
@@ -143,8 +143,8 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
     y = nonneg_solve(tight, target)
     if y is None or not reproduces(y, tight, target):
         raise CycleConesError(
-            f"no optimality certificate for vertex scan maximum {best}",
-            objective=[str(c) for c in objective.coords],
-            vertex=[str(c) for c in optimal[0].coords],
+            f"no optimality certificate for vertex scan maximum {rat_str(best)}",
+            objective=[rat_str(c) for c in objective.coords],
+            vertex=[rat_str(c) for c in optimal[0].coords],
         )
     return best, optimal

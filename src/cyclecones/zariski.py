@@ -3,17 +3,19 @@
 Given the two cones and a pseudo-effective class, the candidate positive
 parts form a bounded polytope: movable classes dominated by the input.
 A positive part is selected by exact maximization of a degree functional
-(strictly positive on the effective cone), and the engine certifies
-whether the candidate set has a domination-order maximum: the vertex
-whose eff facet values are the column-wise maxima over all vertices, if
-one is.  When it exists, the selected part equals it for every valid
-objective, and the output says so, with certificates found by peeling
-along faces (no simplex).  When it does not, the order-theoretic failure
-is witnessed by a vertex pair with no common dominator, checked by double
-description and certified by a Farkas vector.  A step that cannot fail on
-converted cones (a peel that finds no combination, an empty set without
-a Farkas vector) raises ``CycleConesError``, an internal error, never a
-``DomainError``.
+(strictly positive on the effective cone).  A domination-order maximum of
+the candidate set, when one exists, is the unique optimum of every such
+functional, so ``decompose`` decides whether its positive part is that
+maximum with one eff membership test per vertex, and records the verdict.
+The proof is ``preceq_maximum``'s: the vertex whose eff facet values are
+the column-wise maxima over all vertices, if one is, with certificates
+found by peeling along faces (no simplex); otherwise a vertex pair with no
+common dominator, checked by double description and certified by a Farkas
+vector.  ``verify_decomposition`` builds that proof, re-verifies it, and
+cross-checks the recorded verdict against it: two independent routes to
+one answer.  A step that cannot fail on converted cones (a peel that finds
+no combination, an empty set without a Farkas vector) raises
+``CycleConesError``, an internal error, never a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -375,8 +377,10 @@ def decompose(
 
     The full optimal face is reported; the canonical representative is its
     lexicographically smallest vertex (a labelled convention, not a
-    mathematical claim).  Metadata distinguishes a certified
-    domination-order maximum from a merely objective-maximal candidate.
+    mathematical claim).  Metadata records whether the positive part is
+    the domination-order maximum of the candidate set, or a merely
+    objective-maximal candidate.  That verdict is decided here, not
+    proved: ``verify_decomposition`` proves it with ``preceq_maximum``.
     """
     if objective is None:
         objective = g.degree_functional
@@ -388,8 +392,11 @@ def decompose(
     value, face = maximize_linear(s, objective)
     positive = face[0]  # vertices arrive sorted: lexicographically smallest
     negative = alpha - positive
-
-    report = preceq_maximum(g, s)
+    # a domination maximum m is the unique optimum of an objective strictly
+    # positive on eff, since m - z is a nonzero eff class for every other z
+    # of s: so it is the positive part, and one kernel test per vertex decides
+    rows = g.eff.inequality_rows()
+    is_max = all(violated(rows, (positive - v).coords) is None for v in s.vertices)
     certificates = (
         Certificate(
             "positive-part-movable",
@@ -405,7 +412,7 @@ def decompose(
         positive=positive,
         negative=negative,
         certificates=certificates,
-        metadata=_metadata(g, objective, value, face, report),
+        metadata=_metadata(g, objective, value, face, is_max),
     )
 
 
@@ -426,10 +433,10 @@ def negative_boundary_check(g: ConeGeometry, dec: Decomposition) -> bool:
     return any(dot(l, n.coords) == 0 for l in rows)
 
 
-def _metadata(g: ConeGeometry, objective, value, face, report) -> dict[str, Any]:
+def _metadata(g: ConeGeometry, objective, value, face, is_max: bool) -> dict[str, Any]:
     """What ``decompose`` records about the optimum (``face[0]`` is the
-    positive part) and the directedness verdict."""
-    is_max = report.status == "maximum" and report.maximum.coords == face[0].coords
+    positive part) and the directedness verdict: ``is_max`` says whether
+    the positive part is the domination maximum of the candidate set."""
     status = "certified-preceq-maximum" if is_max else "objective-maximal-candidate"
     return {
         "method": "degree-maximization",
@@ -439,7 +446,7 @@ def _metadata(g: ConeGeometry, objective, value, face, report) -> dict[str, Any]
         "optimal_face": [[rat_str(c) for c in v.coords] for v in face],
         "optimum_unique": len(face) == 1,
         "positive_part_status": status,
-        "preceq_maximum": report.status,
+        "preceq_maximum": "maximum" if is_max else "no-maximum",
         "canonical_choice": "lexicographically-smallest-optimal-vertex",
     }
 
@@ -450,8 +457,10 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
     The split and both membership combinations are checked by arithmetic.
     One recomputation for the recorded objective, which must be valid,
     checks the rest: the positive part heads the optimal face, the
-    metadata (geometry name included) is what ``decompose`` records, and
-    the directedness report verifies.  A malformed record fails.
+    ``preceq_maximum`` report verifies, and the metadata (geometry name
+    included) is what ``decompose`` records, with the report's certified
+    verdict (a maximum, at the positive part) in place of the kernel test
+    ``decompose`` decided it by.  A malformed record fails.
     """
     if (dec.positive + dec.negative).coords != dec.input.coords:
         return False
@@ -472,9 +481,10 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
         report = preceq_maximum(g, s)
     except (KeyError, TypeError, CycleConesError):
         return False
+    is_max = report.status == "maximum" and report.maximum.coords == face[0].coords
     return (
         report.verify()
         and face[0] == dec.positive
         # repr, unlike ==, tells an optimum_unique of 1 from True
-        and repr(dict(dec.metadata)) == repr(_metadata(g, objective, value, face, report))
+        and repr(dict(dec.metadata)) == repr(_metadata(g, objective, value, face, is_max))
     )

@@ -28,10 +28,12 @@ from cyclecones.negdef import (
     _postconditions_hold,
     is_negative_definite,
 )
+from cyclecones.polytope import maximize_linear
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import _shown, _unparsable, rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
+from cyclecones.zariski import decomposition_polytope, preceq_maximum
 
 
 def fraction_rat(value) -> Fraction:
@@ -579,6 +581,30 @@ def pairwise_maximum(g, s) -> tuple[str, tuple | None]:
         if all(all(a >= b for a, b in zip(row, other)) for other in values):
             return "maximum", s.vertices[top].coords
     return "no-maximum", None
+
+
+def report_route_metadata(g, alpha: ClassVector, objective=None) -> dict:
+    """Oracle for the metadata of ``zariski.decompose``: the earlier route,
+    which built a full ``preceq_maximum`` report and read both verdict
+    strings off it (a maximum, and at the positive part ``face[0]``)."""
+    objective = g.degree_functional if objective is None else objective
+    s = decomposition_polytope(g, alpha)
+    value, face = maximize_linear(s, objective)
+    report = preceq_maximum(g, s)
+    is_max = report.status == "maximum" and report.maximum.coords == face[0].coords
+    return {
+        "method": "degree-maximization",
+        "geometry": g.name,
+        "objective": [rat_str(c) for c in objective.coords],
+        "objective_value": rat_str(value),
+        "optimal_face": [[rat_str(c) for c in v.coords] for v in face],
+        "optimum_unique": len(face) == 1,
+        "positive_part_status": (
+            "certified-preceq-maximum" if is_max else "objective-maximal-candidate"
+        ),
+        "preceq_maximum": report.status,
+        "canonical_choice": "lexicographically-smallest-optimal-vertex",
+    }
 
 
 def fraction_int_primitive(row) -> tuple[int, ...]:

@@ -474,3 +474,29 @@ def test_decomposition_rejects_tampered_directedness_verdict(tamper):
     assert verify_decomposition(g, dec)
     metadata = {**dec.metadata, **fields}
     assert not verify_decomposition(g, replace(dec, metadata=metadata))
+
+
+@pytest.mark.parametrize("which", ["toric", "tamper2"])
+def test_decomposition_requires_the_proof_it_builds_to_verify(which, monkeypatch):
+    # decompose records its verdict without a proof; the verifier builds
+    # one with preceq_maximum, and a proof that fails its own re-check
+    # rejects an untouched record
+    from cyclecones import zariski
+
+    if which == "toric":
+        g, alpha = _toric_geometry(), ClassVector("toric3.curves", TORIC_ALPHA)
+
+        def forge(report):  # the dominator-set verdict flipped
+            return replace(report, pair_dominator_set_empty=not report.pair_dominator_set_empty)
+
+    else:
+        g, alpha = _geometry(), _vector((3, 2))
+
+        def forge(report):  # a peel certificate for another difference
+            return replace(report, domination=((F(1),) * 2,) + report.domination[1:])
+
+    dec = decompose(g, alpha)
+    assert verify_decomposition(g, dec)
+    honest = zariski.preceq_maximum
+    monkeypatch.setattr(zariski, "preceq_maximum", lambda g, s: forge(honest(g, s)))
+    assert not verify_decomposition(g, dec)

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -153,6 +154,20 @@ def test_dd_ray_budget_is_domain_error(tmp_path, monkeypatch):
     document, code = run_json(["cone", "convert", "--input", path])
     assert code == 2 and document["status"] == "domain_error"
     assert document["payload"]["error"]["dim"] == 4
+
+
+def test_dd_pair_budget_is_domain_error(tmp_path, monkeypatch):
+    path = write(
+        tmp_path,
+        "cone.json",
+        {"basis": "cli4", "dim": 4, "generators": [[1, t, t * t, t ** 3] for t in range(-3, 4)]},
+    )
+    monkeypatch.setattr(cones, "_MAX_DD_PAIRS", 5)
+    document, code = run_json(["cone", "convert", "--input", path])
+    assert code == 2 and document["status"] == "domain_error"
+    error = document["payload"]["error"]
+    assert error["message"] == "double description exceeds its pair-test budget"
+    assert error["dim"] == 4 and error["pairs"] > 5 and "row" in error
 
 
 def test_simplex_pivot_budget_is_domain_error(tmp_path, monkeypatch):
@@ -443,6 +458,30 @@ def test_over_long_json_integer_is_input_error(tmp_path):
     document, code = run_json(["cone", "convert", "--input", str(path)])
     assert (code, document["status"]) == (1, "input_error")
     assert str(sys.get_int_max_str_digits()) in document["payload"]["error"]["message"]
+
+
+@pytest.mark.parametrize("op", ["rays", "convert"])
+def test_over_long_integer_in_a_result_or_detail_is_domain_error(tmp_path, op):
+    # the line cut out by +-r1 and +-r2 has entries of about 662 digits:
+    # past a limit of 640, both the lineality detail of `cone rays` and the
+    # payload of `cone convert` print through rat_str.  A fresh interpreter
+    # takes the limit at start-up.
+    rng = random.Random(331)
+    r1, r2 = ([str(rng.randrange(10**330, 10**331)) for _ in range(3)] for _ in range(2))
+    rows = [r1, ["-" + x for x in r1], r2, ["-" + x for x in r2]]
+    path = write(tmp_path, "long.json", {"basis": "long3", "dim": 3, "inequalities": rows})
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "cyclecones", "cone", op,
+         "--input", path],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        cwd=ROOT,
+        timeout=120,
+    )
+    document = json.loads(done.stdout)
+    assert (done.returncode, document["status"]) == (2, "domain_error")
+    error = document["payload"]["error"]
+    assert error["limit"] == 640 and "640 digits" in error["message"]
 
 
 GEOMETRY_DOC = {

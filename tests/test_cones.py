@@ -538,6 +538,21 @@ def test_double_description_ray_budget(monkeypatch):
     assert caught.value.details == {"dim": 4, "row": 4, "rays": 6}
 
 
+def test_double_description_pair_budget(monkeypatch):
+    # the same cone's insertions test 4, 9 and 16 positive/negative pairs:
+    # 29 in all, counted afresh on each call
+    rows = [(1, t, t * t, t ** 3) for t in range(-3, 4)]
+    monkeypatch.setattr(cones, "_MAX_DD_PAIRS", 29)
+    for _ in range(2):
+        assert len(double_description(rows, 4)[1]) == 10
+    for budget, row, pairs in ((28, 6, 29), (12, 5, 13), (0, 4, 4)):
+        monkeypatch.setattr(cones, "_MAX_DD_PAIRS", budget)
+        with pytest.raises(DomainError) as caught:
+            double_description(rows, 4)
+        assert caught.value.message == "double description exceeds its pair-test budget"
+        assert caught.value.details == {"dim": 4, "row": row, "pairs": pairs}
+
+
 # -- integer rows and membership against the Fraction oracle ------------------
 
 

@@ -304,6 +304,47 @@ CLAIM_REPROS = {
         lambda doc: doc["claims"][4]["args"].update(coefficients="1,2"),
         "claim 'alpha-mori-combination': coefficients must be a list of rationals, got str",
     ),
+    "element-without-degree": (
+        "m07-s7",
+        _claim("nef-certificate-ample-square", lambda c: c["args"]["element"].pop("degree")),
+        "fixture m07-s7: claim 'nef-certificate-ample-square': "
+        "element must be an object with the key 'degree'",
+    ),
+    "eff-element-not-in-table": (
+        "p2-hilb2",
+        _claim("nef-surfaces-from-table", lambda c: c["args"].update(eff_elements=["Zzz"])),
+        "fixture p2-hilb2: claim 'nef-surfaces-from-table': "
+        "eff_elements: 'Zzz' is not an element of table_claim 'intersection-table'",
+    ),
+    "pairings-missing": (
+        "m07-s7",
+        _claim("nef-certificate-ample-square", lambda c: c["args"].pop("pairings")),
+        "fixture m07-s7: claim 'nef-certificate-ample-square': "
+        "pairings_equal needs pairings or difference_pairings",
+    ),
+    "case-without-k": (
+        "projbundle-sample",
+        _claim("cone-coincidence", lambda c: c["args"]["cases"][1].pop("k")),
+        "claim 'cone-coincidence': cases[1] must be an object with the key 'k'",
+    ),
+    "difference-pairing-without-value": (
+        "m07-s7",
+        _claim("nef-certificate-beta", lambda c: c["args"]["difference_pairings"][0].pop("value")),
+        "claim 'nef-certificate-beta': "
+        "difference_pairings[0] must be an object with the key 'value'",
+    ),
+    "required-finding-kind-a-list": (
+        "m07-s7",
+        _claim("audit-flags-printed-relations", lambda c: c["args"]["required_finding"].update(
+            kind=["gram-asymmetry"]
+        )),
+        "claim 'audit-flags-printed-relations': required_finding kind must be a string, got list",
+    ),
+    "correction-a-list": (
+        "m07-s7",
+        _claim("gamma-identity-printed", lambda c: c["args"].update(correction=["S2", "15/11"])),
+        "claim 'gamma-identity-printed': correction must be an object, got list",
+    ),
     "args-a-list": (
         "toric-3fold",
         _first_claim(lambda c: c.update(args=["nef-divisors"])),

@@ -231,6 +231,29 @@ def test_audit_flags_asymmetric_printed_relations():
     assert sorted(finding.detail["values"]) == ["-735", "735"]
 
 
+def test_audit_flags_nonconfluent_rewrites():
+    # a^2 -> 2b^2 and ab -> 0 overlap on a^2 b, which reduces to 2b^3 by the
+    # first rule and to 0 by the second: the generator products below the
+    # top degree disagree, and so do the normal forms of a top monomial
+    ring = RingPresentation(
+        name="overlap",
+        generators=("a", "b"),
+        top_degree=3,
+        rewrites={(2, 0): {(0, 2): F(2)}, (1, 1): {}},
+        top_values={(3, 0): F(1), (2, 1): F(1), (1, 2): F(1), (0, 3): F(1)},
+        max_monomial_degree=3,
+    )
+    report = consistency_audit(ring)
+    assert not report.clean and report.gram_matrices == {}  # odd top degree
+    assert [f.detail for f in report.findings_of_kind("rewrite-nonconfluence")] == [
+        {"monomial": "a", "generators": ["a", "b"]},
+        {"monomial": "b", "generators": ["a", "a"]},
+    ]
+    assert [f.detail for f in report.findings_of_kind("pairing-path-disagreement")] == [
+        {"pairing": "a^2*b", "values": ["strategy-dependent normal forms"]},
+    ]
+
+
 def test_audit_trivial_presentation_passes():
     ring = RingPresentation(
         name="point-count",

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,7 @@ from conftest import (
     maximize_affine,
     pairwise_maximum,
     random_profile,
+    report_route_metadata,
 )
 
 F = Fraction
@@ -458,6 +461,90 @@ def test_vertex_domination_extends_to_random_convex_combinations(rng):
             part = v.scale(w / total)
             point = part if point is None else point + part
         assert contains(g.eff, beta - point)
+
+
+def _bench_ladder(seed):
+    """The (geometry, class) pool of the benchmark's decompose-ladder for
+    one seed.  bench/inputs.py is plain Python, loaded by its path."""
+    from cyclecones.fixtures import load
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    toric = load("toric-3fold").geometry("curves")
+    items = []
+    for rung in inputs.ladder(seed):
+        basis = f"bench.ladder{rung['dim']}"
+        for i, inst in enumerate(rung["instances"]):
+            if rung["extra"] is None:  # a toric-3fold:curves class
+                alpha = combine(inst["coeffs"], toric.eff.generator_rows(), toric.dim)
+                items.append((toric, ClassVector(toric.basis, alpha)))
+                continue
+            g = cone_geometry(
+                f"{rung['label']}-{i}",
+                PolyCone.from_generators(basis, inst["mov"]),
+                PolyCone.from_generators(basis, inst["eff"]),
+                ClassVector(f"{basis}*", (1,) * rung["dim"]),
+            )
+            items.append((g, ClassVector(basis, inst["alpha"])))
+    return items
+
+
+def test_decompose_metadata_matches_the_report_route(rng):
+    # decompose decides its verdict by a kernel test of the positive part;
+    # the oracle reads it off a full preceq_maximum report.  Every
+    # toric-3fold:curves class sum c_i C_i with c_i in {0, 1, 2}, the
+    # benchmark's ladder pools of seeds 1 and 7919, and seeded 2-d geometries
+    from cyclecones.fixtures import load
+
+    toric = load("toric-3fold").geometry("curves")
+    rows = toric.eff.generator_rows()
+    cases = [
+        (toric, ClassVector(toric.basis, combine(coeffs, rows, toric.dim)))
+        for coeffs in itertools.product(range(3), repeat=len(rows))
+    ]
+    assert len(cases) == 243
+    for seed in (1, 7919):
+        cases += _bench_ladder(seed)
+    for _ in range(40):
+        profile = random_profile(rng)
+        k = rng.randint(1, profile.rank - 1)
+        eff, _, mov = cones_at(profile, k)
+        g = cone_geometry("pb", mov, eff, degree_functional(profile, k))
+        a = F(rng.randint(0, 8), rng.randint(1, 2))
+        b = F(rng.randint(0, 8), rng.randint(1, 2))
+        cases.append((g, ClassVector(class_basis(profile, k), (a, a * epsilon(profile, k) + b))))
+    seen = {}
+    for g, alpha in cases:
+        metadata = decompose(g, alpha).metadata
+        assert repr(metadata) == repr(report_route_metadata(g, alpha)), (g.name, alpha.coords)
+        key = (g is toric, metadata["preceq_maximum"])
+        seen[key] = seen.get(key, 0) + 1
+    assert set(seen) == set(itertools.product((True, False), ("maximum", "no-maximum")))
+
+
+def test_decompose_builds_no_directedness_proof(toric, monkeypatch):
+    # the verdict is recorded without a report; verify_decomposition builds
+    # one, with peel certificates for a maximum and the pair search and its
+    # dominator set for no maximum
+    calls = []
+    for name in ("preceq_maximum", "_peel", "dominator_set_empty"):
+        def counted(*args, name=name, routine=getattr(zariski, name)):
+            calls.append(name)
+            return routine(*args)
+
+        monkeypatch.setattr(zariski, name, counted)
+    for coords, status, proof in (
+        (TORIC_M[5], "maximum", "_peel"),
+        (TORIC_ALPHA, "no-maximum", "dominator_set_empty"),
+    ):
+        dec = decompose(toric, ClassVector(toric.basis, coords))
+        assert dec.metadata["preceq_maximum"] == status
+        assert calls == []
+        assert verify_decomposition(toric, dec)
+        assert calls[0] == "preceq_maximum" and proof in calls
+        calls.clear()
 
 
 def test_boundary_class_decomposes(toric):
