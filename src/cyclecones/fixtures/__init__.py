@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .. import FIXTURE_NAMES  # re-exported
 from ..cones import PolyCone
 from ..errors import DomainError, InputError
-from ..jsonio import _dim, _names, _need, _part, _row, _text, read_json
+from ..jsonio import _dim, _kind, _names, _need, _part, _row, _rows, _text, read_json
 from ..rationals import rat
 from ..vectors import ClassVector
 
@@ -51,7 +51,7 @@ class Claim:
 class ClaimResult:
     claim_id: str
     check: str
-    status: str  # "pass" | "fail" | "flagged" | "error" (a check crashed)
+    status: str  # "pass" | "fail" | "flagged", the check's own verdict
     expected: str
     witness: dict
 
@@ -78,12 +78,18 @@ class Fixture:
     vectors: dict[str, dict[str, ClassVector]] = field(default_factory=dict)
     cones: dict[str, PolyCone] = field(default_factory=dict)
     geometries: dict[str, ConeGeometry] = field(default_factory=dict)
-    ring: RingPresentation | None = None
+    _ring: RingPresentation | None = None  # read through ``ring``
     ring_elements: dict[str, RingElement] = field(default_factory=dict)
     dual_classes: dict[str, DualClass] = field(default_factory=dict)
     profiles: dict[str, HNProfile] = field(default_factory=dict)
     claims: tuple[Claim, ...] = ()
     audit: AuditReport | None = None
+
+    @property
+    def ring(self) -> RingPresentation:
+        if self._ring is None:
+            raise InputError(f"fixture {self.name} has no ring")
+        return self._ring
 
     def vector(self, name: str) -> ClassVector:
         hits = [table[name] for table in self.vectors.values() if name in table]
@@ -122,10 +128,28 @@ class Fixture:
         return self._named(self.profiles, name, "profile")
 
     def claim(self, claim_id: str) -> Claim:
-        for claim in self.claims:
-            if claim.id == claim_id:
-                return claim
-        raise InputError(f"fixture {self.name}: unknown claim {claim_id!r}")
+        return self._named({claim.id: claim for claim in self.claims}, claim_id, "claim")
+
+
+# verify_claims reads a claim argument by its check parameter's annotation, as
+# text: a fixture entry looked up by name, a list of such names, checked JSON,
+# or, for an unannotated flag, the value as given
+_ENTRIES = {"PolyCone": Fixture.cone, "ClassVector": Fixture.vector, "Claim": Fixture.claim,
+            "ConeGeometry": Fixture.geometry, "HNProfile": Fixture.profile,
+            "RingElement": Fixture.element, "DualClass": Fixture.dual}
+_JSON = {"Row": _row, "list[Row]": _rows, "str": _text, "list[str]": _names, "int": _dim,
+         "dict": lambda value, what: _kind(value, dict, what),
+         "list": lambda value, what: _kind(value, list, what),
+         inspect.Parameter.empty: lambda value, what: value}
+
+
+def _argument(fixture: Fixture, param: inspect.Parameter, value):
+    if param.annotation in _JSON:
+        return _JSON[param.annotation](value, param.name)
+    lookup = _ENTRIES[param.annotation.removeprefix("list[").removesuffix("]")]
+    if param.annotation.startswith("list["):
+        return [lookup(fixture, name) for name in _names(value, param.name)]
+    return lookup(fixture, _text(value, param.name))
 
 
 def _looks_numeric(leaf) -> bool:
@@ -230,7 +254,7 @@ def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
                 f"{where} dual_bases[{str(degree)!r}] names do not match the "
                 f"degree-{degree} monomial basis"
             )
-    fixture.ring = ring
+    fixture._ring = ring
     named = _part(doc, "named", dict, where)
     named = _part(named, "elements", dict, f"{where} named")
     for name, body in named.items():
@@ -378,14 +402,16 @@ class ClaimReport:
 
 
 def verify_claims(fixture: Fixture) -> ClaimReport:
-    """Check every claim's arguments, then run every claim's check.
+    """Check every claim's argument keys, then read its arguments and run its check.
 
     A check declares its arguments as keyword-only parameters, required
-    unless they have a default; ``source`` keys are lint annotations.  An
-    unknown check or an unknown or missing argument raises before any check
-    runs, and an ``InputError`` from a check raises too, each naming the
-    claim.  A ``DomainError`` is a ``fail``, any other crash an ``error``,
-    which no ``expect`` accepts.
+    unless they have a default, and each annotation says how its argument is
+    read (see ``_ENTRIES`` and ``_JSON``); ``source`` keys are lint
+    annotations.  An unknown check or an unknown or missing argument raises
+    before any check runs; an argument that does not read as declared, and
+    an ``InputError`` from a check, raise too, each naming the claim.  A
+    ``DomainError`` is a ``fail``; any other exception is a program fault and
+    propagates.
     """
     from . import checks
 
@@ -395,26 +421,25 @@ def verify_claims(fixture: Fixture) -> ClaimReport:
         runner = checks.CHECKS.get(claim.check)
         if runner is None:
             raise InputError(f"{at}: unknown check {claim.check!r}")
-        params = inspect.signature(runner).parameters.values()
-        declared = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
-        required = {p.name for p in params if p.name in declared and p.default is p.empty}
+        params = inspect.signature(runner).parameters
+        declared = {n for n, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        required = {n for n in declared if params[n].default is params[n].empty}
         given = claim.args.keys()
         for problem, keys in (("unknown", given - declared), ("missing", required - given)):
             if keys:
                 raise InputError(f"{at}: {problem} argument {min(keys)!r}")
-        runners.append(runner)
+        runners.append((runner, params))
     results = []
-    for claim, runner in zip(fixture.claims, runners):
+    for claim, (runner, params) in zip(fixture.claims, runners):
         try:
-            status, witness = runner(fixture, **claim.args)
+            args = {k: _argument(fixture, params[k], v) for k, v in claim.args.items()}
+            status, witness = runner(fixture, **args)
         except InputError as exc:  # name the claim whose data is malformed
             raise InputError(
                 f"fixture {fixture.name}: claim {claim.id!r}: {exc.message}", **exc.details
             ) from exc
         except DomainError as exc:
             status, witness = "fail", {"error": f"DomainError: {exc}"}
-        except Exception as exc:  # a fault, not a finding
-            status, witness = "error", {"error": f"{type(exc).__name__}: {exc}"}
         results.append(
             ClaimResult(claim.id, claim.check, status, claim.expect, witness)
         )

@@ -1,20 +1,28 @@
 """Claim checkers: each re-derives one recorded fact from raw fixture data.
 
 ``check_<kind>(fixture, *, ...)`` declares a claim's arguments as its
-keyword-only parameters, required unless they have a default.  Checkers
-return ``(status, witness)`` with status "pass", "fail", or "flagged";
-the claim catalog says which status is expected, so a suite can stay
-green while a data discrepancy stays visible.
+keyword-only parameters, required unless they have a default, and
+receives each one as its annotation declares: the fixture entry of that
+name (``PolyCone``, ``ClassVector``, ``ConeGeometry``, ``HNProfile``,
+``RingElement``, ``DualClass``, ``Claim``, or a ``list[...]`` of them) or
+checked JSON (``Row``, ``list[Row]``, ``str``, ``list[str]``, ``int``,
+``dict``, ``list``); a flag is unannotated.  A checker reads only the data
+nested inside its arguments.  It returns ``(status, witness)`` with status
+"pass", "fail", or "flagged"; the claim catalog says which status is
+expected, so a suite can stay green while a data discrepancy stays visible.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .. import projbundle
 from ..cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays
 from ..errors import InputError
-from ..jsonio import _dim, _names, _need, _row, _text
+from ..jsonio import _dim, _names, _need, _rows, _text
 from ..linalg import combine, dot, mat_rank
 from ..projbundle import (
+    HNProfile,
     class_basis,
     cone_coincidence,
     cones_at,
@@ -25,6 +33,7 @@ from ..projbundle import (
 from ..rationals import rat, rat_str
 from ..vectors import ClassVector
 from ..zariski import (
+    ConeGeometry,
     cone_geometry,
     decompose,
     decomposition_polytope,
@@ -35,13 +44,19 @@ from ..zariski import (
 )
 from . import Claim, _element
 
+if TYPE_CHECKING:
+    from ..rings import DualClass, RingElement
+    Row = tuple  # exact rationals, as jsonio._row reads a JSON list
+
 
 def _rays_set(vectors):
     return sorted(tuple(rat_str(c) for c in v.primitive().coords) for v in vectors)
 
 
 def _combination(lookup, coefficients):
-    """sum c * lookup(name) over the ``{name: c}`` mapping (nonempty)."""
+    """sum c * lookup(name) over the ``{name: c}`` mapping, which must be nonempty."""
+    if not coefficients:
+        raise InputError("combination must name at least one class")
     parts = [lookup(name).scale(c) for name, c in coefficients.items()]
     return sum(parts[1:], parts[0])
 
@@ -52,41 +67,40 @@ def _same_rays(cone: PolyCone, target: PolyCone):
     return ("pass" if got == want else "fail"), {"computed": got, "expected": want}
 
 
-def check_dual_cone_equals(fixture, *, cone, equals_generators_of):
-    return _same_rays(dual_cone(fixture.cone(cone)), fixture.cone(equals_generators_of))
+def _rows_cut_out(rows, dim: int, target: PolyCone):
+    """``_same_rays`` of the cone where the functionals ``rows`` are >= 0."""
+    cone = PolyCone.from_inequalities(target.basis, rows, dim=dim, dual=target.dual)
+    return _same_rays(cone, target)
 
 
-def check_extremal_rays_equal(fixture, *, cone, rays):
-    got = _rays_set(extremal_rays(dd_convert(fixture.cone(cone))))
-    want = sorted(tuple(rat_str(rat(x)) for x in row) for row in rays)
+def check_dual_cone_equals(fixture, *, cone: PolyCone, equals_generators_of: PolyCone):
+    return _same_rays(dual_cone(cone), equals_generators_of)
+
+
+def check_extremal_rays_equal(fixture, *, cone: PolyCone, rays: list[Row]):
+    got = _rays_set(extremal_rays(dd_convert(cone)))
+    want = sorted(tuple(rat_str(x) for x in row) for row in rays)
     status = "pass" if got == want else "fail"
     return status, {"computed": got, "expected": want}
 
 
-def check_interior_point(fixture, *, cone, vector):
-    cone = dd_convert(fixture.cone(cone))
-    vector = fixture.vector(vector)
-    values = [dot(l.coords, vector.coords) for l in cone.inequalities]
+def check_interior_point(fixture, *, cone: PolyCone, vector: ClassVector):
+    values = [dot(l.coords, vector.coords) for l in dd_convert(cone).inequalities]
     status = "pass" if all(v > 0 for v in values) else "fail"
     return status, {"facet_values": [rat_str(v) for v in values]}
 
 
-def check_combination_reproduces(fixture, *, cone, vector, coefficients):
-    cone = fixture.cone(cone)
-    vector = fixture.vector(vector)
-    coefficients = _row(coefficients, "coefficients")
-    gens = cone.generators
-    if len(coefficients) != len(gens) or any(c < 0 for c in coefficients):
+def check_combination_reproduces(fixture, *, cone: PolyCone, vector: ClassVector,
+                                 coefficients: Row):
+    if len(coefficients) != len(cone.generators) or any(c < 0 for c in coefficients):
         return "fail", {"error": "coefficient list does not match the generators"}
     total = combine(coefficients, cone.generator_rows(), vector.dim)
     status = "pass" if total == vector.coords else "fail"
     return status, {"reconstructed": [rat_str(v) for v in total]}
 
 
-def check_separating_functional(fixture, *, cone, vector, functional):
-    cone = fixture.cone(cone)
-    vector = fixture.vector(vector)
-    functional = _row(functional, "functional")
+def check_separating_functional(fixture, *, cone: PolyCone, vector: ClassVector,
+                                functional: Row):
     on_generators = [dot(functional, g.coords) for g in cone.generators]
     at_vector = dot(functional, vector.coords)
     separates = all(v >= 0 for v in on_generators) and at_vector < 0
@@ -99,17 +113,18 @@ def check_separating_functional(fixture, *, cone, vector, functional):
     }
 
 
-def check_difference_equals(fixture, *, basis, minuend, subtrahend, equals):
-    diff = fixture.vector_in(basis, minuend) - fixture.vector_in(basis, subtrahend)
-    want = fixture.vector_in(basis, equals)
-    status = "pass" if diff.coords == want.coords else "fail"
+def check_difference_equals(fixture, *, basis: str, minuend: ClassVector,
+                            subtrahend: ClassVector, equals: ClassVector):
+    if {minuend.basis, subtrahend.basis, equals.basis} != {basis}:
+        raise InputError(f"minuend, subtrahend and equals must be classes of basis {basis!r}")
+    diff = minuend - subtrahend
+    status = "pass" if diff.coords == equals.coords else "fail"
     return status, {"difference": [rat_str(c) for c in diff.coords]}
 
 
-def check_no_preceq_maximum(fixture, *, geometry, vector, pair_without_dominator=None):
-    geometry = fixture.geometry(geometry)
-    alpha = fixture.vector(vector)
-    polytope = decomposition_polytope(geometry, alpha)
+def check_no_preceq_maximum(fixture, *, geometry: ConeGeometry, vector: ClassVector,
+                            pair_without_dominator: list[ClassVector] = None):
+    polytope = decomposition_polytope(geometry, vector)
     report = preceq_maximum(geometry, polytope)
     if report.status != "no-maximum" or not report.verify():
         return "fail", {"status": report.status, "verified": report.verify()}
@@ -122,7 +137,9 @@ def check_no_preceq_maximum(fixture, *, geometry, vector, pair_without_dominator
         "vertex_count": len(polytope.vertices),
     }
     if pair_without_dominator is not None:
-        u, w = (fixture.vector(n) for n in pair_without_dominator)
+        if len(pair_without_dominator) != 2:
+            raise InputError("pair_without_dominator must name two classes")
+        u, w = pair_without_dominator
         vertex_coords = {v.coords for v in polytope.vertices}
         in_polytope = u.coords in vertex_coords and w.coords in vertex_coords
         empty, certificate = dominator_set_empty(geometry, polytope, u, w)
@@ -134,18 +151,16 @@ def check_no_preceq_maximum(fixture, *, geometry, vector, pair_without_dominator
     return "pass", witness
 
 
-def check_cone_contained(fixture, *, inner, outer):
-    inner = fixture.cone(inner)
-    outer = dd_convert(fixture.cone(outer))
+def check_cone_contained(fixture, *, inner: PolyCone, outer: PolyCone):
+    outer = dd_convert(outer)
     verdicts = [contains(outer, g) for g in inner.generators]
     status = "pass" if all(bool(v) and v.verify() for v in verdicts) else "fail"
     return status, {"generators_checked": len(verdicts)}
 
 
-def check_ring_audit(fixture, *, required_finding=None):
+def check_ring_audit(fixture, *, required_finding: dict = None):
+    fixture.ring  # an input error when the fixture has no ring
     report = fixture.audit
-    if report is None:
-        return "fail", {"error": "fixture has no ring"}
     witness = {
         "confluence_products_checked": report.confluence_products_checked,
         "gram_matrices": report.gram_matrices,
@@ -166,7 +181,7 @@ def check_ring_audit(fixture, *, required_finding=None):
     return ("pass" if report.clean else "flagged"), witness
 
 
-def check_top_values_equal(fixture, *, values):
+def check_top_values_equal(fixture, *, values: dict):
     ring = fixture.ring
     computed = {}
     ok = True
@@ -178,20 +193,19 @@ def check_top_values_equal(fixture, *, values):
     return ("pass" if ok else "fail"), {"computed": computed}
 
 
-def check_intersection_table_equals(fixture, *, elements, table):
+def check_intersection_table_equals(fixture, *, elements: list[RingElement], table: list[Row]):
     ring = fixture.ring
-    elements = [fixture.element(name) for name in elements]
     computed = [[ring.pair(a, b) for b in elements] for a in elements]
-    want = [[rat(x) for x in row] for row in table]
+    want = [list(row) for row in table]
     status = "pass" if computed == want else "fail"
     return status, {"computed": [[rat_str(x) for x in row] for row in computed]}
 
 
-def check_product_equals(fixture, *, factors, combination):
+def check_product_equals(fixture, *, factors: list[RingElement], combination: dict):
     ring = fixture.ring
     product = ring.one()
-    for name in factors:
-        product = ring.multiply(product, fixture.element(name))
+    for factor in factors:
+        product = ring.multiply(product, factor)
     target = _combination(fixture.element, combination)
     status = "pass" if product.terms == target.terms else "fail"
     return status, {"product": repr(product), "target": repr(target)}
@@ -210,80 +224,62 @@ def check_surface_times_d2_identity(fixture):
     return ("pass" if ok else "fail"), {"unit_vectors_checked": 3}
 
 
-def check_named_element_equals(fixture, *, name, terms):
-    element = fixture.element(name)
-    want = fixture.ring.element(element.degree, terms)
-    status = "pass" if element.terms == want.terms else "fail"
-    return status, {"element": repr(element)}
+def check_named_element_equals(fixture, *, name: RingElement, terms: dict):
+    want = fixture.ring.element(name.degree, terms)
+    status = "pass" if name.terms == want.terms else "fail"
+    return status, {"element": repr(name)}
 
 
-def check_element_combination_equals(fixture, *, target, combination):
-    target = fixture.element(target)
+def check_element_combination_equals(fixture, *, target: RingElement, combination: dict):
     combo = _combination(fixture.element, combination)
     status = "pass" if target.terms == combo.terms else "fail"
     return status, {"target": repr(target), "combination": repr(combo)}
 
 
-def check_facet_present(fixture, *, cone, facet):
-    cone = dd_convert(fixture.cone(cone))
-    facet = ClassVector(cone.inequalities[0].basis, _row(facet, "facet")).primitive()
+def check_facet_present(fixture, *, cone: PolyCone, facet: Row):
+    cone = dd_convert(cone)
+    facet = ClassVector(cone.dual, facet).primitive()
     present = any(l.coords == facet.coords for l in cone.inequalities)
     return ("pass" if present else "fail"), {
         "facets": [[rat_str(c) for c in l.coords] for l in cone.inequalities]
     }
 
 
-def check_pairing_dual_cone_equals(
-    fixture, *, eff_divisors, curve_basis_elements, equals_generators_of
-):
+def check_pairing_dual_cone_equals(fixture, *, eff_divisors: list[RingElement],
+                                   curve_basis_elements: list[RingElement],
+                                   equals_generators_of: PolyCone):
     """Cone of classes pairing >= 0 with given divisors, via the ring."""
     ring = fixture.ring
-    divisors = [fixture.element(name) for name in eff_divisors]
-    curve_elements = [fixture.element(name) for name in curve_basis_elements]
     rows = [
-        [ring.top_value(ring.multiply(c, d)) for c in curve_elements]
-        for d in divisors
+        [ring.top_value(ring.multiply(c, d)) for c in curve_basis_elements]
+        for d in eff_divisors
     ]
-    target = fixture.cone(equals_generators_of)
-    cone = PolyCone.from_inequalities(
-        target.basis, rows, dim=len(curve_elements), dual=target.dual
-    )
-    return _same_rays(cone, target)
+    return _rows_cut_out(rows, len(curve_basis_elements), equals_generators_of)
 
 
-def check_gram_dual_cone_equals(
-    fixture, *, table_claim, eff_elements, equals_generators_of
-):
-    match fixture.claim(table_claim):
-        case Claim(check="intersection_table_equals", args={"elements": names, "table": table}):
-            for name in _names(eff_elements, "eff_elements"):
-                if name not in names:
-                    raise InputError(
-                        f"eff_elements: {name!r} is not an element of table_claim {table_claim!r}"
-                    )
-            indices = [names.index(n) for n in eff_elements]
-        case other:
-            raise InputError(
-                f"table_claim {table_claim!r} is a {other.check} claim, "
-                "not intersection_table_equals"
-            )
-    target = fixture.cone(equals_generators_of)
-    rows = [[rat(table[i][j]) for j in indices] for i in indices]
-    cone = PolyCone.from_inequalities(
-        target.basis, rows, dim=len(indices), dual=target.dual
-    )
-    return _same_rays(cone, target)
+def check_gram_dual_cone_equals(fixture, *, table_claim: Claim, eff_elements: list[str],
+                                equals_generators_of: PolyCone):
+    at = f"table_claim {table_claim.id!r}"
+    if table_claim.check != "intersection_table_equals":
+        raise InputError(f"{at} is a {table_claim.check} claim, not intersection_table_equals")
+    names = _names(table_claim.args["elements"], f"{at} elements")
+    table = _rows(table_claim.args["table"], f"{at} table")
+    if [len(row) for row in table] != [len(names)] * len(names):
+        raise InputError(f"{at} table is not {len(names)} by {len(names)}")
+    for name in eff_elements:
+        if name not in names:
+            raise InputError(f"eff_elements: {name!r} is not an element of {at}")
+    indices = [names.index(n) for n in eff_elements]
+    rows = [[table[i][j] for j in indices] for i in indices]
+    return _rows_cut_out(rows, len(indices), equals_generators_of)
 
 
-def check_decompose_equals(
-    fixture, *, geometry, vector, positive, negative, expect_maximum=False
-):
-    geometry = fixture.geometry(geometry)
-    alpha = ClassVector(geometry.basis, _row(vector, "vector"))
-    result = decompose(geometry, alpha)
+def check_decompose_equals(fixture, *, geometry: ConeGeometry, vector: Row, positive: Row,
+                           negative: Row, expect_maximum=False):
+    result = decompose(geometry, ClassVector(geometry.basis, vector))
     ok = (
-        result.positive.coords == _row(positive, "positive")
-        and result.negative.coords == _row(negative, "negative")
+        result.positive.coords == positive
+        and result.negative.coords == negative
         and verify_decomposition(geometry, result)
     )
     if expect_maximum:
@@ -297,26 +293,22 @@ def check_decompose_equals(
     }
 
 
-def check_objective_matches_pairing(
-    fixture, *, geometry, pair_with, pair_degree, basis_elements
-):
+def check_objective_matches_pairing(fixture, *, geometry: ConeGeometry, pair_with: dict,
+                                    pair_degree: int, basis_elements: list[RingElement]):
     ring = fixture.ring
-    geometry = fixture.geometry(geometry)
     divisor = ring.element(1, pair_with)
     weight = ring.one()
     for _ in range(pair_degree):
         weight = ring.multiply(weight, divisor)
     recomputed = tuple(
-        ring.top_value(ring.multiply(weight, fixture.element(name)))
-        for name in basis_elements
+        ring.top_value(ring.multiply(weight, element)) for element in basis_elements
     )
     want = geometry.degree_functional.coords
     status = "pass" if recomputed == want else "fail"
     return status, {"recomputed": [rat_str(v) for v in recomputed]}
 
 
-def check_dual_class_combination(fixture, *, target, combination):
-    target = fixture.dual(target)
+def check_dual_class_combination(fixture, *, target: DualClass, combination: dict):
     combo = _combination(fixture.dual, combination)
     status = "pass" if combo.coords == target.coords else "fail"
     return status, {
@@ -325,7 +317,8 @@ def check_dual_class_combination(fixture, *, target, combination):
     }
 
 
-def check_pairings_equal(fixture, *, element, pairings=None, difference_pairings=()):
+def check_pairings_equal(fixture, *, element: dict, pairings: dict = None,
+                         difference_pairings: list = ()):
     if not (pairings or difference_pairings):
         raise InputError("pairings_equal needs pairings or difference_pairings")
     ring = fixture.ring
@@ -346,13 +339,13 @@ def check_pairings_equal(fixture, *, element, pairings=None, difference_pairings
     return ("pass" if ok else "fail"), {"pairings": computed}
 
 
-def check_printed_gamma_identity(fixture, *, nef_square, scale, correction, target):
+def check_printed_gamma_identity(fixture, *, nef_square: dict, scale, correction: dict,
+                                 target: DualClass):
     ring = fixture.ring
     square = _element(ring, nef_square, "nef_square")
     _need(correction, ("class", "scale"), "correction")
     lhs = ring.cap_image_from_relations(square).scale(scale)
     lhs = lhs + fixture.dual(correction["class"]).scale(correction["scale"])
-    target = fixture.dual(target)
     witness = {
         "identity_lhs": [rat_str(c) for c in lhs.coords],
         "target": [rat_str(c) for c in target.coords],
@@ -360,37 +353,36 @@ def check_printed_gamma_identity(fixture, *, nef_square, scale, correction, targ
     return ("pass" if lhs.coords == target.coords else "flagged"), witness
 
 
-def check_linearly_independent(fixture, *, vectors):
-    rows = [fixture.vector(name).coords for name in vectors]
+def check_linearly_independent(fixture, *, vectors: list[ClassVector]):
+    if len({v.basis for v in vectors}) > 1:
+        raise InputError("vectors must be classes of one basis")
+    rows = [v.coords for v in vectors]
     rank = mat_rank(rows)
     status = "pass" if rank == len(rows) else "fail"
     return status, {"rank": rank, "count": len(rows)}
 
 
-def check_epsilon_table(fixture, *, profile, epsilon):
-    profile = fixture.profile(profile)
+def check_epsilon_table(fixture, *, profile: HNProfile, epsilon: list[str]):
     computed = [rat_str(projbundle.epsilon(profile, k)) for k in range(profile.rank + 1)]
     status = "pass" if computed == epsilon else "fail"
     return status, {"computed": computed}
 
 
-def check_nu_sigma_values(fixture, *, profile, nu, sigma):
-    profile = fixture.profile(profile)
+def check_nu_sigma_values(fixture, *, profile: HNProfile, nu: dict, sigma: dict):
     ok = True
     computed = {"nu": {}, "sigma": {}}
     tables = (("nu", nu, projbundle.nu), ("sigma", sigma, projbundle.sigma))
     for kind, table, constant in tables:
         for k_text, expected in table.items():
-            value = constant(profile, int(k_text))
+            value = constant(profile, _dim(rat(k_text), f"{kind} key {k_text!r}"))
             computed[kind][k_text] = rat_str(value)
             ok = ok and value == rat(expected)
     return ("pass" if ok else "fail"), computed
 
 
-def check_class_in_mov_not_nef(fixture, *, profile, k, vector):
-    profile = fixture.profile(profile)
+def check_class_in_mov_not_nef(fixture, *, profile: HNProfile, k: int, vector: Row):
     _, nef, mov = cones_at(profile, k)
-    vector = ClassVector(class_basis(profile, k), _row(vector, "vector"))
+    vector = ClassVector(class_basis(profile, k), vector)
     in_mov = contains(mov, vector)
     in_nef = contains(nef, vector)
     ok = (
@@ -408,25 +400,18 @@ def check_class_in_mov_not_nef(fixture, *, profile, k, vector):
     }
 
 
-def check_self_pairing_value(fixture, *, profile, k, vector, value):
-    profile = fixture.profile(profile)
-    coords = _row(vector, "vector")
-    vector = ClassVector(class_basis(profile, k), coords)
-    other = ClassVector(class_basis(profile, profile.rank - k), coords)
-    pairing = pair_classes(profile, k, vector, other)
+def check_self_pairing_value(fixture, *, profile: HNProfile, k: int, vector: Row, value):
+    classes = (ClassVector(class_basis(profile, j), vector) for j in (k, profile.rank - k))
+    pairing = pair_classes(profile, k, *classes)
     status = "pass" if pairing == rat(value) else "fail"
     return status, {"value": rat_str(pairing)}
 
 
-def check_closed_form_decomposition(
-    fixture, *, profile, k, vector, positive, negative, cross_check_lp=False
-):
-    profile = fixture.profile(profile)
-    basis = class_basis(profile, k)
-    alpha = ClassVector(basis, _row(vector, "vector"))
+def check_closed_form_decomposition(fixture, *, profile: HNProfile, k: int, vector: Row,
+                                    positive: Row, negative: Row, cross_check_lp=False):
+    alpha = ClassVector(class_basis(profile, k), vector)
     result = zariski_decompose(profile, k, alpha)
-    ok = result.positive.coords == _row(positive, "positive")
-    ok = ok and result.negative.coords == _row(negative, "negative")
+    ok = result.positive.coords == positive and result.negative.coords == negative
     witness = {
         "positive": [rat_str(c) for c in result.positive.coords],
         "negative": [rat_str(c) for c in result.negative.coords],
@@ -450,7 +435,7 @@ def check_closed_form_decomposition(
     return ("pass" if ok else "fail"), witness
 
 
-def check_coincidence_flags(fixture, *, cases):
+def check_coincidence_flags(fixture, *, cases: list):
     ok = True
     witness = []
     for i, case in enumerate(cases):

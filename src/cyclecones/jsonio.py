@@ -105,10 +105,17 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _kind(value, kind: type, what: str):
+    """``value``; an input error unless it is a ``kind``, ``dict`` or ``list``."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise InputError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
 def _need(node, keys: tuple[str, ...], where: str) -> None:
     """An input error naming ``where`` unless ``node`` is an object with ``keys``."""
-    if not isinstance(node, dict):
-        raise InputError(f"{where} must be an object, got {type(node).__name__}")
+    _kind(node, dict, where)
     for key in keys:
         if key not in node:
             raise InputError(f"{where} must be an object with the key {key!r}")

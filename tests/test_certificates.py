@@ -12,8 +12,6 @@ pass, so no rejection is vacuous.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
-
 import pytest
 
 from cyclecones.cones import PolyCone, contains
@@ -135,9 +133,9 @@ def fixture_combination_claim():
     cone = PolyCone.from_generators(BASIS, [(1, 0), (0, 1)])
 
     def check(coeffs, target):
-        fixture = SimpleNamespace(cone=lambda _: cone, vector=lambda _: _vector(target))
+        # verify_claims hands a check its arguments resolved and parsed
         status, _ = check_combination_reproduces(
-            fixture, cone="eff", vector="v", coefficients=list(coeffs)
+            None, cone=cone, vector=_vector(target), coefficients=tuple(coeffs)
         )
         return status == "pass"
 

@@ -586,6 +586,18 @@ def test_gram_rank_past_the_cap_is_domain_error_at_once(tmp_path):
     assert (error["rank"], error["cap"]) == (rank, jsonio._MAX_GRAM_RANK)
 
 
+def test_profile_rank_past_the_cap_is_domain_error_at_once():
+    start = time.monotonic()
+    document, code = run_json(["projbundle", "--hn", "99999999:1,99999999:2"])
+    assert time.monotonic() - start < 0.25
+    assert (code, document["status"]) == (2, "domain_error")
+    assert document["payload"]["error"] == {
+        "message": f"profile rank 199999998 exceeds the cap of {projbundle._MAX_PROFILE_RANK}",
+        "rank": 199999998,
+        "cap": projbundle._MAX_PROFILE_RANK,
+    }
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

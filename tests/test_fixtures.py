@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import shutil
@@ -350,6 +351,64 @@ CLAIM_REPROS = {
         _first_claim(lambda c: c.update(args=["nef-divisors"])),
         "claims[0] 'args' must be an object",
     ),
+    # each case below exited 2 with a crash or a verdict before the claim's
+    # arguments were read by their declared kind
+    "ring-claim-without-ring": (
+        "toric-3fold",
+        lambda doc: doc["claims"].append(
+            {"id": "no-ring", "check": "top_values_equal", "expect": "pass",
+             "args": {"values": {"D1^3": "1"}, "source": "a ring claim"}}
+        ),
+        "fixture toric-3fold: claim 'no-ring': fixture toric-3fold has no ring",
+    ),
+    "ring-audit-without-ring": (
+        "toric-3fold",
+        lambda doc: doc["claims"].append(
+            {"id": "no-ring", "check": "ring_audit", "expect": "pass", "args": {}}
+        ),
+        "fixture toric-3fold: claim 'no-ring': fixture toric-3fold has no ring",
+    ),
+    "pair-without-dominator-empty": (
+        "toric-3fold",
+        _claim("no-common-dominator", lambda c: c["args"].update(pair_without_dominator=[])),
+        "claim 'no-common-dominator': pair_without_dominator must name two classes",
+    ),
+    "combination-empty": (
+        "p2-hilb2",
+        _claim("named-class-m", lambda c: c["args"].update(combination={})),
+        "claim 'named-class-m': combination must name at least one class",
+    ),
+    "nu-key-not-an-integer": (
+        "projbundle-sample",
+        _claim("nef-and-movable-constants", lambda c: c["args"]["nu"].update(x="1")),
+        "claim 'nef-and-movable-constants': not a rational number: 'x'",
+    ),
+    "sigma-key-a-fraction": (
+        "projbundle-sample",
+        _claim("nef-and-movable-constants", lambda c: c["args"]["sigma"].update({"1/2": "1"})),
+        "claim 'nef-and-movable-constants': "
+        "sigma key '1/2' must be a nonnegative integer, got Fraction(1, 2)",
+    ),
+    "gram-table-short": (
+        "p2-hilb2",
+        _claim("intersection-table", lambda c: c["args"].update(table=c["args"]["table"][:2])),
+        "claim 'nef-surfaces-from-table': table_claim 'intersection-table' table is not 4 by 4",
+    ),
+    "gram-table-ragged": (
+        "p2-hilb2",
+        _claim("intersection-table", lambda c: c["args"]["table"].__setitem__(0, ["0"])),
+        "claim 'nef-surfaces-from-table': table_claim 'intersection-table' table is not 4 by 4",
+    ),
+    "vectors-of-two-bases": (
+        "m07-s7",
+        _claim("region-r-coordinates", lambda c: c["args"].update(vectors=["S1", "D1", "gamma"])),
+        "claim 'region-r-coordinates': vectors must be classes of one basis",
+    ),
+    "vectors-of-two-bases-truncated": (
+        "m07-s7",
+        _claim("region-r-coordinates", lambda c: c["args"].update(vectors=["D1", "S1", "gamma"])),
+        "claim 'region-r-coordinates': vectors must be classes of one basis",
+    ),
 }
 
 
@@ -395,18 +454,13 @@ def test_claim_arguments_are_checked_before_any_check_runs(tmp_path, monkeypatch
 
 
 def test_check_outcomes_are_classified(monkeypatch):
-    # a DomainError is a failed claim, any other crash an error that no
-    # expect accepts, and an InputError is malformed input
+    # a DomainError is a failed claim, an InputError is malformed input, and
+    # any other exception is a program fault that propagates
     from cyclecones.errors import CycleConesError, DomainError
     from cyclecones.fixtures import checks
 
     fixture = load("toric-3fold")
     kind = fixture.claims[0].check
-    raised = {
-        "domain": (DomainError("out of range"), "fail", "DomainError: out of range"),
-        "internal": (CycleConesError("broken"), "error", "CycleConesError: broken"),
-        "type": (TypeError("bad operand"), "error", "TypeError: bad operand"),
-    }
 
     def raising(exc):
         def check(fixture, *, cone, equals_generators_of):
@@ -414,11 +468,16 @@ def test_check_outcomes_are_classified(monkeypatch):
 
         return check
 
-    for exc, status, error in raised.values():
+    monkeypatch.setitem(checks.CHECKS, kind, raising(DomainError("out of range")))
+    result = fixtures.verify_claims(fixture).results[0]
+    assert (result.status, result.witness) == ("fail", {"error": "DomainError: out of range"})
+    assert not result.ok  # the claim expects "pass"
+
+    for exc in (CycleConesError("broken"), TypeError("bad operand")):
         monkeypatch.setitem(checks.CHECKS, kind, raising(exc))
-        result = fixtures.verify_claims(fixture).results[0]
-        assert (result.status, result.witness) == (status, {"error": error})
-        assert not result.ok  # the claim expects "pass"
+        with pytest.raises(type(exc)) as caught:
+            fixtures.verify_claims(fixture)
+        assert caught.value is exc
 
     monkeypatch.setitem(checks.CHECKS, kind, raising(InputError("bad claim data")))
     with pytest.raises(InputError) as caught:
@@ -426,3 +485,61 @@ def test_check_outcomes_are_classified(monkeypatch):
     assert caught.value.message == (
         f"fixture toric-3fold: claim {fixture.claims[0].id!r}: bad claim data"
     )
+
+
+def test_fault_inside_a_check_exits_3_with_its_frame(monkeypatch):
+    from cyclecones.fixtures import checks
+
+    def broken(fixture, *, cone, equals_generators_of):
+        raise TypeError("bad operand")
+
+    monkeypatch.setitem(checks.CHECKS, "dual_cone_equals", broken)
+    document, code = run(["fixture", "toric-3fold", "--verify"])
+    assert (code, document["status"]) == (3, "internal_error")
+    line = broken.__code__.co_firstlineno + 1
+    assert document["payload"]["error"] == {
+        "message": "TypeError: bad operand",
+        "type": "TypeError",
+        "frame": f"test_fixtures.py:{line} in broken",
+    }
+
+
+def test_each_claim_argument_takes_every_json_type():
+    # every top-level argument of every packaged claim replaced by a value of
+    # each JSON type, the claim run alone: it reads as an input error or runs
+    # to a verdict; any other exception fails this test
+    runs = 0
+    for name in FIXTURE_NAMES:
+        fixture = load(name)
+        for claim in fixture.claims:
+            for key in claim.args:
+                for value in (None, True, 0, "x", [], {}):
+                    one = dataclasses.replace(claim, args={**claim.args, key: value})
+                    runs += 1
+                    try:
+                        report = verify_claims(dataclasses.replace(fixture, claims=(one,)))
+                    except InputError:
+                        continue
+                    assert report.results[0].status in ("pass", "fail", "flagged")
+    assert runs == 702
+
+
+def test_facet_of_a_full_space_cone_is_a_failed_claim(tmp_path):
+    # the cone of the six +-unit surface classes has no facets; reading the
+    # facet's basis off the first one used to crash
+    doc = copy.deepcopy(load("p2-hilb2").raw)
+    units = ["S1", "S2", "S3"]
+    coords = doc["classes"]["p2h2.surfaces"]["coords"]
+    for unit in units:
+        coords[f"-{unit}"] = [str(-int(c)) for c in coords[unit]]
+    doc["cones"].append(
+        {"id": "whole-space", "basis": "p2h2.surfaces",
+         "generators": units + [f"-{unit}" for unit in units]}
+    )
+    claim = next(c for c in doc["claims"] if c["id"] == "movability-facet")
+    claim["args"]["cone"] = "whole-space"
+    path = tmp_path / "p2-hilb2.json"
+    path.write_text(json.dumps(doc))
+    report = verify_claims(load(str(path)))
+    result = next(r for r in report.results if r.claim_id == "movability-facet")
+    assert (result.status, result.witness) == ("fail", {"facets": []})

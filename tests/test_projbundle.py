@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclecones import projbundle
 from cyclecones.cones import contains
 from cyclecones.errors import DomainError, InputError
 from cyclecones.projbundle import (
@@ -37,6 +38,15 @@ def test_profile_parsing_and_validation():
         HNProfile.parse("0:1")
     with pytest.raises(InputError):
         HNProfile.parse("nonsense")
+
+
+def test_profile_rank_is_capped():
+    cap = projbundle._MAX_PROFILE_RANK
+    assert HNProfile(((cap - 1, 0), (1, 1))).rank == cap
+    with pytest.raises(DomainError) as caught:
+        HNProfile(((cap, 0), (1, 1)))
+    assert caught.value.message == f"profile rank {cap + 1} exceeds the cap of {cap}"
+    assert caught.value.details == {"rank": cap + 1, "cap": cap}
 
 
 @pytest.mark.parametrize(
