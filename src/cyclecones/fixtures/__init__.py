@@ -285,6 +285,14 @@ def _declared_bases(raw: dict, origin: str) -> tuple[dict[str, int], dict[str, s
     return dims, duals
 
 
+def _fresh_id(ids, value, kind: str, at: str) -> str:
+    """The ``id`` text of a ``kind`` entry, which no earlier one may have."""
+    entry_id = _text(value, f"{at} id")
+    if entry_id in ids:
+        raise InputError(f"{at}: duplicate {kind} id {entry_id!r}")
+    return entry_id
+
+
 def _class_vector(dims: dict[str, int], basis: str, value, what: str) -> ClassVector:
     """A coordinate row of a declared basis, checked against its dimension."""
     if basis not in dims:
@@ -342,7 +350,7 @@ def load(ref: str) -> Fixture:
         at = f"{origin}: cones[{i}]"
         _need(cone_doc, ("basis", "id", "generators"), at)
         basis_name = _text(cone_doc["basis"], f"{at} basis")
-        cone_id = _text(cone_doc["id"], f"{at} id")
+        cone_id = _fresh_id(fixture.cones, cone_doc["id"], "cone", at)
         names = _names(cone_doc["generators"], f"cone {cone_id!r} generators")
         fixture.cones[cone_id] = PolyCone.from_generators(
             basis_name,
@@ -357,7 +365,7 @@ def load(ref: str) -> Fixture:
         at = f"{origin}: geometries[{i}]"
         _need(geom, ("id", "eff", "mov", "objective"), at)
         _need(geom["objective"], ("coords",), f"{at} objective")
-        geometry_id = _text(geom["id"], f"{at} id")
+        geometry_id = _fresh_id(fixture.geometries, geom["id"], "geometry", at)
         eff = fixture.cone(geom["eff"])
         what = f"geometry {geometry_id!r} objective"
         objective = ClassVector(eff.dual, _row(geom["objective"]["coords"], what))
@@ -375,7 +383,8 @@ def load(ref: str) -> Fixture:
     for i, c in enumerate(_part(raw, "claims", list, origin)):
         at = f"{origin}: claims[{i}]"
         _need(c, ("id", "check", "expect"), at)
-        claim_id, check, expect = (_text(c[k], f"{at} {k}") for k in ("id", "check", "expect"))
+        claim_id = _fresh_id({claim.id for claim in fixture.claims}, c["id"], "claim", at)
+        check, expect = (_text(c[k], f"{at} {k}") for k in ("check", "expect"))
         if expect not in ("pass", "fail", "flagged"):
             raise InputError(f'{at} expect must be "pass", "fail" or "flagged", got {expect!r}')
         args = _part(c, "args", dict, at)

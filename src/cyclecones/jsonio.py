@@ -55,9 +55,10 @@ def _reject_float(text):
 
 def parse_vector_text(text: str, basis: str, dim: int) -> ClassVector:
     """Parse a comma-separated coordinate string like ``"1,1,0,1,2"``
-    into a vector of ``basis`` with exactly ``dim`` coordinates."""
+    into a vector of ``basis`` with exactly ``dim`` coordinates; only a
+    basis of dimension 0 takes an empty list."""
     parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    if not parts and dim:
         raise InputError("empty coordinate list")
     if len(parts) != dim:
         raise InputError(

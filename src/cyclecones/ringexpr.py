@@ -2,8 +2,9 @@
 
 Grammar: sums/differences of products of powers over named classes,
 generators, rational literals, and parentheses, e.g. ``(D1+3*D2)^2`` or
-``2/231*(D1+3*D2)^2 + 15/11*S2``.  Values are exact scalars, ring
-elements, or dual classes; mixed products follow the ring's rules.
+``2/231*(D1+3*D2)^2 + 15/11*S2``.  Values are exact scalars or graded
+classes (ring elements and dual classes); a sum of a scalar and a class,
+or of two kinds of class, is an input error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .errors import DomainError, InputError
 from .rationals import rat
-from .rings import DualClass, RingElement, RingPresentation
+from .rings import GradedClass, RingElement, RingPresentation
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|[()+*^-])")
 
@@ -99,21 +100,21 @@ class _Parser:
 
 def _scale(value, factor):
     factor = rat(factor)
-    if isinstance(value, (RingElement, DualClass)):
+    if isinstance(value, GradedClass):
         return value.scale(factor)
     return value * factor
 
 
 def _add(a, b):
-    if isinstance(a, (RingElement, DualClass)) != isinstance(b, (RingElement, DualClass)):
+    if isinstance(a, GradedClass) != isinstance(b, GradedClass):
         raise InputError("cannot add a scalar to a class")
     return a + b
 
 
 def _mul(a, b, ring):
-    if not isinstance(a, (RingElement, DualClass)):
+    if not isinstance(a, GradedClass):
         return _scale(b, a)
-    if not isinstance(b, (RingElement, DualClass)):
+    if not isinstance(b, GradedClass):
         return _scale(a, b)
     if isinstance(a, RingElement) and isinstance(b, RingElement):
         return ring.multiply(a, b)
@@ -125,12 +126,11 @@ def _power(base, power: int, ring):
     ``top_degree + 1`` products: a scalar or degree-0 power is one checked
     ``**``, and the product loop of a positive-degree element raises in
     ``ring.multiply`` once it passes the top degree."""
-    if not isinstance(base, (RingElement, DualClass)):
+    if not isinstance(base, GradedClass):
         return _scalar_power(base, power)
     if isinstance(base, RingElement) and base.degree == 0:
         # c times the unit, so its power is c^power times the unit
-        unit = ring.one()
-        return unit.scale(_scalar_power(base.coeff((0,) * len(ring.generators)), power))
+        return ring.one().scale(_scalar_power(base.coords[0], power))
     value = ring.one()
     for _ in range(power):
         value = _mul(value, base, ring)

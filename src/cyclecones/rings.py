@@ -6,15 +6,21 @@ pairing against the monomial basis is the identity by definition.  Products
 are evaluated by exact monomial rewriting to a declared normal form; the
 consistency audit recomputes everything along independent paths and reports
 (never hides) disagreements in the presented data.
+
+Ring elements and dual classes are one kind of value, a ``GradedClass``:
+a ring, a degree, and dense exact coordinates over the fixed basis of that
+degree, the normal-form monomials or the named dual basis.  A presentation
+computes its monomial bases once, when it is built.  Adding classes of
+different kinds, rings or degrees is an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
-from .errors import DomainError, InputError
+from .errors import CycleConesError, DomainError, InputError
 from .linalg import dot
 from .rationals import rat, rat_str
 
@@ -82,38 +88,40 @@ class DualLayer:
 
 
 @dataclass(frozen=True)
-class RingElement:
-    """A graded element on the monomial (cohomology) side, in normal form."""
+class GradedClass:
+    """Exact coordinates of a class over the fixed basis of its degree."""
 
     ring: "RingPresentation"
     degree: int
-    terms: tuple[tuple[Monomial, int | Fraction], ...]
-
-    def coeff(self, mono: Monomial) -> int | Fraction:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
-    def coords(self) -> tuple[int | Fraction, ...]:
-        basis = self.ring.monomial_basis(self.degree)
-        return tuple(self.coeff(m) for m in basis)
+    coords: tuple[int | Fraction, ...]
 
     def __add__(self, other):
-        self.ring._check_same(other, self.degree)
-        merged = dict(self.terms)
-        for m, c in other.terms:
-            merged[m] = merged.get(m, 0) + c
-        return self.ring._element_from_dict(self.degree, merged)
+        if type(other) is not type(self):
+            raise InputError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
+        if other.ring is not self.ring:
+            raise InputError("classes belong to different presentations")
+        if other.degree != self.degree:
+            raise InputError(f"cannot add classes of degrees {self.degree} and {other.degree}")
+        coords = tuple(rat(a + b) for a, b in zip(self.coords, other.coords))
+        return type(self)(self.ring, self.degree, coords)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, factor) -> "RingElement":
+    def scale(self, factor):
         factor = rat(factor)
-        return self.ring._element_from_dict(
-            self.degree, {m: factor * c for m, c in self.terms}
-        )
+        return type(self)(self.ring, self.degree, tuple(rat(factor * c) for c in self.coords))
+
+
+class RingElement(GradedClass):
+    """A graded element on the monomial (cohomology) side, in normal form;
+    its basis is ``ring.monomial_basis(degree)``."""
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, int | Fraction], ...]:
+        """The nonzero ``(monomial, coefficient)`` pairs, in basis order."""
+        basis = self.ring.monomial_basis(self.degree)
+        return tuple((m, c) for m, c in zip(basis, self.coords) if c)
 
     def __repr__(self):
         if not self.terms:
@@ -125,29 +133,9 @@ class RingElement:
         return f"RingElement({body})"
 
 
-@dataclass(frozen=True)
-class DualClass:
-    """An element of the homology side, in a declared dual named basis."""
-
-    ring: "RingPresentation"
-    degree: int  # the monomial degree it pairs against
-    coords: tuple[int | Fraction, ...]
-
-    def __add__(self, other):
-        if (other.ring, other.degree) != (self.ring, self.degree):
-            raise InputError("dual classes from different layers")
-        return DualClass(
-            self.ring,
-            self.degree,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "DualClass":
-        factor = rat(factor)
-        return DualClass(self.ring, self.degree, tuple(factor * c for c in self.coords))
+class DualClass(GradedClass):
+    """An element of the homology side, in a declared dual named basis;
+    its degree is the monomial degree it pairs against."""
 
 
 @dataclass(frozen=True)
@@ -182,12 +170,17 @@ class RingPresentation:
     top_values: dict[Monomial, int | Fraction] | None
     max_monomial_degree: int
     dual_layers: dict[int, DualLayer] = field(default_factory=dict)
+    _bases: dict[int, tuple[Monomial, ...]] = field(init=False, repr=False, compare=False)
 
-    def _check_same(self, other, degree) -> None:
-        if not isinstance(other, RingElement) or other.ring is not self:
-            raise InputError("elements belong to different presentations")
-        if other.degree != degree:
-            raise InputError("degree mismatch")
+    def __post_init__(self):
+        # a normal form stays in the monomial basis of its degree
+        if any(sum(lhs) == 0 or any(sum(m) != sum(lhs) for m in rhs)
+               for lhs, rhs in self.rewrites.items()):
+            raise InputError(f"{self.name}: a relation must rewrite a monomial of "
+                             "positive degree into monomials of its degree")
+        bases = {d: tuple(sorted(filter(self.is_normal, self._all_monomials(d)), reverse=True))
+                 for d in range(self.max_monomial_degree + 1)}
+        object.__setattr__(self, "_bases", bases)
 
     # -- monomial bases -------------------------------------------------
 
@@ -196,35 +189,28 @@ class RingPresentation:
 
     def monomial_basis(self, degree: int) -> tuple[Monomial, ...]:
         """Normal-form monomials of one degree, leading-generator-first."""
-        if degree < 0 or degree > self.max_monomial_degree:
+        if degree not in self._bases:
             raise DomainError(
                 f"{self.name}: no declared monomial basis in degree {degree}"
             )
-        monos = [
-            mono
-            for mono in self._all_monomials(degree)
-            if self.is_normal(mono)
-        ]
-        return tuple(sorted(monos, reverse=True))
+        return self._bases[degree]
 
     def _all_monomials(self, degree: int):
         n = len(self.generators)
         for combo in combinations_with_replacement(range(n), degree):
-            exps = [0] * n
-            for i in combo:
-                exps[i] += 1
-            yield tuple(exps)
+            yield tuple(combo.count(i) for i in range(n))
 
     # -- construction ----------------------------------------------------
 
     def _element_from_dict(self, degree, terms: dict) -> RingElement:
-        cleaned = tuple(
-            sorted(
-                ((m, rat(c)) for m, c in terms.items() if c != 0),
-                reverse=True,
+        """The element with normal-form ``terms``, which it consumes."""
+        basis = self.monomial_basis(degree)
+        coords = tuple(rat(terms.pop(m, 0)) for m in basis)
+        if any(terms.values()):
+            raise CycleConesError(
+                f"{self.name}: a normal form left the degree-{degree} basis"
             )
-        )
-        return RingElement(self, degree, cleaned)
+        return RingElement(self, degree, coords)
 
     def element(self, degree: int, terms) -> RingElement:
         """Build an element from {monomial | text: coefficient} terms."""
@@ -304,10 +290,6 @@ class RingPresentation:
                 f"{self.name}: product degree {degree} exceeds top degree "
                 f"{self.top_degree}"
             )
-        if degree > self.max_monomial_degree:
-            raise DomainError(
-                f"{self.name}: no declared monomial basis in degree {degree}"
-            )
         raw: dict[Monomial, int | Fraction] = {}
         for ma, ca in a.terms:
             for mb, cb in b.terms:
@@ -323,9 +305,7 @@ class RingPresentation:
                 f"{self.name}: no trusted top-degree structure is declared"
             )
         total = 0
-        for mono, coeff in self._element_from_dict(
-            element.degree, self.normal_form(dict(element.terms))
-        ).terms:
+        for mono, coeff in element.terms:
             if mono not in self.top_values:
                 raise DomainError(
                     f"{self.name}: no declared value for top monomial "
@@ -334,20 +314,23 @@ class RingPresentation:
             total += coeff * self.top_values[mono]
         return total
 
-    def pair(self, a: RingElement, b) -> int | Fraction:
+    def pair(self, a: RingElement, b: GradedClass) -> int | Fraction:
         """Exact pairing of complementary-degree elements.
 
         Against a ``DualClass`` this is the defining coordinate dot product;
         against another monomial-side element it is the top-degree value of
         the product (available only for fully presented rings).
         """
+        if not isinstance(a, RingElement):
+            raise InputError("the first pairing argument must be a ring element")
+        if not isinstance(b, GradedClass):
+            raise InputError("the second pairing argument must be a class")
+        if a.ring is not self or b.ring is not self:
+            raise InputError("classes belong to different presentations")
         if isinstance(b, DualClass):
-            if b.ring is not self:
-                raise InputError("dual class from another presentation")
             if a.degree != b.degree:
                 raise DomainError("pairing needs complementary degrees")
-            basis = self.monomial_basis(a.degree)
-            return dot([a.coeff(m) for m in basis], b.coords)
+            return dot(a.coords, b.coords)
         if a.degree + b.degree != self.top_degree:
             raise DomainError("pairing needs complementary degrees")
         return self.top_value(self.multiply(a, b))
@@ -402,7 +385,7 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
                 first = ring.normal_form(raw, strategy="first")
                 last = ring.normal_form(raw, strategy="last")
                 checked += 1
-                if left.terms != right.terms or first != last:
+                if left.coords != right.coords or first != last:
                     findings.append(
                         AuditFinding(
                             "rewrite-nonconfluence",
@@ -417,46 +400,23 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
                     )
 
     gram_matrices: dict[str, list[list[str]]] = {}
-    if ring.top_degree % 2 == 0:
-        middle = ring.top_degree // 2
-        gram = _middle_gram(ring, middle)
-        if gram is not None:
-            basis = ring.monomial_basis(middle)
-            gram_matrices[f"degree-{middle}"] = [
-                [rat_str(x) for x in row] for row in gram
-            ]
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    if gram[i][j] != gram[j][i]:
-                        names = (
-                            format_monomial(basis[i], ring.generators),
-                            format_monomial(basis[j], ring.generators),
-                        )
-                        findings.append(
-                            AuditFinding(
-                                "gram-asymmetry",
-                                {
-                                    "degree": middle,
-                                    "monomials": list(names),
-                                    "values": [
-                                        rat_str(gram[i][j]),
-                                        rat_str(gram[j][i]),
-                                    ],
-                                },
-                            )
-                        )
-                        findings.append(
-                            AuditFinding(
-                                "pairing-path-disagreement",
-                                {
-                                    "pairing": f"{names[0]} . {names[1]}",
-                                    "values": [
-                                        rat_str(gram[i][j]),
-                                        rat_str(gram[j][i]),
-                                    ],
-                                },
-                            )
-                        )
+    middle = ring.top_degree // 2
+    gram = _middle_gram(ring, middle) if ring.top_degree % 2 == 0 else None
+    if gram is not None:
+        shown = [[rat_str(x) for x in row] for row in gram]
+        gram_matrices[f"degree-{middle}"] = shown
+        names = [format_monomial(m, ring.generators) for m in ring.monomial_basis(middle)]
+        for i, j in combinations(range(len(names)), 2):
+            if gram[i][j] != gram[j][i]:
+                values = [shown[i][j], shown[j][i]]
+                findings.append(AuditFinding(
+                    "gram-asymmetry",
+                    {"degree": middle, "monomials": [names[i], names[j]], "values": values},
+                ))
+                findings.append(AuditFinding(
+                    "pairing-path-disagreement",
+                    {"pairing": f"{names[i]} . {names[j]}", "values": list(values)},
+                ))
 
     if ring.top_values is not None:
         for mono in ring._all_monomials(ring.top_degree):
@@ -485,24 +445,14 @@ def _middle_gram(ring: RingPresentation, middle: int):
     """Gram matrix on the middle-degree monomial basis, entry (i, j) being
     the pairing of monomial i against the homology image of monomial j."""
     basis = ring.monomial_basis(middle)
+    units = [ring._element_from_dict(middle, {m: 1}) for m in basis]
     layer = ring.dual_layers.get(middle)
     if layer is not None and layer.cap_images is not None:
-        rows = []
-        for i in range(len(basis)):
-            row = []
-            for j in range(len(basis)):
-                image = layer.cap_images.get(basis[j])
-                if image is None:
-                    return None
-                row.append(image[i])
-            rows.append(row)
-        return rows
-    if ring.top_values is not None:
-        elements = [
-            ring._element_from_dict(middle, {m: 1}) for m in basis
-        ]
-        return [
-            [ring.top_value(ring.multiply(a, b)) for b in elements]
-            for a in elements
-        ]
-    return None
+        if not all(m in layer.cap_images for m in basis):
+            return None
+        images = [ring.cap_image_from_relations(u) for u in units]
+    elif ring.top_values is not None:
+        images = units
+    else:
+        return None
+    return [[ring.pair(a, image) for image in images] for a in units]

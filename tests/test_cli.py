@@ -211,6 +211,34 @@ def test_bck_command(tmp_path):
     assert document["payload"]["brute_force_agrees"] is True
 
 
+@pytest.mark.parametrize("klass, expected", [("1", 1), ("", 0)])
+def test_bck_on_a_rank_0_pairing_reads_the_class(tmp_path, klass, expected):
+    # the class went unread on a rank-0 pairing, so any --class exited 0
+    path = write(tmp_path, "gram.json", {"labels": [], "gram": []})
+    document, code = run_json(["bck", "--gram", path, "--class", klass])
+    assert code == expected
+    if expected:
+        assert document["payload"]["error"]["message"] == (
+            "expected 0 coordinates in basis 'pairing[]', got 1"
+        )
+    else:
+        assert document["payload"]["negative"] == []
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        # the first used to exit 3 with a TypeError
+        ("S1 + D1*D2", "cannot add a RingElement to a DualClass"),
+        ("D1*D2 - S1", "cannot add a DualClass to a RingElement"),
+    ],
+)
+def test_ring_eval_sum_of_a_dual_class_and_a_ring_element_is_input_error(expr, message):
+    document, code = run_json(["ring", "eval", "--fixture", "m07-s7", "--expr", expr])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == message
+
+
 def test_ring_eval_and_pair():
     document, code = run_json(
         ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "D2^3"]

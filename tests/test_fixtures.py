@@ -181,6 +181,31 @@ def test_fixture_file_missing_a_key_is_input_error(tmp_path, mutate, where, key)
     )
 
 
+@pytest.mark.parametrize(
+    "section, kind, change",
+    [
+        ("cones", "cone", lambda entry: entry.update(generators=entry["generators"][:2])),
+        ("geometries", "geometry", lambda entry: None),
+        ("claims", "claim", lambda entry: entry.update(expect="fail")),
+    ],
+    ids=["cone", "geometry", "claim"],
+)
+def test_duplicate_id_is_input_error(tmp_path, section, kind, change):
+    # a repeated cone or geometry id used to replace the earlier entry, and a
+    # repeated claim ran twice: the cone and claim cases exited 2
+    doc = copy.deepcopy(load("toric-3fold").raw)
+    entry = copy.deepcopy(doc[section][0])
+    change(entry)
+    doc[section].append(entry)
+    path = tmp_path / "toric-3fold.json"
+    path.write_text(json.dumps(doc))
+    document, code = run(["fixture", str(path), "--verify"])
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"]["error"]["message"] == (
+        f"{path}: {section}[{len(doc[section]) - 1}]: duplicate {kind} id {entry['id']!r}"
+    )
+
+
 def _set(path, value):
     def mutate(doc):
         node = doc
@@ -191,7 +216,7 @@ def _set(path, value):
     return mutate
 
 
-# one replaced node each; each case but the last exited 3 before the
+# one replaced node each; each case but the last two exited 3 before the
 # loader checked it
 MALFORMED = {
     "classes-null": ("toric-3fold", _set(("classes",), None), 1),
@@ -225,6 +250,10 @@ MALFORMED = {
     # without the monomial cap the consistency audit walks all 10**6 degrees
     "ring-degrees-huge": (
         "m07-s7", lambda doc: doc["ring"].update(top_degree=10**6, max_monomial_degree=10**6), 2
+    ),
+    # a relation into another degree made claims fail (exit 2)
+    "ring-relation-not-homogeneous": (
+        "p2-hilb2", _set(("ring", "relations", "D1^3"), {"D1": "1"}), 1
     ),
 }
 

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -26,7 +27,7 @@ def test_scalar_arithmetic(hilb):
 def test_generator_products(hilb):
     ring, names = hilb
     value = evaluate("(D1+D2)^2", ring, names)
-    assert value.coords() == (1, 2, 1)
+    assert value.coords == (1, 2, 1)
 
 
 def test_named_classes_and_scaling(hilb):
@@ -129,3 +130,45 @@ def test_over_long_exponent_is_input_error_naming_the_limit(hilb):
     with pytest.raises(InputError) as caught:
         evaluate("2^" + "9" * (limit + 1), ring, names)
     assert f"limit of {limit}" in caught.value.message
+
+
+def _atoms(fixture):
+    """Every named class and generator, every product of two generators, and
+    three scalars, as expression text."""
+    generators = fixture.ring.generators
+    products = [f"{a}*{b}" for a, b in combinations_with_replacement(generators, 2)]
+    return [*fixture.ring_elements, *fixture.dual_classes, *generators, *products,
+            "0", "2", "1/3"]
+
+
+@pytest.mark.parametrize("name", ["p2-hilb2", "m07-s7"])
+def test_operations_on_atoms_give_a_value_or_a_classified_error(name):
+    # a sum of a dual class and a ring element used to raise TypeError, and
+    # pairing a dual class or a scalar AttributeError
+    fixture = load(name)
+    ring, names = fixture.ring, {**fixture.ring_elements, **fixture.dual_classes}
+    atoms = _atoms(fixture)
+    escaped, runs = [], 0
+
+    def attempt(call, *args):
+        nonlocal runs
+        runs += 1
+        try:
+            return call(*args)
+        except (InputError, DomainError):
+            return None
+        except Exception as exc:  # what the sweep looks for
+            escaped.append((args[0] if call is evaluate else args, repr(exc)))
+
+    for a in atoms:
+        for b in atoms:
+            for text in (f"{a} + {b}", f"{a} - {b}", f"{a} * {b}", f"{a} ({b})"):
+                attempt(evaluate, text, ring, names)
+        for k in range(4):
+            attempt(evaluate, f"({a})^{k}", ring, names)
+    values = [evaluate(a, ring, names) for a in atoms]
+    for a in values:
+        for b in values:
+            attempt(ring.pair, a, b)
+    assert runs == 5 * len(atoms) ** 2 + 4 * len(atoms)
+    assert escaped == []

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cyclecones.errors import DomainError, InputError
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.rings import (
     DualLayer,
     RingPresentation,
@@ -276,3 +276,61 @@ def test_quarantined_cap_expansion_is_explicit():
     with pytest.raises(DomainError):
         hilb = hilb_ring()
         hilb.cap_image_from_relations(hilb.generator("D1"))
+
+
+def test_element_above_the_declared_degrees_is_the_basis_domain_error():
+    # an element of a degree without a monomial basis would have no coordinates
+    ring = moduli_ring()
+    with pytest.raises(DomainError) as basis_error:
+        ring.monomial_basis(3)
+    with pytest.raises(DomainError) as element_error:
+        ring.element(3, {"D1^3": 1})
+    assert element_error.value.message == basis_error.value.message
+    assert basis_error.value.message == "moduli: no declared monomial basis in degree 3"
+
+
+def test_graded_classes_add_only_their_own_kind_ring_and_degree():
+    ring, other = moduli_ring(), moduli_ring()
+    d1 = ring.generator("D1")
+    square = ring.multiply(d1, d1)
+    s1 = ring.dual_class(2, (0, 3, -2))
+    for a, b, message in (
+        (s1, square, "cannot add a RingElement to a DualClass"),
+        (square, s1, "cannot add a DualClass to a RingElement"),
+        (d1, other.generator("D1"), "classes belong to different presentations"),
+        (d1, square, "cannot add classes of degrees 1 and 2"),
+    ):
+        with pytest.raises(InputError) as caught:
+            a + b
+        assert caught.value.message == message
+        with pytest.raises(InputError):
+            a - b
+    assert (s1 + s1).coords == (0, 6, -4) and (square - square).terms == ()
+
+
+def test_pair_refuses_what_is_not_a_class():
+    ring = moduli_ring()
+    d1, s1 = ring.generator("D1"), ring.dual_class(2, (0, 3, -2))
+    for a, b, message in (
+        (s1, d1, "the first pairing argument must be a ring element"),
+        (2, s1, "the first pairing argument must be a ring element"),
+        (d1, 2, "the second pairing argument must be a class"),
+        (d1, moduli_ring().generator("D1"), "classes belong to different presentations"),
+    ):
+        with pytest.raises(InputError) as caught:
+            ring.pair(a, b)
+        assert caught.value.message == message
+
+
+def test_relations_must_be_homogeneous_of_positive_degree():
+    # a normal form must stay in the basis of its degree
+    for rewrites in ({(2, 0): {(1, 0): F(1)}}, {(0, 0): {}}):
+        with pytest.raises(InputError, match="must rewrite a monomial of positive degree"):
+            RingPresentation("bad", ("a", "b"), 2, rewrites, None, 2)
+
+
+def test_a_normal_form_outside_the_basis_is_a_broken_invariant():
+    ring = hilb_ring()
+    with pytest.raises(CycleConesError) as caught:
+        ring._element_from_dict(3, {(3, 0): F(1)})  # D1^3 is not normal
+    assert type(caught.value) is CycleConesError
