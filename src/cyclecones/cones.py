@@ -13,6 +13,9 @@ dict from each primitive ray, in insertion order, to its tight set: bit
 ``i`` is set exactly when row ``i`` is nonzero and vanishes on the ray.
 A dict, not a third value, keeps the result a pair that iterates and
 counts like the ray list, which is what the benchmark's tracer unpacks.
+The method is incremental: ``_dd_state`` keeps where a description stands
+after some rows, and ``double_description`` resumes from such a state on
+rows that begin with those rows, returning exactly what a cold call does.
 ``dd_convert`` runs one double description and, for most cones, reads the
 irredundant supplied rows off that incidence; degenerate input takes a
 second pass over the first pass's integer rows.  Supplied rows are checked
@@ -29,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import Row, dot, int_primitive, nullspace, reproduces, separates, violated
@@ -55,7 +59,24 @@ _MAX_DD_RAYS = 10_000
 _MAX_DD_PAIRS = 2_000_000
 
 
-def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
+class DDState(NamedTuple):
+    """Where a double description stands after its first ``rows`` rows:
+    the bits of the nonzero ones among them, the lineality basis, the
+    rays in insertion order with their tight sets, and the pair tests
+    made so far.  ``_dd_state`` computes it; ``double_description``
+    resumes from it, copying the lists, so a state can be shared."""
+
+    rows: int
+    processed: int
+    lineality: list[tuple[int, ...]]
+    rays: list[tuple[int, ...]]
+    tight: list[int]
+    pairs: int
+
+
+def double_description(
+    rows: Iterable[Sequence[Fraction]], dim: int, start: DDState | None = None
+):
     """Generators of the cone {x : <r, x> >= 0 for every r in rows}.
 
     Returns ``(lineality, rays)``: a basis of the lineality space, as a
@@ -84,16 +105,38 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
     bring the call's positive/negative pair tests past ``_MAX_DD_PAIRS``,
     raises ``DomainError`` instead of running on.  The pair count is
     checked once per insertion, before its pair loop.
-    """
-    lineality: list[tuple[int, ...]] = [
-        tuple(int(i == j) for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[tuple[int, ...]] = []
-    tight: list[int] = []
-    processed = 0  # the bits of the nonzero rows read so far
-    pairs = 0  # the positive/negative pairs the insertions so far test
 
-    for idx, raw in enumerate(rows):
+    ``start``, when given, is ``_dd_state`` of exactly the first
+    ``start.rows`` of ``rows``, in ``dim``: the call skips those rows
+    unread and resumes from the state after them (the method is
+    incremental).  The prefix's pair tests count toward the budget, so a
+    resumed call returns what a cold call returns, rays in the same order,
+    and fails at the same ``row`` with the same ``pairs``.
+    """
+    state = _dd_state(rows, dim, start)
+    return state.lineality, dict(zip(state.rays, state.tight))
+
+
+def _dd_state(
+    rows: Iterable[Sequence[Fraction]], dim: int, start: DDState | None = None
+) -> DDState:
+    """The state of ``double_description(rows, dim, start)`` after its last
+    row: the insertion loop itself, which ``double_description`` reads off."""
+    if start is None:
+        lineality: list[tuple[int, ...]] = [
+            tuple(int(i == j) for j in range(dim)) for i in range(dim)
+        ]
+        rays: list[tuple[int, ...]] = []
+        tight: list[int] = []
+        processed = 0  # the bits of the nonzero rows read so far
+        pairs = 0  # the positive/negative pairs the insertions so far test
+        idx, numbered = -1, enumerate(rows)
+    else:  # the prefix is skipped here, not tested for in the loop
+        lineality, rays, tight = list(start.lineality), list(start.rays), list(start.tight)
+        processed, pairs = start.processed, start.pairs
+        idx, numbered = start.rows - 1, enumerate(islice(rows, start.rows, None), start.rows)
+
+    for idx, raw in numbered:
         checked = tuple(x if type(x) is int else rat(x) for x in raw)
         if len(checked) != dim:
             raise InputError(f"constraint of length {len(checked)} in dimension {dim}")
@@ -172,7 +215,7 @@ def double_description(rows: Iterable[Sequence[Fraction]], dim: int):
                     )
         rays, tight = new_rays, new_tight
 
-    return lineality, dict(zip(rays, tight))
+    return DDState(idx + 1, processed, lineality, rays, tight, pairs)
 
 
 def _project(v, z, az: int, a) -> tuple[int, ...]:

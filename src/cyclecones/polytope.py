@@ -10,7 +10,7 @@ certificate, one ``reproduces`` on the rows, checked on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -30,13 +30,19 @@ def inequality(a, b) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class RationalPolytope:
     """Points x with <r, (x, 1)> >= 0 for every row r (``inequality``,
-    ``dim + 1`` entries) of ``inequalities``; objectives live in ``dual``."""
+    ``dim + 1`` entries) of ``inequalities``; objectives live in ``dual``.
+
+    ``start``, when set, is ``cones._dd_state`` of the first ``start.rows``
+    rows in dimension ``dim + 1``, and vertex enumeration resumes from it.
+    It is bookkeeping, not part of the value: the vertices are the same
+    either way."""
 
     basis: str
     dim: int
     inequalities: tuple[tuple[int, ...], ...]
     vertices: tuple[ClassVector, ...] | None = None
     dual: str | None = None
+    start: cones.DDState | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dual is None:
@@ -77,7 +83,7 @@ def _homogenized(p: RationalPolytope):
     system is bounded, ``((), direction)`` otherwise.
     """
     rows = (*p.inequalities, (0,) * p.dim + (1,))
-    lineality, rays = cones.double_description(rows, p.dim + 1)
+    lineality, rays = cones.double_description(rows, p.dim + 1, p.start)
     witnesses = lineality or [r for r in rays if r[-1] == 0]
     if witnesses:
         return (), ClassVector(p.basis, witnesses[0][:-1])

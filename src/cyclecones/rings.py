@@ -106,6 +106,8 @@ class GradedClass:
         return type(self)(self.ring, self.degree, coords)
 
     def __sub__(self, other):
+        if not isinstance(other, GradedClass):
+            raise InputError(f"cannot subtract a {type(other).__name__} from a {type(self).__name__}")
         return self + other.scale(-1)
 
     def scale(self, factor):
@@ -282,6 +284,10 @@ class RingPresentation:
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """Fully rewritten product in the target degree's monomial basis."""
+        for factor in (a, b):
+            if not isinstance(factor, RingElement):
+                raise InputError(f"cannot multiply a {type(factor).__name__}; "
+                                 "only ring elements multiply")
         if a.ring is not self or b.ring is not self:
             raise InputError("elements belong to different presentations")
         degree = a.degree + b.degree
@@ -364,9 +370,12 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
     """Recompute the presented data along independent paths and report.
 
     Checks: (i) rewrite confluence on all generator-times-basis products,
-    fired under both rule orders; (ii) symmetry of every induced
-    middle-degree Gram matrix; (iii) pairings that disagree between two
-    computation paths.  Findings are data for the caller, never exceptions.
+    fired under both rule orders; (ii) top-degree basis monomials that the
+    declared top values leave without a value; (iii) symmetry of every
+    induced middle-degree Gram matrix; (iv) pairings that disagree between
+    two computation paths.  Findings are data for the caller, never
+    exceptions: a Gram matrix that would need a missing top value is not
+    computed.
     """
     findings: list[AuditFinding] = []
 
@@ -399,9 +408,15 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
                         )
                     )
 
+    uncovered = [
+        format_monomial(m, ring.generators) for m in ring._bases.get(ring.top_degree, ())
+        if ring.top_values is not None and m not in ring.top_values
+    ]
+    findings += [AuditFinding("uncovered-top-monomial", {"monomial": m}) for m in uncovered]
+
     gram_matrices: dict[str, list[list[str]]] = {}
     middle = ring.top_degree // 2
-    gram = _middle_gram(ring, middle) if ring.top_degree % 2 == 0 else None
+    gram = _middle_gram(ring, middle, bool(uncovered)) if ring.top_degree % 2 == 0 else None
     if gram is not None:
         shown = [[rat_str(x) for x in row] for row in gram]
         gram_matrices[f"degree-{middle}"] = shown
@@ -441,9 +456,11 @@ def consistency_audit(ring: RingPresentation) -> AuditReport:
     )
 
 
-def _middle_gram(ring: RingPresentation, middle: int):
+def _middle_gram(ring: RingPresentation, middle: int, uncovered: bool):
     """Gram matrix on the middle-degree monomial basis, entry (i, j) being
-    the pairing of monomial i against the homology image of monomial j."""
+    the pairing of monomial i against the homology image of monomial j;
+    None when no path gives it, as when the top values would be the path
+    and some top monomial is ``uncovered``."""
     basis = ring.monomial_basis(middle)
     units = [ring._element_from_dict(middle, {m: 1}) for m in basis]
     layer = ring.dual_layers.get(middle)
@@ -451,7 +468,7 @@ def _middle_gram(ring: RingPresentation, middle: int):
         if not all(m in layer.cap_images for m in basis):
             return None
         images = [ring.cap_image_from_relations(u) for u in units]
-    elif ring.top_values is not None:
+    elif ring.top_values is not None and not uncovered:
         images = units
     else:
         return None

@@ -16,17 +16,28 @@ cross-checks the recorded verdict against it: two independent routes to
 one answer.  A step that cannot fail on converted cones (a peel that finds
 no combination, an empty set without a Farkas vector) raises
 ``CycleConesError``, an internal error, never a ``DomainError``.
+
+A movable class needs no polytope.  It is a candidate, and it dominates
+every candidate z, since it minus z is eff by the definition of the set;
+so it is its own positive part, the domination maximum and the unique
+optimum.  ``decompose`` returns it after one membership test on the mov
+facets; ``verify_decomposition`` still recomputes the polytope and its
+``preceq_maximum`` report for it, so the two routes stay independent.
+Every other class's polytope lists the movable rows first, and its double
+description resumes from the geometry's state after them
+(``ConeGeometry.mov_start``), which does not depend on the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Any
 
-from .cones import PolyCone, contains, dd_convert, is_salient
+from .cones import DDState, PolyCone, _dd_state, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import dot, numerators, reproduces, separates, violated
@@ -61,6 +72,14 @@ class ConeGeometry:
     @property
     def dim(self) -> int:
         return self.eff.dim
+
+    @cached_property
+    def mov_start(self) -> DDState:
+        """The double description state after the homogenized mov rows
+        (l, 0), which every decomposition polytope lists first, whatever
+        the class: computed once, on first use, and not a field."""
+        rows = [inequality(l, 0) for l in self.mov.inequality_rows()]
+        return _dd_state(rows, self.dim + 1)
 
 
 def cone_geometry(
@@ -102,15 +121,20 @@ def validate_objective(g: ConeGeometry, objective: ClassVector) -> None:
             )
 
 
+def _check_space(g: ConeGeometry, alpha: ClassVector) -> None:
+    if alpha.basis != g.basis or alpha.dim != g.dim:
+        raise InputError("class not in the geometry's coordinate space")
+
+
 def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolytope:
     """The polytope of movable classes dominated by ``alpha``, with vertices.
 
     Inequalities: the movable cone's on the candidate, and the effective
     cone's on the leftover.  Salience of the effective cone bounds it; it
-    always contains the origin.
+    always contains the origin.  The movable rows come first, so the
+    vertex enumeration resumes from ``g.mov_start``.
     """
-    if alpha.basis != g.basis or alpha.dim != g.dim:
-        raise InputError("class not in the geometry's coordinate space")
+    _check_space(g, alpha)
     rows = [inequality(l, 0) for l in g.mov.inequality_rows()]
     for m in g.eff.inequality_rows():
         bound = dot(m, alpha.coords)
@@ -120,7 +144,9 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
                 separating_functional=[rat_str(c) for c in m],
             )
         rows.append(inequality([-c for c in m], -bound))
-    polytope = RationalPolytope(g.basis, g.dim, tuple(rows), dual=g.eff.dual)
+    polytope = RationalPolytope(
+        g.basis, g.dim, tuple(rows), dual=g.eff.dual, start=g.mov_start
+    )
     return vertex_enumeration(polytope)
 
 
@@ -328,7 +354,9 @@ def _dominators(eff: PolyCone, s: RationalPolytope, u, w) -> RationalPolytope:
         inequality(l, max(dot(l, u.coords), dot(l, w.coords)))
         for l in eff.inequality_rows()
     )
-    return RationalPolytope(s.basis, s.dim, s.inequalities + rows, dual=s.dual)
+    return RationalPolytope(
+        s.basis, s.dim, s.inequalities + rows, dual=s.dual, start=s.start
+    )
 
 
 def pair_certified(eff: PolyCone, s: RationalPolytope, u, w, empty, certificate) -> bool:
@@ -381,22 +409,32 @@ def decompose(
     the domination-order maximum of the candidate set, or a merely
     objective-maximal candidate.  That verdict is decided here, not
     proved: ``verify_decomposition`` proves it with ``preceq_maximum``.
+
+    A movable ``alpha`` is its own positive part, found with no polytope:
+    it is a candidate, and ``alpha - z`` is eff for every candidate z, so
+    it is the domination maximum, hence the unique optimum, a one-vertex
+    face.  Only a class outside mov takes the vertex enumeration.
     """
     if objective is None:
         objective = g.degree_functional
     if objective is None:
         raise InputError("no objective supplied and the geometry has no default")
     validate_objective(g, objective)
+    _check_space(g, alpha)
 
-    s = decomposition_polytope(g, alpha)
-    value, face = maximize_linear(s, objective)
+    if violated(g.mov.inequality_rows(), alpha.coords) is None:
+        value, face, is_max = dot(objective.coords, alpha.coords), (alpha,), True
+    else:
+        s = decomposition_polytope(g, alpha)
+        value, face = maximize_linear(s, objective)
+        # a domination maximum m is the unique optimum of an objective
+        # strictly positive on eff, since m - z is a nonzero eff class for
+        # every other z of s: so it is the positive part, and one kernel
+        # test per vertex decides
+        rows = g.eff.inequality_rows()
+        is_max = all(violated(rows, (face[0] - v).coords) is None for v in s.vertices)
     positive = face[0]  # vertices arrive sorted: lexicographically smallest
     negative = alpha - positive
-    # a domination maximum m is the unique optimum of an objective strictly
-    # positive on eff, since m - z is a nonzero eff class for every other z
-    # of s: so it is the positive part, and one kernel test per vertex decides
-    rows = g.eff.inequality_rows()
-    is_max = all(violated(rows, (positive - v).coords) is None for v in s.vertices)
     certificates = (
         Certificate(
             "positive-part-movable",

@@ -16,6 +16,7 @@ from cyclecones.cones import (
     ContainsResult,
     PolyCone,
     _generators_from_dd,
+    contains,
     dd_convert,
     double_description,
 )
@@ -28,12 +29,13 @@ from cyclecones.negdef import (
     _postconditions_hold,
     is_negative_definite,
 )
-from cyclecones.polytope import maximize_linear
+from cyclecones.decomposition import Certificate, Decomposition
+from cyclecones.polytope import RationalPolytope, inequality, maximize_linear, vertex_enumeration
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import _shown, _unparsable, rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
-from cyclecones.zariski import decomposition_polytope, preceq_maximum
+from cyclecones.zariski import preceq_maximum
 
 
 def fraction_rat(value) -> Fraction:
@@ -583,12 +585,22 @@ def pairwise_maximum(g, s) -> tuple[str, tuple | None]:
     return "no-maximum", None
 
 
+def cold_polytope(g, alpha: ClassVector) -> RationalPolytope:
+    """The decomposition polytope of ``alpha``, its vertices enumerated by a
+    cold double description: no start state rides on it, so neither its
+    own enumeration nor a dominator set built from it resumes."""
+    rows = [inequality(l, 0) for l in g.mov.inequality_rows()]
+    rows += [inequality([-c for c in m], -dot(m, alpha.coords)) for m in g.eff.inequality_rows()]
+    return vertex_enumeration(RationalPolytope(g.basis, g.dim, tuple(rows), dual=g.eff.dual))
+
+
 def report_route_metadata(g, alpha: ClassVector, objective=None) -> dict:
     """Oracle for the metadata of ``zariski.decompose``: the earlier route,
     which built a full ``preceq_maximum`` report and read both verdict
-    strings off it (a maximum, and at the positive part ``face[0]``)."""
+    strings off it (a maximum, and at the positive part ``face[0]``).  It
+    takes that route for a movable ``alpha`` too, on ``cold_polytope``."""
     objective = g.degree_functional if objective is None else objective
-    s = decomposition_polytope(g, alpha)
+    s = cold_polytope(g, alpha)
     value, face = maximize_linear(s, objective)
     report = preceq_maximum(g, s)
     is_max = report.status == "maximum" and report.maximum.coords == face[0].coords
@@ -605,6 +617,23 @@ def report_route_metadata(g, alpha: ClassVector, objective=None) -> dict:
         "preceq_maximum": report.status,
         "canonical_choice": "lexicographically-smallest-optimal-vertex",
     }
+
+
+def cold_route_decomposition(g, alpha: ClassVector) -> Decomposition:
+    """Oracle for ``zariski.decompose`` with the geometry's objective: the
+    optimum read off ``cold_polytope``'s vertices for every class, movable
+    or not, with ``report_route_metadata``."""
+    _, face = maximize_linear(cold_polytope(g, alpha), g.degree_functional)
+    positive = face[0]
+    negative = alpha - positive
+    certificates = tuple(
+        Certificate(fact, {"combination": list(contains(cone, part).combination)})
+        for fact, cone, part in (
+            ("positive-part-movable", g.mov, positive),
+            ("negative-part-pseudo-effective", g.eff, negative),
+        )
+    )
+    return Decomposition(alpha, positive, negative, certificates, report_route_metadata(g, alpha))
 
 
 def fraction_int_primitive(row) -> tuple[int, ...]:

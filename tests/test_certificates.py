@@ -389,6 +389,29 @@ def test_decomposition_rejects_tampered_optimum(tamper):
     assert not verify_decomposition(g, replace(dec, metadata=metadata))
 
 
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_OPTIMA))
+def test_movable_decomposition_rejects_tampered_optimum(tamper):
+    # decompose finds a movable class's record with no polytope; the
+    # verifier recomputes it, and the same tampers fail on the sixth mov
+    # generator of toric-3fold:curves
+    g = _toric_geometry()
+    dec = decompose(g, ClassVector("toric3.curves", TORIC_M[5]))
+    assert dec.negative.is_zero() and verify_decomposition(g, dec)
+    metadata = TAMPERED_OPTIMA[tamper](dec.metadata)
+    assert not verify_decomposition(g, replace(dec, metadata=metadata))
+
+
+def test_movable_class_rejects_a_smaller_positive_part():
+    # (1, 2) is movable; (1, 1) + (0, 1) splits it into a movable and an
+    # eff part with honest combinations, but (1, 1) is not its positive part
+    g = _geometry()
+    dec = decompose(g, _vector((1, 2)))
+    assert dec.negative.is_zero() and verify_decomposition(g, dec)
+    smaller = _vertex_record(g, dec, _vector((1, 1)))
+    assert smaller.negative == _vector((0, 1))
+    assert not verify_decomposition(g, smaller)
+
+
 def test_decomposition_rejects_certificate_without_combination():
     g = _geometry()
     dec = decompose(g, _vector((3, 2)))
@@ -455,6 +478,10 @@ TAMPERED_VERDICTS = {
     ),
     "maximum-verdict-flipped": ("tamper2", {"preceq_maximum": "no-maximum"}),
     "verdict-missing": ("tamper2", {"preceq_maximum": None}),
+    # tamper2 at (1, 2) is movable, its own certified maximum
+    "movable-claimed-candidate": ("movable", {"positive_part_status": "objective-maximal-candidate"}),
+    "movable-verdict-flipped": ("movable", {"preceq_maximum": "no-maximum"}),
+    "movable-verdict-missing": ("movable", {"preceq_maximum": None}),
 }
 
 
@@ -467,8 +494,9 @@ def test_decomposition_rejects_tampered_directedness_verdict(tamper):
         assert dec.metadata["preceq_maximum"] == "no-maximum"
     else:
         g = _geometry()
-        dec = decompose(g, _vector((3, 2)))
+        dec = decompose(g, _vector((3, 2) if which == "tamper2" else (1, 2)))
         assert dec.metadata["positive_part_status"] == "certified-preceq-maximum"
+        assert dec.negative.is_zero() is (which == "movable")
     assert verify_decomposition(g, dec)
     metadata = {**dec.metadata, **fields}
     assert not verify_decomposition(g, replace(dec, metadata=metadata))

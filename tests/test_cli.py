@@ -728,3 +728,20 @@ def test_error_class_follows_the_taxonomy(case, tmp_path, monkeypatch):
         assert (error["type"], error["message"]) == ("CycleConesError", f"CycleConesError: {message}")
     else:
         assert error["message"] == message
+
+
+def test_fixture_with_uncovered_top_values_reports_a_finding(tmp_path):
+    # p2-hilb2 with top values {"D1^4": "0"} leaves D1^2*D2^2 without a
+    # value: the fixture loads (exit 0) with the audit finding, and its
+    # claims that need the value fail under --verify (exit 2)
+    doc = json.loads((Path(cli.__file__).parent / "fixtures" / "data" / "p2-hilb2.json").read_text())
+    doc["ring"]["top_values"] = {"D1^4": "0"}
+    path = write(tmp_path, "p2-uncovered.json", doc)
+    document, code = run_json(["fixture", path])
+    assert code == 0 and document["payload"]["audit"] == {
+        "clean": False, "findings": [{"kind": "uncovered-top-monomial", "monomial": "D1^2*D2^2"}]
+    }
+    document, code = run_json(["fixture", path, "--verify"])
+    assert code == 2
+    results = document["payload"]["error"]["verification"]["results"]
+    assert {r["claim"]: r["status"] for r in results}["ring-audit-clean"] == "flagged"

@@ -392,6 +392,18 @@ def test_double_description_matches_set_oracle():
         _assert_matches_oracle(_generators_from_dd(lineality, rays), dim)
 
 
+def test_double_description_resumes_after_any_prefix():
+    # from the state after any prefix of its rows, zero rows and lineality
+    # included, a call returns what the cold call returns, in order
+    for rows, dim in _oracle_systems() + _zero_row_systems():
+        lineality, rays = double_description(rows, dim)
+        for k in range(len(rows) + 1):
+            start = cones._dd_state(rows[:k], dim)
+            assert start.rows == k
+            got = double_description(rows, dim, start)
+            assert got[0] == lineality and list(got[1].items()) == list(rays.items()), (k, rows)
+
+
 def test_tight_sets_are_the_exact_incidence():
     # bit i of a ray's mask is set exactly when row i is nonzero and
     # vanishes on the ray; a zero row is tight on no ray
@@ -545,12 +557,17 @@ def test_double_description_pair_budget(monkeypatch):
     monkeypatch.setattr(cones, "_MAX_DD_PAIRS", 29)
     for _ in range(2):
         assert len(double_description(rows, 4)[1]) == 10
+    # a call resumed after any prefix within the budget counts the
+    # prefix's pairs, and fails where the cold call fails
+    starts = [cones._dd_state(rows[:k], 4) for k in range(len(rows) + 1)]
+    assert [start.pairs for start in starts] == [0, 0, 0, 0, 0, 4, 13, 29]
     for budget, row, pairs in ((28, 6, 29), (12, 5, 13), (0, 4, 4)):
         monkeypatch.setattr(cones, "_MAX_DD_PAIRS", budget)
-        with pytest.raises(DomainError) as caught:
-            double_description(rows, 4)
-        assert caught.value.message == "double description exceeds its pair-test budget"
-        assert caught.value.details == {"dim": 4, "row": row, "pairs": pairs}
+        for start in [None] + [s for s in starts if s.pairs <= budget and s.rows <= row]:
+            with pytest.raises(DomainError) as caught:
+                double_description(rows, 4, start)
+            assert caught.value.message == "double description exceeds its pair-test budget"
+            assert caught.value.details == {"dim": 4, "row": row, "pairs": pairs}
 
 
 # -- integer rows and membership against the Fraction oracle ------------------

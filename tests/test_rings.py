@@ -334,3 +334,36 @@ def test_a_normal_form_outside_the_basis_is_a_broken_invariant():
     with pytest.raises(CycleConesError) as caught:
         ring._element_from_dict(3, {(3, 0): F(1)})  # D1^3 is not normal
     assert type(caught.value) is CycleConesError
+
+
+def test_library_calls_on_the_wrong_kind_are_input_errors():
+    # multiply takes ring elements only, and a class minus a scalar is no
+    # class: each used to escape as an AttributeError
+    ring = moduli_ring()
+    d1, s1 = ring.generator("D1"), ring.dual_class(2, (0, 3, -2))
+    for a, b in ((s1, d1), (d1, s1), (d1, 2)):
+        with pytest.raises(InputError, match="only ring elements multiply"):
+            ring.multiply(a, b)
+    for a, b, message in (
+        (ring.one(), 2, "cannot subtract a int from a RingElement"),
+        (s1, F(1, 2), "cannot subtract a Fraction from a DualClass"),
+    ):
+        with pytest.raises(InputError) as caught:
+            a - b
+        assert caught.value.message == message
+
+
+def test_audit_reports_top_monomials_the_top_values_leave_out():
+    # declared top values that miss a top-degree basis monomial are a
+    # finding, and the Gram matrix that would need the value is left out
+    ring = hilb_ring()
+    ring = RingPresentation(
+        ring.name, ring.generators, ring.top_degree, ring.rewrites, {(4, 0): F(0)},
+        ring.max_monomial_degree,
+    )
+    report = consistency_audit(ring)
+    assert [(f.kind, f.detail) for f in report.findings] == [
+        ("uncovered-top-monomial", {"monomial": "D1^2*D2^2"})
+    ]
+    assert report.gram_matrices == {} and report.confluence_products_checked == 18
+    assert consistency_audit(hilb_ring()).findings == ()

@@ -1,15 +1,16 @@
 import importlib.util
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cyclecones import zariski
-from cyclecones.cones import PolyCone, contains
+from cyclecones import FIXTURE_NAMES, zariski
+from cyclecones.cones import PolyCone, contains, double_description
 from cyclecones.errors import CycleConesError, DomainError, InputError
-from cyclecones.linalg import combine, dot, int_primitive, reproduces
+from cyclecones.linalg import combine, dot, int_primitive, reproduces, violated
 from cyclecones.projbundle import (
     class_basis,
     cones_at,
@@ -39,6 +40,7 @@ from conftest import (
     TORIC_OBJECTIVE,
     affine_decomposition_rows,
     affine_dominator_rows,
+    cold_route_decomposition,
     fraction_key_peel,
     fraction_sorted_vertices,
     maximize_affine,
@@ -491,11 +493,49 @@ def _bench_ladder(seed):
     return items
 
 
+def test_resumed_double_description_matches_a_cold_one(rng):
+    # a decomposition polytope, and a dominator set built from it, resume
+    # their double description from the geometry's movable prefix; the
+    # result must be a cold call's: the same lineality, the same rays in
+    # the same order, the same tight sets.  Five seeded pseudo-effective
+    # classes per packaged fixture geometry, and the benchmark's ladder
+    # pools of seeds 1 and 7919
+    from cyclecones.fixtures import load
+
+    cases = []
+    for name in FIXTURE_NAMES:
+        for g in load(name).geometries.values():
+            gens = g.eff.generator_rows()
+            for _ in range(5):
+                coeffs = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in gens]
+                cases.append((g, ClassVector(g.basis, combine(coeffs, gens, g.dim))))
+    assert len({g.name for g, _ in cases}) >= 3
+    for seed in (1, 7919):
+        cases += _bench_ladder(seed)
+    pairs = 0
+    for g, alpha in cases:
+        s = decomposition_polytope(g, alpha)
+        assert s.start is g.mov_start and s.start.rows == len(g.mov.inequalities)
+        systems = [s]
+        if len(s.vertices) > 1:
+            systems.append(_dominators(g.eff, s, *s.vertices[-2:]))
+            pairs += 1
+        for p in systems:
+            rows = (*p.inequalities, (0,) * p.dim + (1,))
+            lineality, rays = double_description(rows, p.dim + 1)
+            resumed = double_description(rows, p.dim + 1, p.start)
+            assert resumed[0] == lineality, (g.name, alpha.coords)
+            assert list(resumed[1].items()) == list(rays.items()), (g.name, alpha.coords)
+    assert pairs > 100
+
+
 def test_decompose_metadata_matches_the_report_route(rng):
-    # decompose decides its verdict by a kernel test of the positive part;
-    # the oracle reads it off a full preceq_maximum report.  Every
-    # toric-3fold:curves class sum c_i C_i with c_i in {0, 1, 2}, the
-    # benchmark's ladder pools of seeds 1 and 7919, and seeded 2-d geometries
+    # decompose decides its verdict by a kernel test of the positive part,
+    # and a movable class by no polytope at all; the oracle reads it off a
+    # full preceq_maximum report on a cold polytope, for every class.
+    # Every toric-3fold:curves class sum c_i C_i with c_i in {0, 1, 2}, the
+    # benchmark's ladder pools of seeds 1 and 7919, and seeded 2-d
+    # geometries; a movable class's whole record is the cold route's
     from cyclecones.fixtures import load
 
     toric = load("toric-3fold").geometry("curves")
@@ -516,12 +556,19 @@ def test_decompose_metadata_matches_the_report_route(rng):
         b = F(rng.randint(0, 8), rng.randint(1, 2))
         cases.append((g, ClassVector(class_basis(profile, k), (a, a * epsilon(profile, k) + b))))
     seen = {}
+    movable = 0
     for g, alpha in cases:
-        metadata = decompose(g, alpha).metadata
+        dec = decompose(g, alpha)
+        metadata = dec.metadata
         assert repr(metadata) == repr(report_route_metadata(g, alpha)), (g.name, alpha.coords)
         key = (g is toric, metadata["preceq_maximum"])
         seen[key] = seen.get(key, 0) + 1
+        if violated(g.mov.inequality_rows(), alpha.coords) is None:
+            movable += 1
+            cold = cold_route_decomposition(g, alpha)
+            assert json.dumps(dec.to_json()) == json.dumps(cold.to_json()), (g.name, alpha.coords)
     assert set(seen) == set(itertools.product((True, False), ("maximum", "no-maximum")))
+    assert 0 < movable < len(cases)
 
 
 def test_decompose_builds_no_directedness_proof(toric, monkeypatch):
