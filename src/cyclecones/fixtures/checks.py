@@ -37,8 +37,8 @@ from ..zariski import (
     cone_geometry,
     decompose,
     decomposition_polytope,
+    dominator_set,
     dominator_set_empty,
-    pair_certified,
     preceq_maximum,
     verify_decomposition,
 )
@@ -145,7 +145,7 @@ def check_no_preceq_maximum(fixture, *, geometry: ConeGeometry, vector: ClassVec
         empty, certificate = dominator_set_empty(geometry, polytope, u, w)
         witness["named_pair_in_polytope"] = in_polytope
         witness["named_pair_dominator_set_empty"] = empty
-        certified = pair_certified(geometry.eff, polytope, u, w, empty, certificate)
+        certified = dominator_set(geometry.eff, polytope, u, w).certifies(empty, certificate)
         if not (in_polytope and empty and certified):
             return "fail", witness
     return "pass", witness

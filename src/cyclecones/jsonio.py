@@ -55,11 +55,11 @@ def _reject_float(text):
 
 def parse_vector_text(text: str, basis: str, dim: int) -> ClassVector:
     """Parse a comma-separated coordinate string like ``"1,1,0,1,2"``
-    into a vector of ``basis`` with exactly ``dim`` coordinates; only a
-    basis of dimension 0 takes an empty list."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts and dim:
-        raise InputError("empty coordinate list")
+    into a vector of ``basis`` with exactly ``dim`` coordinates, none of
+    them empty; only a basis of dimension 0 takes an empty string."""
+    parts = text.split(",") if text.strip() else []
+    if not all(p.strip() for p in parts):
+        raise InputError(f"empty coordinate in {text!r}")
     if len(parts) != dim:
         raise InputError(
             f"expected {dim} coordinates in basis {basis!r}, got {len(parts)}"

@@ -6,6 +6,9 @@ boundedness come from one double description of these rows (Motzkin,
 Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).  The linear
 optimizer scans the vertices and proves the maximum with an LP-duality
 certificate, one ``reproduces`` on the rows, checked on every call.
+Systems built by ``extend`` resume from their ``prefix``'s double
+description; ``emptiness`` comes with a point or a Farkas vector, which
+``certifies`` re-checks beside ``holds_at``, so callers read no row.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ class RationalPolytope:
     """Points x with <r, (x, 1)> >= 0 for every row r (``inequality``,
     ``dim + 1`` entries) of ``inequalities``; objectives live in ``dual``.
 
-    ``start``, when set, is ``cones._dd_state`` of the first ``start.rows``
-    rows in dimension ``dim + 1``, and vertex enumeration resumes from it.
-    It is bookkeeping, not part of the value: the vertices are the same
-    either way."""
+    ``start``, set by ``prefix``, is ``cones._dd_state`` of the first
+    ``start.rows`` rows in dimension ``dim + 1``; enumeration resumes from
+    it.  It is bookkeeping, not part of the value: the vertices are the
+    same either way."""
 
     basis: str
     dim: int
@@ -59,6 +62,16 @@ class RationalPolytope:
         ineqs = tuple(inequality(map(rat, a), rat(b)) for a, b in rows)
         return RationalPolytope(basis, dim, ineqs)
 
+    @staticmethod
+    def prefix(basis: str, dim: int, rows, dual: str) -> "RationalPolytope":
+        """``rows`` with their double description as ``start``, for ``extend``."""
+        p = RationalPolytope(basis, dim, tuple(rows), dual=dual)
+        return replace(p, start=cones._dd_state(p.inequalities, dim + 1))
+
+    def extend(self, rows) -> "RationalPolytope":
+        """This system with ``rows`` appended: no vertices, the same ``start``."""
+        return replace(self, inequalities=self.inequalities + tuple(rows), vertices=None)
+
     def holds_at(self, coords) -> bool:
         """True iff ``coords`` is a point satisfying every row: ``dim``
         coordinates, each an ``int`` or a ``Fraction`` (``linalg.all_exact``);
@@ -67,6 +80,15 @@ class RationalPolytope:
             return False
         point = int_primitive((*coords, 1))  # a positive multiple of (x, 1)
         return violated(self.inequalities, point) is None
+
+    def certifies(self, empty, certificate) -> bool:
+        """Re-check an ``emptiness`` verdict: a point (``holds_at``), or y >= 0,
+        rescaled or not, that cancels the rows but for a negative last entry."""
+        rows = self.inequalities
+        if empty is True and certificate is not None:
+            combined = reproduces(certificate, [r[:-1] for r in rows], (0,) * self.dim)
+            return combined and dot(certificate, [r[-1] for r in rows]) < 0
+        return empty is False and certificate is not None and self.holds_at(certificate)
 
 
 def _homogenized(p: RationalPolytope):
@@ -119,6 +141,21 @@ def vertex_enumeration(p: RationalPolytope) -> RationalPolytope:
             recession_direction=[rat_str(c) for c in direction.coords],
         )
     return replace(p, vertices=vertices)
+
+
+def emptiness(p: RationalPolytope) -> tuple[bool, tuple[Fraction, ...]]:
+    """Exact emptiness of a bounded system by one double description, and
+    a certificate for ``certifies``: its first vertex, or y >= 0 from
+    ``nonneg_solve`` with sum y_i r_i = (0, ..., 0, -1) over the rows
+    r_i = (a_i, -b_i), so sum y_i a_i = 0 and sum y_i b_i = 1: no point
+    (Farkas; Schrijver, *Theory of Linear and Integer Programming*, §7)."""
+    points = vertex_enumeration(p)
+    if points.vertices:
+        return False, points.vertices[0].coords
+    y = nonneg_solve(p.inequalities, (0,) * p.dim + (-1,))
+    if y is None:
+        raise CycleConesError("representations disagree: no Farkas vector for an empty set")
+    return True, y
 
 
 def maximize_linear(p: RationalPolytope, objective: ClassVector):

@@ -180,6 +180,9 @@ class RingPresentation:
                for lhs, rhs in self.rewrites.items()):
             raise InputError(f"{self.name}: a relation must rewrite a monomial of "
                              "positive degree into monomials of its degree")
+        if self.top_values is not None and self.max_monomial_degree < self.top_degree:
+            raise InputError(f"{self.name}: top values need the degree-{self.top_degree} "
+                             f"basis, above max_monomial_degree {self.max_monomial_degree}")
         bases = {d: tuple(sorted(filter(self.is_normal, self._all_monomials(d)), reverse=True))
                  for d in range(self.max_monomial_degree + 1)}
         object.__setattr__(self, "_bases", bases)

@@ -23,9 +23,10 @@ so it is its own positive part, the domination maximum and the unique
 optimum.  ``decompose`` returns it after one membership test on the mov
 facets; ``verify_decomposition`` still recomputes the polytope and its
 ``preceq_maximum`` report for it, so the two routes stay independent.
-Every other class's polytope lists the movable rows first, and its double
-description resumes from the geometry's state after them
-(``ConeGeometry.mov_start``), which does not depend on the class.
+Every other class's polytope extends the movable rows' prefix system
+``ConeGeometry.mov_start``, and a dominator set extends the polytope;
+``polytope`` owns their rows and certificates, and resumes each one's
+double description from the prefix.
 """
 
 from __future__ import annotations
@@ -37,18 +38,12 @@ from itertools import combinations
 from math import lcm
 from typing import Any
 
-from .cones import DDState, PolyCone, _dd_state, contains, dd_convert, is_salient
+from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import dot, numerators, reproduces, separates, violated
-from .polytope import (
-    RationalPolytope,
-    inequality,
-    maximize_linear,
-    vertex_enumeration,
-)
+from .polytope import RationalPolytope, emptiness, inequality, maximize_linear, vertex_enumeration
 from .rationals import rat_str
-from .simplex import nonneg_solve
 from .vectors import ClassVector
 
 
@@ -74,12 +69,11 @@ class ConeGeometry:
         return self.eff.dim
 
     @cached_property
-    def mov_start(self) -> DDState:
-        """The double description state after the homogenized mov rows
-        (l, 0), which every decomposition polytope lists first, whatever
-        the class: computed once, on first use, and not a field."""
+    def mov_start(self) -> RationalPolytope:
+        """The prefix system of the mov rows <l, z> >= 0 that every
+        decomposition polytope extends: built once, on first use."""
         rows = [inequality(l, 0) for l in self.mov.inequality_rows()]
-        return _dd_state(rows, self.dim + 1)
+        return RationalPolytope.prefix(self.basis, self.dim, rows, self.eff.dual)
 
 
 def cone_geometry(
@@ -131,11 +125,11 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
 
     Inequalities: the movable cone's on the candidate, and the effective
     cone's on the leftover.  Salience of the effective cone bounds it; it
-    always contains the origin.  The movable rows come first, so the
-    vertex enumeration resumes from ``g.mov_start``.
+    always contains the origin.  It extends ``g.mov_start``, so the vertex
+    enumeration resumes from there.
     """
     _check_space(g, alpha)
-    rows = [inequality(l, 0) for l in g.mov.inequality_rows()]
+    rows = []
     for m in g.eff.inequality_rows():
         bound = dot(m, alpha.coords)
         if bound < 0:
@@ -144,10 +138,7 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
                 separating_functional=[rat_str(c) for c in m],
             )
         rows.append(inequality([-c for c in m], -bound))
-    polytope = RationalPolytope(
-        g.basis, g.dim, tuple(rows), dual=g.eff.dual, start=g.mov_start
-    )
-    return vertex_enumeration(polytope)
+    return vertex_enumeration(g.mov_start.extend(rows))
 
 
 @dataclass(frozen=True)
@@ -209,10 +200,9 @@ class DirectednessReport:
         failed = {f.vertex.coords for f in self.failures}
         if failed != vertex_coords:
             return False
-        return all(f.verify(self.eff) for f in self.failures) and pair_certified(
-            self.eff, self.polytope, *self.witness_pair,
-            self.pair_dominator_set_empty, self.pair_certificate,
-        )
+        return all(f.verify(self.eff) for f in self.failures) and dominator_set(
+            self.eff, self.polytope, *self.witness_pair
+        ).certifies(self.pair_dominator_set_empty, self.pair_certificate)
 
     def to_json(self) -> dict:
         payload: dict[str, Any] = {"status": self.status}
@@ -348,52 +338,22 @@ def _peel(gen_values, slack) -> tuple[Fraction, ...]:
     raise CycleConesError("representations disagree: peeling found no eff combination")
 
 
-def _dominators(eff: PolyCone, s: RationalPolytope, u, w) -> RationalPolytope:
-    """``s`` with one more row <l, z> >= max(<l, u>, <l, w>) per eff facet l."""
-    rows = tuple(
+def dominator_set(eff: PolyCone, s: RationalPolytope, u, w) -> RationalPolytope:
+    """{z in s : z dominates u and w}: ``s`` extended by one row <l, z> >=
+    max(<l, u>, <l, w>) per eff facet l; ``certifies`` re-checks a verdict."""
+    return s.extend(
         inequality(l, max(dot(l, u.coords), dot(l, w.coords)))
         for l in eff.inequality_rows()
     )
-    return RationalPolytope(
-        s.basis, s.dim, s.inequalities + rows, dual=s.dual, start=s.start
-    )
-
-
-def pair_certified(eff: PolyCone, s: RationalPolytope, u, w, empty, certificate) -> bool:
-    """Re-check a ``dominator_set_empty`` verdict on its certificate: a
-    point of the set, or y >= 0 whose combination of the set's rows is
-    zero but for a negative last entry."""
-    dominators = _dominators(eff, s, u, w)
-    rows = dominators.inequalities
-    if empty is True and certificate is not None:
-        return reproduces(certificate, [r[:-1] for r in rows], (0,) * s.dim) and (
-            dot(certificate, [r[-1] for r in rows]) < 0
-        )
-    return empty is False and certificate is not None and dominators.holds_at(certificate)
 
 
 def dominator_set_empty(
     g: ConeGeometry, s: RationalPolytope, u: ClassVector, w: ClassVector
 ) -> tuple[bool, tuple[Fraction, ...]]:
-    """Exact emptiness of {z in s : z dominates u and z dominates w}, and a
-    certificate: a point of the set, or a Farkas vector (Schrijver,
-    *Theory of Linear and Integer Programming*, §7).
-
-    Decided by one double description (``vertex_enumeration``) of the rows
-    of ``s`` plus <l, z> >= max(<l, u>, <l, w>) per eff facet l.  This is
-    the strong form of the witness: no point of the polytope, vertex or
-    not, dominates both.  When the set is empty, ``nonneg_solve`` on those
-    rows r_i = (a_i, -b_i) finds y >= 0 with sum y_i r_i = (0, ..., 0, -1),
-    so sum y_i a_i = 0 and sum y_i b_i = 1: no point satisfies every row.
-    """
-    dominators = _dominators(g.eff, s, u, w)
-    points = vertex_enumeration(dominators)
-    if points.vertices:
-        return False, points.vertices[0].coords
-    y = nonneg_solve(dominators.inequalities, (0,) * s.dim + (-1,))
-    if y is None:
-        raise CycleConesError("representations disagree: no Farkas vector for an empty set")
-    return True, y
+    """``emptiness`` of ``dominator_set(g.eff, s, u, w)`` with its point or
+    Farkas vector: the strong form of the witness, where an empty set
+    means no point of ``s``, vertex or not, dominates both."""
+    return emptiness(dominator_set(g.eff, s, u, w))
 
 
 def decompose(

@@ -27,8 +27,8 @@ from cyclecones.zariski import (
     cone_geometry,
     decompose,
     decomposition_polytope,
+    dominator_set,
     dominator_set_empty,
-    pair_certified,
     preceq_maximum,
     verify_decomposition,
 )
@@ -261,7 +261,7 @@ def test_directedness_rejects_witness_outside_polytope():
     tampered = replace(s, inequalities=s.inequalities + (cut,))
     y = list(report.pair_certificate)
     y.insert(len(s.inequalities), 0)
-    assert pair_certified(report.eff, tampered, u, w, True, tuple(y))
+    assert dominator_set(report.eff, tampered, u, w).certifies(True, tuple(y))
     assert not replace(report, polytope=tampered, pair_certificate=tuple(y)).verify()
 
 
@@ -289,7 +289,8 @@ def test_directedness_accepts_a_rescaled_farkas_vector():
     # a positive multiple of a Farkas vector proves the same emptiness
     report = _toric_no_maximum()
     doubled = tuple(2 * c for c in report.pair_certificate)
-    assert pair_certified(report.eff, report.polytope, *report.witness_pair, True, doubled)
+    dominators = dominator_set(report.eff, report.polytope, *report.witness_pair)
+    assert dominators.certifies(True, doubled)
     assert replace(report, pair_certificate=doubled).verify()
 
 
@@ -325,10 +326,10 @@ def test_decomposition_rejects_inexact_combinations():
 def test_pair_certificate_rejects_inexact_farkas_vector():
     report = _toric_no_maximum()
     tripled = tuple(3 * c for c in report.pair_certificate)  # integral
-    args = (report.eff, report.polytope, *report.witness_pair, True)
-    assert pair_certified(*args, tripled)
+    dominators = dominator_set(report.eff, report.polytope, *report.witness_pair)
+    assert dominators.certifies(True, tripled)
     inexact = tuple(map(float, tripled))
-    assert not pair_certified(*args, inexact)
+    assert not dominators.certifies(True, inexact)
     assert not replace(report, pair_certificate=inexact).verify()
 
 
@@ -338,8 +339,7 @@ def test_point_certificate_rejects_inexact_coordinates():
     report = _toric_no_maximum()
     u, w = report.witness_pair
     inexact = tuple(map(float, u.coords))
-    args = (report.eff, report.polytope, u, w, False)
-    assert not pair_certified(*args, inexact)
+    assert not dominator_set(report.eff, report.polytope, u, w).certifies(False, inexact)
     assert not replace(
         report, pair_dominator_set_empty=False, pair_certificate=inexact
     ).verify()
@@ -349,9 +349,9 @@ def test_point_certificate_rejects_inexact_coordinates():
         if not dominator_set_empty(g, s, *pair)[0]
     )
     point = dominator_set_empty(g, s, u, w)[1]
-    args = (report.eff, s, u, w, False)
-    assert pair_certified(*args, point)
-    assert not pair_certified(*args, tuple(map(float, point)))
+    dominators = dominator_set(report.eff, s, u, w)
+    assert dominators.certifies(False, point)
+    assert not dominators.certifies(False, tuple(map(float, point)))
 
 
 # -- decompositions: the optimum metadata -------------------------------------

@@ -245,6 +245,11 @@ def test_ring_eval_and_pair():
     )
     assert code == 0
     assert document["payload"]["coords"] == ["-6", "3"]
+    # a top-degree element carries its value; D1^3 = 0, so D1^4 is zero
+    for expr, value in (("D1^4", "0"), ("D1^2*D2^2", "1")):
+        document, code = run_json(["ring", "eval", "--fixture", "p2-hilb2", "--expr", expr])
+        assert code == 0
+        assert (document["payload"]["coords"], document["payload"]["top_value"]) == ([value], value)
     document, code = run_json(
         ["ring", "pair", "--fixture", "p2-hilb2", "--a", "S3", "--b", "S3"]
     )
@@ -520,8 +525,18 @@ GEOMETRY_DOC = {
     "objective": ["1", "1"],
 }
 
+# three-dimensional, so a section can be asked for, but eff has two rays
+DEGENERATE_DOC = {
+    "basis": "clideg3",
+    "dim": 3,
+    "mov": {"generators": [["1", "1", "0"]]},
+    "eff": {"generators": [["1", "0", "0"], ["0", "1", "0"]]},
+    "objective": ["1", "1", "1"],
+}
+
 # One run of every handler branch.  Each handler imports what only it needs
-# inside its body, so a missing import shows on its own branch alone.
+# inside its body, so a missing import shows on its own branch alone.  An
+# input error's row may end with its message.
 HANDLER_BRANCHES = [
     ("cone-convert", ["cone", "convert", "--input", "bench/data/cone-gens.json"], 0),
     ("cone-dual", ["cone", "dual", "--input", "bench/data/cone-ineqs.json"], 0),
@@ -530,6 +545,13 @@ HANDLER_BRANCHES = [
                               "--vector", "1,1,1,1,7"], 0),
     ("cone-contains-separated", ["cone", "contains", "--input", "bench/data/cone-gens.json",
                                  "--vector", "1,1,0,1,2"], 0),
+    # an empty field was dropped: these ran as 1,1,1,1,7 and 1,1,0,1,2
+    ("cone-contains-empty-coordinate", ["cone", "contains", "--input",
+                                        "bench/data/cone-gens.json", "--vector", "1,1,1,1,7,"],
+     1, "empty coordinate in '1,1,1,1,7,'"),
+    ("decompose-empty-coordinate", ["decompose", "--geometry", "toric-3fold:curves",
+                                    "--class", "1,1,,0,1,2"],
+     1, "empty coordinate in '1,1,,0,1,2'"),
     ("decompose-fixture", ["decompose", "--geometry", "toric-3fold:curves",
                            "--class", "1,1,0,1,2"], 0),
     ("decompose-objective", ["decompose", "--geometry", "{geometry}", "--class", "3,1",
@@ -539,6 +561,10 @@ HANDLER_BRANCHES = [
     ("decompose-plot-section-zero-class", ["decompose", "--geometry", "p2-hilb2:surfaces",
                                            "--class", "0,0,0", "--plot-section",
                                            "{tmp}/s.svg"], 0),
+    ("decompose-plot-section-degenerate", ["decompose", "--geometry", "{degenerate}",
+                                           "--class", "1,1,0", "--plot-section",
+                                           "{tmp}/s.svg"], 1,
+     "effective cone section is degenerate"),
     ("decompose-geometry-file", ["decompose", "--geometry", "{geometry}", "--class", "3,1"], 0),
     ("directed-fixture", ["directed", "--geometry", "toric-3fold:curves",
                           "--class", "1,1,0,1,2"], 0),
@@ -552,6 +578,12 @@ HANDLER_BRANCHES = [
                          "--brute-force"], 0),
     ("ring-eval-scalar", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "2/3+1"], 0),
     ("ring-eval-element", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "S3*E"], 0),
+    ("ring-eval-bad-character", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "S3 $ E"],
+     1, "bad expression near ' $ E'"),
+    ("ring-eval-stray-parenthesis", ["ring", "eval", "--fixture", "p2-hilb2",
+                                     "--expr", "S3 )"], 1, "unexpected token ')'"),
+    ("ring-eval-trailing-operator", ["ring", "eval", "--fixture", "p2-hilb2",
+                                     "--expr", "S3 +"], 1, "unexpected end of expression"),
     ("ring-eval-dual-class", ["ring", "eval", "--fixture", "m07-s7", "--expr", "2*S1"], 0),
     ("ring-eval-no-ring", ["ring", "eval", "--fixture", "toric-3fold", "--expr", "1"], 1),
     ("ring-pair", ["ring", "pair", "--fixture", "m07-s7", "--a", "(D1+3*D2)^2", "--b", "S1"], 0),
@@ -566,18 +598,24 @@ HANDLER_BRANCHES = [
 
 
 @pytest.mark.parametrize(
-    "argv, expected", [b[1:] for b in HANDLER_BRANCHES], ids=[b[0] for b in HANDLER_BRANCHES]
+    "argv, expected, message",
+    [(*b[1:], None)[:3] for b in HANDLER_BRANCHES],
+    ids=[b[0] for b in HANDLER_BRANCHES],
 )
-def test_every_handler_branch_exits_as_expected(argv, expected, tmp_path, monkeypatch):
+def test_every_handler_branch_exits_as_expected(argv, expected, message, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     geometry = write(tmp_path, "geometry.json", GEOMETRY_DOC)
-    argv = [a.format(tmp=tmp_path, geometry=geometry) for a in argv]
+    degenerate = write(tmp_path, "degenerate.json", DEGENERATE_DOC)
+    argv = [a.format(tmp=tmp_path, geometry=geometry, degenerate=degenerate) for a in argv]
     document, code = run_json(argv)
     assert (code, document["status"]) == (expected, list(cli._EXIT_CODES)[expected])
+    if message is not None:
+        assert document["payload"]["error"]["message"] == message
     if "--meta" in argv:
         assert "generated_at" in document["meta"]
     if "--plot-section" in argv:
-        assert (tmp_path / "s.svg").read_text().startswith("<svg")
+        svg = tmp_path / "s.svg"
+        assert svg.read_text().startswith("<svg") if expected == 0 else not svg.exists()
 
 
 TOO_LONG = "*".join(["(2^4000)"] * 4)  # 2^16000 has 4 817 digits, past the default limit

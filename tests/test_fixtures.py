@@ -216,8 +216,8 @@ def _set(path, value):
     return mutate
 
 
-# one replaced node each; each case but the last two exited 3 before the
-# loader checked it
+# one replaced node each; each case up to the huge degrees exited 3 before
+# the loader checked it.  A case may end with the error message's tail.
 MALFORMED = {
     "classes-null": ("toric-3fold", _set(("classes",), None), 1),
     "class-table-a-string": ("toric-3fold", _set(("classes", "toric3.curves"), "curves"), 1),
@@ -255,12 +255,50 @@ MALFORMED = {
     "ring-relation-not-homogeneous": (
         "p2-hilb2", _set(("ring", "relations", "D1^3"), {"D1": "1"}), 1
     ),
+    # top values with no top-degree basis to hold them exited 2 in the audit
+    "ring-top-values-above-the-basis": (
+        "p2-hilb2", _set(("ring", "max_monomial_degree"), 3), 1,
+        "p2-hilb2: top values need the degree-4 basis, above max_monomial_degree 3",
+    ),
+    # input errors that no other test reaches
+    "ring-monomial-negative-power": (
+        "p2-hilb2", _set(("ring", "relations", "D1^-1"), {}), 1,
+        "bad power in monomial 'D1^-1'",
+    ),
+    "ring-element-term-of-another-degree": (
+        "p2-hilb2", _set(("ring", "named", "elements", "S1", "terms"), {"D1": "1"}), 1,
+        "monomial D1 is not of degree 2",
+    ),
+    "ring-dual-class-undeclared-degree": (
+        "m07-s7", _set(("ring", "dual_classes", "elements", "S1", "degree"), 3), 1,
+        "m07-s7: no dual basis declared in degree 3",
+    ),
+    "ring-dual-class-wrong-length": (
+        "m07-s7", _set(("ring", "dual_classes", "elements", "S1", "coords"), ["0", "3"]), 1,
+        "dual coordinate length mismatch",
+    ),
+    "ring-dual-basis-names-mismatch": (
+        "m07-s7", _set(("ring", "dual_bases", "1", "names"), ["C1"]), 1,
+        "dual_bases['1'] names do not match the degree-1 monomial basis",
+    ),
+    "class-basis-undeclared": (
+        "p2-hilb2", _set(("classes", "p2h2.points"), {"source": "s", "coords": {"P": ["1"]}}),
+        1, "basis 'p2h2.points' is not declared",
+    ),
+    # a claim names alpha, now a class of both bases
+    "class-name-ambiguous": (
+        "toric-3fold",
+        lambda doc: doc["classes"]["toric3.divisors"]["coords"].update(
+            alpha=doc["classes"]["toric3.divisors"]["coords"]["D1"]
+        ),
+        1, "ambiguous class 'alpha'",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_fixture_node_is_not_an_internal_error(case, tmp_path):
-    name, mutate, expected = MALFORMED[case]
+    name, mutate, expected, *message = MALFORMED[case]
     doc = copy.deepcopy(load(name).raw)
     mutate(doc)
     path = tmp_path / f"{name}.json"
@@ -268,6 +306,8 @@ def test_malformed_fixture_node_is_not_an_internal_error(case, tmp_path):
     document, code = run(["fixture", str(path), "--verify"])
     status = {1: "input_error", 2: "domain_error"}[expected]
     assert (code, document["status"]) == (expected, status)
+    if message:
+        assert document["payload"]["error"]["message"].endswith(message[0])
 
 
 def test_unreadable_fixture_file_is_input_error(tmp_path):

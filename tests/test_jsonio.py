@@ -56,6 +56,13 @@ def test_vector_text_parsing():
     with pytest.raises(InputError) as caught:
         parse_vector_text("1,2", "io3v", 3)
     assert caught.value.message == "expected 3 coordinates in basis 'io3v', got 2"
+    # an empty field is an error, not a dropped coordinate
+    for text in ("1,,2,3", "1,2,3,", ",1,2,3", "1, ,2"):
+        with pytest.raises(InputError) as caught:
+            parse_vector_text(text, "io3v", 3)
+        assert caught.value.message == f"empty coordinate in {text!r}"
+    assert parse_vector_text("", "io0v", 0).coords == ()
+    assert parse_vector_text(" ", "io0v", 0).coords == ()
 
 
 def test_geometry_document():

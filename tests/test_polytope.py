@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from cyclecones.errors import CycleConesError, DomainError, InputError
+from cyclecones import polytope
 from cyclecones.polytope import (
     RationalPolytope,
+    emptiness,
+    inequality,
     maximize_linear,
     recession_direction,
     vertex_enumeration,
@@ -256,3 +259,45 @@ def test_simplex_with_no_rows_left():
     # phase two a positive cost is unbounded
     assert nonneg_solve([(), ()], ()) == (F(0), F(0))
     assert two_phase_simplex([], [], [F(1)])[0] == UNBOUNDED
+
+
+def test_extend_resumes_from_the_prefix():
+    # the triangle as the quadrant's prefix system extended by x + y <= 1;
+    # extending a system drops its vertices and keeps the prefix
+    quadrant = [inequality((1, 0), 0), inequality((0, 1), 0)]
+    prefix = RationalPolytope.prefix("pt2", 2, quadrant, "pt2*")
+    assert prefix.start.rows == 2
+    p = prefix.extend([inequality((-1, -1), -1)])
+    assert p == triangle() and p.start is prefix.start
+    enumerated = vertex_enumeration(p)
+    assert enumerated == vertex_enumeration(triangle())
+    cut = enumerated.extend([inequality((-1, 0), F(-1, 2))])
+    assert cut.vertices is None and cut.start is prefix.start
+    half = F(1, 2)
+    assert coords(vertex_enumeration(cut).vertices) == [(0, 0), (0, 1), (half, 0), (half, half)]
+    with pytest.raises(InputError):
+        prefix.extend([(1, 0)])
+
+
+def test_emptiness_is_certified_by_a_point_or_a_farkas_vector():
+    # a point checks by holds_at; y >= 0 cancels the rows but for a negative
+    # last entry, and a rescaled y proves the same; neither proves the
+    # flipped verdict
+    empty = RationalPolytope.from_inequalities("pt1", 1, [((1,), 1), ((-1,), 0)])
+    verdict, y = emptiness(empty)
+    assert verdict is True and empty.certifies(True, y)
+    assert empty.certifies(True, tuple(3 * c for c in y))
+    assert not empty.certifies(False, y) and not empty.certifies(True, (0,) * len(y))
+    verdict, point = emptiness(triangle())
+    assert (verdict, point) == (False, (0, 0)) and triangle().certifies(False, point)
+    assert not triangle().certifies(True, point)
+    assert not triangle().certifies(False, (1, 1)) and not triangle().certifies(False, (0.0, 0.0))
+    assert not triangle().certifies(False, None) and not empty.certifies(True, None)
+
+
+def test_empty_system_without_a_farkas_vector_is_an_internal_error(monkeypatch):
+    empty = RationalPolytope.from_inequalities("pt1", 1, [((1,), 1), ((-1,), 0)])
+    monkeypatch.setattr(polytope, "nonneg_solve", lambda rows, target: None)
+    with pytest.raises(CycleConesError) as caught:
+        emptiness(empty)
+    assert caught.value.message == "representations disagree: no Farkas vector for an empty set"

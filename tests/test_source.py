@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from cyclecones import FIXTURE_NAMES, fixtures
@@ -46,3 +47,28 @@ def test_every_packaged_claim_fits_its_check_signature():
             keys = {k for k in raw.get("args", {}) if not _is_source_key(k)}
             assert claim.args.keys() == keys, (name, claim.id)
             assert required <= keys <= declared, (name, claim.id)
+
+
+def test_zariski_builds_its_systems_through_polytope():
+    # polytope owns the homogenized systems: zariski imports no private
+    # name of cones or polytope and nothing of the simplex, and the double
+    # description state is named only where it is made and resumed
+    tree = ast.parse((SRC / "zariski.py").read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert ("polytope", "RationalPolytope") in imports
+    assert [
+        (module, name)
+        for module, name in imports
+        if module == "simplex" or (module in ("cones", "polytope") and name.startswith("_"))
+    ] == []
+    holders = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if re.search(r"\b(DDState|_dd_state)\b", path.read_text(encoding="utf-8"))
+    )
+    assert holders == ["cones.py", "polytope.py"]

@@ -20,13 +20,12 @@ from cyclecones.projbundle import (
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import (
     ConeGeometry,
-    _dominators,
     cone_geometry,
     decompose,
     decomposition_polytope,
+    dominator_set,
     dominator_set_empty,
     negative_boundary_check,
-    pair_certified,
     preceq_maximum,
     validate_objective,
     verify_decomposition,
@@ -234,7 +233,7 @@ def test_polytope_rows_are_the_homogenized_affine_rows(toric):
     random.Random(1_531).shuffle(pairs)
     for s, rows, u, w in pairs[:8]:
         want = [int_primitive((*a, -b)) for a, b in affine_dominator_rows(toric, rows, u, w)]
-        assert list(_dominators(toric.eff, s, u, w).inequalities) == want
+        assert list(dominator_set(toric.eff, s, u, w).inequalities) == want
 
 
 def test_vertex_order_is_the_fraction_tuple_sort(toric_reports):
@@ -281,8 +280,9 @@ def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
         empty, certificate = dominator_set_empty(toric, s, u, w)
         if seen[empty] < 8:
             assert empty == lp_dominator_set_empty(toric, s, u, w)
-            assert pair_certified(toric.eff, s, u, w, empty, certificate)
-            assert not pair_certified(toric.eff, s, u, w, not empty, certificate)
+            dominators = dominator_set(toric.eff, s, u, w)
+            assert dominators.certifies(empty, certificate)
+            assert not dominators.certifies(not empty, certificate)
             seen[empty] += 1
         if min(seen.values()) == 8:
             break
@@ -515,10 +515,10 @@ def test_resumed_double_description_matches_a_cold_one(rng):
     pairs = 0
     for g, alpha in cases:
         s = decomposition_polytope(g, alpha)
-        assert s.start is g.mov_start and s.start.rows == len(g.mov.inequalities)
+        assert s.start is g.mov_start.start and s.start.rows == len(g.mov.inequalities)
         systems = [s]
         if len(s.vertices) > 1:
-            systems.append(_dominators(g.eff, s, *s.vertices[-2:]))
+            systems.append(dominator_set(g.eff, s, *s.vertices[-2:]))
             pairs += 1
         for p in systems:
             rows = (*p.inequalities, (0,) * p.dim + (1,))
