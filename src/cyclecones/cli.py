@@ -193,11 +193,10 @@ def _ring_value_json(ring, value) -> dict:
     from .rings import DualClass, RingElement, format_monomial
 
     if isinstance(value, DualClass):
-        layer = ring.dual_layers[value.degree]
         return {
             "kind": "dual-class",
             "degree": value.degree,
-            "basis": list(layer.names),
+            "basis": list(value.basis),
             "coords": [rat_str(c) for c in value.coords],
         }
     if not isinstance(value, RingElement):
@@ -205,9 +204,7 @@ def _ring_value_json(ring, value) -> dict:
     payload = {
         "kind": "element",
         "degree": value.degree,
-        "monomial_basis": [
-            format_monomial(m, ring.generators) for m in ring.monomial_basis(value.degree)
-        ],
+        "monomial_basis": [format_monomial(m, ring.generators) for m in value.basis],
         "coords": [rat_str(c) for c in value.coords],
     }
     if value.degree == ring.top_degree and ring.top_values is not None:

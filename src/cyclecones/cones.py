@@ -467,16 +467,11 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     if vector.basis != cone.basis or vector.dim != cone.dim:
         raise InputError("vector not in the cone's coordinate space")
     full = cone if cone.canonical else dd_convert(cone)
-    gens = full.generator_rows()
     point = int_primitive(vector.coords)
     cut = violated(full.inequality_rows(), point)
     if cut is not None:
         return ContainsResult(full, vector, False, separating=full.inequalities[cut])
-    if not any(point):
-        return ContainsResult(
-            full, vector, True, combination=(Fraction(0),) * len(gens)
-        )
-    coeffs = nonneg_solve(gens, vector.coords)
+    coeffs = nonneg_solve(full.generator_rows(), vector.coords)
     if coeffs is None:
         raise CycleConesError(
             "representations disagree: inequalities accept a vector the "

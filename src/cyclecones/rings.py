@@ -8,10 +8,12 @@ consistency audit recomputes everything along independent paths and reports
 (never hides) disagreements in the presented data.
 
 Ring elements and dual classes are one kind of value, a ``GradedClass``:
-a ring, a degree, and dense exact coordinates over the fixed basis of that
-degree, the normal-form monomials or the named dual basis.  A presentation
-computes its monomial bases once, when it is built.  Adding classes of
-different kinds, rings or degrees is an input error.
+a ring, a degree, and dense exact coordinates over the fixed ``basis`` of
+that degree, the normal-form monomials or the named dual basis, whose
+length a class checks when built.  A presentation computes its monomial
+bases once, when it is built, and checks that each dual layer names one
+class per monomial of its degree.  Adding classes of different kinds,
+rings or degrees is an input error.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ class GradedClass:
     degree: int
     coords: tuple[int | Fraction, ...]
 
+    def __post_init__(self):
+        if len(self.coords) != len(self.basis):
+            raise InputError(f"{self.side} coordinate length mismatch")
+
     def __add__(self, other):
         if type(other) is not type(self):
             raise InputError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
@@ -116,14 +122,18 @@ class GradedClass:
 
 
 class RingElement(GradedClass):
-    """A graded element on the monomial (cohomology) side, in normal form;
-    its basis is ``ring.monomial_basis(degree)``."""
+    """A graded element on the monomial (cohomology) side, in normal form."""
+
+    side = "monomial"
+
+    @property
+    def basis(self) -> tuple[Monomial, ...]:
+        return self.ring.monomial_basis(self.degree)
 
     @property
     def terms(self) -> tuple[tuple[Monomial, int | Fraction], ...]:
         """The nonzero ``(monomial, coefficient)`` pairs, in basis order."""
-        basis = self.ring.monomial_basis(self.degree)
-        return tuple((m, c) for m, c in zip(basis, self.coords) if c)
+        return tuple((m, c) for m, c in zip(self.basis, self.coords) if c)
 
     def __repr__(self):
         if not self.terms:
@@ -138,6 +148,14 @@ class RingElement(GradedClass):
 class DualClass(GradedClass):
     """An element of the homology side, in a declared dual named basis;
     its degree is the monomial degree it pairs against."""
+
+    side = "dual"
+
+    @property
+    def basis(self) -> tuple[str, ...]:
+        if self.degree not in self.ring.dual_layers:
+            raise InputError(f"{self.ring.name}: no dual basis declared in degree {self.degree}")
+        return self.ring.dual_layers[self.degree].names
 
 
 @dataclass(frozen=True)
@@ -186,6 +204,12 @@ class RingPresentation:
         bases = {d: tuple(sorted(filter(self.is_normal, self._all_monomials(d)), reverse=True))
                  for d in range(self.max_monomial_degree + 1)}
         object.__setattr__(self, "_bases", bases)
+        for degree, layer in self.dual_layers.items():
+            at, names = f"{self.name}: dual_bases[{str(degree)!r}]", layer.names
+            if any(len(row) != len(names) for row in (layer.cap_images or {}).values()):
+                raise InputError(f"{at}: a cap relation row is not {len(names)} long")
+            if len(names) != len(bases.get(degree, ())):
+                raise InputError(f"{at} names do not match the degree-{degree} monomial basis")
 
     # -- monomial bases -------------------------------------------------
 
@@ -239,13 +263,7 @@ class RingPresentation:
         return self.element(1, {name: 1})
 
     def dual_class(self, degree: int, coords) -> DualClass:
-        layer = self.dual_layers.get(degree)
-        if layer is None:
-            raise InputError(f"{self.name}: no dual basis declared in degree {degree}")
-        coords = tuple(rat(c) for c in coords)
-        if len(coords) != len(layer.names):
-            raise InputError("dual coordinate length mismatch")
-        return DualClass(self, degree, coords)
+        return DualClass(self, degree, tuple(rat(c) for c in coords))
 
     # -- rewriting -------------------------------------------------------
 

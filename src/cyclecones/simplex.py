@@ -94,7 +94,9 @@ def solve_standard(matrix, rhs, ncols: int) -> tuple[Fraction, ...] | None:
 
 def nonneg_solve(columns: Sequence[Sequence[Fraction]], target) -> tuple | None:
     """Find coefficients c >= 0 with sum_j c_j * columns[j] = target, or None."""
+    if not any(target):  # phase one keeps a zero rhs, so it would find this too
+        return (Fraction(0),) * len(columns)
     if not columns:
-        return () if all(x == 0 for x in target) else None
+        return None
     matrix = [list(row) for row in zip(*columns)]
     return solve_standard(matrix, target, len(columns))

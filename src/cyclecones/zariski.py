@@ -1,6 +1,7 @@
 """Decomposition engine over explicit movable/pseudo-effective cone data.
 
-Given the two cones and a pseudo-effective class, the candidate positive
+A ``ConeGeometry`` converts its two cones and checks them itself, however
+it is built.  Given one and a pseudo-effective class, the candidate positive
 parts form a bounded polytope: movable classes dominated by the input.
 A positive part is selected by exact maximization of a degree functional
 (strictly positive on the effective cone).  A domination-order maximum of
@@ -49,7 +50,8 @@ from .vectors import ClassVector
 
 @dataclass(frozen=True)
 class ConeGeometry:
-    """Validated cone data: movable inside pseudo-effective, both converted."""
+    """Cone data that converts both cones and checks them when built: one
+    space, eff salient, mov inside eff, a degree functional positive on eff."""
 
     name: str
     mov: PolyCone
@@ -57,8 +59,20 @@ class ConeGeometry:
     degree_functional: ClassVector | None = None
 
     def __post_init__(self):
-        if not (self.mov.canonical and self.eff.canonical):
-            raise InputError("cone geometry needs converted cones (use cone_geometry)")
+        mov, eff = self.mov, self.eff
+        if (mov.basis, mov.dim, mov.dual) != (eff.basis, eff.dim, eff.dual):
+            raise InputError("movable and effective cones live in different spaces")
+        object.__setattr__(self, "eff", dd_convert(eff))
+        object.__setattr__(self, "mov", dd_convert(mov))
+        if not is_salient(self.eff):
+            raise DomainError("effective cone must be salient")
+        eff_rows = self.eff.inequality_rows()
+        for g in self.mov.generators:
+            if violated(eff_rows, g.coords) is not None:
+                raise InputError("movable cone is not contained in the effective cone; "
+                                 f"offending generator {[rat_str(c) for c in g.coords]}")
+        if self.degree_functional is not None:
+            validate_objective(self, self.degree_functional)
 
     @property
     def basis(self) -> str:
@@ -82,24 +96,8 @@ def cone_geometry(
     eff: PolyCone,
     degree_functional: ClassVector | None = None,
 ) -> ConeGeometry:
-    """Build a ConeGeometry, enforcing every structural precondition."""
-    if (mov.basis, mov.dim, mov.dual) != (eff.basis, eff.dim, eff.dual):
-        raise InputError("movable and effective cones live in different spaces")
-    eff = dd_convert(eff)
-    mov = dd_convert(mov)
-    if not is_salient(eff):
-        raise DomainError("effective cone must be salient")
-    eff_rows = eff.inequality_rows()
-    for g in mov.generators:
-        if violated(eff_rows, g.coords) is not None:
-            raise InputError(
-                "movable cone is not contained in the effective cone; "
-                f"offending generator {[rat_str(c) for c in g.coords]}"
-            )
-    geometry = ConeGeometry(name, mov, eff, degree_functional)
-    if degree_functional is not None:
-        validate_objective(geometry, degree_functional)
-    return geometry
+    """Build a ConeGeometry; its constructor converts and checks the cones."""
+    return ConeGeometry(name, mov, eff, degree_functional)
 
 
 def validate_objective(g: ConeGeometry, objective: ClassVector) -> None:
@@ -375,11 +373,10 @@ def decompose(
     it is the domination maximum, hence the unique optimum, a one-vertex
     face.  Only a class outside mov takes the vertex enumeration.
     """
-    if objective is None:
-        objective = g.degree_functional
-    if objective is None:
+    if objective is not None:
+        validate_objective(g, objective)  # the geometry checked its own
+    elif (objective := g.degree_functional) is None:
         raise InputError("no objective supplied and the geometry has no default")
-    validate_objective(g, objective)
     _check_space(g, alpha)
 
     if violated(g.mov.inequality_rows(), alpha.coords) is None:
@@ -452,17 +449,18 @@ def _metadata(g: ConeGeometry, objective, value, face, is_max: bool) -> dict[str
 def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
     """Re-verify a decomposition against its geometry from scratch.
 
-    The split and both membership combinations are checked by arithmetic.
+    The record checked its split when built; both membership combinations
+    are checked by arithmetic.
     One recomputation for the recorded objective, which must be valid,
     checks the rest: the positive part heads the optimal face, the
     ``preceq_maximum`` report verifies, and the metadata (geometry name
     included) is what ``decompose`` records, with the report's certified
     verdict (a maximum, at the positive part) in place of the kernel test
-    ``decompose`` decided it by.  A malformed record fails.
+    ``decompose`` decided it by.  A malformed record fails; a budget or a
+    fault raises.
     """
-    if (dec.positive + dec.negative).coords != dec.input.coords:
-        return False
     try:
+        _check_space(g, dec.input)
         for fact, cone, part in (
             ("positive-part-movable", g.mov, dec.positive),
             ("negative-part-pseudo-effective", g.eff, dec.negative),
@@ -474,11 +472,12 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
                 return False
         objective = ClassVector(g.eff.dual, tuple(dec.metadata["objective"]))
         validate_objective(g, objective)
-        s = decomposition_polytope(g, dec.input)
-        value, face = maximize_linear(s, objective)
-        report = preceq_maximum(g, s)
-    except (KeyError, TypeError, CycleConesError):
+    except (KeyError, TypeError, InputError):
         return False
+    # the combinations put the input in eff: no error below is the record's
+    s = decomposition_polytope(g, dec.input)
+    value, face = maximize_linear(s, objective)
+    report = preceq_maximum(g, s)
     is_max = report.status == "maximum" and report.maximum.coords == face[0].coords
     return (
         report.verify()

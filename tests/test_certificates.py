@@ -14,8 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 import pytest
 
+from cyclecones import cones, zariski
 from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
+from cyclecones.errors import CycleConesError, DomainError
 from cyclecones.fixtures.checks import check_combination_reproduces
 from cyclecones.linalg import dot, reproduces
 from cyclecones.polytope import RationalPolytope, inequality, vertex_enumeration
@@ -526,3 +528,43 @@ def test_decomposition_requires_the_proof_it_builds_to_verify(which, monkeypatch
     honest = zariski.preceq_maximum
     monkeypatch.setattr(zariski, "preceq_maximum", lambda g, s: forge(honest(g, s)))
     assert not verify_decomposition(g, dec)
+
+
+# -- decompositions: what the verifier does not call a wrong record ----------
+
+
+def test_verifier_work_budget_raises_instead_of_failing_the_record(monkeypatch):
+    # decompose returns a movable class with no double description; the
+    # verifier recomputes its polytope, whose budget error used to read as a
+    # forged record (False), as on tests/data/hd10.json's movable class
+    g = _toric_geometry()
+    dec = decompose(g, ClassVector("toric3.curves", TORIC_M[5]))
+    assert dec.negative.is_zero()
+    monkeypatch.setattr(cones, "_MAX_DD_PAIRS", 1)
+    with pytest.raises(DomainError, match="pair-test budget"):
+        verify_decomposition(g, dec)
+
+
+def test_verifier_internal_fault_raises_instead_of_failing_the_record(monkeypatch):
+    g = _geometry()
+    dec = decompose(g, _vector((3, 2)))  # a certified maximum: the report peels
+
+    def broken(gen_values, slack):
+        raise CycleConesError("representations disagree: peeling found no eff combination")
+
+    monkeypatch.setattr(zariski, "_peel", broken)
+    with pytest.raises(CycleConesError, match="peeling found no eff combination"):
+        verify_decomposition(g, dec)
+
+
+def test_verifier_fails_records_outside_the_geometry_before_any_double_description(
+    monkeypatch,
+):
+    g = _geometry()
+    dec = decompose(g, _vector((3, 2)))
+    monkeypatch.setattr(cones, "_MAX_DD_PAIRS", 0)  # any double description raises
+    outside = _vector((-1, 2))  # not pseudo-effective
+    assert not verify_decomposition(g, replace(dec, input=outside, negative=outside - dec.positive))
+    for vector in (_vector((3,)), _vector((3, 2, 0)), ClassVector("other", (3, 2))):
+        record = replace(dec, input=vector, positive=vector, negative=vector.scale(0))
+        assert not verify_decomposition(g, record)

@@ -176,10 +176,16 @@ def test_alpha_not_movable_with_separating_functional():
 
 
 def test_zero_vector_in_any_cone():
-    cone = PolyCone.from_generators("cx2", [(1, 0)])
+    # the zero combination: one Fraction zero per canonical generator, and
+    # none for the zero cone
+    cone = PolyCone.from_generators("cx2", [(1, 0), (1, 1), (0, 1)])
     zero = ClassVector("cx2", (0, 0))
     verdict = contains(cone, zero)
     assert verdict and verdict.verify()
+    assert verdict.combination == (0, 0)
+    assert all(type(c) is Fraction for c in verdict.combination)
+    verdict = contains(zero_cone("cx2", 2), zero)
+    assert verdict and verdict.verify() and verdict.combination == ()
 
 
 # -- is_salient / extremal_rays --------------------------------------------

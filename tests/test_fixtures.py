@@ -281,6 +281,11 @@ MALFORMED = {
         "m07-s7", _set(("ring", "dual_bases", "1", "names"), ["C1"]), 1,
         "dual_bases['1'] names do not match the degree-1 monomial basis",
     ),
+    # a layer above max_monomial_degree has no monomial basis to match (exit 2 before)
+    "ring-dual-basis-above-the-declared-degrees": (
+        "m07-s7", _set(("ring", "dual_bases", "3"), {"names": ["X"]}), 1,
+        "m07-s7: dual_bases['3'] names do not match the degree-3 monomial basis",
+    ),
     "class-basis-undeclared": (
         "p2-hilb2", _set(("classes", "p2h2.points"), {"source": "s", "coords": {"P": ["1"]}}),
         1, "basis 'p2h2.points' is not declared",

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecones import cli, linalg, negdef
+from cyclecones.decomposition import Decomposition
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine
+from cyclecones.vectors import ClassVector
 from cyclecones.negdef import (
     PairingBasis,
     brute_force,
@@ -481,3 +483,20 @@ def test_brute_force_property_against_oracle_and_support_growth(instance):
     except DomainError:
         return
     assert fast.to_json() == expected
+
+
+def test_verify_fails_a_record_outside_the_pairing_space():
+    # zip used to truncate the mismatch: the 1-coordinate record verified,
+    # and the 3-coordinate one raised IndexError
+    basis = PairingBasis(("a", "b"), ((-2, 1), (1, -2)))
+    name = basis.basis_name
+    for basis_name, input_, positive, negative in (
+        (name, (1,), (0,), (1,)),
+        (name, (1, 0, 0), (0, 0, 0), (1, 0, 0)),
+        ("pairing[b,a]", (1, 0), (0, 0), (1, 0)),
+    ):
+        record = Decomposition(
+            *(ClassVector(basis_name, v) for v in (input_, positive, negative)), (), {}
+        )
+        assert not verify(basis, record)
+    assert verify(basis, decompose(basis, (1, 0)))

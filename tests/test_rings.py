@@ -367,3 +367,47 @@ def test_audit_reports_top_monomials_the_top_values_leave_out():
     ]
     assert report.gram_matrices == {} and report.confluence_products_checked == 18
     assert consistency_audit(hilb_ring()).findings == ()
+
+
+def test_directly_built_classes_check_their_basis():
+    # m07-s7's degree-2 dual layer has 3 names; a DualClass built directly
+    # with 1 or 4 coordinates used to be accepted and to pair to 5 against
+    # the first basis monomial, while dual_class refused the same data
+    from cyclecones.fixtures import load
+    from cyclecones.rings import DualClass, RingElement
+
+    ring = load("m07-s7").ring
+    assert DualClass(ring, 2, (5, 7, 9)).basis == ("T1", "T2", "T3")
+    for degree, coords, message in (
+        (2, (5,), "dual coordinate length mismatch"),
+        (2, (5, 7, 9, 11), "dual coordinate length mismatch"),
+        (3, (1,), "m07-s7: no dual basis declared in degree 3"),
+    ):
+        for build in (DualClass, lambda ring, *args: ring.dual_class(*args)):
+            with pytest.raises(InputError) as caught:
+                build(ring, degree, coords)
+            assert caught.value.message == message
+    assert RingElement(ring, 1, (1, 2)).basis == ring.monomial_basis(1)
+    with pytest.raises(InputError) as caught:
+        RingElement(ring, 1, (1, 2, 3))
+    assert caught.value.message == "monomial coordinate length mismatch"
+
+
+def test_presentation_checks_its_dual_layers():
+    # a degree-1 dual layer with one name on generators a, b used to pair
+    # a + b against that name to 1, with a cap image (6,); the fixture
+    # loader refused the same document
+    def ring(layer):
+        return RingPresentation("short", ("a", "b"), 2, {}, None, 2, dual_layers={1: layer})
+
+    with pytest.raises(InputError) as caught:
+        ring(DualLayer(1, ("C1",), {(1, 0): (F(1),), (0, 1): (F(5),)}))
+    assert caught.value.message == (
+        "short: dual_bases['1'] names do not match the degree-1 monomial basis"
+    )
+    with pytest.raises(InputError) as caught:
+        ring(DualLayer(1, ("C1", "C2"), {(1, 0): (F(1),), (0, 1): (F(5), F(0))}))
+    assert caught.value.message == "short: dual_bases['1']: a cap relation row is not 2 long"
+    good = ring(DualLayer(1, ("C1", "C2"), {(1, 0): (F(1), F(0)), (0, 1): (F(5), F(1))}))
+    a_plus_b = good.generator("a") + good.generator("b")
+    assert good.cap_image_from_relations(a_plus_b).coords == (6, 1)

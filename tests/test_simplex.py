@@ -154,3 +154,18 @@ def test_simplex_pivot_budget(monkeypatch):
     assert caught.value.details == {"rows": 2, "columns": 2, "pivots": 1}
     # a system solved without a pivot stays within any budget
     assert nonneg_solve([(0, 0)], (0, 0)) == (F(0),)
+
+
+def test_zero_target_is_the_phase_one_combination():
+    # nonneg_solve answers a zero target without a phase one; phase one keeps
+    # a zero rhs through every pivot, so it finds the same Fraction zeros
+    rng = random.Random(7_041_968)
+    for _ in range(200):
+        columns, target, _ = _random_system(rng)
+        zero = (0,) * len(target)
+        if columns:
+            matrix = [list(row) for row in zip(*columns)]
+            want = simplex.solve_standard(matrix, zero, len(columns))
+            assert nonneg_solve(columns, zero) == want == (Fraction(0),) * len(columns)
+            assert all(type(c) is Fraction for c in want)
+    assert nonneg_solve([], (0, 0)) == () and nonneg_solve([], (0, 1)) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cyclecones import FIXTURE_NAMES, zariski
-from cyclecones.cones import PolyCone, contains, double_description
+from cyclecones.cones import PolyCone, contains, dd_convert, double_description
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine, dot, int_primitive, reproduces, violated
 from cyclecones.projbundle import (
@@ -95,15 +96,80 @@ def test_eff_must_be_salient():
         cone_geometry("bad", eff, eff)
 
 
+INVALID_GEOMETRIES = [
+    (
+        PolyCone.from_generators("zv2", [(1, 1)]),
+        PolyCone.from_generators("zv2", [(1, 0), (0, 1)], dual="zv2.div"),
+        InputError,
+        "movable and effective cones live in different spaces",
+    ),
+    (
+        PolyCone.from_generators("zv2", [(1, 0)]),
+        PolyCone.from_generators("zv2", [(1, 0), (-1, 0), (0, 1)]),
+        DomainError,
+        "effective cone must be salient",
+    ),
+    (
+        PolyCone.from_generators("zv2", [(0, 1)]),
+        PolyCone.from_generators("zv2", [(1, 0), (1, 1)]),
+        InputError,
+        "movable cone is not contained in the effective cone; offending generator ['0', '1']",
+    ),
+]
+
+
 def test_geometry_needs_converted_cones():
-    # preceq_maximum reads the converted eff cone's integer facet rows
+    # preceq_maximum reads the converted eff cone's integer facet rows, so a
+    # geometry converts raw cones itself, and an invalid pair raises
+    # cone_geometry's errors whichever way it is built
     eff = PolyCone.from_generators("zv2", [(1, 0), (0, 1)])
     g = cone_geometry("good", eff, eff)
-    with pytest.raises(InputError):
-        ConeGeometry("bad", g.mov, eff)
-    with pytest.raises(InputError):
-        ConeGeometry("bad", eff, g.eff)
+    assert g.mov.canonical and g.eff.canonical
+    assert ConeGeometry("good", g.mov, eff) == ConeGeometry("good", eff, g.eff) == g
     assert ConeGeometry("good", g.mov, g.eff) == g
+    for mov, eff, error, message in INVALID_GEOMETRIES:
+        for build in (cone_geometry, ConeGeometry):
+            with pytest.raises(error) as caught:
+                build("bad", mov, eff)
+            assert str(caught.value) == message
+
+
+def test_directly_built_geometry_checks_mov_inside_eff():
+    # converted cones used to pass straight through the constructor: with mov
+    # outside eff, decompose of (0, 1), which is not in eff, returned itself
+    # as a certified maximum
+    mov = dd_convert(PolyCone.from_generators("zv2", [(0, 1), (1, 1)]))
+    eff = dd_convert(PolyCone.from_generators("zv2", [(1, 0), (1, 1)]))
+    with pytest.raises(InputError, match="movable cone is not contained"):
+        ConeGeometry("bad", mov, eff, ClassVector("zv2*", (1, 1)))
+
+
+def test_directly_built_geometry_checks_its_objective():
+    eff = PolyCone.from_generators("zv2", [(1, 0), (0, 1)])
+    with pytest.raises(InputError, match="not strictly positive"):
+        ConeGeometry("bad", eff, eff, ClassVector("zv2*", (1, 0)))
+    with pytest.raises(InputError, match="dual basis"):
+        ConeGeometry("bad", eff, eff, ClassVector("zv2", (1, 1)))
+
+
+def test_geometry_from_raw_cones_equals_cone_geometry(toric):
+    eff = PolyCone.from_generators("toric3.curves", TORIC_C, dual="toric3.divisors")
+    mov = PolyCone.from_generators("toric3.curves", TORIC_M, dual="toric3.divisors")
+    objective = ClassVector("toric3.divisors", TORIC_OBJECTIVE)
+    g = ConeGeometry("toric", mov, eff, objective)
+    assert g == cone_geometry("toric", mov, eff, objective) == toric
+    assert dataclasses.replace(g, name="other").eff is g.eff  # converted once
+
+
+def test_decompose_validates_only_a_passed_objective(toric, monkeypatch):
+    # the geometry checked its own degree functional when it was built
+    calls = []
+    monkeypatch.setattr(zariski, "validate_objective", lambda g, c: calls.append(c))
+    alpha = ClassVector("toric3.curves", TORIC_ALPHA)
+    decompose(toric, alpha)
+    assert calls == []
+    decompose(toric, alpha, toric.degree_functional.scale(2))
+    assert calls == [toric.degree_functional.scale(2)]
 
 
 def test_objective_validation_lists_offending_ray():
