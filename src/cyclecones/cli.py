@@ -66,19 +66,18 @@ def _cone_payload(args) -> dict:
     if args.cone_op == "rays":
         # extremal_rays raises on a non-salient cone, so "salient" is always true
         return {"salient": True, "rays": rows_to_json(extremal_rays(cone))}
-    if args.cone_op == "contains":
-        vector = parse_vector_text(args.vector, cone.basis, cone.dim)
-        verdict = contains(cone, vector)
-        payload = {"member": bool(verdict), "verified": verdict.verify()}
-        if verdict.member:
-            payload["combination"] = [rat_str(c) for c in verdict.combination]
-            payload["generators"] = rows_to_json(verdict.cone.generators)
-        else:
-            payload["separating_functional"] = [
-                rat_str(c) for c in verdict.separating.coords
-            ]
-        return payload
-    raise InputError(f"unknown cone operation {args.cone_op!r}")
+    # argparse admits no other operation than "contains" here
+    vector = parse_vector_text(args.vector, cone.basis, cone.dim)
+    verdict = contains(cone, vector)
+    payload = {"member": bool(verdict), "verified": verdict.verify()}
+    if verdict.member:
+        payload["combination"] = [rat_str(c) for c in verdict.combination]
+        payload["generators"] = rows_to_json(verdict.cone.generators)
+    else:
+        payload["separating_functional"] = [
+            rat_str(c) for c in verdict.separating.coords
+        ]
+    return payload
 
 
 def _decompose_payload(args) -> dict:
@@ -178,15 +177,10 @@ def _ring_payload(args) -> dict:
     if args.ring_op == "eval":
         value = evaluate(args.expr, fixture.ring, names)
         return {"expr": args.expr, **_ring_value_json(fixture.ring, value)}
-    if args.ring_op == "pair":
-        a = evaluate(args.a, fixture.ring, names)
-        b = evaluate(args.b, fixture.ring, names)
-        return {
-            "a": args.a,
-            "b": args.b,
-            "value": rat_str(fixture.ring.pair(a, b)),
-        }
-    raise InputError(f"unknown ring operation {args.ring_op!r}")
+    # argparse admits no other operation than "pair" here
+    a = evaluate(args.a, fixture.ring, names)
+    b = evaluate(args.b, fixture.ring, names)
+    return {"a": args.a, "b": args.b, "value": rat_str(fixture.ring.pair(a, b))}
 
 
 def _ring_value_json(ring, value) -> dict:
@@ -357,7 +351,7 @@ def run(argv) -> tuple[dict, int]:
         "payload": payload,
         "diagnostics": diagnostics,
     }
-    if getattr(args, "meta", False):
+    if args.meta:
         import datetime
 
         document["meta"] = {

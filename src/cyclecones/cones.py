@@ -109,9 +109,11 @@ def double_description(
     ``start``, when given, is ``_dd_state`` of exactly the first
     ``start.rows`` of ``rows``, in ``dim``: the call skips those rows
     unread and resumes from the state after them (the method is
-    incremental).  The prefix's pair tests count toward the budget, so a
-    resumed call returns what a cold call returns, rays in the same order,
-    and fails at the same ``row`` with the same ``pairs``.
+    incremental).  A cold call, with no ``start``, resumes the same way
+    from the empty state (``_dd_state``).  The prefix's pair tests count
+    toward the budget, so a resumed call returns what a cold call returns,
+    rays in the same order, and fails at the same ``row`` with the same
+    ``pairs``.
     """
     state = _dd_state(rows, dim, start)
     return state.lineality, dict(zip(state.rays, state.tight))
@@ -121,20 +123,16 @@ def _dd_state(
     rows: Iterable[Sequence[Fraction]], dim: int, start: DDState | None = None
 ) -> DDState:
     """The state of ``double_description(rows, dim, start)`` after its last
-    row: the insertion loop itself, which ``double_description`` reads off."""
+    row: the insertion loop itself, which ``double_description`` reads off.
+    A cold call, with no ``start``, resumes from the empty state: no row
+    read, the whole space as lineality, no ray and no pair tested."""
     if start is None:
-        lineality: list[tuple[int, ...]] = [
-            tuple(int(i == j) for j in range(dim)) for i in range(dim)
-        ]
-        rays: list[tuple[int, ...]] = []
-        tight: list[int] = []
-        processed = 0  # the bits of the nonzero rows read so far
-        pairs = 0  # the positive/negative pairs the insertions so far test
-        idx, numbered = -1, enumerate(rows)
-    else:  # the prefix is skipped here, not tested for in the loop
-        lineality, rays, tight = list(start.lineality), list(start.rays), list(start.tight)
-        processed, pairs = start.processed, start.pairs
-        idx, numbered = start.rows - 1, enumerate(islice(rows, start.rows, None), start.rows)
+        identity = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        start = DDState(0, 0, identity, [], [], 0)
+    # the prefix is skipped here, not tested for in the loop
+    lineality, rays, tight = list(start.lineality), list(start.rays), list(start.tight)
+    processed, pairs = start.processed, start.pairs
+    idx, numbered = start.rows - 1, enumerate(islice(rows, start.rows, None), start.rows)
 
     for idx, raw in numbered:
         checked = tuple(x if type(x) is int else rat(x) for x in raw)
@@ -484,7 +482,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
 def lineality_space(cone: PolyCone) -> list[Row]:
     """Basis of cone ∩ (−cone) as a linear space."""
     full = cone if cone.canonical else dd_convert(cone)
-    return nullspace(full.inequality_rows(), ncols=cone.dim)
+    return nullspace(full.inequality_rows(), cone.dim)
 
 
 def is_salient(cone: PolyCone) -> bool:

@@ -15,7 +15,7 @@ class Certificate:
     """A named verified fact plus the exact witness data backing it."""
 
     fact: str
-    data: Mapping[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any]
 
 
 @dataclass(frozen=True)

@@ -62,16 +62,17 @@ def all_exact(values) -> bool:
 def reproduces(coeffs, rows, target) -> bool:
     """True iff one nonnegative coefficient per row combines to ``target``.
 
-    Every coefficient and target entry must be an ``int`` or a
-    ``Fraction``; any other type (a float, a bool, a string) fails.  Over
-    ``den``, the lcm of their denominators, the integer coefficients
-    ``c·den`` must combine to ``den·target``: a positive rescaling of the
-    same test, with no Fraction arithmetic on integer rows.
+    Every row must have the target's length, and every coefficient and
+    target entry must be an ``int`` or a ``Fraction``; any other type (a
+    float, a bool, a string) fails.  Over ``den``, the lcm of their
+    denominators, the integer coefficients ``c·den`` must combine to
+    ``den·target``: a positive rescaling of the same test, with no
+    Fraction arithmetic on integer rows.
     """
     entries = (*coeffs, *target)
     if len(coeffs) != len(rows) or not all_exact(entries):
         return False
-    if any(c < 0 for c in coeffs):
+    if any(c < 0 for c in coeffs) or any(len(row) != len(target) for row in rows):
         return False
     den = lcm(*(x.denominator for x in entries))
     scaled = combine(numerators(coeffs, den), rows, len(target))
@@ -79,10 +80,11 @@ def reproduces(coeffs, rows, target) -> bool:
 
 
 def separates(functional, rows, vector) -> bool:
-    """True iff ``functional`` is >= 0 on every row and < 0 on ``vector``."""
+    """True iff ``functional`` is >= 0 on every row and < 0 on ``vector``,
+    all of one length."""
     return (
         len(functional) == len(vector)
-        and all(dot(functional, row) >= 0 for row in rows)
+        and all(len(row) == len(vector) and dot(functional, row) >= 0 for row in rows)
         and dot(functional, vector) < 0
     )
 
@@ -167,13 +169,10 @@ def mat_rank(matrix) -> int:
     return len(echelon(matrix)[1])
 
 
-def nullspace(matrix, ncols: int | None = None) -> list[Row]:
-    """Basis of the right null space {x : Mx = 0}."""
+def nullspace(matrix, ncols: int) -> list[Row]:
+    """Basis of the right null space {x : Mx = 0} of a matrix with
+    ``ncols`` columns."""
     rows, pivots = echelon(matrix)
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
     basis: list[Row] = []
     for f in range(ncols):
         if f in pivots:

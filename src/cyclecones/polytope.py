@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import CycleConesError, DomainError, InputError
 from .linalg import all_exact, dot, int_primitive, reproduces, violated
-from .rationals import rat, rat_str
+from .rationals import rat_str
 from .simplex import nonneg_solve
 from . import cones
 from .vectors import ClassVector, dual_basis
@@ -55,12 +55,6 @@ class RationalPolytope:
         for v in self.vertices or ():
             if v.basis != self.basis or v.dim != self.dim:
                 raise InputError("vertex outside the polytope's basis")
-
-    @staticmethod
-    def from_inequalities(basis: str, dim: int, rows) -> "RationalPolytope":
-        """The polytope of ``rows``, pairs ``(a, b)`` meaning <a, x> >= b."""
-        ineqs = tuple(inequality(map(rat, a), rat(b)) for a, b in rows)
-        return RationalPolytope(basis, dim, ineqs)
 
     @staticmethod
     def prefix(basis: str, dim: int, rows, dual: str) -> "RationalPolytope":

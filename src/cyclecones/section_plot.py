@@ -76,10 +76,7 @@ def _order_polygon(points):
     return sorted(points, key=functools.cmp_to_key(compare))
 
 
-def render_section(
-    g: ConeGeometry,
-    decomposition: Decomposition | None = None,
-) -> str:
+def render_section(g: ConeGeometry, decomposition: Decomposition) -> str:
     """SVG text for the degree-one cross-section of a 3D geometry."""
     if g.dim != 3:
         raise InputError(
@@ -104,14 +101,13 @@ def render_section(
     eff_chart = _order_polygon(_chart(eff_pts, frame))
     mov_chart = _order_polygon(_chart(mov_pts, frame))
     marks = []
-    if decomposition is not None:
-        for label, v in (
-            ("input", decomposition.input),
-            ("P", decomposition.positive),
-            ("N", decomposition.negative),
-        ):
-            if not v.is_zero():  # the zero class has no point on the slice
-                marks.append((label, _chart([_normalize(v, objective)], frame)[0]))
+    for label, v in (
+        ("input", decomposition.input),
+        ("P", decomposition.positive),
+        ("N", decomposition.negative),
+    ):
+        if not v.is_zero():  # the zero class has no point on the slice
+            marks.append((label, _chart([_normalize(v, objective)], frame)[0]))
 
     everything = eff_chart + mov_chart + [p for _, p in marks]
     xs = [p[0] for p in everything]

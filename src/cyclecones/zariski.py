@@ -148,8 +148,15 @@ class DominationFailure:
     separating: ClassVector
 
     def verify(self, eff: PolyCone) -> bool:
+        """True iff ``separating``, in eff's dual basis, is >= 0 on eff and
+        < 0 on vertex - target, two classes in eff's space."""
+        space = (eff.basis, eff.dim)
+        if any((v.basis, v.dim) != space for v in (self.vertex, self.target)):
+            return False
         gap = self.vertex - self.target
-        return separates(self.separating.coords, eff.generator_rows(), gap.coords)
+        return self.separating.basis == eff.dual and separates(
+            self.separating.coords, eff.generator_rows(), gap.coords
+        )
 
 
 @dataclass(frozen=True)
@@ -169,16 +176,20 @@ class DirectednessReport:
     def verify(self) -> bool:
         """Re-verify every recorded certificate by direct arithmetic.
 
-        The maximum and both witnesses must satisfy every row of the
-        polytope.  A Farkas vector then proves an empty dominator set
+        The maximum and both witnesses must be points of the polytope, in
+        its basis.  A Farkas vector then proves an empty dominator set
         outright; a nonempty verdict, like the domination table, still
         rests on the vertex list being complete.
         """
         vertices = self.polytope.vertices or ()
+
+        def point(v: ClassVector) -> bool:
+            return v.basis == self.polytope.basis and self.polytope.holds_at(v.coords)
+
         if self.status == "maximum":
             if self.maximum is None or len(self.domination) != len(vertices):
                 return False
-            if not self.polytope.holds_at(self.maximum.coords):
+            if not point(self.maximum):
                 return False
             gens = self.eff.generator_rows()
             return all(
@@ -191,7 +202,7 @@ class DirectednessReport:
         pair = {v.coords for v in self.witness_pair}
         if len(pair) != 2 or not pair <= vertex_coords:
             return False  # two distinct vertices
-        if not all(self.polytope.holds_at(v.coords) for v in self.witness_pair):
+        if not all(map(point, self.witness_pair)):
             return False
         if any(f.target.coords not in pair for f in self.failures):
             return False

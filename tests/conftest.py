@@ -532,9 +532,11 @@ def affine_dominator_rows(g, rows, u: ClassVector, w: ClassVector):
 
 def fraction_reproduces(coeffs, rows, target) -> bool:
     """Oracle for ``linalg.reproduces``: the check as it was before it
-    cleared denominators, a combination compared in Fraction arithmetic."""
+    cleared denominators, a combination compared in Fraction arithmetic,
+    of rows of the target's length."""
     return (
         len(coeffs) == len(rows)
+        and all(len(row) == len(target) for row in rows)
         and all(c >= 0 for c in coeffs)
         and combine(coeffs, rows, len(target)) == tuple(target)
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 import pytest
 
-from cyclecones import cones, zariski
+from cyclecones import cones, fixtures, zariski
 from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.errors import CycleConesError, DomainError
@@ -145,10 +145,9 @@ def fixture_combination_claim():
 
 
 def lp_optimality():
+    rows = [((1, 0), 0), ((0, 1), 0), ((-1, -2), -4)]
     p = vertex_enumeration(
-        RationalPolytope.from_inequalities(
-            "tamperp", 2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -4)]
-        )
+        RationalPolytope("tamperp", 2, tuple(inequality(a, b) for a, b in rows))
     )
     objective = (F(1), F(1))
     best = max(dot(objective, v.coords) for v in p.vertices)
@@ -294,6 +293,65 @@ def test_directedness_accepts_a_rescaled_farkas_vector():
     dominators = dominator_set(report.eff, report.polytope, *report.witness_pair)
     assert dominators.certifies(True, doubled)
     assert replace(report, pair_certificate=doubled).verify()
+
+
+def _p2_surfaces_maximum():
+    g = fixtures.load("p2-hilb2").geometry("surfaces")
+    report = preceq_maximum(g, decomposition_polytope(g, ClassVector(g.basis, (1, 0, 1))))
+    assert report.status == "maximum" and report.verify()
+    return report
+
+
+def _relabelled(v):
+    return ClassVector("other", v.coords)
+
+
+def _first_failure(report, **fields):
+    return (replace(report.failures[0], **fields), *report.failures[1:])
+
+
+TAMPERED_REPORTS = {
+    # p2-hilb2:surfaces at 1,0,1 has a maximum
+    "maximum-missing": ("maximum", lambda r: replace(r, maximum=None)),
+    "maximum-in-another-basis": ("maximum", lambda r: replace(r, maximum=_relabelled(r.maximum))),
+    "domination-short": ("maximum", lambda r: replace(r, domination=r.domination[:-1])),
+    "domination-long": (
+        "maximum", lambda r: replace(r, domination=r.domination + r.domination[:1])
+    ),
+    # toric-3fold:curves at 1,1,0,1,2 has none
+    "witness-pair-missing": ("no-maximum", lambda r: replace(r, witness_pair=None)),
+    "witness-in-another-basis": (
+        "no-maximum",
+        lambda r: replace(r, witness_pair=(_relabelled(r.witness_pair[0]), r.witness_pair[1])),
+    ),
+    "failure-missing": ("no-maximum", lambda r: replace(r, failures=r.failures[1:])),
+    "failure-target-in-another-basis": (
+        "no-maximum",
+        lambda r: replace(r, failures=_first_failure(r, target=_relabelled(r.failures[0].target))),
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_REPORTS))
+def test_directedness_rejects_tampered_report(tamper):
+    # each tamper leaves the rest of the report valid, so the one branch
+    # it aims at rejects, and returns False instead of raising
+    which, edit = TAMPERED_REPORTS[tamper]
+    report = _p2_surfaces_maximum() if which == "maximum" else _toric_no_maximum()
+    assert edit(report).verify() is False
+
+
+def test_domination_failure_rejects_classes_in_another_space():
+    report = _toric_no_maximum()
+    failure = report.failures[0]
+    assert failure.verify(report.eff)
+    for fields in (
+        {"target": _relabelled(failure.target)},
+        {"vertex": _relabelled(failure.vertex)},
+        {"target": ClassVector(failure.target.basis, failure.target.coords[:-1])},
+        {"separating": _relabelled(failure.separating)},
+    ):
+        assert replace(failure, **fields).verify(report.eff) is False
 
 
 # -- certificates are exact: int and Fraction entries only --------------------

@@ -175,6 +175,18 @@ def test_alpha_not_movable_with_separating_functional():
     assert stated.verify()
 
 
+def test_verify_rejects_a_vector_of_another_length():
+    # re-checked on a vector longer or shorter than the cone's rows, a
+    # certificate fails: it neither passes on the shared entries nor raises
+    unit = PolyCone.from_generators("u", [(1, 0), (0, 1)])
+    for coords, longer, shorter in (((1, 2), (1, 2, 0), (1,)), ((-1, 2), (-1, 2, 0), (-1,))):
+        verdict = contains(unit, ClassVector("u", coords))
+        assert verdict.verify()
+        for other in (longer, shorter):
+            edited = dataclasses.replace(verdict, vector=ClassVector("u", other))
+            assert not edited.verify()
+
+
 def test_zero_vector_in_any_cone():
     # the zero combination: one Fraction zero per canonical generator, and
     # none for the zero cone

@@ -43,7 +43,7 @@ def test_solve_unique_detects_inconsistency_and_freedom():
 def test_rank_and_nullspace():
     a = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(0)]]
     assert mat_rank(a) == 2
-    basis = nullspace(a)
+    basis = nullspace(a, 3)
     assert len(basis) == 1
     vec = basis[0]
     for row in a:
@@ -68,11 +68,14 @@ def test_kernel_pairings_and_certificates():
     assert not reproduces((F(-1), F(2)), rows, (F(1), F(2)))  # negative
     assert not reproduces((F(1, 2), F(2), F(0)), rows, (F(5, 2), F(2)))  # length
     assert not reproduces((F(1, 2), F(2)), rows, (F(5, 2), F(3)))  # coordinate
+    assert not reproduces((F(1, 2), F(2)), rows, (F(5, 2), F(2), 0))  # long target
+    assert not reproduces((F(1, 2), F(2)), rows, (F(5, 2),))  # short target
     assert reproduces((), [], (0, 0)) and not reproduces((), [], (0, 1))
     assert separates((F(0), F(1)), rows, (F(1), F(-1)))
     assert not separates((F(0), F(1)), rows, (F(1), F(0)))
     assert not separates((F(-1), F(1)), rows, (F(1), F(0)))  # negative on a row
     assert not separates((F(0), F(1), F(0)), rows, (F(1), F(-1)))  # length
+    assert not separates((1, 0), [(1, 0, -5)], (-1, 0))  # a row's length
     assert violated(rows, (F(1), F(0))) is None
     assert violated([(F(1), F(0)), (F(0), F(1))], (F(1), F(-1))) == 1
 
@@ -128,8 +131,8 @@ def _random_triple(rng):
 
 def test_reproduces_matches_fraction_oracle():
     # 600 seeded triples; both verdicts occur, and zero and negative
-    # coefficients, Fraction rows, wrong lengths and off-by-1/den targets
-    # each occur at least 30 times
+    # coefficients, Fraction rows, wrong lengths, targets one entry longer
+    # than the rows and off-by-1/den targets each occur at least 30 times
     rng = random.Random(2_718_281)
     seen = Counter()
     for _ in range(600):
@@ -142,8 +145,9 @@ def test_reproduces_matches_fraction_oracle():
         seen["negative"] += any(c < 0 for c in coeffs)
         seen["fraction-row"] += any(type(x) is F for row in rows for x in row)
         seen["wrong-length"] += len(coeffs) != len(rows)
+        seen["long-target"] += any(len(row) != len(target) for row in rows)
         seen["fraction-target"] += any(type(x) is F for x in target)
-    assert all(seen[k] >= 30 for k in seen) and len(seen) == 10, seen
+    assert all(seen[k] >= 30 for k in seen) and len(seen) == 11, seen
 
 
 def test_int_primitive_and_pivot():
@@ -297,7 +301,5 @@ def test_empty_matrix_elimination():
     assert echelon([]) == ([], [])
     assert nullspace([], ncols=2) == [(F(1), F(0)), (F(0), F(1))]
     assert solve_unique([], []) == ()
-    with pytest.raises(ValueError):
-        nullspace([])
     with pytest.raises(ValueError):
         solve_unique([[F(1)]], [])

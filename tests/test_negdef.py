@@ -500,3 +500,20 @@ def test_verify_fails_a_record_outside_the_pairing_space():
         )
         assert not verify(basis, record)
     assert verify(basis, decompose(basis, (1, 0)))
+
+
+def test_verify_fails_a_record_that_breaks_a_postcondition():
+    # records in the pairing space that only one check rejects: without
+    # it, the positive part pairs to zero on the support, nonnegatively
+    # elsewhere, and the support's block is negative definite
+    basis = PairingBasis(("a", "b"), ((-2, 1), (1, 0)))
+    name = basis.basis_name
+    for input_, positive, negative in (
+        ((0, 2), (1, 2), (-1, 0)),  # a negative coefficient in the negative part
+        ((1, 1), (0, 1), (1, 0)),  # a pairing of 1 on the support
+    ):
+        record = Decomposition(
+            *(ClassVector(name, v) for v in (input_, positive, negative)), (), {}
+        )
+        assert not verify(basis, record)
+    assert verify(basis, decompose(basis, (1, 1)))

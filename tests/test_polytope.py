@@ -22,10 +22,13 @@ from conftest import OPTIMAL, UNBOUNDED, bareiss_det, maximize_affine, two_phase
 F = Fraction
 
 
+def polytope_of(basis, dim, rows):
+    """The polytope of ``rows``, pairs ``(a, b)`` meaning <a, x> >= b."""
+    return RationalPolytope(basis, dim, tuple(inequality(a, b) for a, b in rows))
+
+
 def triangle():
-    return RationalPolytope.from_inequalities(
-        "pt2", 2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]
-    )
+    return polytope_of("pt2", 2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)])
 
 
 def coords(vectors):
@@ -38,12 +41,12 @@ def test_triangle_vertices():
 
 
 def test_infeasible_system_has_no_vertices():
-    p = RationalPolytope.from_inequalities("pt1", 1, [((1,), 1), ((-1,), 0)])
+    p = polytope_of("pt1", 1, [((1,), 1), ((-1,), 0)])
     assert vertex_enumeration(p).vertices == ()
 
 
 def test_unbounded_system_rejected_with_direction():
-    p = RationalPolytope.from_inequalities("pt2", 2, [((1, 0), 0), ((0, 1), 0)])
+    p = polytope_of("pt2", 2, [((1, 0), 0), ((0, 1), 0)])
     with pytest.raises(DomainError) as err:
         vertex_enumeration(p)
     assert "recession_direction" in err.value.details
@@ -51,7 +54,7 @@ def test_unbounded_system_rejected_with_direction():
 
 def test_degenerate_vertex_deduplicated():
     # four facets through the origin-adjacent corner must yield one vertex
-    p = RationalPolytope.from_inequalities(
+    p = polytope_of(
         "pt2",
         2,
         [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((-1, -1), -1)],
@@ -72,7 +75,7 @@ def test_maximize_unique_vertex():
 
 
 def test_maximize_over_empty_polytope_rejected():
-    p = RationalPolytope.from_inequalities("pt1", 1, [((1,), 1), ((-1,), 0)])
+    p = polytope_of("pt1", 1, [((1,), 1), ((-1,), 0)])
     with pytest.raises(DomainError):
         maximize_linear(p, ClassVector("pt1*", (1,)))
 
@@ -97,7 +100,7 @@ def test_lp_optimum_matches_vertex_scan_randomized():
                     -rng.randint(0, 6),
                 )
             )
-        p = RationalPolytope.from_inequalities(basis, dim, rows)
+        p = polytope_of(basis, dim, rows)
         enumerated = vertex_enumeration(p)
         if not enumerated.vertices:
             continue
@@ -201,7 +204,7 @@ def test_vertex_enumeration_matches_subset_oracle_randomized():
     for _ in range(150):
         dim = rng.randint(1, 4)
         kind, rows = _random_system(rng, dim)
-        p = RationalPolytope.from_inequalities(f"or{dim}", dim, rows)
+        p = polytope_of(f"or{dim}", dim, rows)
         try:
             vertices = vertex_enumeration(p).vertices
         except DomainError as err:
@@ -229,7 +232,7 @@ def test_holds_at_agrees_with_fraction_check():
     for _ in range(200):
         dim = rng.randint(1, 4)
         _, rows = _random_system(rng, dim)
-        p = RationalPolytope.from_inequalities(f"ha{dim}", dim, rows)
+        p = polytope_of(f"ha{dim}", dim, rows)
         length = rng.choice([dim, dim, dim, dim - 1, dim + 1])
         x = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(length))
         want = length == dim and all(
@@ -243,7 +246,7 @@ def test_holds_at_agrees_with_fraction_check():
 def test_holds_at_rejects_inexact_coordinates():
     # (1, 1) is a point of the square; a float, a string or a bool in its
     # place is none, and fails instead of raising
-    square = RationalPolytope.from_inequalities(
+    square = polytope_of(
         "sq2", 2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
     )
     assert square.holds_at((1, 1)) and square.holds_at((F(1), F(3, 2)))
@@ -283,7 +286,7 @@ def test_emptiness_is_certified_by_a_point_or_a_farkas_vector():
     # a point checks by holds_at; y >= 0 cancels the rows but for a negative
     # last entry, and a rescaled y proves the same; neither proves the
     # flipped verdict
-    empty = RationalPolytope.from_inequalities("pt1", 1, [((1,), 1), ((-1,), 0)])
+    empty = polytope_of("pt1", 1, [((1,), 1), ((-1,), 0)])
     verdict, y = emptiness(empty)
     assert verdict is True and empty.certifies(True, y)
     assert empty.certifies(True, tuple(3 * c for c in y))
@@ -296,7 +299,7 @@ def test_emptiness_is_certified_by_a_point_or_a_farkas_vector():
 
 
 def test_empty_system_without_a_farkas_vector_is_an_internal_error(monkeypatch):
-    empty = RationalPolytope.from_inequalities("pt1", 1, [((1,), 1), ((-1,), 0)])
+    empty = polytope_of("pt1", 1, [((1,), 1), ((-1,), 0)])
     monkeypatch.setattr(polytope, "nonneg_solve", lambda rows, target: None)
     with pytest.raises(CycleConesError) as caught:
         emptiness(empty)
