@@ -440,14 +440,20 @@ class ContainsResult:
 
     def verify(self) -> bool:
         """Re-verify the certificate by direct arithmetic, trusting nothing:
-        on the vector as given, not the primitive form the verdict used."""
+        on the vector as given, not the primitive form the verdict used.
+        A vector outside the cone's basis, or a separating functional
+        outside its dual basis, fails."""
+        if self.vector.basis != self.cone.basis:
+            return False
         gens = self.cone.generator_rows()
         if self.member:
             return self.combination is not None and reproduces(
                 self.combination, gens, self.vector.coords
             )
-        return self.separating is not None and separates(
-            self.separating.coords, gens, self.vector.coords
+        return (
+            self.separating is not None
+            and self.separating.basis == self.cone.dual
+            and separates(self.separating.coords, gens, self.vector.coords)
         )
 
 

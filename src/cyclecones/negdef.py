@@ -4,22 +4,25 @@ Input: a symmetric Gram matrix with nonnegative off-diagonal entries
 (distinct "curves" meet nonnegatively) and a nonnegative coefficient
 vector.  Output: a splitting into a part pairing nonnegatively against
 every basis vector and a leftover supported on a negative-definite
-block, orthogonal to the first part on its own support.  Both routes
-walk one elimination of the integer rows ``[gram_i | pairing_i]``:
-``decompose`` grows the support by the indices that pair negatively, and
-the independent oracle ``brute_force`` searches every negative-definite
-support instead of every subset.  That loses no splitting: a valid one
-lives on a negative-definite support T, and its negative part is the
-unique orthogonality solve on T, so the search finds it at T.  Negative
-definiteness passes to principal submatrices, so no superset of a
-support that fails it needs a visit.
+block, orthogonal to the first part on its own support.  Each route
+carries its own fraction-free elimination of the integer rows
+``[gram_i | pairing_i]``.  ``decompose`` pivots the full rows with
+``linalg.int_pivot`` and grows the support by the indices that pair
+negatively.  The independent oracle ``brute_force`` searches every
+negative-definite support instead of every subset, and its rows keep
+only the live block: the columns of negative self-pairing that the
+search has not yet passed, then the pairing column.  That loses no
+splitting: a valid one lives on a negative-definite support T, and its
+negative part is the unique orthogonality solve on T, so the search
+finds it at T.  Negative definiteness passes to principal submatrices,
+so no superset of a support that fails it needs a visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
@@ -154,7 +157,7 @@ def _checked(basis: PairingBasis, coeffs) -> tuple[int | Fraction, ...]:
 
 
 def decompose(basis: PairingBasis, coeffs) -> Decomposition:
-    """Support growth on ``brute_force``'s carried elimination.
+    """Support growth on a carried elimination of the full integer rows.
 
     Once the support S is pivoted, the last column holds positive
     multiples of the solve's x_i for i in S and of the positive part's
@@ -196,16 +199,55 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     return _build(basis, coeffs, support_coeffs)
 
 
+def _pivot_live(rows, scales, r, p):
+    """One step of ``brute_force``'s search: the pivot of ``linalg.int_pivot``
+    on row ``r`` at live column ``p``, keeping only the columns after ``p``.
+
+    Row ``r``'s entry ``-a`` there is negative: the row is negated and ``a``
+    becomes its scale.  Every other row with an entry ``b != 0`` becomes
+    ``a·row − b·rows[r]`` and its scale ``a`` times its own, both divided by
+    their common content.  So each row stays a positive multiple of the
+    Fraction row over its columns and its scale.  Returns new rows and
+    scales; the arguments are never edited.
+    """
+    a = -rows[r][p]
+    prow = [-x for x in rows[r][p + 1:]]
+    child, child_scales = [], scales[:]
+    for i, row in enumerate(rows):
+        b = row[p]
+        if i == r:
+            child.append(prow)
+            child_scales[i] = a
+        elif b:
+            new = [a * x - b * y for x, y in zip(row[p + 1:], prow)]
+            scale = a * scales[i]
+            g = gcd(scale, *new)
+            if g > 1:
+                new = [x // g for x in new]
+                scale //= g
+            child.append(new)
+            child_scales[i] = scale
+        else:
+            child.append(row[p + 1:])
+    return child, child_scales
+
+
 def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     """Independent oracle: search every negative-definite support.
 
-    Supports S are visited depth first in lexicographic order, carrying
-    the Gauss-Jordan state of the integer rows ``[gram_i | pairing_i]``,
-    one ``int_pivot`` per step.  For j ∉ S the entry (j, j) is a positive
+    Supports S are visited depth first in lexicographic order, carrying a
+    fraction-free Gauss-Jordan elimination, one ``_pivot_live`` per step.
+    Each row holds only its live columns, then the pairing column; a live
+    column is an index of negative self-pairing that the search has not
+    yet passed, the only columns a later step reads.  An index i ∈ S keeps
+    its pivot entry as a separate scale, so the solve's x_i is the last
+    entry over the scale.  For a live j the entry of row j is a positive
     multiple of the Schur complement of S in S ∪ {j}, so the child
     S ∪ {j}, j > max S, is negative definite exactly when it is < 0, the
     test ``is_negative_definite`` makes; a failed child's whole subtree is
-    skipped.  The last column holds positive multiples of the solve's x_i
+    skipped.  An index of nonnegative self-pairing never enters: over a
+    negative-definite S its Schur complement is at least its diagonal
+    entry.  The last column holds positive multiples of the solve's x_i
     for i ∈ S and of the positive part's pairings for i ∉ S, so S gives a
     candidate when that column is >= 0.  A valid splitting is the unique
     solve on its negative-definite support, so none is missed.
@@ -216,27 +258,34 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     """
     coeffs = _checked(basis, coeffs)
     rank = basis.rank
-    if rank > 16:  # 2^16 supports at most; the work grows with their count
+    # 2^16 supports at most: on a rank-16 A_16 chain, whose every support is
+    # negative definite, `bck --brute-force` with an all-ones class takes
+    # about 0.41 s wall, interpreter start included (Python 3.11, 2 vCPUs)
+    if rank > 16:
         raise DomainError(
             f"brute force rank {rank} exceeds the cap of 16", rank=rank, cap=16
         )
 
     initial = combine(coeffs, basis.gram, rank)
+    live = tuple(i for i in range(rank) if basis.gram[i][i] < 0)
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}  # -> its support
 
-    def visit(rows: list[list[int]], support: tuple[int, ...]) -> None:
-        if all(row[rank] >= 0 for row in rows):
+    def visit(rows, scales, support: tuple[int, ...], live: tuple[int, ...]) -> None:
+        if all(row[-1] >= 0 for row in rows):
             negative = [Fraction(0)] * rank
             for i in support:
-                negative[i] = Fraction(rows[i][rank], rows[i][i])
+                negative[i] = Fraction(rows[i][-1], scales[i])
             found[tuple(negative)] = tuple(i for i in support if negative[i])
-        for j in range(support[-1] + 1 if support else 0, rank):
-            if rows[j][j] < 0:
-                child = rows[:]  # int_pivot rebinds rows, never edits one
-                int_pivot(child, j, j)
-                visit(child, support + (j,))
+        for p, j in enumerate(live):
+            if rows[j][p] < 0:
+                child, child_scales = _pivot_live(rows, scales, j, p)
+                visit(child, child_scales, support + (j,), live[p + 1:])
 
-    visit([list(int_primitive(row + (v,))) for row, v in zip(basis.gram, initial)], ())
+    rows = [
+        list(int_primitive(tuple(row[j] for j in live) + (v,)))
+        for row, v in zip(basis.gram, initial)
+    ]
+    visit(rows, [0] * rank, (), live)
     # in the order a loop over subsets by size, then lexicographic, meets them
     ordered = sorted(found, key=lambda key: (len(found[key]), found[key]))
     for support_coeffs in ordered:

@@ -66,8 +66,8 @@ def contains_separating():
     assert not verdict
 
     def check(functional, target):
-        # a fresh basis name per length, so a wrong-length functional exists
-        sep = ClassVector(f"tamper.f{len(functional)}", functional)
+        # in the cone's dual basis, which a separating functional must use
+        sep = ClassVector(verdict.cone.dual, functional)
         return replace(verdict, separating=sep, vector=_vector(target)).verify()
 
     f, target = verdict.separating.coords, verdict.vector.coords

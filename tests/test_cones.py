@@ -187,6 +187,24 @@ def test_verify_rejects_a_vector_of_another_length():
             assert not edited.verify()
 
 
+def test_verify_rejects_a_certificate_in_another_basis():
+    # the same coordinates relabelled to another basis: the member's vector,
+    # the non-member's vector, the non-member's separating functional
+    unit = PolyCone.from_generators("u", [(1, 0), (0, 1)])
+    member = contains(unit, ClassVector("u", (1, 2)))
+    outside = contains(unit, ClassVector("u", (-1, 2)))
+    assert member.verify() and outside.verify() and not outside.member
+    relabelled = (
+        dataclasses.replace(member, vector=ClassVector("other", (1, 2))),
+        dataclasses.replace(outside, vector=ClassVector("other", (-1, 2))),
+        dataclasses.replace(
+            outside, separating=ClassVector("other", outside.separating.coords)
+        ),
+    )
+    for edited in relabelled:
+        assert not edited.verify()
+
+
 def test_zero_vector_in_any_cone():
     # the zero combination: one Fraction zero per canonical generator, and
     # none for the zero cone

@@ -366,25 +366,54 @@ def _count_pivots(monkeypatch) -> list:
     return calls
 
 
+def _count_search_steps(monkeypatch) -> list:
+    """Count every ``_pivot_live`` call, the oracle's search steps."""
+    calls = []
+    real = negdef._pivot_live
+
+    def counting(rows, scales, r, p):
+        calls.append((r, p))
+        return real(rows, scales, r, p)
+
+    monkeypatch.setattr(negdef, "_pivot_live", counting)
+    return calls
+
+
 def test_brute_force_pivots_once_per_negative_definite_support(monkeypatch):
     # Every principal submatrix of a negative-definite matrix is negative
     # definite, and a support with a nonnegative diagonal entry is not one.
-    # Both grams below have a negative-definite block of negative curves, so
-    # they have 2^k - 1 nonempty negative-definite supports (k = 12 for the
-    # chain, k < 10 for the bench matrix).  The search may pivot once per
-    # support, plus the postcondition check of its one candidate: at most
-    # rank pivots.
+    # Each gram below has a negative-definite block of negative curves, so
+    # it has 2^k - 1 nonempty negative-definite supports (k = 12 for the
+    # chain, k < 10 for the bench matrix, k = 4 for the mixed chain).  The
+    # search may take one step per support, plus the postcondition check of
+    # its one candidate: at most rank pivots.  In the mixed chain, curves of
+    # self-pairing 0 and 1 sit between the negative ones; each subset of the
+    # negative ones is negative definite, so the search takes exactly
+    # 2^4 - 1 steps.
     chain = chain_gram(12)
     chain_case = (PairingBasis(tuple(chain["labels"]), chain["gram"]), (1,) * 12)
     bench_case = next(pair for pair in _bench_pairings(1, rounds=1) if pair[0].rank == 10)
-    for basis, coeffs in (chain_case, bench_case):
+    mixed = _basis([
+        [-2, 1, 0, 0, 0, 0],
+        [1, 0, 1, 0, 0, 0],
+        [0, 1, -3, 1, 0, 0],
+        [0, 0, 1, 1, 1, 0],
+        [0, 0, 0, 1, -2, 1],
+        [0, 0, 0, 0, 1, -2],
+    ])
+    mixed_case = (mixed, (1, 2, 3, 1, 2, 1))
+    for basis, coeffs in (chain_case, bench_case, mixed_case):
         negative = [i for i in range(basis.rank) if basis.gram[i][i] < 0]
         assert is_negative_definite(basis.submatrix(negative))
-        calls = _count_pivots(monkeypatch)
+        steps = _count_search_steps(monkeypatch)
+        pivots = _count_pivots(monkeypatch)
         result = brute_force(basis, coeffs)
         monkeypatch.undo()
         assert verify(basis, result)
-        assert len(calls) <= 2 ** len(negative) - 1 + basis.rank, (basis.rank, len(calls))
+        assert len(steps) <= 2 ** len(negative) - 1, (basis.rank, len(steps))
+        assert len(pivots) <= basis.rank, (basis.rank, len(pivots))
+        if basis is mixed:
+            assert len(steps) == 2 ** len(negative) - 1
 
 
 def _random_forged(rng):
