@@ -72,7 +72,8 @@ def reproduces(coeffs, rows, target) -> bool:
     entries = (*coeffs, *target)
     if len(coeffs) != len(rows) or not all_exact(entries):
         return False
-    if any(c < 0 for c in coeffs) or any(len(row) != len(target) for row in rows):
+    # exact entries: a coefficient's sign is its numerator's
+    if any(c.numerator < 0 for c in coeffs) or any(len(row) != len(target) for row in rows):
         return False
     den = lcm(*(x.denominator for x in entries))
     scaled = combine(numerators(coeffs, den), rows, len(target))

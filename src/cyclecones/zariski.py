@@ -9,10 +9,14 @@ the candidate set, when one exists, is the unique optimum of every such
 functional, so ``decompose`` decides whether its positive part is that
 maximum with one eff membership test per vertex, and records the verdict.
 The proof is ``preceq_maximum``'s: the vertex whose eff facet values are
-the column-wise maxima over all vertices, if one is, with certificates
-found by peeling along faces (no simplex); otherwise a vertex pair with no
+the column-wise maxima over all vertices, if one is, with one eff
+combination per vertex (no simplex); otherwise a vertex pair with no
 common dominator, checked by double description and certified by a Farkas
-vector.  ``verify_decomposition`` builds that proof, re-verifies it, and
+vector.  On a simplicial eff, where each generator is nonzero on one
+facet alone, a combination is read off one facet per generator: it has
+the difference's facet values, which fix a class of a salient eff, so it
+is exact.  Any other eff's combinations are found by peeling along
+faces.  ``verify_decomposition`` builds that proof, re-verifies it, and
 cross-checks the recorded verdict against it: two independent routes to
 one answer.  A step that cannot fail on converted cones (a peel that finds
 no combination, an empty set without a Farkas vector) raises
@@ -191,9 +195,10 @@ class DirectednessReport:
                 return False
             if not point(self.maximum):
                 return False
-            gens = self.eff.generator_rows()
+            # point() pinned the maximum to the polytope's basis and length
+            gens, top = self.eff.generator_rows(), self.maximum.coords
             return all(
-                reproduces(combo, gens, (self.maximum - v).coords)
+                reproduces(combo, gens, tuple(a - b for a, b in zip(top, v.coords)))
                 for combo, v in zip(self.domination, vertices)
             )
         if self.witness_pair is None:
@@ -249,11 +254,13 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     dominates every vertex iff its row of the table is the column-wise
     maximum, so one pass over the columns decides; the row is unique, as
     the facet values of a salient full-dimensional eff fix the point.
-    Certificates come from ``_peel``.  In the negative case some vertex
-    pair has no vertex dominating both (a finite directed order would have
-    a maximum); each failure names the first facet where the vertex falls
-    short, and the pair gets an exact emptiness check of its whole
-    dominator set.
+    Certificates come from ``_peel``, one per vertex: on a simplicial eff
+    read off one facet per generator, exact because the facet values fix
+    the difference, otherwise peeled along faces.  In the negative case
+    some vertex pair has no vertex dominating both (a finite directed
+    order would have a maximum); each failure names the first facet where
+    the vertex falls short, and the pair gets an exact emptiness check of
+    its whole dominator set.
     """
     s = vertex_enumeration(s)
     vertices = s.vertices
@@ -316,14 +323,23 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
 def _peel(gen_values, slack) -> tuple[Fraction, ...]:
     """Nonnegative eff-generator coefficients for a difference inside eff.
 
-    Each step removes from the slack (the difference's facet values) the
-    largest multiple of the first generator vanishing wherever it does, so
-    in the residual's minimal face.  A new facet turns tight: at most
-    ``dim`` steps, and zero slack is a zero residual (salience).  The
-    steps run on integers: the least ratio is found by cross-multiplying,
-    and the coefficients are kept over the residual's denominator, then
-    read off as Fractions once.
+    On a full-dimensional simplicial eff, where each generator is nonzero
+    on one facet alone and no two on the same one, the combination is read
+    off in one pass: generator k's coefficient is the slack (the
+    difference's facet values) over its own value on its facet.  That
+    combination has the difference's value on every facet, and the facet
+    values of a salient eff fix a class, so it is exact; it is also the
+    only one.  Any other eff takes the face peel.  Each step removes from
+    the slack the largest multiple of the first generator vanishing
+    wherever it does, so in the residual's minimal face.  A new facet
+    turns tight: at most ``dim`` steps, and zero slack is a zero residual
+    (salience).  The steps run on integers: the least ratio is found by
+    cross-multiplying, and the coefficients are kept over the residual's
+    denominator, then read off as Fractions once.
     """
+    lone = [[l for l, x in enumerate(gv) if x] for gv in gen_values]
+    if sorted(lone) == [[l] for l in range(len(slack))]:
+        return tuple(Fraction(slack[l], gv[l]) for (l,), gv in zip(lone, gen_values))
     coeffs = [0] * len(gen_values)  # the coefficients times den
     den = 1  # the residual's facet values are slack / den
     zero = Fraction(0)
@@ -398,9 +414,14 @@ def decompose(
         # a domination maximum m is the unique optimum of an objective
         # strictly positive on eff, since m - z is a nonzero eff class for
         # every other z of s: so it is the positive part, and one kernel
-        # test per vertex decides
+        # test per vertex decides, on integers over one common denominator
         rows = g.eff.inequality_rows()
-        is_max = all(violated(rows, (face[0] - v).coords) is None for v in s.vertices)
+        scale = lcm(*(c.denominator for v in s.vertices for c in v.coords))
+        top = numerators(face[0].coords, scale)
+        is_max = all(
+            violated(rows, [a - b for a, b in zip(top, numerators(v.coords, scale))]) is None
+            for v in s.vertices
+        )
     positive = face[0]  # vertices arrive sorted: lexicographically smallest
     negative = alpha - positive
     certificates = (

@@ -5,10 +5,12 @@ All randomness is seeded per test, so failures reproduce exactly.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,17 @@ from cyclecones.rationals import _shown, _unparsable, rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import preceq_maximum
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+def bench_inputs():
+    """The benchmark's seeded input generators, ``bench/inputs.py``: plain
+    Python, loaded by its path."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def fraction_rat(value) -> Fraction:

@@ -1,9 +1,7 @@
 import dataclasses
 import functools
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -30,6 +28,7 @@ from conftest import (
     TORIC_C,
     TORIC_D,
     TORIC_M,
+    bench_inputs,
     cones_equal,
     dot_irredundant_rows,
     fraction_contains,
@@ -40,7 +39,6 @@ from conftest import (
     two_pass_dd_convert,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def full_space(basis, dim):
@@ -357,10 +355,7 @@ def _degenerate_rows(rng, dim):
 
 def _bench_cones(seed):
     """The rungs of the benchmark's cone-convert workload for ``seed``."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs.cones(seed)
+    return bench_inputs().cones(seed)
 
 
 def _cyclic_systems():

@@ -66,6 +66,7 @@ def test_kernel_pairings_and_certificates():
     assert combine((), [], 3) == (0, 0, 0)
     assert reproduces((F(1, 2), F(2)), rows, (F(5, 2), F(2)))
     assert not reproduces((F(-1), F(2)), rows, (F(1), F(2)))  # negative
+    assert not reproduces((F(-1, 2),), [(1,)], (F(-1, 2),))  # negative, not an integer
     assert not reproduces((F(1, 2), F(2), F(0)), rows, (F(5, 2), F(2)))  # length
     assert not reproduces((F(1, 2), F(2)), rows, (F(5, 2), F(3)))  # coordinate
     assert not reproduces((F(1, 2), F(2)), rows, (F(5, 2), F(2), 0))  # long target

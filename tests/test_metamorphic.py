@@ -2,19 +2,25 @@
 
 The positive part P(α) is the ⪯-maximum of the movable classes that α
 dominates, read off through the cones alone, and a negative-definite
-splitting is unique.  So three relations must hold whatever the engines
-do, and none of them shares a code path with an engine:
+splitting is unique.  A cone's canonical form is fixed by the cone.  So
+four relations must hold whatever the engines do, and none of them shares
+a code path with an engine:
 
 - homogeneity: P(kα) = k·P(α), with the same status, for k > 0;
 - input order: shuffled mov and eff generator lists give byte-identical
   ``decompose`` JSON;
 - relabelling: permuting a pairing's labels permutes the ``bck``
-  decomposition.
+  decomposition;
+- permuted rows: ``dd_convert`` of a cone's rows in another order gives
+  the same canonical generators and inequalities, in the same order.
 
 Classes are drawn by one seeded rule: for the geometry at index i of
 ``GEOMETRIES``, ``random.Random(1000 + i)`` draws weights 0..5 for the
 fixture's eff generators, and the first ``CLASSES`` distinct nonzero sums
-are the classes.  Pairings are drawn from ``random.Random(2000)``.
+are the classes.  Pairings are drawn from ``random.Random(2000)``.  The
+cones are the first ``CONES_PER_RUNG`` of each rung of the benchmark's
+seed-1 ``cone-convert`` workload, their rows permuted by
+``random.Random(4000)``.
 """
 
 import json
@@ -25,14 +31,18 @@ import pytest
 
 from cyclecones import fixtures, negdef
 from cyclecones.cli import run
+from cyclecones.cones import PolyCone, dd_convert
 from cyclecones.rationals import rat_str
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import decompose
+
+from conftest import bench_inputs
 
 GEOMETRIES = ["toric-3fold:curves", "p2-hilb2:surfaces", "p2-hilb2:curves"]
 CLASSES = 20
 FACTORS = (2, 3, Fraction(5, 2), Fraction(1, 3))
 PAIRINGS = 60
+CONES_PER_RUNG = 12
 
 
 def _raw_cones(ref):
@@ -155,3 +165,24 @@ def test_bck_decomposition_follows_a_relabelling():
         assert after == _permuted(before, basis, perm), (basis, coeffs, perm)
         supported += bool(before["metadata"]["support"])
     assert supported == 47  # the other 13 classes pair nonnegatively already
+
+
+def test_dd_convert_ignores_row_order():
+    # the first CONES_PER_RUNG cones of each rung of the seed-1 cone-convert
+    # workload: random in dimension 6, over cyclic polytopes in dimensions 7
+    # and 8, each given by generators and by inequalities
+    rng = random.Random(4000)
+    cases = 0
+    for rung in bench_inputs().cones(1):
+        basis = f"perm{rung['dim']}"
+        build = (PolyCone.from_generators if rung["kind"] == "generators"
+                 else PolyCone.from_inequalities)
+        for inst in rung["instances"][:CONES_PER_RUNG]:
+            rows = inst["rows"]
+            permuted = rng.sample(rows, len(rows))
+            assert permuted != rows
+            want, got = (dd_convert(build(basis, r)) for r in (rows, permuted))
+            assert got.generators == want.generators, (rung["label"], rows, permuted)
+            assert got.inequalities == want.inequalities, (rung["label"], rows, permuted)
+            cases += 1
+    assert cases == 6 * CONES_PER_RUNG

@@ -1,8 +1,6 @@
-import importlib.util
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +21,12 @@ from cyclecones.negdef import (
 
 from conftest import (
     bareiss_det,
+    bench_inputs,
     chain_gram,
     solve_per_step_decompose,
     subset_brute_force,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
 
 F = Fraction
 
@@ -264,12 +262,9 @@ def _outcome(route, basis, coeffs):
 def _bench_pairings(seed, rounds=2):
     """The first ``rounds`` rounds of pairing instances of the benchmark's
     small-batch workload for ``seed``."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     return [
         (_basis(inst["gram"]), tuple(inst["coeffs"]))
-        for rung in inputs.small_batch(seed)
+        for rung in bench_inputs().small_batch(seed)
         if rung["label"] != "slope"
         for inst in rung["instances"][: rounds * rung["per_round"]]
     ]

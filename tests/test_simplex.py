@@ -5,11 +5,9 @@ routine in ``conftest.two_phase_simplex`` returns (zero costs), not just
 some feasible one: the solutions are payload certificates.
 """
 
-import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,10 +17,9 @@ from cyclecones.errors import DomainError
 from cyclecones.linalg import int_pivot, mat_rank
 from cyclecones.simplex import nonneg_solve
 
-from conftest import INFEASIBLE, OPTIMAL, pivot, two_phase_simplex
+from conftest import INFEASIBLE, OPTIMAL, bench_inputs, pivot, two_phase_simplex
 
 F = Fraction
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def oracle(columns, target):
@@ -80,11 +77,8 @@ def _cyclic_membership_systems():
     cone-convert workload (seed 1, dimensions 7-8): canonical generators
     (or, for inequality input, the dual's) against the member by
     construction and the random probe."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     systems = []
-    for rung in inputs.cones(1):
+    for rung in bench_inputs().cones(1):
         if rung["family"] != "cyclic":
             continue
         for inst in rung["instances"][:3]:

@@ -1,10 +1,8 @@
 import dataclasses
-import importlib.util
 import itertools
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -40,6 +38,7 @@ from conftest import (
     TORIC_OBJECTIVE,
     affine_decomposition_rows,
     affine_dominator_rows,
+    bench_inputs,
     cold_route_decomposition,
     fraction_key_peel,
     fraction_sorted_vertices,
@@ -328,6 +327,37 @@ def test_peel_matches_fraction_key_oracle(toric, toric_reports, monkeypatch):
     assert (len(calls), sum(calls)) == (383, 131)
 
 
+@pytest.mark.parametrize(
+    "gens, nonzero, points, fractional",
+    [
+        # simplicial, not unimodular: one facet per generator, read in one pass
+        ([(1, 0, 0), (1, 2, 0), (1, 1, 3)], [1, 1, 1], 62, 43),
+        # the cone over a square: four generators and four facets, but each
+        # generator is nonzero on two of them, so the face peel runs
+        ([(1, 1, 1), (1, -1, 1), (1, -1, -1), (1, 1, -1)], [2, 2, 2, 2], 165, 110),
+    ],
+    ids=["simplicial", "square"],
+)
+def test_peel_matches_fraction_key_oracle_on_small_cones(gens, nonzero, points, fractional):
+    # the slack is the facet values of a lattice point of the cone: every
+    # one in the box [-4, 4]^3
+    eff = dd_convert(PolyCone.from_generators("zp3", gens))
+    facets, rows = eff.inequality_rows(), eff.generator_rows()
+    gen_values = [[dot(l, g) for l in facets] for g in rows]
+    assert len(facets) == len(rows)
+    assert [sum(x != 0 for x in gv) for gv in gen_values] == nonzero
+    box = itertools.product(range(-4, 5), repeat=3)
+    calls = []
+    for p in (p for p in box if violated(facets, p) is None):
+        slack = [dot(l, p) for l in facets]
+        got = zariski._peel(gen_values, slack)
+        assert got == fraction_key_peel(gen_values, slack), p
+        assert all(type(c) is Fraction for c in got)
+        assert reproduces(got, rows, p)
+        calls.append(any(c.denominator > 1 for c in got))
+    assert (len(calls), sum(calls)) == (points, fractional)
+
+
 def test_dominator_set_emptiness_agrees_with_lp_oracle(toric, toric_reports):
     # vertex pairs of the no-maximum toric classes, in a seeded order; each
     # verdict is compared with the simplex oracle until it has occurred 8
@@ -533,16 +563,12 @@ def test_vertex_domination_extends_to_random_convex_combinations(rng):
 
 def _bench_ladder(seed):
     """The (geometry, class) pool of the benchmark's decompose-ladder for
-    one seed.  bench/inputs.py is plain Python, loaded by its path."""
+    one seed."""
     from cyclecones.fixtures import load
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     toric = load("toric-3fold").geometry("curves")
     items = []
-    for rung in inputs.ladder(seed):
+    for rung in bench_inputs().ladder(seed):
         basis = f"bench.ladder{rung['dim']}"
         for i, inst in enumerate(rung["instances"]):
             if rung["extra"] is None:  # a toric-3fold:curves class
