@@ -301,6 +301,11 @@ class PolyCone:
     def inequality_rows(self) -> list[Row]:
         return [l.coords for l in self.inequalities or ()]
 
+    def check_space(self, vector: ClassVector) -> None:
+        """An ``InputError`` unless ``vector`` has this cone's basis and dim."""
+        if vector.basis != self.basis or vector.dim != self.dim:
+            raise InputError("vector not in the cone's coordinate space")
+
 
 def _irredundant_rows(rows, lineality, rays, dim: int):
     """The facet rows of K = {x : <r, x> >= 0 for every r in rows}, or None.
@@ -468,8 +473,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     simplex on those rows and the unscaled vector.
     ``ContainsResult.verify`` re-checks either certificate.
     """
-    if vector.basis != cone.basis or vector.dim != cone.dim:
-        raise InputError("vector not in the cone's coordinate space")
+    cone.check_space(vector)
     full = cone if cone.canonical else dd_convert(cone)
     point = int_primitive(vector.coords)
     cut = violated(full.inequality_rows(), point)

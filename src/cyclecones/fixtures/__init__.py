@@ -28,8 +28,6 @@ if TYPE_CHECKING:
     from ..rings import AuditReport, DualClass, RingElement, RingPresentation
     from ..zariski import ConeGeometry
 
-_NUMERIC_CHARS = set("0123456789")
-
 # Most monomials a fixture ring may have up to its top or largest declared
 # degree, C(generators + degree, generators).  The consistency audit grows
 # with that count: at the cap, with every top value declared, a ring loads
@@ -153,16 +151,12 @@ def _argument(fixture: Fixture, param: inspect.Parameter, value):
 
 
 def _looks_numeric(leaf) -> bool:
-    if isinstance(leaf, bool):
+    """True iff ``rationals.rat`` reads ``leaf``: the one rule for a number."""
+    try:
+        rat(leaf)
+    except InputError:
         return False
-    if isinstance(leaf, (int, float)):
-        return True
-    if isinstance(leaf, str):
-        text = leaf.lstrip("-")
-        return bool(text) and set(text) <= _NUMERIC_CHARS | {"/"} and (
-            text[0] in _NUMERIC_CHARS
-        )
-    return False
+    return True
 
 
 def _is_source_key(key: str) -> bool:
@@ -174,8 +168,9 @@ def lint_sources(node, covered: bool = False, path: str = "$") -> list[str]:
     """Uncited numeric literals in a fixture document.
 
     A dict node carrying any ``source``-suffixed key covers itself and its
-    descendants; every numeric leaf must be covered by some ancestor.
-    Floats are rejected outright: fixture data is exact.
+    descendants; every numeric leaf, any leaf ``rationals.rat`` reads (so
+    ``"+3"`` too), must be covered by some ancestor.  Floats are rejected
+    outright: fixture data is exact.
     """
     problems: list[str] = []
     if isinstance(node, float):

@@ -7,7 +7,9 @@ name (``PolyCone``, ``ClassVector``, ``ConeGeometry``, ``HNProfile``,
 ``RingElement``, ``DualClass``, ``Claim``, or a ``list[...]`` of them) or
 checked JSON (``Row``, ``list[Row]``, ``str``, ``list[str]``, ``int``,
 ``dict``, ``list``); a flag is unannotated.  A checker reads only the data
-nested inside its arguments.  It returns ``(status, witness)`` with status
+nested inside its arguments, and decides with the library's verifiers, not
+copies of them (``PolyCone.check_space``, ``linalg.reproduces``, ``separates``,
+``ClassVector`` equality).  It returns ``(status, witness)`` with status
 "pass", "fail", or "flagged"; the claim catalog says which status is
 expected, so a suite can stay green while a data discrepancy stays visible.
 """
@@ -20,7 +22,7 @@ from .. import projbundle
 from ..cones import PolyCone, contains, dd_convert, dual_cone, extremal_rays
 from ..errors import InputError
 from ..jsonio import _dim, _names, _need, _rows, _text
-from ..linalg import combine, dot, mat_rank
+from ..linalg import combine, dot, mat_rank, reproduces, separates
 from ..projbundle import (
     HNProfile,
     class_basis,
@@ -78,13 +80,15 @@ def check_dual_cone_equals(fixture, *, cone: PolyCone, equals_generators_of: Pol
 
 
 def check_extremal_rays_equal(fixture, *, cone: PolyCone, rays: list[Row]):
+    listed = PolyCone.from_generators(cone.basis, rays, dim=cone.dim, dual=cone.dual)
     got = _rays_set(extremal_rays(dd_convert(cone)))
-    want = sorted(tuple(rat_str(x) for x in row) for row in rays)
+    want = _rays_set(listed.generators)
     status = "pass" if got == want else "fail"
     return status, {"computed": got, "expected": want}
 
 
 def check_interior_point(fixture, *, cone: PolyCone, vector: ClassVector):
+    cone.check_space(vector)
     values = [dot(l.coords, vector.coords) for l in dd_convert(cone).inequalities]
     status = "pass" if all(v > 0 for v in values) else "fail"
     return status, {"facet_values": [rat_str(v) for v in values]}
@@ -92,23 +96,21 @@ def check_interior_point(fixture, *, cone: PolyCone, vector: ClassVector):
 
 def check_combination_reproduces(fixture, *, cone: PolyCone, vector: ClassVector,
                                  coefficients: Row):
-    if len(coefficients) != len(cone.generators) or any(c < 0 for c in coefficients):
-        return "fail", {"error": "coefficient list does not match the generators"}
-    total = combine(coefficients, cone.generator_rows(), vector.dim)
-    status = "pass" if total == vector.coords else "fail"
-    return status, {"reconstructed": [rat_str(v) for v in total]}
+    cone.check_space(vector)
+    rows = cone.generator_rows()
+    status = "pass" if reproduces(coefficients, rows, vector.coords) else "fail"
+    return status, {"reconstructed": [rat_str(v) for v in combine(coefficients, rows, cone.dim)]}
 
 
 def check_separating_functional(fixture, *, cone: PolyCone, vector: ClassVector,
                                 functional: Row):
-    on_generators = [dot(functional, g.coords) for g in cone.generators]
-    at_vector = dot(functional, vector.coords)
-    separates = all(v >= 0 for v in on_generators) and at_vector < 0
     verdict = contains(cone, vector)
-    status = "pass" if separates and not verdict and verdict.verify() else "fail"
+    rows = cone.generator_rows()
+    separated = separates(functional, rows, vector.coords)
+    status = "pass" if separated and not verdict and verdict.verify() else "fail"
     return status, {
-        "functional_on_generators": [rat_str(v) for v in on_generators],
-        "functional_at_vector": rat_str(at_vector),
+        "functional_on_generators": [rat_str(dot(functional, g)) for g in rows],
+        "functional_at_vector": rat_str(dot(functional, vector.coords)),
         "membership": bool(verdict),
     }
 
@@ -124,6 +126,11 @@ def check_difference_equals(fixture, *, basis: str, minuend: ClassVector,
 
 def check_no_preceq_maximum(fixture, *, geometry: ConeGeometry, vector: ClassVector,
                             pair_without_dominator: list[ClassVector] = None):
+    if pair_without_dominator is not None:
+        if len(pair_without_dominator) != 2:
+            raise InputError("pair_without_dominator must name two classes")
+        for v in pair_without_dominator:
+            geometry.eff.check_space(v)
     polytope = decomposition_polytope(geometry, vector)
     report = preceq_maximum(geometry, polytope)
     if report.status != "no-maximum" or not report.verify():
@@ -137,11 +144,8 @@ def check_no_preceq_maximum(fixture, *, geometry: ConeGeometry, vector: ClassVec
         "vertex_count": len(polytope.vertices),
     }
     if pair_without_dominator is not None:
-        if len(pair_without_dominator) != 2:
-            raise InputError("pair_without_dominator must name two classes")
         u, w = pair_without_dominator
-        vertex_coords = {v.coords for v in polytope.vertices}
-        in_polytope = u.coords in vertex_coords and w.coords in vertex_coords
+        in_polytope = u in polytope.vertices and w in polytope.vertices
         empty, certificate = dominator_set_empty(geometry, polytope, u, w)
         witness["named_pair_in_polytope"] = in_polytope
         witness["named_pair_dominator_set_empty"] = empty
@@ -238,8 +242,7 @@ def check_element_combination_equals(fixture, *, target: RingElement, combinatio
 
 def check_facet_present(fixture, *, cone: PolyCone, facet: Row):
     cone = dd_convert(cone)
-    facet = ClassVector(cone.dual, facet).primitive()
-    present = any(l.coords == facet.coords for l in cone.inequalities)
+    present = ClassVector(cone.dual, facet).primitive() in cone.inequalities
     return ("pass" if present else "fail"), {
         "facets": [[rat_str(c) for c in l.coords] for l in cone.inequalities]
     }

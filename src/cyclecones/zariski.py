@@ -117,11 +117,6 @@ def validate_objective(g: ConeGeometry, objective: ClassVector) -> None:
             )
 
 
-def _check_space(g: ConeGeometry, alpha: ClassVector) -> None:
-    if alpha.basis != g.basis or alpha.dim != g.dim:
-        raise InputError("class not in the geometry's coordinate space")
-
-
 def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolytope:
     """The polytope of movable classes dominated by ``alpha``, with vertices.
 
@@ -130,7 +125,7 @@ def decomposition_polytope(g: ConeGeometry, alpha: ClassVector) -> RationalPolyt
     always contains the origin.  It extends ``g.mov_start``, so the vertex
     enumeration resumes from there.
     """
-    _check_space(g, alpha)
+    g.eff.check_space(alpha)
     rows = []
     for m in g.eff.inequality_rows():
         bound = dot(m, alpha.coords)
@@ -404,7 +399,7 @@ def decompose(
         validate_objective(g, objective)  # the geometry checked its own
     elif (objective := g.degree_functional) is None:
         raise InputError("no objective supplied and the geometry has no default")
-    _check_space(g, alpha)
+    g.eff.check_space(alpha)
 
     if violated(g.mov.inequality_rows(), alpha.coords) is None:
         value, face, is_max = dot(objective.coords, alpha.coords), (alpha,), True
@@ -492,7 +487,7 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
     fault raises.
     """
     try:
-        _check_space(g, dec.input)
+        g.eff.check_space(dec.input)
         for fact, cone, part in (
             ("positive-part-movable", g.mov, dec.positive),
             ("negative-part-pseudo-effective", g.eff, dec.negative),

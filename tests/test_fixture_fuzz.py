@@ -10,6 +10,8 @@ replacement, such as a new description, still exits 0.
 """
 
 import copy
+import dataclasses
+import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -19,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecones.cli import run
-from cyclecones.fixtures import FIXTURE_NAMES, load
+from cyclecones.errors import InputError
+from cyclecones.fixtures import FIXTURE_NAMES, checks, load, verify_claims
 
 DOCUMENTS = {name: load(name).raw for name in FIXTURE_NAMES}
 
@@ -149,3 +152,33 @@ def test_each_node_of_an_input_document_takes_every_json_type(name):
         for value in (None, True, 0, "x", [], {}):
             code, document = _exit_code(_replaced(doc, path, value), name, commands[0])
             assert code in (0, 1, 2), (path, value, document["payload"])
+
+
+def test_each_class_argument_takes_every_class_of_another_basis():
+    # every class-naming argument of every packaged claim, and each entry of a
+    # list of classes, replaced by each declared class of another basis, the
+    # claim run alone: it is an input error naming the claim (exit 1), never a
+    # verdict or a fault
+    runs = 0
+    for name in FIXTURE_NAMES:
+        fixture = load(name)
+        for claim in fixture.claims:
+            params = inspect.signature(checks.CHECKS[claim.check]).parameters
+            for key, value in claim.args.items():
+                kind = params[key].annotation
+                if kind not in ("ClassVector", "list[ClassVector]"):
+                    continue
+                names = value if kind == "list[ClassVector]" else [value]
+                for i, class_name in enumerate(names):
+                    basis = fixture.vector(class_name).basis
+                    others = [c for b, table in fixture.vectors.items() if b != basis
+                              for c in table]
+                    for other in others:
+                        given = [*names[:i], other, *names[i + 1:]]
+                        args = {**claim.args, key: given if kind.startswith("list") else other}
+                        one = dataclasses.replace(claim, args=args)
+                        with pytest.raises(InputError) as caught:
+                            verify_claims(dataclasses.replace(fixture, claims=(one,)))
+                        assert f"claim {claim.id!r}: " in caught.value.message, (one, caught)
+                        runs += 1
+    assert runs == 180

@@ -107,6 +107,17 @@ def test_lint_accepts_cited_blocks():
     assert lint_sources(doc) == []
 
 
+def test_lint_reads_numbers_as_rat_does():
+    # each spelling reads as a number everywhere else in the package, so an
+    # uncited one used to load without a source
+    problems = lint_sources({"a": ["+3", " 4 ", "1_000", "\uff11"]})
+    assert problems == [
+        f"$.a[{i}]: numeric literal {leaf!r} without a source"
+        for i, leaf in enumerate(["+3", " 4 ", "1_000", "\uff11"])
+    ]
+    assert lint_sources({"a": ["1/0", "--3", "x", "", True, None]}) == []
+
+
 def test_fixture_file_loads_by_path(tmp_path):
     custom = {
         "name": "toric-3fold",
@@ -496,6 +507,101 @@ def test_malformed_claim_is_input_error(case, tmp_path):
     document, code = run(["fixture", str(path), "--verify"])
     assert (code, document["status"]) == (1, "input_error")
     assert document["payload"]["error"]["message"].endswith(message)
+
+
+def _divisor_copies(*names):
+    """Copies of toric-3fold curve classes in the divisor basis, as ``<name>-div``."""
+    def mutate(doc):
+        curves = doc["classes"]["toric3.curves"]["coords"]
+        for name in names:
+            doc["classes"]["toric3.divisors"]["coords"][f"{name}-div"] = curves[name]
+
+    return mutate
+
+
+def _small_basis(doc):
+    """A declared 3-dim basis with one class, ``v3``."""
+    doc["bases"].append({"name": "toric3.small", "dim": 3, "source": "a test basis"})
+    doc["classes"]["toric3.small"] = {"source": "a test class", "coords": {"v3": ["1", "1", "0"]}}
+
+
+def _then(*mutations):
+    def apply(doc):
+        for mutate in mutations:
+            mutate(doc)
+
+    return apply
+
+
+_OUTSIDE = "vector not in the cone's coordinate space"
+
+# one row per rule a checker used to keep a private copy of, each now the
+# library's: ``(fixture, mutation, exit code, the error message's tail or the
+# claim's id and status)``.  Before the checkers called those rules, the
+# long functional, the other-basis classes and the named pair passed, the
+# 3-dim class exited 3, and the non-primitive ray and the short row failed.
+CLAIM_RULES = {
+    "separation-functional-too-long": (
+        "toric-3fold",
+        _claim("alpha-not-movable", lambda c: c["args"]["functional"].append("0")),
+        2, ("alpha-not-movable", "fail"),
+    ),
+    "combination-of-another-basis": (
+        "toric-3fold",
+        _then(_divisor_copies("alpha"),
+              _claim("alpha-mori-combination", lambda c: c["args"].update(vector="alpha-div"))),
+        1, f"claim 'alpha-mori-combination': {_OUTSIDE}",
+    ),
+    "combination-of-a-3-dim-basis": (
+        "toric-3fold",
+        _then(_small_basis,
+              _claim("alpha-mori-combination", lambda c: c["args"].update(vector="v3"))),
+        1, f"claim 'alpha-mori-combination': {_OUTSIDE}",
+    ),
+    "interior-point-of-another-basis": (
+        "toric-3fold",
+        _then(_divisor_copies("alpha"),
+              _claim("alpha-is-big", lambda c: c["args"].update(vector="alpha-div"))),
+        1, f"claim 'alpha-is-big': {_OUTSIDE}",
+    ),
+    "named-pair-of-another-basis": (
+        "toric-3fold",
+        _then(_divisor_copies("M1", "M2"), _claim(
+            "no-common-dominator",
+            lambda c: c["args"].update(pair_without_dominator=["M1-div", "M2-div"]),
+        )),
+        1, f"claim 'no-common-dominator': {_OUTSIDE}",
+    ),
+    "ray-not-primitive": (
+        "p2-hilb2",
+        _claim("curve-cone-generators", lambda c: c["args"]["rays"].__setitem__(0, ["0", "2"])),
+        0, ("curve-cone-generators", "pass"),
+    ),
+    "ray-of-another-length": (
+        "p2-hilb2",
+        _claim("curve-cone-generators", lambda c: c["args"]["rays"].__setitem__(0, ["0"])),
+        1, "claim 'curve-cone-generators': generator outside the cone's basis",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLAIM_RULES))
+def test_claims_are_decided_by_the_library_rules(case, tmp_path):
+    name, mutate, code, expected = CLAIM_RULES[case]
+    doc = copy.deepcopy(load(name).raw)
+    mutate(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    document, got = run(["fixture", str(path), "--verify"])
+    assert got == code, document["payload"]
+    if code == 1:
+        assert document["payload"]["error"]["message"].endswith(expected)
+        return
+    payload = document["payload"]["error"] if code else document["payload"]
+    results = {r["claim"]: r for r in payload["verification"]["results"]}
+    claim_id, status = expected
+    assert results[claim_id]["status"] == status
+    assert [c for c, r in results.items() if not r["ok"]] == ([claim_id] if code else [])
 
 
 def test_claim_arguments_are_checked_before_any_check_runs(tmp_path, monkeypatch):

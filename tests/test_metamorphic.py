@@ -2,9 +2,10 @@
 
 The positive part P(α) is the ⪯-maximum of the movable classes that α
 dominates, read off through the cones alone, and a negative-definite
-splitting is unique.  A cone's canonical form is fixed by the cone.  So
-four relations must hold whatever the engines do, and none of them shares
-a code path with an engine:
+splitting is unique.  A cone's canonical form is fixed by the cone, and
+none of these facts depends on the lattice basis.  So five relations must
+hold whatever the engines do, and none of them shares a code path with an
+engine:
 
 - homogeneity: P(kα) = k·P(α), with the same status, for k > 0;
 - input order: shuffled mov and eff generator lists give byte-identical
@@ -12,7 +13,11 @@ a code path with an engine:
 - relabelling: permuting a pairing's labels permutes the ``bck``
   decomposition;
 - permuted rows: ``dd_convert`` of a cone's rows in another order gives
-  the same canonical generators and inequalities, in the same order.
+  the same canonical generators and inequalities, in the same order;
+- change of lattice basis: for U in GL(n, Z), mov and eff mapped by U and
+  the objective by U^-T, facets map by U^-T, membership verdicts, the
+  optimal value and the verdict stay, and P(Uα) = U·P(α) where the optimum
+  is unique; otherwise the optimal face's vertices map by U.
 
 Classes are drawn by one seeded rule: for the geometry at index i of
 ``GEOMETRIES``, ``random.Random(1000 + i)`` draws weights 0..5 for the
@@ -20,7 +25,9 @@ fixture's eff generators, and the first ``CLASSES`` distinct nonzero sums
 are the classes.  Pairings are drawn from ``random.Random(2000)``.  The
 cones are the first ``CONES_PER_RUNG`` of each rung of the benchmark's
 seed-1 ``cone-convert`` workload, their rows permuted by
-``random.Random(4000)``.
+``random.Random(4000)``.  For the geometry at index i, the change of basis
+U is ``BASIS_CHANGES`` products of ``ROW_OPERATIONS`` integer row
+operations each, drawn from ``random.Random(5000 + i)``.
 """
 
 import json
@@ -31,10 +38,10 @@ import pytest
 
 from cyclecones import fixtures, negdef
 from cyclecones.cli import run
-from cyclecones.cones import PolyCone, dd_convert
-from cyclecones.rationals import rat_str
+from cyclecones.cones import PolyCone, contains, dd_convert
+from cyclecones.rationals import rat, rat_str
 from cyclecones.vectors import ClassVector
-from cyclecones.zariski import decompose
+from cyclecones.zariski import cone_geometry, decompose
 
 from conftest import bench_inputs
 
@@ -43,6 +50,8 @@ CLASSES = 20
 FACTORS = (2, 3, Fraction(5, 2), Fraction(1, 3))
 PAIRINGS = 60
 CONES_PER_RUNG = 12
+BASIS_CHANGES = 3
+ROW_OPERATIONS = 8
 
 
 def _raw_cones(ref):
@@ -186,3 +195,71 @@ def test_dd_convert_ignores_row_order():
             assert got.inequalities == want.inequalities, (rung["label"], rows, permuted)
             cases += 1
     assert cases == 6 * CONES_PER_RUNG
+
+
+def _unimodular(rng, n):
+    """U and U^-1, integer n×n: ROW_OPERATIONS steps of adding k·row j to
+    row i, or of negating a row, applied to the identity; each step's
+    inverse is applied to U^-1 on the right."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in u]
+    for _ in range(ROW_OPERATIONS):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2, 0))
+        if k:
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+            for row in inverse:  # column j minus k·column i
+                row[j] -= k * row[i]
+        else:
+            u[i] = [-a for a in u[i]]
+            for row in inverse:
+                row[i] = -row[i]
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in u] == (
+        [[int(i == j) for j in range(n)] for i in range(n)])
+    return u, inverse
+
+
+def _apply(matrix, coords):
+    return tuple(sum(a * x for a, x in zip(row, coords)) for row in matrix)
+
+
+@pytest.mark.parametrize("index", range(2), ids=GEOMETRIES[:2])
+def test_decomposition_follows_a_change_of_lattice_basis(index):
+    g, classes = _classes(index)
+    _, mov, eff = _raw_cones(GEOMETRIES[index])
+    rng = random.Random(5000 + index)
+    several = outside_mov = 0
+    for n in range(BASIS_CHANGES):
+        u, inverse = _unimodular(rng, g.dim)
+        dual = [list(col) for col in zip(*inverse)]  # U^-T
+        basis = f"{g.basis}.U{n}"
+
+        def mapped(cone):
+            return PolyCone.from_generators(
+                basis, [_apply(u, v.coords) for v in cone.generators], dim=g.dim
+            )
+
+        h = cone_geometry(f"{g.name}.U{n}", mapped(mov), mapped(eff),
+                          ClassVector(f"{basis}*", _apply(dual, g.degree_functional.coords)))
+        for before, after in ((g.mov, h.mov), (g.eff, h.eff)):
+            assert {l.coords for l in after.inequalities} == {
+                _apply(dual, l.coords) for l in before.inequalities}
+        for alpha in classes:
+            image = ClassVector(basis, _apply(u, alpha.coords))
+            for before, after in ((g.mov, h.mov), (g.eff, h.eff)):
+                verdict = contains(after, image)
+                assert bool(verdict) == bool(contains(before, alpha)) and verdict.verify()
+            dec, moved = decompose(g, alpha), decompose(h, image)
+            for key in ("objective_value", "positive_part_status", "optimum_unique"):
+                assert moved.metadata[key] == dec.metadata[key], (u, alpha, key)
+            face = [tuple(map(rat, v)) for v in dec.metadata["optimal_face"]]
+            assert {tuple(map(rat, v)) for v in moved.metadata["optimal_face"]} == {
+                _apply(u, v) for v in face}
+            if dec.metadata["optimum_unique"]:
+                assert moved.positive.coords == _apply(u, dec.positive.coords), (u, alpha)
+            else:
+                several += 1
+            outside_mov += not dec.negative.is_zero()
+    # cases (of 60) whose optimal face has several vertices, and whose class
+    # is not movable, so that decompose builds its polytope
+    assert (several, outside_mov) == [(9, 60), (0, 45)][index]

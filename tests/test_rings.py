@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from cyclecones import rings
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.rings import (
     DualLayer,
@@ -66,6 +67,32 @@ def test_cube_relation_rewrites():
     assert cubed.terms == ring.element(
         3, {"D1*D2^2": 3, "D1^2*D2": -6}
     ).terms
+
+
+def test_rewriting_stops_at_its_step_budget(monkeypatch):
+    # D2^4 takes three steps to its normal form 3·D1^2·D2^2: a budget of
+    # three reaches it, a budget of two is the domain error naming the
+    # budget, and a form already normal takes no step at all
+    ring = hilb_ring()
+    monkeypatch.setattr(rings, "_MAX_REWRITE_STEPS", 3)
+    assert ring.normal_form({(0, 4): 1}) == {(2, 2): 3}
+    monkeypatch.setattr(rings, "_MAX_REWRITE_STEPS", 2)
+    with pytest.raises(DomainError, match=r"^hilb: rewriting exceeds its step budget$"):
+        ring.normal_form({(0, 4): 1})
+    monkeypatch.setattr(rings, "_MAX_REWRITE_STEPS", 0)
+    assert ring.normal_form({(2, 2): 1}) == {(2, 2): 1}
+    # rules that rewrite into each other stop at the default budget
+    monkeypatch.undo()
+    cycling = RingPresentation(
+        name="cycling",
+        generators=("x", "y"),
+        top_degree=2,
+        rewrites={(2, 0): {(0, 2): 1}, (0, 2): {(2, 0): 1}},
+        top_values=None,
+        max_monomial_degree=2,
+    )
+    with pytest.raises(DomainError, match="^cycling: rewriting exceeds its step budget$"):
+        cycling.normal_form({(2, 0): 1})
 
 
 def test_identity_element():
