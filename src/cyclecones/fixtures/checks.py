@@ -98,12 +98,16 @@ def check_combination_reproduces(fixture, *, cone: PolyCone, vector: ClassVector
                                  coefficients: Row):
     cone.check_space(vector)
     rows = cone.generator_rows()
+    if len(coefficients) != len(rows):
+        raise InputError(f"coefficients must have {len(rows)} entries, one per listed generator")
     status = "pass" if reproduces(coefficients, rows, vector.coords) else "fail"
     return status, {"reconstructed": [rat_str(v) for v in combine(coefficients, rows, cone.dim)]}
 
 
 def check_separating_functional(fixture, *, cone: PolyCone, vector: ClassVector,
                                 functional: Row):
+    if len(functional) != cone.dim:
+        raise InputError(f"functional must have {cone.dim} entries, one per coordinate")
     verdict = contains(cone, vector)
     rows = cone.generator_rows()
     separated = separates(functional, rows, vector.coords)

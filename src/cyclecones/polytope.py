@@ -6,6 +6,7 @@ boundedness come from one double description of these rows (Motzkin,
 Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).  The linear
 optimizer scans the vertices and proves the maximum with an LP-duality
 certificate, one ``reproduces`` on the rows, checked on every call.
+``vertex_table`` reads functionals at the vertices over one denominator.
 Systems built by ``extend`` resume from their ``prefix``'s double
 description; ``emptiness`` comes with a point or a Farkas vector, which
 ``certifies`` re-checks beside ``holds_at``, so callers read no row.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import all_exact, dot, int_primitive, reproduces, violated
+from .linalg import all_exact, dot, int_primitive, numerators, reproduces, violated
 from .rationals import rat_str
 from .simplex import nonneg_solve
 from . import cones
@@ -152,6 +153,15 @@ def emptiness(p: RationalPolytope) -> tuple[bool, tuple[Fraction, ...]]:
     return True, y
 
 
+def vertex_table(p: RationalPolytope, functionals) -> tuple[int, list[tuple]]:
+    """``(D, rows)``: D the lcm of the enumerated vertices' denominators, row
+    i the values <l, D·v_i> of ``functionals`` (integers for integer ones).
+    A positive rescaling: every comparison is the one on the rationals."""
+    common = lcm(*(c.denominator for v in p.vertices for c in v.coords))
+    points = [numerators(v.coords, common) for v in p.vertices]
+    return common, [tuple(dot(l, x) for l in functionals) for x in points]
+
+
 def maximize_linear(p: RationalPolytope, objective: ClassVector):
     """Exact maximum of a linear objective and all vertices attaining it.
 
@@ -168,11 +178,10 @@ def maximize_linear(p: RationalPolytope, objective: ClassVector):
     enumerated = vertex_enumeration(p)
     if not enumerated.vertices:
         raise DomainError("cannot optimize over an empty polytope")
-    values = [dot(objective.coords, v.coords) for v in enumerated.vertices]
-    best = max(values)
-    optimal = tuple(
-        v for v, val in zip(enumerated.vertices, values) if val == best
-    )
+    _, rows = vertex_table(enumerated, [objective.coords])
+    top = max(rows)
+    optimal = tuple(v for v, row in zip(enumerated.vertices, rows) if row == top)
+    best = dot(objective.coords, optimal[0].coords)
 
     point = int_primitive((*optimal[0].coords, 1))
     tight = [r for r in p.inequalities if dot(r, point) == 0]

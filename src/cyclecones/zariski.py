@@ -6,21 +6,21 @@ parts form a bounded polytope: movable classes dominated by the input.
 A positive part is selected by exact maximization of a degree functional
 (strictly positive on the effective cone).  A domination-order maximum of
 the candidate set, when one exists, is the unique optimum of every such
-functional, so ``decompose`` decides whether its positive part is that
-maximum with one eff membership test per vertex, and records the verdict.
-The proof is ``preceq_maximum``'s: the vertex whose eff facet values are
-the column-wise maxima over all vertices, if one is, with one eff
-combination per vertex (no simplex); otherwise a vertex pair with no
-common dominator, checked by double description and certified by a Farkas
-vector.  On a simplicial eff, where each generator is nonzero on one
-facet alone, a combination is read off one facet per generator: it has
-the difference's facet values, which fix a class of a salient eff, so it
-is exact.  Any other eff's combinations are found by peeling along
-faces.  ``verify_decomposition`` builds that proof, re-verifies it, and
-cross-checks the recorded verdict against it: two independent routes to
-one answer.  A step that cannot fail on converted cones (a peel that finds
-no combination, an empty set without a Farkas vector) raises
-``CycleConesError``, an internal error, never a ``DomainError``.
+functional.  A vertex is that maximum iff its eff facet values are the
+column-wise maxima over all vertices, and ``decompose`` records this
+verdict for its positive part.  The proof is ``preceq_maximum``'s, by the
+same test: that vertex, if one is, with one eff combination per vertex
+(no simplex); otherwise a vertex pair with no common dominator, checked
+by double description and certified by a Farkas vector.  On a simplicial
+eff, where each generator is nonzero on one facet alone, a combination is
+read off one facet per generator: it has the difference's facet values,
+which fix a class of a salient eff, so it is exact.  Any other eff's
+combinations are found by peeling along faces.  ``verify_decomposition``
+builds that proof, re-verifies it, and cross-checks the recorded verdict
+against it: two independent routes to one answer.  A step that cannot fail
+on converted cones (a peel that finds no combination, an empty set without
+a Farkas vector) raises ``CycleConesError``, an internal error, never a
+``DomainError``.
 
 A movable class needs no polytope.  It is a candidate, and it dominates
 every candidate z, since it minus z is eff by the definition of the set;
@@ -40,14 +40,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Any
 
 from .cones import PolyCone, contains, dd_convert, is_salient
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import dot, numerators, reproduces, separates, violated
-from .polytope import RationalPolytope, emptiness, inequality, maximize_linear, vertex_enumeration
+from .linalg import dot, reproduces, separates, violated
+from .polytope import (RationalPolytope, emptiness, inequality, maximize_linear,
+                       vertex_enumeration, vertex_table)
 from .rationals import rat_str
 from .vectors import ClassVector
 
@@ -262,22 +262,12 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     if not vertices:
         raise DomainError("empty candidate polytope")
 
-    # integer values: the canonical primitive facets (a positive rescaling
-    # keeps the order and the peel's ratios) on the canonical generators and
-    # the vertices over one common denominator
-    facets = g.eff.inequality_rows()
-    gens = g.eff.generator_rows()
-    scale = lcm(*(c.denominator for v in vertices for c in v.coords))
-
-    def table(row) -> tuple[int, ...]:
-        point = numerators(row, scale)
-        return tuple(dot(l, point) for l in facets)
-
-    values = [table(v.coords) for v in vertices]
-    column_max = tuple(map(max, zip(*values)))
+    scale, values, column_max = _facet_table(g, s)
     if column_max in values:
         top = values.index(column_max)
-        gen_values = [table(gen) for gen in gens]
+        facets, gens = g.eff.inequality_rows(), g.eff.generator_rows()
+        # over the slack's denominator, so the peel's ratios are coefficients
+        gen_values = [tuple(scale * dot(l, gen) for l in facets) for gen in gens]
         domination = tuple(
             _peel(gen_values, [a - b for a, b in zip(column_max, row)])
             for row in values
@@ -313,6 +303,13 @@ def preceq_maximum(g: ConeGeometry, s: RationalPolytope) -> DirectednessReport:
     raise CycleConesError(
         "inconsistent state: pairwise dominated vertices but no maximum"
     )
+
+
+def _facet_table(g: ConeGeometry, s: RationalPolytope):
+    """``vertex_table`` of the eff facets and its column-wise maxima: a
+    vertex dominates every vertex iff its row is the maxima."""
+    scale, values = vertex_table(s, g.eff.inequality_rows())
+    return scale, values, tuple(map(max, zip(*values)))
 
 
 def _peel(gen_values, slack) -> tuple[Fraction, ...]:
@@ -407,16 +404,10 @@ def decompose(
         s = decomposition_polytope(g, alpha)
         value, face = maximize_linear(s, objective)
         # a domination maximum m is the unique optimum of an objective
-        # strictly positive on eff, since m - z is a nonzero eff class for
-        # every other z of s: so it is the positive part, and one kernel
-        # test per vertex decides, on integers over one common denominator
-        rows = g.eff.inequality_rows()
-        scale = lcm(*(c.denominator for v in s.vertices for c in v.coords))
-        top = numerators(face[0].coords, scale)
-        is_max = all(
-            violated(rows, [a - b for a, b in zip(top, numerators(v.coords, scale))]) is None
-            for v in s.vertices
-        )
+        # strictly positive on eff (m - z is a nonzero eff class for every
+        # other z of s), so preceq_maximum's test at the positive part decides
+        _, values, column_max = _facet_table(g, s)
+        is_max = values[s.vertices.index(face[0])] == column_max
     positive = face[0]  # vertices arrive sorted: lexicographically smallest
     negative = alpha - positive
     certificates = (
@@ -482,7 +473,7 @@ def verify_decomposition(g: ConeGeometry, dec: Decomposition) -> bool:
     checks the rest: the positive part heads the optimal face, the
     ``preceq_maximum`` report verifies, and the metadata (geometry name
     included) is what ``decompose`` records, with the report's certified
-    verdict (a maximum, at the positive part) in place of the kernel test
+    verdict (a maximum, at the positive part) in place of the column test
     ``decompose`` decided it by.  A malformed record fails; a budget or a
     fault raises.
     """

@@ -17,7 +17,7 @@ import pytest
 from cyclecones import cones, fixtures, zariski
 from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
-from cyclecones.errors import CycleConesError, DomainError
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.fixtures.checks import check_combination_reproduces
 from cyclecones.linalg import dot, reproduces
 from cyclecones.polytope import RationalPolytope, inequality, vertex_enumeration
@@ -135,10 +135,15 @@ def fixture_combination_claim():
     cone = PolyCone.from_generators(BASIS, [(1, 0), (0, 1)])
 
     def check(coeffs, target):
-        # verify_claims hands a check its arguments resolved and parsed
-        status, _ = check_combination_reproduces(
-            None, cone=cone, vector=_vector(target), coefficients=tuple(coeffs)
-        )
+        # verify_claims hands a check its arguments resolved and parsed; a
+        # list without one coefficient per generator is refused as malformed
+        # claim data before any witness, so it cannot pass
+        args = dict(cone=cone, vector=_vector(target), coefficients=tuple(coeffs))
+        if len(coeffs) != len(cone.generators):
+            with pytest.raises(InputError, match="one per listed generator"):
+                check_combination_reproduces(None, **args)
+            return False
+        status, _ = check_combination_reproduces(None, **args)
         return status == "pass"
 
     return check, (F(3), F(2)), (F(3), F(2)), (F(3), F(3))

@@ -540,11 +540,19 @@ _OUTSIDE = "vector not in the cone's coordinate space"
 # claim's id and status)``.  Before the checkers called those rules, the
 # long functional, the other-basis classes and the named pair passed, the
 # 3-dim class exited 3, and the non-primitive ray and the short row failed.
+# An argument of the wrong length is an input error before any witness: the
+# long functional and the extra coefficient exited 2 with truncated witnesses.
 CLAIM_RULES = {
     "separation-functional-too-long": (
         "toric-3fold",
         _claim("alpha-not-movable", lambda c: c["args"]["functional"].append("0")),
-        2, ("alpha-not-movable", "fail"),
+        1, "claim 'alpha-not-movable': functional must have 5 entries, one per coordinate",
+    ),
+    "combination-with-extra-coefficient": (
+        "toric-3fold",
+        _claim("alpha-mori-combination", lambda c: c["args"]["coefficients"].append("1")),
+        1, "claim 'alpha-mori-combination': coefficients must have 5 entries, "
+        "one per listed generator",
     ),
     "combination-of-another-basis": (
         "toric-3fold",

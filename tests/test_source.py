@@ -61,6 +61,10 @@ def test_zariski_builds_its_systems_through_polytope():
         for alias in node.names
     ]
     assert ("polytope", "RationalPolytope") in imports
+    # the vertices' integer form over their common denominator is polytope's
+    # vertex_table: zariski rescales no vertex itself
+    assert ("polytope", "vertex_table") in imports
+    assert [name for _, name in imports if name in ("lcm", "numerators")] == []
     assert [
         (module, name)
         for module, name in imports

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +11,7 @@ from cyclecones import FIXTURE_NAMES, zariski
 from cyclecones.cones import PolyCone, contains, dd_convert, double_description
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine, dot, int_primitive, reproduces, violated
+from cyclecones.polytope import vertex_table
 from cyclecones.projbundle import (
     class_basis,
     cones_at,
@@ -619,6 +621,39 @@ def test_resumed_double_description_matches_a_cold_one(rng):
             assert resumed[0] == lineality, (g.name, alpha.coords)
             assert list(resumed[1].items()) == list(rays.items()), (g.name, alpha.coords)
     assert pairs > 100
+
+
+def test_vertex_table_is_the_fraction_values_over_the_common_denominator():
+    # polytope.vertex_table against Fraction arithmetic: each functional at
+    # each vertex, times the lcm of the vertices' denominators, in vertex
+    # order; integer functionals give ints.  The benchmark's ladder pools of
+    # seeds 1 and 7919, and every pseudo-effective toric-3fold curve class
+    from cyclecones.fixtures import load
+
+    fixture = load("toric-3fold")
+    toric = fixture.geometry("curves")
+    cases = [
+        (toric, fixture.vector_in(toric.basis, name))
+        for name in fixture.raw["classes"][toric.basis]["coords"]
+    ]
+    cases = [(g, alpha) for g, alpha in cases if contains(g.eff, alpha)]
+    assert len(cases) >= 12
+    for seed in (1, 7919):
+        cases += _bench_ladder(seed)
+    scaled = 0
+    for g, alpha in cases:
+        s = decomposition_polytope(g, alpha)
+        functionals = [*g.eff.inequality_rows(), g.degree_functional.coords]
+        den, rows = vertex_table(s, functionals)
+        assert den == lcm(*(F(c).denominator for v in s.vertices for c in v.coords))
+        assert rows == [
+            tuple(dot(l, v.coords) * den for l in functionals) for v in s.vertices
+        ], (g.name, alpha.coords)
+        assert all(type(x) is int for row in rows for x in row)
+        half = (F(1, 2),) * g.dim  # a Fraction functional keeps its values exact
+        assert vertex_table(s, [half])[1] == [(sum(v.coords, F(0)) * den / 2,) for v in s.vertices]
+        scaled += den > 1
+    assert scaled >= 20
 
 
 def test_decompose_metadata_matches_the_report_route(rng):
