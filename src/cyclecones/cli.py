@@ -1,9 +1,11 @@
 """Command-line surface: every operation, JSON in, JSON out.
 
 Exit codes: 0 ok, 1 input error, 2 domain error, 3 internal error; an
-internal error names the exception type and its innermost frame.  Output
-is deterministic for identical inputs; ``--meta`` adds a timestamp block
-alongside (never inside) the payload.
+internal error names the exception type and its innermost frame.  A usage
+error is an input error with argparse's message, its usage line on stderr;
+``--help`` prints the help alone and exits 0.  Output is deterministic for
+identical inputs; ``--meta`` adds a timestamp block alongside (never
+inside) the payload.
 
 Each handler imports the modules only it needs inside its body, so a
 command loads just the layers it runs; the top-level imports are the ones
@@ -235,8 +237,14 @@ def _fixture_payload(args) -> dict:
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclecones",
         description=(
             "Exact rational computations with cones of cycle classes: "
@@ -309,25 +317,15 @@ _HANDLERS = {
 
 def run(argv) -> tuple[dict, int]:
     """Execute one command; returns (result document, exit code)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = 0 if exc.code in (0, None) else 1
-        status = "ok" if code == 0 else "input_error"
-        return {"schema": SCHEMA, "status": status, "payload": {}}, code
-
+    args = argparse.Namespace(meta=False)
     status = "ok"
     payload: dict = {}
     diagnostics: list[str] = []
     try:
+        args = build_parser().parse_args(argv)
         payload = _HANDLERS[args.command](args)
-    except InputError as exc:
-        status = "input_error"
-        payload = {"error": exc.payload()}
-        diagnostics.append(exc.message)
-    except DomainError as exc:
-        status = "domain_error"
+    except (InputError, DomainError) as exc:
+        status = "input_error" if isinstance(exc, InputError) else "domain_error"
         payload = {"error": exc.payload()}
         diagnostics.append(exc.message)
     except Exception as exc:  # a fault of the program: say where it happened

@@ -474,7 +474,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
     ``ContainsResult.verify`` re-checks either certificate.
     """
     cone.check_space(vector)
-    full = cone if cone.canonical else dd_convert(cone)
+    full = dd_convert(cone)
     point = int_primitive(vector.coords)
     cut = violated(full.inequality_rows(), point)
     if cut is not None:
@@ -491,8 +491,7 @@ def contains(cone: PolyCone, vector: ClassVector) -> ContainsResult:
 
 def lineality_space(cone: PolyCone) -> list[Row]:
     """Basis of cone ∩ (−cone) as a linear space."""
-    full = cone if cone.canonical else dd_convert(cone)
-    return nullspace(full.inequality_rows(), cone.dim)
+    return nullspace(dd_convert(cone).inequality_rows(), cone.dim)
 
 
 def is_salient(cone: PolyCone) -> bool:
@@ -502,10 +501,10 @@ def is_salient(cone: PolyCone) -> bool:
 
 def extremal_rays(cone: PolyCone) -> tuple[ClassVector, ...]:
     """The minimal primitive generating set of a salient cone, sorted."""
-    full = cone if cone.canonical else dd_convert(cone)
-    if not is_salient(full):
+    full = dd_convert(cone)
+    if lineality := lineality_space(full):
         raise DomainError(
             "extremal rays are only defined for salient cones",
-            lineality=[[rat_str(x) for x in row] for row in lineality_space(full)],
+            lineality=[[rat_str(x) for x in row] for row in lineality],
         )
     return full.generators

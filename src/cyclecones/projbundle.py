@@ -144,13 +144,18 @@ def nu(profile: HNProfile, k: int) -> Fraction:
 
 
 def sigma(profile: HNProfile, k: int) -> Fraction:
-    """Boundary constant of the movable cone in dimension k."""
+    """Boundary constant of the movable cone in dimension k.
+
+    Checks nu_k >= sigma_k >= eps_k (nef <= mov <= eff); the convex polygon
+    guarantees it, so a violation is an internal error.
+    """
     _check_k(profile, k, 1, profile.rank - 1)
     value = epsilon(profile, k - 1) + profile.top_slope
-    eps = epsilon(profile, k)
-    if value < eps:
-        raise DomainError(
-            "cone constants out of order", epsilon=rat_str(eps), sigma=rat_str(value)
+    eps, nu_k = epsilon(profile, k), nu(profile, k)
+    if not (nu_k >= value >= eps):
+        raise CycleConesError(
+            "cone constants out of order",
+            epsilon=rat_str(eps), sigma=rat_str(value), nu=rat_str(nu_k),
         )
     return value
 
@@ -159,19 +164,12 @@ def cones_at(profile: HNProfile, k: int):
     """(eff, nef, mov) cones of k-dimensional classes, each 2D.
 
     eff = <(1, eps_k), (0, 1)>, nef = <(1, nu_k), (0, 1)>,
-    mov = <(1, sigma_k), (0, 1)>; the nesting nef <= mov <= eff is
-    verified before returning.
+    mov = <(1, sigma_k), (0, 1)>; ``sigma`` checks the nesting
+    nef <= mov <= eff.
     """
     _check_k(profile, k, 1, profile.rank - 1)
     basis = class_basis(profile, k)
     eps, nu_k, sig = epsilon(profile, k), nu(profile, k), sigma(profile, k)
-    if not (nu_k >= sig >= eps):
-        raise DomainError(
-            "cone constants out of order",
-            epsilon=rat_str(eps),
-            sigma=rat_str(sig),
-            nu=rat_str(nu_k),
-        )
     eff = PolyCone.from_generators(basis, [(1, eps), (0, 1)])
     nef = PolyCone.from_generators(basis, [(1, nu_k), (0, 1)])
     mov = PolyCone.from_generators(basis, [(1, sig), (0, 1)])

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import dot
+from .linalg import combine, dot
 from .rationals import rat, rat_str
 
 Monomial = tuple[int, ...]
@@ -377,17 +377,16 @@ class RingPresentation:
             raise DomainError(
                 f"{self.name}: no printed cap relations in degree {element.degree}"
             )
-        coords = [0] * len(layer.names)
-        for mono, coeff in element.terms:
-            image = layer.cap_images.get(mono)
-            if image is None:
+        terms = element.terms
+        for mono, _ in terms:
+            if mono not in layer.cap_images:
                 raise DomainError(
                     f"{self.name}: no printed cap image for "
                     f"{format_monomial(mono, self.generators)}"
                 )
-            for i, x in enumerate(image):
-                coords[i] += coeff * x
-        return DualClass(self, element.degree, tuple(coords))
+        images = [layer.cap_images[m] for m, _ in terms]
+        coords = combine([c for _, c in terms], images, len(layer.names))
+        return DualClass(self, element.degree, coords)
 
 
 def consistency_audit(ring: RingPresentation) -> AuditReport:

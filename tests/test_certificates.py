@@ -18,7 +18,7 @@ from cyclecones import cones, fixtures, zariski
 from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.errors import CycleConesError, DomainError, InputError
-from cyclecones.fixtures.checks import check_combination_reproduces
+from cyclecones.fixtures.checks import check_combination_reproduces, check_no_preceq_maximum
 from cyclecones.linalg import dot, reproduces
 from cyclecones.polytope import RationalPolytope, inequality, vertex_enumeration
 from cyclecones.rationals import rat, rat_str
@@ -214,6 +214,20 @@ def _toric_no_maximum():
     report = preceq_maximum(g, decomposition_polytope(g, alpha))
     assert report.status == "no-maximum" and report.verify()
     return report
+
+
+def test_no_maximum_claim_verifies_its_report_once(monkeypatch):
+    calls = []
+
+    def verify(report):
+        calls.append(report)
+        return False
+
+    monkeypatch.setattr(zariski.DirectednessReport, "verify", verify)
+    status, witness = check_no_preceq_maximum(
+        None, geometry=_toric_geometry(), vector=ClassVector("toric3.curves", TORIC_ALPHA)
+    )
+    assert (status, witness, len(calls)) == ("fail", {"status": "no-maximum", "verified": False}, 1)
 
 
 def test_directedness_rejects_maximum_outside_polytope():

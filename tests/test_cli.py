@@ -81,6 +81,18 @@ def test_unknown_subcommand_is_input_error():
     assert code == 1 and document["status"] == "input_error"
 
 
+def test_usage_error_is_an_input_error_with_its_message(capsys):
+    # argparse reads a coordinate list that starts with a minus sign as an option
+    document, code = run_json(
+        ["decompose", "--geometry", "toric-3fold:curves", "--class", "-1,-1,-1,-2,1"]
+    )
+    message = "argument --class: expected one argument"
+    assert (code, document["status"]) == (1, "input_error")
+    assert document["payload"] == {"error": {"message": message}}
+    assert document["diagnostics"] == [message]
+    assert capsys.readouterr().err.startswith("usage: cyclecones decompose ")
+
+
 def test_missing_file_is_input_error():
     document, code = run_json(["cone", "dual", "--input", "/nonexistent.json"])
     assert code == 1 and document["status"] == "input_error"
@@ -741,7 +753,10 @@ RECLASSIFIED = {
         3, "movable/effective coincidence flags disagree",
     ),
     "projbundle-nef-flags": (
-        ["projbundle", "--hn", "2:0,2:2", "--k", "3"], (projbundle, "nu", projbundle.epsilon),
+        # nu is epsilon only at k = 3, where sigma_3 = eps_3: the order
+        # nu >= sigma >= eps that sigma checks still holds
+        ["projbundle", "--hn", "2:0,2:2", "--k", "3"],
+        (projbundle, "nu", lambda p, k, nu=projbundle.nu: projbundle.epsilon(p, k) if k == 3 else nu(p, k)),
         3, "nef/effective coincidence flags disagree",
     ),
     "brute-force-rank-cap": (

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclecones import FIXTURE_NAMES, cones, fixtures
+from cyclecones import FIXTURE_NAMES, cones, fixtures, linalg
 from cyclecones.cones import (
     PolyCone,
     _generators_from_dd,
@@ -227,6 +227,19 @@ def test_toric_eff_curves_salient():
 def test_full_space_and_line_not_salient():
     assert not is_salient(full_space("cx2", 2))
     assert not is_salient(PolyCone.from_generators("cx2", [(1, 0), (-1, 0), (0, 1)]))
+
+
+def test_extremal_rays_of_a_non_salient_cone_name_its_lineality_once(monkeypatch):
+    cone = dd_convert(PolyCone.from_generators("cx3", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    calls = []
+    monkeypatch.setattr(cones, "nullspace", lambda *a: calls.append(a) or linalg.nullspace(*a))
+    with pytest.raises(DomainError) as err:
+        extremal_rays(cone)
+    assert len(calls) == 1
+    assert err.value.payload() == {
+        "message": "extremal rays are only defined for salient cones",
+        "lineality": [["1", "0", "0"]],
+    }
 
 
 def test_interior_ray_removed():

@@ -4,7 +4,7 @@ import pytest
 
 from cyclecones import projbundle
 from cyclecones.cones import contains
-from cyclecones.errors import DomainError, InputError
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.projbundle import (
     HNProfile,
     class_basis,
@@ -204,6 +204,19 @@ def test_polygon_convex_and_constants_ordered(rng):
             assert nu(profile, k) >= sigma(profile, k) >= epsilon(profile, k)
             gap_zero = sigma(profile, k) == epsilon(profile, k)
             assert gap_zero == (n - profile.pieces[-1][0] < k)
+
+
+def test_constants_out_of_order_are_an_internal_error(monkeypatch):
+    # eps_2 raised from -2 to 0: sigma_2 = eps_1 + top slope = -1 falls below it
+    profile = HNProfile.parse("2:0,2:2")
+    eps = projbundle.epsilon
+    monkeypatch.setattr(projbundle, "epsilon", lambda p, k: eps(p, k) + (2 if k == 2 else 0))
+    with pytest.raises(CycleConesError) as err:
+        sigma(profile, 2)
+    assert type(err.value) is CycleConesError
+    assert err.value.payload() == {
+        "message": "cone constants out of order", "epsilon": "0", "sigma": "-1", "nu": "-2",
+    }
 
 
 def test_closed_form_agrees_with_lp_engine(rng):

@@ -14,6 +14,11 @@ D_i . D_{i+1} = 1.  Every negative curve of a toric surface is invariant, so
 the Gram matrix holds every curve the support growth needs.  A class's
 coordinates are its pairings with n - 2 invariant curves whose Gram rows are
 independent; eff is generated by the D_i, and mov = nef = {x : x . D_j >= 0}.
+
+The larger surfaces, of dimensions 5..8, also carry two of
+``test_metamorphic``'s relations on classes that are not movable:
+homogeneity, P(k alpha) = k P(alpha), and the change of lattice basis,
+P(U alpha) = U P(alpha) for a seeded U in GL(n, Z).
 """
 
 import random
@@ -23,6 +28,8 @@ from cyclecones.linalg import combine, mat_rank, solve_unique, violated
 from cyclecones.negdef import PairingBasis, decompose as grow_support
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import cone_geometry, decompose
+
+from test_metamorphic import FACTORS, _apply, _unimodular
 
 P2 = ((1, 0), (0, 1), (-1, -1))
 
@@ -129,3 +136,57 @@ def test_negative_part_pulls_back_under_a_blow_up():
             assert pulled == pull_back(negative, i), (seed, x, i)
             nonzero += any(negative)
     assert nonzero >= 250  # of 400
+
+
+# surface seeds 3000..3007: 4 + seed % 4 blow-ups, so ranks 7..10
+# (dimensions 5..8), twice each; then, from the same rng, the first
+# LARGE_CLASSES distinct classes with coefficients 0..3 that are not
+# movable, and after them the change of basis U (test_metamorphic's rule)
+LARGE_SURFACES, LARGE_CLASSES = 8, 4
+
+
+def _large_surfaces():
+    for seed in range(3000, 3000 + LARGE_SURFACES):
+        rng = random.Random(seed)
+        rays = random_fan(rng, 4 + seed % 4)
+        geometry, objective, coords, _ = surface(rays, f"l{seed}")
+        classes = []
+        while len(classes) < LARGE_CLASSES:
+            alpha = ClassVector(geometry.basis, combine(
+                [rng.randint(0, 3) for _ in rays], coords, geometry.dim))
+            if violated(geometry.mov.inequality_rows(), alpha.coords) is not None and alpha not in classes:
+                classes.append(alpha)
+        yield rng, geometry, objective, classes
+
+
+def test_positive_part_is_homogeneous_on_larger_surfaces():
+    dims = set()
+    for _, geometry, objective, classes in _large_surfaces():
+        dims.add(geometry.dim)
+        for alpha in classes:
+            dec = decompose(geometry, alpha, objective)
+            for k in FACTORS:
+                scaled = decompose(geometry, alpha.scale(k), objective)
+                assert scaled.positive == dec.positive.scale(k), (geometry.name, alpha, k)
+                assert scaled.metadata["positive_part_status"] == "certified-preceq-maximum"
+    assert dims == {5, 6, 7, 8}
+
+
+def test_positive_part_follows_a_change_of_lattice_basis_on_larger_surfaces():
+    for rng, g, objective, classes in _large_surfaces():
+        u, inverse = _unimodular(rng, g.dim)
+        dual = [list(col) for col in zip(*inverse)]  # U^-T
+        basis = f"{g.basis}.U"
+
+        def mapped(cone):
+            return PolyCone.from_generators(
+                basis, [_apply(u, v.coords) for v in cone.generators], dim=g.dim)
+
+        h = cone_geometry(f"{g.name}.U", mapped(g.mov), mapped(g.eff),
+                          ClassVector(f"{basis}*", _apply(dual, objective.coords)))
+        for alpha in classes:
+            dec = decompose(g, alpha, objective)
+            moved = decompose(h, ClassVector(basis, _apply(u, alpha.coords)))
+            assert moved.positive.coords == _apply(u, dec.positive.coords), (g.name, u, alpha)
+            for key in ("objective_value", "positive_part_status"):
+                assert moved.metadata[key] == dec.metadata[key], (g.name, u, alpha, key)
