@@ -4,26 +4,31 @@ The whole model is driven by the numerical data of the bundle's
 semistable filtration: an ordered list of (rank, degree) pieces with
 strictly increasing slopes.  Every cone of k-dimensional classes is
 two-dimensional, spanned by powers of the relative hyperplane class and
-the fiber class, and the three cone constants are read off a slope
-polygon.  Decompositions are available in closed form.
+the fiber class, and the three cone constants are heights of one slope
+polygon, tabulated once per profile (``HNProfile.heights``).  Decompositions
+and their movable certificates are read off that table in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from .cones import PolyCone, contains
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
+from .linalg import int_primitive, reproduces
 from .rationals import rat, rat_str
 from .vectors import ClassVector, dual_basis
 
 # Largest profile rank accepted.  ``projbundle`` prints every epsilon, nu
 # and sigma, so its work and output grow with the rank: with ``--hn
-# "n:1,n:2"``, wall clock with interpreter start on Python 3.11 (2-vCPU Xeon
-# VM), rank 2 000 took 0.17 s, 10 000 0.39 s (0.9 MB of JSON) and 40 000
-# 1.2 s (3.8 MB).  Every fixture and benchmark profile has rank 20 or less.
+# "n:1,n:2"``, wall clock with interpreter start on Python 3.11 (shared
+# 2-vCPU Xeon VM, median of 15 runs), rank 2 000 took 0.19 s and 10 000
+# 0.63 s (0.9 MB of JSON); with the cap raised, 40 000 took 1.9 s (3.8 MB).
+# Every fixture and benchmark profile has rank 20 or less.
 _MAX_PROFILE_RANK = 10_000
 
 
@@ -75,17 +80,32 @@ class HNProfile:
                 raise InputError(f"bad profile piece {chunk!r}") from exc
         return HNProfile(tuple(pieces))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(r for r, _ in self.pieces)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return sum(d for _, d in self.pieces)
 
-    @property
+    @cached_property
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(d, r) for r, d in self.pieces)
+
+    @cached_property
+    def heights(self) -> tuple[Fraction, ...]:
+        """eps_0..eps_rank: heights of the slope polygon over x = 0..rank.
+
+        The polygon runs from (0, -degree) to (rank, 0), one segment of
+        horizontal length r and slope d/r per piece (r, d), in order.  Its
+        breakpoints (x, y) are integer points, so the height over x + j on
+        the segment of piece (r, d) is the one Fraction (y·r + j·d) / r.
+        """
+        y, heights = -self.degree, [Fraction(-self.degree)]
+        for r, d in self.pieces:
+            heights.extend(Fraction(y * r + j * d, r) for j in range(1, r + 1))
+            y += d
+        return tuple(heights)
 
     @property
     def top_slope(self) -> Fraction:
@@ -93,15 +113,6 @@ class HNProfile:
 
     def text(self) -> str:
         return ",".join(f"{r}:{d}" for r, d in self.pieces)
-
-    def polygon_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Vertices of the slope polygon from (0, -degree) to (rank, 0)."""
-        x, y = Fraction(0), Fraction(-self.degree)
-        points = [(x, y)]
-        for r, d in self.pieces:
-            x, y = x + r, y + d
-            points.append((x, y))
-        return tuple(points)
 
 
 def class_basis(profile: HNProfile, k: int) -> str:
@@ -119,22 +130,9 @@ def _check_k(profile: HNProfile, k: int, low: int, high: int) -> None:
 
 
 def epsilon(profile: HNProfile, k: int) -> Fraction:
-    """Height of the slope polygon over x = k.
-
-    The polygon starts at (0, -degree), glues segments of horizontal
-    length rank_i and slope slope_i in increasing order, and ends at
-    (rank, 0).  The breakpoints (x, y) are integer points, so the height
-    on the segment of piece (r, d) is the one Fraction
-    (y·r + (k − x)·d) / r.
-    """
+    """Height of the slope polygon over x = k (``HNProfile.heights``)."""
     _check_k(profile, k, 0, profile.rank)
-    x, y = 0, -profile.degree
-    for r, d in profile.pieces:
-        if k <= x + r:  # always breaks, as k <= rank
-            break
-        x += r
-        y += d
-    return Fraction(y * r + (k - x) * d, r)
+    return profile.heights[k]
 
 
 def nu(profile: HNProfile, k: int) -> Fraction:
@@ -251,19 +249,24 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
     boundary ray (1, sigma_k) with coefficient b/(sigma_k - eps_k) and the
     negative part is the leftover multiple of the effective boundary ray
     (1, eps_k).
+
+    The movable certificate of the positive part (x, y) is its unique
+    combination (y - x*sigma_k, x/q) of mov's canonical generators (0, 1)
+    and (q, p), the primitive form of (1, sigma_k).
     """
     basis = class_basis(profile, k)
     if alpha.basis != basis:
         raise InputError(f"class must be given in basis {basis!r}")
-    eff, _, mov = cones_at(profile, k)
-    a, b = eff_coordinates(profile, k, alpha)
+    sig, eps = sigma(profile, k), epsilon(profile, k)
+    a, y = _plane(alpha)
+    b = y - a * eps
     if a < 0 or b < 0:
+        eff, _, _ = cones_at(profile, k)
         verdict = contains(eff, alpha)
         raise DomainError(
             "class is not pseudo-effective",
             separating_functional=[rat_str(c) for c in verdict.separating.coords],
         )
-    eps, sig = epsilon(profile, k), sigma(profile, k)
     gap = sig - eps
     if b >= a * gap:
         positive, negative = alpha, ClassVector(basis, (0, 0))
@@ -272,10 +275,15 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
         positive = ClassVector(basis, (1, sig)).scale(Fraction(b, gap))
         negative_multiple = Fraction(a * gap - b, gap)
         negative = ClassVector(basis, (1, eps)).scale(negative_multiple)
+    q, p = int_primitive((1, sig))
+    x, y = positive.coords
+    combination = (y - x * sig, Fraction(x, q))
+    if not reproduces(combination, ((0, 1), (q, p)), positive.coords):
+        raise CycleConesError("movable combination does not reproduce the positive part")
     certificates = (
         Certificate(
             "positive-part-movable",
-            {"combination": _combination(mov, positive)},
+            {"combination": [rat_str(c) for c in combination]},
         ),
         Certificate(
             "negative-part-on-effective-boundary-ray",
@@ -302,25 +310,17 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
     )
 
 
-def _combination(cone: PolyCone, v: ClassVector) -> list[str]:
-    verdict = contains(cone, v)
-    if not verdict:
-        raise CycleConesError("expected member produced a separation certificate")
-    return [rat_str(c) for c in verdict.combination]
-
-
 def constants_table(profile: HNProfile) -> dict:
     """JSON-ready table of the polygon and all cone constants."""
-    n = profile.rank
+    n, heights = profile.rank, profile.heights
+    ends = accumulate((r for r, _ in profile.pieces), initial=0)
     return {
         "profile": profile.text(),
         "rank": n,
         "degree": profile.degree,
         "slopes": [rat_str(s) for s in profile.slopes],
-        "polygon": [
-            [rat_str(x), rat_str(y)] for x, y in profile.polygon_breakpoints()
-        ],
-        "epsilon": {str(k): rat_str(epsilon(profile, k)) for k in range(n + 1)},
+        "polygon": [[str(x), rat_str(heights[x])] for x in ends],
+        "epsilon": {str(k): rat_str(e) for k, e in enumerate(heights)},
         "nu": {str(k): rat_str(nu(profile, k)) for k in range(1, n)},
         "sigma": {str(k): rat_str(sigma(profile, k)) for k in range(1, n)},
     }

@@ -745,8 +745,8 @@ RECLASSIFIED = {
     ),
     "projbundle-member-separated": (
         ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3"],
-        (projbundle, "contains", lambda cone, v: cones.ContainsResult(cone, v, False)),
-        3, "expected member produced a separation certificate",
+        (projbundle, "reproduces", lambda coeffs, rows, target: False),
+        3, "movable combination does not reproduce the positive part",
     ),
     "projbundle-mov-flags": (
         ["projbundle", "--hn", "2:0,2:2", "--k", "1"], (projbundle, "sigma", projbundle.epsilon),

@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cyclecones import projbundle
+from cyclecones import cones, projbundle, simplex
 from cyclecones.cones import contains
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.projbundle import (
@@ -10,6 +11,7 @@ from cyclecones.projbundle import (
     class_basis,
     cone_coincidence,
     cones_at,
+    constants_table,
     degree_functional,
     eff_coordinates,
     epsilon,
@@ -18,6 +20,7 @@ from cyclecones.projbundle import (
     sigma,
     zariski_decompose,
 )
+from cyclecones.rationals import rat_str
 from cyclecones.vectors import ClassVector
 from cyclecones.zariski import cone_geometry, decompose, verify_decomposition
 
@@ -77,12 +80,19 @@ def test_epsilon_semistable_is_linear():
 
 
 def test_epsilon_matches_fraction_oracle(rng):
-    # every k in 0..rank of 60 seeded profiles: the same value, a Fraction
+    # every k in 0..rank of 60 seeded profiles: the same value, a Fraction,
+    # looked up in the profile's one table of heights; reading the tables
+    # leaves the profile equal to, and hashing like, a fresh parse
     for _ in range(60):
         profile = random_profile(rng)
+        assert len(profile.heights) == profile.rank + 1
         for k in range(profile.rank + 1):
             got = epsilon(profile, k)
             assert type(got) is Fraction and got == fraction_epsilon(profile, k)
+            assert got is profile.heights[k]
+        constants_table(profile)
+        fresh = HNProfile.parse(profile.text())
+        assert fresh == profile and hash(fresh) == hash(profile)
 
 
 def test_nu_values():
@@ -242,3 +252,63 @@ def test_closed_form_agrees_with_lp_engine(rng):
         # the negative part is a multiple of the extremal effective ray
         a_neg, b_neg = eff_coordinates(profile, k, closed.negative)
         assert b_neg == 0 and a_neg >= 0
+
+
+def _pseudo_effective_cases(rng, count):
+    """Seeded (profile, k, alpha), alpha = a*(1, eps_k) + b*(0, 1) with
+    a, b >= 0; every fifth class is the zero class."""
+    for i in range(count):
+        profile = random_profile(rng)
+        k = rng.randint(1, profile.rank - 1)
+        a = F(rng.randint(0, 8), rng.randint(1, 3))
+        b = F(rng.randint(0, 8), rng.randint(1, 3))
+        if i % 5 == 0:
+            a = b = F(0)
+        yield profile, k, ClassVector(class_basis(profile, k), (a, a * epsilon(profile, k) + b))
+
+
+def test_pseudo_effective_classes_need_no_cone_engine(rng, monkeypatch):
+    # the movable certificate is read off the slope polygon: no membership
+    # test and no simplex; only a class outside eff reaches contains
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(projbundle, "contains")
+    count(cones, "nonneg_solve")
+    count(simplex, "nonneg_solve")
+    for profile, k, alpha in _pseudo_effective_cases(rng, 60):
+        zariski_decompose(profile, k, alpha)
+    assert calls == {}
+    with pytest.raises(DomainError):
+        zariski_decompose(SPLIT, 2, ClassVector(class_basis(SPLIT, 2), (-1, 0)))
+    assert calls == {"contains": 1}
+
+
+def test_movable_combination_matches_the_cone_engine(rng):
+    # the cone engine is the reference: the closed-form combination is the
+    # one contains(mov, positive) finds by double description and simplex
+    seen = set()
+    for profile, k, alpha in _pseudo_effective_cases(rng, 200):
+        closed = zariski_decompose(profile, k, alpha)
+        _, _, mov = cones_at(profile, k)
+        verdict = contains(mov, closed.positive)
+        assert verdict and verdict.verify()
+        combination = closed.certificate("positive-part-movable").data["combination"]
+        assert combination == [rat_str(c) for c in verdict.combination]
+        sig = sigma(profile, k)
+        seen.add("integral sigma" if sig.denominator == 1 else "fractional sigma")
+        seen.add("negative sigma" if sig < 0 else "zero sigma" if sig == 0 else "positive sigma")
+        seen.add("zero class" if alpha.is_zero() else
+                 "movable" if closed.negative.is_zero() else "not movable")
+    assert seen == {
+        "integral sigma", "fractional sigma", "negative sigma", "zero sigma",
+        "positive sigma", "zero class", "movable", "not movable",
+    }
