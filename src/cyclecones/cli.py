@@ -1,9 +1,10 @@
 """Command-line surface: every operation, JSON in, JSON out.
 
 Exit codes: 0 ok, 1 input error, 2 domain error, 3 internal error; an
-internal error names the exception type and its innermost frame.  A usage
-error is an input error with argparse's message, its usage line on stderr;
-``--help`` prints the help alone and exits 0.  Output is deterministic for
+internal error names the exception type and its innermost frame, plus the
+``details`` of a library error that recorded any.  A usage error is an
+input error with argparse's message, its usage line on stderr; ``--help``
+prints the help alone and exits 0.  Output is deterministic for
 identical inputs; ``--meta`` adds a timestamp block alongside (never
 inside) the payload.
 
@@ -20,7 +21,7 @@ import os
 import sys
 
 from .cones import contains, dd_convert, dual_cone, extremal_rays
-from .errors import DomainError, InputError
+from .errors import CycleConesError, DomainError, InputError
 from .jsonio import (
     cone_from_json,
     cone_to_json,
@@ -137,10 +138,11 @@ def _projbundle_payload(args) -> dict:
         eff, nef, mov = cones_at(profile, k)
         mov_eq_eff, nef_eq_eff = cone_coincidence(profile, k)
         payload["k"] = k
+        # cones_at builds the three cones canonical: no conversion here
         payload["cones"] = {
-            "eff": cone_to_json(dd_convert(eff)),
-            "nef": cone_to_json(dd_convert(nef)),
-            "mov": cone_to_json(dd_convert(mov)),
+            "eff": cone_to_json(eff),
+            "nef": cone_to_json(nef),
+            "mov": cone_to_json(mov),
         }
         payload["coincidence"] = {
             "mov_eq_eff": mov_eq_eff,
@@ -341,6 +343,8 @@ def run(argv) -> tuple[dict, int]:
                 f"in {frame.name}",
             }
         }
+        if isinstance(exc, CycleConesError) and exc.details:
+            payload["error"]["details"] = exc.details
         diagnostics.append(str(exc))
 
     document = {

@@ -256,9 +256,11 @@ class PolyCone:
     exactly when it is not None; an empty tuple is meaningful (no
     generators: the zero cone; no inequalities: the full space).
 
-    ``canonical`` is set by ``dd_convert`` (and kept by ``dual_cone``),
-    never by the constructor.  It is bookkeeping, not part of the value;
-    ``dataclasses.replace`` resets it, so an edited cone is converted afresh.
+    ``canonical`` is set by ``dd_convert`` (and kept by ``dual_cone``) and
+    by ``projbundle._plane_cones``, which checks its closed form in integers
+    first; never by the constructor.  It is bookkeeping, not part of the
+    value; ``dataclasses.replace`` resets it, so an edited cone is converted
+    afresh.
     """
 
     basis: str

@@ -5,8 +5,9 @@ semistable filtration: an ordered list of (rank, degree) pieces with
 strictly increasing slopes.  Every cone of k-dimensional classes is
 two-dimensional, spanned by powers of the relative hyperplane class and
 the fiber class, and the three cone constants are heights of one slope
-polygon, tabulated once per profile (``HNProfile.heights``).  Decompositions
-and their movable certificates are read off that table in closed form.
+polygon, tabulated once per profile (``HNProfile.heights``).  The cones are
+built canonical in closed form, so no double description converts them, and
+decompositions and their movable certificates are read off the same table.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .cones import PolyCone, contains
+from .cones import PolyCone
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import int_primitive, reproduces
+from .linalg import dot, int_primitive, reproduces, violated
 from .rationals import rat, rat_str
 from .vectors import ClassVector, dual_basis
 
@@ -142,14 +143,17 @@ def nu(profile: HNProfile, k: int) -> Fraction:
 
 
 def sigma(profile: HNProfile, k: int) -> Fraction:
-    """Boundary constant of the movable cone in dimension k.
+    """Boundary constant of the movable cone in dimension k, checked
+    against nu_k by ``_checked_sigma``."""
+    return _checked_sigma(profile, k, nu(profile, k))
 
-    Checks nu_k >= sigma_k >= eps_k (nef <= mov <= eff); the convex polygon
-    guarantees it, so a violation is an internal error.
-    """
-    _check_k(profile, k, 1, profile.rank - 1)
+
+def _checked_sigma(profile: HNProfile, k: int, nu_k: Fraction) -> Fraction:
+    """sigma_k, checked against nu_k = ``nu(profile, k)``, which the caller
+    has at hand: nu_k >= sigma_k >= eps_k (nef <= mov <= eff).  The convex
+    polygon guarantees it, so a violation is an internal error."""
     value = epsilon(profile, k - 1) + profile.top_slope
-    eps, nu_k = epsilon(profile, k), nu(profile, k)
+    eps = epsilon(profile, k)
     if not (nu_k >= value >= eps):
         raise CycleConesError(
             "cone constants out of order",
@@ -158,20 +162,51 @@ def sigma(profile: HNProfile, k: int) -> Fraction:
     return value
 
 
+def _plane_cones(basis: str, constants) -> tuple[PolyCone, ...]:
+    """The canonical cones <(1, c), (0, 1)> of ``basis``, one per constant
+    c, in closed form.
+
+    With (q, p) = ``int_primitive((1, c))``, so q >= 1, the sorted primitive
+    generators are (0, 1), (q, p) and the facets (1, 0) and (-p, q), sorted:
+    what ``dd_convert`` prints.  Before a cone is marked canonical, each
+    facet is checked in integers to vanish on one generator and be positive
+    on the other.  The cones share their vectors (0, 1) and (1, 0).
+    """
+    dual = dual_basis(basis)
+    fiber, edge = ClassVector(basis, (0, 1)), ClassVector(dual, (1, 0))
+    cones = []
+    for c in constants:
+        q, p = int_primitive((1, c))
+        ray, cut = ClassVector(basis, (q, p)), ClassVector(dual, (-p, q))
+        facets = (cut, edge) if cut.coords < edge.coords else (edge, cut)
+        for f in facets:
+            a, b = dot(f.coords, fiber.coords), dot(f.coords, ray.coords)
+            if a * b != 0 or a + b <= 0:
+                raise CycleConesError(
+                    "closed-form cone fails its facet check",
+                    constant=rat_str(c),
+                    generators=[[rat_str(x) for x in g.coords] for g in (fiber, ray)],
+                    facets=[[rat_str(x) for x in f.coords] for f in facets],
+                )
+        cone = PolyCone(
+            basis, 2, generators=(fiber, ray), inequalities=facets, dual=dual
+        )
+        object.__setattr__(cone, "canonical", True)
+        cones.append(cone)
+    return tuple(cones)
+
+
 def cones_at(profile: HNProfile, k: int):
-    """(eff, nef, mov) cones of k-dimensional classes, each 2D.
+    """(eff, nef, mov) cones of k-dimensional classes, each 2D and canonical.
 
     eff = <(1, eps_k), (0, 1)>, nef = <(1, nu_k), (0, 1)>,
-    mov = <(1, sigma_k), (0, 1)>; ``sigma`` checks the nesting
-    nef <= mov <= eff.
+    mov = <(1, sigma_k), (0, 1)>, built in closed form by ``_plane_cones``;
+    sigma_k is checked for the nesting nef <= mov <= eff.
     """
     _check_k(profile, k, 1, profile.rank - 1)
-    basis = class_basis(profile, k)
-    eps, nu_k, sig = epsilon(profile, k), nu(profile, k), sigma(profile, k)
-    eff = PolyCone.from_generators(basis, [(1, eps), (0, 1)])
-    nef = PolyCone.from_generators(basis, [(1, nu_k), (0, 1)])
-    mov = PolyCone.from_generators(basis, [(1, sig), (0, 1)])
-    return eff, nef, mov
+    nu_k = nu(profile, k)
+    sig = _checked_sigma(profile, k, nu_k)
+    return _plane_cones(class_basis(profile, k), (epsilon(profile, k), nu_k, sig))
 
 
 def cone_coincidence(profile: HNProfile, k: int):
@@ -216,12 +251,6 @@ def pair_classes(profile: HNProfile, k: int, a: ClassVector, b: ClassVector) -> 
     return x * xp * profile.degree + x * yp + xp * y
 
 
-def eff_coordinates(profile: HNProfile, k: int, v: ClassVector) -> tuple[Fraction, Fraction]:
-    """Coordinates (a, b) of v against the eff generators (1, eps_k), (0, 1)."""
-    x, y = _plane(v)
-    return x, y - x * epsilon(profile, k)
-
-
 def degree_functional(profile: HNProfile, k: int) -> ClassVector:
     """Default objective: pairing with the sum (1, nu_{n-k} + 1) of the two
     complementary-dimension nef generators (1, nu_{n-k}) and (0, 1).
@@ -257,15 +286,17 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
     basis = class_basis(profile, k)
     if alpha.basis != basis:
         raise InputError(f"class must be given in basis {basis!r}")
-    sig, eps = sigma(profile, k), epsilon(profile, k)
+    nu_k = nu(profile, k)
+    sig, eps = _checked_sigma(profile, k, nu_k), epsilon(profile, k)
     a, y = _plane(alpha)
     b = y - a * eps
     if a < 0 or b < 0:
-        eff, _, _ = cones_at(profile, k)
-        verdict = contains(eff, alpha)
+        # a < 0 is negative on the facet (1, 0), b < 0 on (-p, q) = q*(-eps_k, 1)
+        facets = cones_at(profile, k)[0].inequality_rows()
+        cut = facets[violated(facets, int_primitive(alpha.coords))]
         raise DomainError(
             "class is not pseudo-effective",
-            separating_functional=[rat_str(c) for c in verdict.separating.coords],
+            separating_functional=[rat_str(c) for c in cut],
         )
     gap = sig - eps
     if b >= a * gap:
@@ -304,7 +335,7 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
             "constants": {
                 "epsilon": rat_str(eps),
                 "sigma": rat_str(sig),
-                "nu": rat_str(nu(profile, k)),
+                "nu": rat_str(nu_k),
             },
         },
     )
@@ -314,6 +345,7 @@ def constants_table(profile: HNProfile) -> dict:
     """JSON-ready table of the polygon and all cone constants."""
     n, heights = profile.rank, profile.heights
     ends = accumulate((r for r, _ in profile.pieces), initial=0)
+    nus = {k: nu(profile, k) for k in range(1, n)}
     return {
         "profile": profile.text(),
         "rank": n,
@@ -321,6 +353,8 @@ def constants_table(profile: HNProfile) -> dict:
         "slopes": [rat_str(s) for s in profile.slopes],
         "polygon": [[str(x), rat_str(heights[x])] for x in ends],
         "epsilon": {str(k): rat_str(e) for k, e in enumerate(heights)},
-        "nu": {str(k): rat_str(nu(profile, k)) for k in range(1, n)},
-        "sigma": {str(k): rat_str(sigma(profile, k)) for k in range(1, n)},
+        "nu": {str(k): rat_str(nu_k) for k, nu_k in nus.items()},
+        "sigma": {
+            str(k): rat_str(_checked_sigma(profile, k, nu_k)) for k, nu_k in nus.items()
+        },
     }

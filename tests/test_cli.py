@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones import cli, cones, jsonio, projbundle, simplex
+from cyclecones import cli, cones, jsonio, negdef, polytope, projbundle, simplex
 from cyclecones.cli import main, run
+from cyclecones.vectors import ClassVector
 
 from conftest import chain_gram
 
@@ -732,46 +733,88 @@ def test_fixture_commands_match_reference(label, argv, monkeypatch, capsys):
     assert (code, digest) == (reference["exit"], reference["stdout_sha256"])
 
 
-# broken invariants are internal errors (3); a cap on work is a domain error (2)
+# broken invariants are internal errors (3); a cap on work is a domain error (2).
+# An internal error whose raise site passes details prints them beside its
+# message, type and frame: the last entry, None where the site passes none.
 RECLASSIFIED = {
     "dd-inconsistent-pair": (
         ["cone", "convert", "--input", "{cone}"], (cones, "violated", lambda rows, point: 0),
-        3, "double description produced an inconsistent pair",
+        3, "double description produced an inconsistent pair", None,
     ),
     "contains-representations-disagree": (
         ["cone", "contains", "--input", "{cone}", "--vector", "1,1"],
         (cones, "nonneg_solve", lambda columns, target: None),
         3, "representations disagree: inequalities accept a vector the generators cannot produce",
+        {"vector": ["1", "1"]},
     ),
     "projbundle-member-separated": (
         ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3"],
         (projbundle, "reproduces", lambda coeffs, rows, target: False),
-        3, "movable combination does not reproduce the positive part",
+        3, "movable combination does not reproduce the positive part", None,
     ),
     "projbundle-mov-flags": (
         ["projbundle", "--hn", "2:0,2:2", "--k", "1"], (projbundle, "sigma", projbundle.epsilon),
-        3, "movable/effective coincidence flags disagree",
+        3, "movable/effective coincidence flags disagree", None,
     ),
     "projbundle-nef-flags": (
         # nu is epsilon only at k = 3, where sigma_3 = eps_3: the order
         # nu >= sigma >= eps that sigma checks still holds
         ["projbundle", "--hn", "2:0,2:2", "--k", "3"],
         (projbundle, "nu", lambda p, k, nu=projbundle.nu: projbundle.epsilon(p, k) if k == 3 else nu(p, k)),
-        3, "nef/effective coincidence flags disagree",
+        3, "nef/effective coincidence flags disagree", None,
+    ),
+    "projbundle-constants-out-of-order": (
+        # eps_2 raised from -2 to 0: sigma_2 = eps_1 + top slope = -1 falls below it
+        ["projbundle", "--hn", "2:0,2:2"],
+        (projbundle, "epsilon", lambda p, k, eps=projbundle.epsilon: eps(p, k) + (2 if k == 2 else 0)),
+        3, "cone constants out of order", {"epsilon": "0", "sigma": "-1", "nu": "-2"},
+    ),
+    "projbundle-closed-form-cone": (
+        # (0, 1) is no primitive form of (1, eps_2): the facet (1, 0) vanishes
+        # on both generators
+        ["projbundle", "--hn", "2:0,2:2", "--k", "2"], (projbundle, "int_primitive", lambda row: (0, 1)),
+        3, "closed-form cone fails its facet check",
+        {"constant": "-2", "generators": [["0", "1"], ["0", "1"]], "facets": [["-1", "0"], ["1", "0"]]},
+    ),
+    "decomposition-parts-do-not-add-up": (
+        ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3"],
+        (ClassVector, "__add__", lambda self, other: self),
+        3, "inconsistent decomposition: positive + negative != input",
+        {"input": ["2", "-3"], "positive": ["1", "-1"], "negative": ["1", "-2"]},
+    ),
+    "vertex-scan-maximum-uncertified": (
+        ["decompose", "--geometry", "p2-hilb2:surfaces", "--class", "1,0,1"],
+        (polytope, "nonneg_solve", lambda columns, target: None),
+        3, "no optimality certificate for vertex scan maximum 7/2",
+        {"objective": ["1", "3", "5"], "vertex": ["1", "0", "1/2"]},
+    ),
+    "support-growth-contract": (
+        ["bck", "--gram", "{gram6}", "--class", "1,2,0,3,1,2"],
+        (negdef, "_postconditions_hold", lambda basis, coeffs, support: False),
+        3, "support growth fixed point violates the output contract", {"support": ["E2", "E4"]},
+    ),
+    "brute-force-contract": (
+        # support growth passes its negative part as a list, brute force
+        # its candidates as tuples: only the oracle's check fails
+        ["bck", "--gram", "{gram6}", "--class", "1,2,0,3,1,2", "--brute-force"],
+        (negdef, "_postconditions_hold", lambda basis, coeffs, support: isinstance(support, list)),
+        3, "brute force candidate violates the output contract",
+        {"negative": ["0", "3/2", "0", "8/3", "0", "0"]},
     ),
     "brute-force-rank-cap": (
         ["bck", "--gram", "{gram}", "--class", ",".join(["1"] * 17), "--brute-force"], None,
-        2, "brute force rank 17 exceeds the cap of 16",
+        2, "brute force rank 17 exceeds the cap of 16", None,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RECLASSIFIED))
 def test_error_class_follows_the_taxonomy(case, tmp_path, monkeypatch):
-    argv, patch, expected, message = RECLASSIFIED[case]
+    argv, patch, expected, message, details = RECLASSIFIED[case]
     cone = write(tmp_path, "cone.json", {"basis": "b", "dim": 2, "generators": [[1, 0], [0, 1]]})
     gram = write(tmp_path, "gram.json", chain_gram(17))
-    argv = [a.format(cone=cone, gram=gram) for a in argv]
+    gram6 = str(ROOT / "bench" / "data" / "gram.json")
+    argv = [a.format(cone=cone, gram=gram, gram6=gram6) for a in argv]
     if patch is not None:
         monkeypatch.setattr(*patch)
     document, code = run_json(argv)
@@ -779,6 +822,7 @@ def test_error_class_follows_the_taxonomy(case, tmp_path, monkeypatch):
     error = document["payload"]["error"]
     if expected == 3:
         assert (error["type"], error["message"]) == ("CycleConesError", f"CycleConesError: {message}")
+        assert error.get("details") == details
     else:
         assert error["message"] == message
 

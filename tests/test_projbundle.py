@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cyclecones import cones, projbundle, simplex
-from cyclecones.cones import contains
+from cyclecones.cones import PolyCone, contains, dd_convert
 from cyclecones.errors import CycleConesError, DomainError, InputError
+from cyclecones.jsonio import cone_to_json
 from cyclecones.projbundle import (
     HNProfile,
     class_basis,
@@ -13,7 +14,6 @@ from cyclecones.projbundle import (
     cones_at,
     constants_table,
     degree_functional,
-    eff_coordinates,
     epsilon,
     nu,
     pair_classes,
@@ -165,7 +165,6 @@ def test_classes_need_two_coordinates():
     two = ClassVector(basis, (1, 0))
     for call in (
         lambda: zariski_decompose(SPLIT, 2, three),
-        lambda: eff_coordinates(SPLIT, 2, three),
         lambda: pair_classes(SPLIT, 2, three, two),
         lambda: pair_classes(SPLIT, 2, two, three),
     ):
@@ -250,8 +249,8 @@ def test_closed_form_agrees_with_lp_engine(rng):
         assert lp.metadata["positive_part_status"] == "certified-preceq-maximum"
         assert verify_decomposition(geometry, lp)
         # the negative part is a multiple of the extremal effective ray
-        a_neg, b_neg = eff_coordinates(profile, k, closed.negative)
-        assert b_neg == 0 and a_neg >= 0
+        x, y = closed.negative.coords
+        assert y - x * eps == 0 and x >= 0
 
 
 def _pseudo_effective_cases(rng, count):
@@ -267,43 +266,51 @@ def _pseudo_effective_cases(rng, count):
         yield profile, k, ClassVector(class_basis(profile, k), (a, a * epsilon(profile, k) + b))
 
 
-def test_pseudo_effective_classes_need_no_cone_engine(rng, monkeypatch):
-    # the movable certificate is read off the slope polygon: no membership
-    # test and no simplex; only a class outside eff reaches contains
+def _count_calls(monkeypatch, *names):
+    """A Counter of the calls made to each ``module.name`` of ``names``."""
     calls = Counter()
 
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
+    def counting(name, real):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        return counted
 
-    count(projbundle, "contains")
-    count(cones, "nonneg_solve")
-    count(simplex, "nonneg_solve")
+    for module, name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_pseudo_effective_classes_need_no_cone_engine(rng, monkeypatch):
+    # the movable certificate is read off the slope polygon: no membership
+    # test and no simplex; a class outside eff takes its separating
+    # functional from the closed-form eff's facets, with no contains either
+    calls = _count_calls(
+        monkeypatch, (cones, "contains"), (cones, "double_description"),
+        (cones, "nonneg_solve"), (simplex, "nonneg_solve"),
+    )
     for profile, k, alpha in _pseudo_effective_cases(rng, 60):
         zariski_decompose(profile, k, alpha)
     assert calls == {}
     with pytest.raises(DomainError):
         zariski_decompose(SPLIT, 2, ClassVector(class_basis(SPLIT, 2), (-1, 0)))
-    assert calls == {"contains": 1}
+    assert calls == {}
 
 
 def test_movable_combination_matches_the_cone_engine(rng):
     # the cone engine is the reference: the closed-form combination is the
     # one contains(mov, positive) finds by double description and simplex
+    # (mov from its generators, as cones_at's closed form does not convert)
     seen = set()
     for profile, k, alpha in _pseudo_effective_cases(rng, 200):
         closed = zariski_decompose(profile, k, alpha)
-        _, _, mov = cones_at(profile, k)
+        sig = sigma(profile, k)
+        mov = PolyCone.from_generators(class_basis(profile, k), [(1, sig), (0, 1)])
         verdict = contains(mov, closed.positive)
         assert verdict and verdict.verify()
         combination = closed.certificate("positive-part-movable").data["combination"]
         assert combination == [rat_str(c) for c in verdict.combination]
-        sig = sigma(profile, k)
         seen.add("integral sigma" if sig.denominator == 1 else "fractional sigma")
         seen.add("negative sigma" if sig < 0 else "zero sigma" if sig == 0 else "positive sigma")
         seen.add("zero class" if alpha.is_zero() else
@@ -311,4 +318,48 @@ def test_movable_combination_matches_the_cone_engine(rng):
     assert seen == {
         "integral sigma", "fractional sigma", "negative sigma", "zero sigma",
         "positive sigma", "zero class", "movable", "not movable",
+    }
+
+
+def test_cones_at_matches_the_double_description(rng):
+    # the double description is the reference: at every k of 200 seeded
+    # profiles each closed-form cone is canonical and prints as the DD's
+    # conversion of the same generators
+    seen = set()
+    for _ in range(200):
+        profile = random_profile(rng)
+        for k in range(1, profile.rank):
+            basis = class_basis(profile, k)
+            constants = (epsilon(profile, k), nu(profile, k), sigma(profile, k))
+            for cone, c in zip(cones_at(profile, k), constants):
+                reference = dd_convert(PolyCone.from_generators(basis, [(1, c), (0, 1)]))
+                assert cone.canonical and dd_convert(cone) is cone
+                assert cone_to_json(cone) == cone_to_json(reference)
+                seen.add("integral" if c.denominator == 1 else "fractional")
+                seen.add("negative" if c < 0 else "zero" if c == 0 else "positive")
+            if len(profile.pieces) == 1:
+                seen.add("single piece")
+    assert seen == {"integral", "fractional", "negative", "zero", "positive", "single piece"}
+
+
+def test_cone_geometry_of_cones_at_runs_no_double_description(rng, monkeypatch):
+    calls = _count_calls(monkeypatch, (cones, "double_description"))
+    for _ in range(40):
+        profile = random_profile(rng)
+        k = rng.randint(1, profile.rank - 1)
+        eff, _, mov = cones_at(profile, k)
+        cone_geometry("slope", mov, eff, degree_functional(profile, k))
+    assert calls == {}
+
+
+def test_closed_form_cone_check_is_an_internal_error(monkeypatch):
+    # (q, p) = (0, 1) is no primitive form of (1, c): the facet (1, 0)
+    # vanishes on both generators
+    monkeypatch.setattr(projbundle, "int_primitive", lambda row: (0, 1))
+    with pytest.raises(CycleConesError) as err:
+        cones_at(SPLIT, 2)
+    assert type(err.value) is CycleConesError
+    assert err.value.payload() == {
+        "message": "closed-form cone fails its facet check", "constant": "-2",
+        "generators": [["0", "1"], ["0", "1"]], "facets": [["-1", "0"], ["1", "0"]],
     }
