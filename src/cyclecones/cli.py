@@ -89,12 +89,12 @@ def _decompose_payload(args) -> dict:
     geometry = _load_geometry(args.geometry)
     alpha = parse_vector_text(args.klass, geometry.basis, geometry.dim)
     objective = None
-    if args.objective:
+    if args.objective is not None:
         objective = parse_vector_text(args.objective, geometry.eff.dual, geometry.dim)
     result = decompose(geometry, alpha, objective)
     payload = result.to_json()
     payload["negative_on_eff_boundary"] = negative_boundary_check(geometry, result)
-    if args.plot_section:
+    if args.plot_section is not None:
         from .section_plot import render_section
 
         svg = render_section(geometry, result)
@@ -148,10 +148,10 @@ def _projbundle_payload(args) -> dict:
             "mov_eq_eff": mov_eq_eff,
             "nef_eq_eff": nef_eq_eff,
         }
-        if args.klass:
+        if args.klass is not None:
             alpha = parse_vector_text(args.klass, class_basis(profile, k), 2)
             payload["decomposition"] = zariski_decompose(profile, k, alpha).to_json()
-    elif args.klass:
+    elif args.klass is not None:
         raise InputError("--class requires --k")
     return payload
 

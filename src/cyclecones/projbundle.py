@@ -5,8 +5,9 @@ semistable filtration: an ordered list of (rank, degree) pieces with
 strictly increasing slopes.  Every cone of k-dimensional classes is
 two-dimensional, spanned by powers of the relative hyperplane class and
 the fiber class, and the three cone constants are heights of one slope
-polygon, tabulated once per profile (``HNProfile.heights``).  The cones are
-built canonical in closed form, so no double description converts them, and
+polygon, tabulated once per profile (``HNProfile.heights``) and read, with
+the one check that they nest, by ``_constants``.  The cones are built
+canonical in closed form, so no double description converts them, and
 decompositions and their movable certificates are read off the same table.
 """
 
@@ -136,30 +137,32 @@ def epsilon(profile: HNProfile, k: int) -> Fraction:
     return profile.heights[k]
 
 
+def _constants(profile: HNProfile, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(eps_k, nu_k, sigma_k), the eff, nef and mov boundary constants in
+    dimension k, read off ``HNProfile.heights``: nu_k = -degree - eps_(n-k)
+    and sigma_k = eps_(k-1) + top slope.  They must nest, nu_k >= sigma_k >=
+    eps_k (nef <= mov <= eff); the convex polygon guarantees it, so a
+    violation is an internal error."""
+    _check_k(profile, k, 1, profile.rank - 1)
+    heights = profile.heights
+    eps, nu_k = heights[k], -profile.degree - heights[profile.rank - k]
+    sig = heights[k - 1] + profile.top_slope
+    if not (nu_k >= sig >= eps):
+        raise CycleConesError(
+            "cone constants out of order",
+            epsilon=rat_str(eps), sigma=rat_str(sig), nu=rat_str(nu_k),
+        )
+    return eps, nu_k, sig
+
+
 def nu(profile: HNProfile, k: int) -> Fraction:
     """Boundary constant of the nef cone in dimension k."""
-    _check_k(profile, k, 1, profile.rank - 1)
-    return -profile.degree - epsilon(profile, profile.rank - k)
+    return _constants(profile, k)[1]
 
 
 def sigma(profile: HNProfile, k: int) -> Fraction:
-    """Boundary constant of the movable cone in dimension k, checked
-    against nu_k by ``_checked_sigma``."""
-    return _checked_sigma(profile, k, nu(profile, k))
-
-
-def _checked_sigma(profile: HNProfile, k: int, nu_k: Fraction) -> Fraction:
-    """sigma_k, checked against nu_k = ``nu(profile, k)``, which the caller
-    has at hand: nu_k >= sigma_k >= eps_k (nef <= mov <= eff).  The convex
-    polygon guarantees it, so a violation is an internal error."""
-    value = epsilon(profile, k - 1) + profile.top_slope
-    eps = epsilon(profile, k)
-    if not (nu_k >= value >= eps):
-        raise CycleConesError(
-            "cone constants out of order",
-            epsilon=rat_str(eps), sigma=rat_str(value), nu=rat_str(nu_k),
-        )
-    return value
+    """Boundary constant of the movable cone in dimension k."""
+    return _constants(profile, k)[2]
 
 
 def _plane_cones(basis: str, constants) -> tuple[PolyCone, ...]:
@@ -200,13 +203,10 @@ def cones_at(profile: HNProfile, k: int):
     """(eff, nef, mov) cones of k-dimensional classes, each 2D and canonical.
 
     eff = <(1, eps_k), (0, 1)>, nef = <(1, nu_k), (0, 1)>,
-    mov = <(1, sigma_k), (0, 1)>, built in closed form by ``_plane_cones``;
-    sigma_k is checked for the nesting nef <= mov <= eff.
+    mov = <(1, sigma_k), (0, 1)>, built in closed form by ``_plane_cones``
+    from ``_constants``, which checks the nesting nef <= mov <= eff.
     """
-    _check_k(profile, k, 1, profile.rank - 1)
-    nu_k = nu(profile, k)
-    sig = _checked_sigma(profile, k, nu_k)
-    return _plane_cones(class_basis(profile, k), (epsilon(profile, k), nu_k, sig))
+    return _plane_cones(class_basis(profile, k), _constants(profile, k))
 
 
 def cone_coincidence(profile: HNProfile, k: int):
@@ -217,14 +217,14 @@ def cone_coincidence(profile: HNProfile, k: int):
     convexity of the slope polygon gives eps_k + eps_(n-k) < -degree as
     soon as there are two distinct slopes, so the nef and effective
     boundary constants can never meet in any dimension.  Both closed forms
-    are independently confirmed against the computed cone constants.
+    are independently confirmed against the checked ``_constants`` triple.
     """
-    _check_k(profile, k, 1, profile.rank - 1)
+    eps, nu_k, sig = _constants(profile, k)
     mov_eq_eff = profile.rank - profile.pieces[-1][0] < k
     nef_eq_eff = len(profile.pieces) == 1
-    if mov_eq_eff != (sigma(profile, k) == epsilon(profile, k)):
+    if mov_eq_eff != (sig == eps):
         raise CycleConesError("movable/effective coincidence flags disagree")
-    if nef_eq_eff != (nu(profile, k) == epsilon(profile, k)):
+    if nef_eq_eff != (nu_k == eps):
         raise CycleConesError("nef/effective coincidence flags disagree")
     return mov_eq_eff, nef_eq_eff
 
@@ -286,13 +286,12 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
     basis = class_basis(profile, k)
     if alpha.basis != basis:
         raise InputError(f"class must be given in basis {basis!r}")
-    nu_k = nu(profile, k)
-    sig, eps = _checked_sigma(profile, k, nu_k), epsilon(profile, k)
+    eps, nu_k, sig = _constants(profile, k)
     a, y = _plane(alpha)
     b = y - a * eps
     if a < 0 or b < 0:
         # a < 0 is negative on the facet (1, 0), b < 0 on (-p, q) = q*(-eps_k, 1)
-        facets = cones_at(profile, k)[0].inequality_rows()
+        facets = _plane_cones(basis, (eps,))[0].inequality_rows()
         cut = facets[violated(facets, int_primitive(alpha.coords))]
         raise DomainError(
             "class is not pseudo-effective",
@@ -345,7 +344,7 @@ def constants_table(profile: HNProfile) -> dict:
     """JSON-ready table of the polygon and all cone constants."""
     n, heights = profile.rank, profile.heights
     ends = accumulate((r for r, _ in profile.pieces), initial=0)
-    nus = {k: nu(profile, k) for k in range(1, n)}
+    triples = [_constants(profile, k) for k in range(1, n)]
     return {
         "profile": profile.text(),
         "rank": n,
@@ -353,8 +352,6 @@ def constants_table(profile: HNProfile) -> dict:
         "slopes": [rat_str(s) for s in profile.slopes],
         "polygon": [[str(x), rat_str(heights[x])] for x in ends],
         "epsilon": {str(k): rat_str(e) for k, e in enumerate(heights)},
-        "nu": {str(k): rat_str(nu_k) for k, nu_k in nus.items()},
-        "sigma": {
-            str(k): rat_str(_checked_sigma(profile, k, nu_k)) for k, nu_k in nus.items()
-        },
+        "nu": {str(k): rat_str(nu_k) for k, (_, nu_k, _) in enumerate(triples, 1)},
+        "sigma": {str(k): rat_str(sig) for k, (_, _, sig) in enumerate(triples, 1)},
     }

@@ -586,6 +586,17 @@ HANDLER_BRANCHES = [
     ("projbundle-k", ["projbundle", "--hn", "2:0,2:2", "--k", "2"], 0),
     ("projbundle-class", ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", "2,-3"], 0),
     ("projbundle-class-without-k", ["projbundle", "--hn", "2:0,2:2", "--class", "2,-3"], 1),
+    # an empty option value was dropped: these exited 0 as if it were not given
+    ("projbundle-empty-class", ["projbundle", "--hn", "2:0,2:2", "--k", "2", "--class", ""],
+     1, "expected 2 coordinates in basis 'pb[2:0,2:2].N2', got 0"),
+    ("projbundle-empty-class-without-k", ["projbundle", "--hn", "2:0,2:2", "--class", ""],
+     1, "--class requires --k"),
+    ("decompose-empty-objective", ["decompose", "--geometry", "toric-3fold:curves",
+                                   "--class", "1,1,0,1,2", "--objective", ""],
+     1, "expected 5 coordinates in basis 'toric3.divisors', got 0"),
+    ("decompose-empty-plot-section", ["decompose", "--geometry", "p2-hilb2:surfaces",
+                                      "--class", "1,0,1", "--plot-section", ""],
+     1, "cannot write : No such file or directory"),
     ("bck", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2"], 0),
     ("bck-brute-force", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2",
                          "--brute-force"], 0),
@@ -753,20 +764,25 @@ RECLASSIFIED = {
         3, "movable combination does not reproduce the positive part", None,
     ),
     "projbundle-mov-flags": (
-        ["projbundle", "--hn", "2:0,2:2", "--k", "1"], (projbundle, "sigma", projbundle.epsilon),
+        # sigma := eps past the order check, in every dimension
+        ["projbundle", "--hn", "2:0,2:2", "--k", "1"],
+        (projbundle, "_constants",
+         lambda p, k, c=projbundle._constants: (lambda e, n, s: (e, n, e))(*c(p, k))),
         3, "movable/effective coincidence flags disagree", None,
     ),
     "projbundle-nef-flags": (
-        # nu is epsilon only at k = 3, where sigma_3 = eps_3: the order
-        # nu >= sigma >= eps that sigma checks still holds
+        # nu := eps past the order check, only at k = 3, where sigma_3 = eps_3
         ["projbundle", "--hn", "2:0,2:2", "--k", "3"],
-        (projbundle, "nu", lambda p, k, nu=projbundle.nu: projbundle.epsilon(p, k) if k == 3 else nu(p, k)),
+        (projbundle, "_constants",
+         lambda p, k, c=projbundle._constants: (lambda e, n, s: (e, e if k == 3 else n, s))(*c(p, k))),
         3, "nef/effective coincidence flags disagree", None,
     ),
     "projbundle-constants-out-of-order": (
         # eps_2 raised from -2 to 0: sigma_2 = eps_1 + top slope = -1 falls below it
         ["projbundle", "--hn", "2:0,2:2"],
-        (projbundle, "epsilon", lambda p, k, eps=projbundle.epsilon: eps(p, k) + (2 if k == 2 else 0)),
+        (projbundle.HNProfile, "heights", property(
+            lambda p, h=projbundle.HNProfile.heights.func: tuple(
+                e + 2 if i == 2 else e for i, e in enumerate(h(p))))),
         3, "cone constants out of order", {"epsilon": "0", "sigma": "-1", "nu": "-2"},
     ),
     "projbundle-closed-form-cone": (

@@ -216,16 +216,30 @@ def test_polygon_convex_and_constants_ordered(rng):
 
 
 def test_constants_out_of_order_are_an_internal_error(monkeypatch):
-    # eps_2 raised from -2 to 0: sigma_2 = eps_1 + top slope = -1 falls below it
+    # eps_2 raised from -2 to 0: sigma_2 = eps_1 + top slope = -1 falls below
+    # it.  Every reader of the constants meets the one check, same details
     profile = HNProfile.parse("2:0,2:2")
-    eps = projbundle.epsilon
-    monkeypatch.setattr(projbundle, "epsilon", lambda p, k: eps(p, k) + (2 if k == 2 else 0))
-    with pytest.raises(CycleConesError) as err:
-        sigma(profile, 2)
-    assert type(err.value) is CycleConesError
-    assert err.value.payload() == {
-        "message": "cone constants out of order", "epsilon": "0", "sigma": "-1", "nu": "-2",
+    heights = HNProfile.heights.func
+    monkeypatch.setattr(HNProfile, "heights", property(
+        lambda p: tuple(h + 2 if i == 2 else h for i, h in enumerate(heights(p)))
+    ))
+    alpha = ClassVector(class_basis(profile, 2), (1, 0))
+    readers = {
+        "nu": lambda: nu(profile, 2),
+        "sigma": lambda: sigma(profile, 2),
+        "cones_at": lambda: cones_at(profile, 2),
+        "cone_coincidence": lambda: cone_coincidence(profile, 2),
+        "zariski_decompose": lambda: zariski_decompose(profile, 2, alpha),
+        "degree_functional": lambda: degree_functional(profile, 2),
+        "constants_table": lambda: constants_table(profile),
     }
+    for name, read in readers.items():
+        with pytest.raises(CycleConesError) as err:
+            read()
+        assert type(err.value) is CycleConesError, name
+        assert err.value.payload() == {
+            "message": "cone constants out of order", "epsilon": "0", "sigma": "-1", "nu": "-2",
+        }, name
 
 
 def test_closed_form_agrees_with_lp_engine(rng):
