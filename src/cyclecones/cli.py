@@ -103,7 +103,7 @@ def _decompose_payload(args) -> dict:
                 handle.write(svg)
         except OSError as exc:  # no such directory, a directory, ...
             raise InputError(
-                f"cannot write {args.plot_section}: {exc.strerror or exc}"
+                f"cannot write {args.plot_section!r}: {exc.strerror or exc}"
             ) from exc
         payload["plot_section"] = args.plot_section
     return payload

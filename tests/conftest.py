@@ -32,12 +32,14 @@ from cyclecones.negdef import (
     is_negative_definite,
 )
 from cyclecones.decomposition import Certificate, Decomposition
-from cyclecones.polytope import RationalPolytope, inequality, maximize_linear, vertex_enumeration
+from cyclecones.polytope import (RationalPolytope, inequality, maximize_linear,
+                                 vertex_enumeration, vertex_table)
 from cyclecones.projbundle import HNProfile
 from cyclecones.rationals import _shown, _unparsable, rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
-from cyclecones.zariski import preceq_maximum
+from cyclecones.zariski import (DirectednessReport, DominationFailure, dominator_set_empty,
+                                preceq_maximum)
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -598,6 +600,42 @@ def pairwise_maximum(g, s) -> tuple[str, tuple | None]:
         if all(all(a >= b for a, b in zip(row, other)) for other in values):
             return "maximum", s.vertices[top].coords
     return "no-maximum", None
+
+
+def triple_scan_report(g, s) -> DirectednessReport:
+    """Oracle for the ``no-maximum`` report of ``zariski.preceq_maximum``:
+    the earlier all-triples scan.  Each vertex pair (i, j), in
+    ``combinations`` order, is tested against every vertex k on the eff
+    facet values; the first pair no k dominates both of is the witness.
+    Vertex k's failure targets j if k dominates i, else i, at the first
+    facet where k falls short.  Up to V^3/2 dominance tests."""
+    vertices = s.vertices
+    _, values = vertex_table(s, g.eff.inequality_rows())
+
+    def dominates(i: int, j: int) -> bool:
+        return all(a >= b for a, b in zip(values[i], values[j]))
+
+    indices = range(len(vertices))
+    for i, j in combinations(indices, 2):
+        if any(dominates(k, i) and dominates(k, j) for k in indices):
+            continue
+        failures = []
+        for k in indices:
+            t = j if dominates(k, i) else i
+            cut = next(l for l, (a, b) in enumerate(zip(values[k], values[t])) if a < b)
+            failures.append(DominationFailure(vertices[k], vertices[t], g.eff.inequalities[cut]))
+        u, w = vertices[i], vertices[j]
+        empty, certificate = dominator_set_empty(g, s, u, w)
+        return DirectednessReport(
+            "no-maximum",
+            s,
+            g.eff,
+            witness_pair=(u, w),
+            failures=tuple(failures),
+            pair_dominator_set_empty=empty,
+            pair_certificate=certificate,
+        )
+    raise AssertionError("every vertex pair has a common dominator: a maximum")
 
 
 def cold_polytope(g, alpha: ClassVector) -> RationalPolytope:

@@ -596,7 +596,7 @@ HANDLER_BRANCHES = [
      1, "expected 5 coordinates in basis 'toric3.divisors', got 0"),
     ("decompose-empty-plot-section", ["decompose", "--geometry", "p2-hilb2:surfaces",
                                       "--class", "1,0,1", "--plot-section", ""],
-     1, "cannot write : No such file or directory"),
+     1, "cannot write '': No such file or directory"),
     ("bck", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2"], 0),
     ("bck-brute-force", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2",
                          "--brute-force"], 0),

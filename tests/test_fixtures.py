@@ -536,10 +536,11 @@ def _then(*mutations):
 _OUTSIDE = "vector not in the cone's coordinate space"
 
 # one row per rule a checker used to keep a private copy of, each now the
-# library's: ``(fixture, mutation, exit code, the error message's tail or the
-# claim's id and status)``.  Before the checkers called those rules, the
-# long functional, the other-basis classes and the named pair passed, the
-# 3-dim class exited 3, and the non-primitive ray and the short row failed.
+# library's: ``(fixture, mutation, exit code, the error message after its
+# "fixture NAME: " prefix or the claim's id and status)``.  Before the
+# checkers called those rules, the long functional, the other-basis classes
+# and the named pair passed, the 3-dim class exited 3, and the non-primitive
+# ray and the short row failed.
 # An argument of the wrong length is an input error before any witness: the
 # long functional and the extra coefficient exited 2 with truncated witnesses.
 CLAIM_RULES = {
@@ -603,7 +604,7 @@ def test_claims_are_decided_by_the_library_rules(case, tmp_path):
     document, got = run(["fixture", str(path), "--verify"])
     assert got == code, document["payload"]
     if code == 1:
-        assert document["payload"]["error"]["message"].endswith(expected)
+        assert document["payload"]["error"]["message"] == f"fixture {name}: {expected}"
         return
     payload = document["payload"]["error"] if code else document["payload"]
     results = {r["claim"]: r for r in payload["verification"]["results"]}

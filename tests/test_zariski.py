@@ -48,6 +48,7 @@ from conftest import (
     pairwise_maximum,
     random_profile,
     report_route_metadata,
+    triple_scan_report,
 )
 
 F = Fraction
@@ -443,6 +444,59 @@ def test_preceq_maximum_matches_pairwise_oracle(toric, toric_reports):
         assert (report.maximum and report.maximum.coords) == maximum
         seen.add((g is toric, status))
     assert seen == {(True, "maximum"), (True, "no-maximum"), (False, "maximum")}
+
+
+def subcone_geometry(rng, dim):
+    """eff = unit vectors plus one seeded row, mov = 2 * dim seeded sums of
+    two or three eff generators, and a seeded eff class.  This mov is
+    narrower than ``ladder_geometry``'s, and its candidate sets often have
+    no maximum (about 1 in 8 in dimension 3, 2 in 3 in dimension 7)."""
+    eff = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    while len(eff) == dim:
+        row = tuple(rng.randint(-1, 2) for _ in range(dim))
+        if sum(row) > 0 and row not in eff:
+            eff.append(row)
+    sums = [tuple(map(sum, zip(*c))) for r in (2, 3) for c in itertools.combinations(eff, r)]
+    basis = f"subcone{dim}"
+    g = cone_geometry(
+        basis,
+        PolyCone.from_generators(basis, rng.sample(sums, 2 * dim)),
+        PolyCone.from_generators(basis, eff),
+        ClassVector(f"{basis}*", (1,) * dim),
+    )
+    coeffs = [rng.randint(0, 3) for _ in eff]
+    return g, ClassVector(basis, combine(coeffs, eff, dim))
+
+
+def test_witness_pair_matches_the_triple_scan_oracle():
+    # the dominator-bitmask search against the earlier all-triples scan:
+    # the same no-maximum report, byte for byte, and the same Farkas
+    # vector.  Every toric-3fold:curves class sum c_i C_i with c_i in
+    # {0, 1, 2}, and for each of seeds 1 and 7919 the benchmark's ladder
+    # pool and 260 subcone geometries in dimensions 3 to 7
+    from cyclecones.fixtures import load
+
+    toric = load("toric-3fold").geometry("curves")
+    rows = toric.eff.generator_rows()
+    cases = [
+        (toric, ClassVector(toric.basis, combine(coeffs, rows, toric.dim)))
+        for coeffs in itertools.product(range(3), repeat=len(rows))
+    ]
+    for seed in (1, 7919):
+        cases += _bench_ladder(seed)
+        rng = random.Random(f"witness-pair/{seed}")
+        for dim, count in zip(range(3, 8), (100, 100, 40, 12, 8)):
+            cases += [subcone_geometry(rng, dim) for _ in range(count)]
+    sizes = []
+    for g, alpha in cases:
+        report = preceq_maximum(g, decomposition_polytope(g, alpha))
+        if report.status == "maximum":
+            continue
+        oracle = triple_scan_report(g, report.polytope)
+        assert json.dumps(report.to_json()) == json.dumps(oracle.to_json()), (g.name, alpha.coords)
+        assert report.pair_certificate == oracle.pair_certificate
+        sizes.append(len(report.polytope.vertices))
+    assert len(sizes) >= 100 and max(sizes) >= 150, (len(sizes), max(sizes))
 
 
 def test_peel_without_a_combination_is_an_internal_error():
