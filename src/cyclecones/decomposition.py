@@ -1,8 +1,15 @@
-"""Shared decomposition record: input = positive + negative, with receipts."""
+"""Shared decomposition record: input = positive + negative, with receipts.
+
+In every engine, certificate data are exact numbers (``int``, ``Fraction``)
+and labels, read back by a verifier as they are; metadata is JSON as built.
+``Decomposition.to_json`` writes both: each exact number of a certificate by
+``rat_str``, the metadata as it is.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import CycleConesError
@@ -54,17 +61,16 @@ class Decomposition:
             "certificates": [
                 {"fact": c.fact, **_jsonable(c.data)} for c in self.certificates
             ],
-            "metadata": _jsonable(self.metadata),
+            "metadata": dict(self.metadata),
         }
 
 
 def _jsonable(value):
+    """Certificate data as JSON: an exact number (never a bool) by ``rat_str``."""
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return rat_str(value)
     return value

@@ -40,9 +40,9 @@ def read_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, parse_float=_reject_float)
     except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+        raise InputError(f"no such file: {path!r}") from exc
     except OSError as exc:  # a directory, no permission, ...
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()

@@ -97,22 +97,12 @@ def _build(basis: PairingBasis, coeffs, support_coeffs) -> Decomposition:
     support = tuple(i for i, c in enumerate(support_coeffs) if c != 0)
     pairings = combine(positive.coords, basis.gram, basis.rank)
     certificates = (
-        Certificate(
-            "positive-pairings-nonnegative",
-            {"values": [rat_str(v) for v in pairings]},
-        ),
+        Certificate("positive-pairings-nonnegative", {"values": list(pairings)}),
         Certificate(
             "orthogonal-on-support",
             {"support": [basis.labels[i] for i in support]},
         ),
-        Certificate(
-            "support-negative-definite",
-            {
-                "submatrix": [
-                    [rat_str(x) for x in row] for row in basis.submatrix(support)
-                ]
-            },
-        ),
+        Certificate("support-negative-definite", {"submatrix": basis.submatrix(support)}),
     )
     return Decomposition(
         input=total,

@@ -311,16 +311,10 @@ def zariski_decompose(profile: HNProfile, k: int, alpha: ClassVector) -> Decompo
     if not reproduces(combination, ((0, 1), (q, p)), positive.coords):
         raise CycleConesError("movable combination does not reproduce the positive part")
     certificates = (
-        Certificate(
-            "positive-part-movable",
-            {"combination": [rat_str(c) for c in combination]},
-        ),
+        Certificate("positive-part-movable", {"combination": list(combination)}),
         Certificate(
             "negative-part-on-effective-boundary-ray",
-            {
-                "ray": [rat_str(Fraction(1)), rat_str(eps)],
-                "multiple": rat_str(negative_multiple),
-            },
+            {"ray": [1, eps], "multiple": negative_multiple},
         ),
     )
     return Decomposition(

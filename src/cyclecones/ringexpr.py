@@ -95,6 +95,8 @@ class _Parser:
             return rat(token)
         if token in self.names:
             return self.names[token]
+        if token in (")", "+", "*", "^"):  # an operator where an operand belongs
+            raise InputError(f"unexpected token {token!r}")
         raise InputError(f"unknown name {token!r}")
 
 

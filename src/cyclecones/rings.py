@@ -276,23 +276,18 @@ class RingPresentation:
         ``strategy`` picks which applicable rule fires when several match
         ("first"/"last" in the fixed rule order); confluent presentations
         give the same answer either way, and the audit checks exactly that.
+        Each step is one scan of the monomials, in descending order under
+        "first" and ascending under "last": the first monomial some rule
+        divides is rewritten by the first such rule.
         """
-        rules = sorted(self.rewrites)
-        if strategy == "last":
-            rules = rules[::-1]
+        rules = sorted(self.rewrites, reverse=strategy == "last")
         work = {m: rat(c) for m, c in terms.items() if c != 0}
         for _ in range(_MAX_REWRITE_STEPS + 1):  # pass k finds a form needing k steps
-            target = next(
-                (
-                    m
-                    for m in sorted(work, reverse=strategy == "first")
-                    if not self.is_normal(m)
-                ),
-                None,
-            )
-            if target is None:
+            step = next(((m, lhs) for m in sorted(work, reverse=strategy == "first")
+                         for lhs in rules if _divides(lhs, m)), None)
+            if step is None:
                 return work
-            rule = next(lhs for lhs in rules if _divides(lhs, target))
+            target, rule = step
             rest = _mono_sub(target, rule)
             coeff = work.pop(target)
             for rhs_mono, rhs_coeff in self.rewrites[rule].items():

@@ -51,29 +51,25 @@ def _chart(points_3d, frame):
 
 
 def _order_polygon(points):
-    """Order 2D points around their centroid by exact angular comparison."""
+    """Order 2D points counterclockwise around their centroid, exactly.
+
+    The key is the half-plane (dy > 0, or dy = 0 < dx, first), then the
+    L1 pseudo-angle dx / (|dx| + |dy|), decreasing in the first half and
+    increasing in the second; points on one ray keep their order.  The
+    points are the vertices of a convex polygon, so none is its centroid
+    and the key is always defined.
+    """
     if len(points) <= 2:
         return list(points)
     cx = sum((p[0] for p in points), Fraction(0)) / len(points)
     cy = sum((p[1] for p in points), Fraction(0)) / len(points)
 
-    def half(p):
+    def key(p):
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        turn = dx / (abs(dx) + abs(dy))
+        return (0, -turn) if dy > 0 or (dy == 0 and dx > 0) else (1, turn)
 
-    def cross(p, q):
-        return (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
-
-    import functools
-
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        c = cross(p, q)
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    return sorted(points, key=functools.cmp_to_key(compare))
+    return sorted(points, key=key)
 
 
 def render_section(g: ConeGeometry, decomposition: Decomposition) -> str:

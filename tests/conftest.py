@@ -8,12 +8,14 @@ from __future__ import annotations
 import importlib.util
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
+from cyclecones import rings
 from cyclecones.cones import (
     ContainsResult,
     PolyCone,
@@ -34,12 +36,12 @@ from cyclecones.negdef import (
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.polytope import (RationalPolytope, inequality, maximize_linear,
                                  vertex_enumeration, vertex_table)
-from cyclecones.projbundle import HNProfile
+from cyclecones.projbundle import HNProfile, class_basis
 from cyclecones.rationals import _shown, _unparsable, rat, rat_str
 from cyclecones.simplex import nonneg_solve
 from cyclecones.vectors import ClassVector
-from cyclecones.zariski import (DirectednessReport, DominationFailure, dominator_set_empty,
-                                preceq_maximum)
+from cyclecones.zariski import (DirectednessReport, DominationFailure, cone_geometry,
+                                dominator_set_empty, preceq_maximum)
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -51,6 +53,48 @@ def bench_inputs():
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     return inputs
+
+
+def bench_ladder_pool(seed: int) -> list:
+    """The (geometry, class) pool of the benchmark's decompose-ladder for
+    one seed."""
+    from cyclecones.fixtures import load
+
+    toric = load("toric-3fold").geometry("curves")
+    items = []
+    for rung in bench_inputs().ladder(seed):
+        basis = f"bench.ladder{rung['dim']}"
+        for i, inst in enumerate(rung["instances"]):
+            if rung["extra"] is None:  # a toric-3fold:curves class
+                alpha = combine(inst["coeffs"], toric.eff.generator_rows(), toric.dim)
+                items.append((toric, ClassVector(toric.basis, alpha)))
+                continue
+            g = cone_geometry(
+                f"{rung['label']}-{i}",
+                PolyCone.from_generators(basis, inst["mov"]),
+                PolyCone.from_generators(basis, inst["eff"]),
+                ClassVector(f"{basis}*", (1,) * rung["dim"]),
+            )
+            items.append((g, ClassVector(basis, inst["alpha"])))
+    return items
+
+
+def bench_small_batch_pool(seed: int) -> tuple[list, list]:
+    """The pools of the benchmark's small-batch for one seed: (profile, k,
+    class) slope problems and (pairing basis, coefficients) problems."""
+    slopes, pairings = [], []
+    for rung in bench_inputs().small_batch(seed):
+        for inst in rung["instances"]:
+            if rung["label"] == "slope":
+                profile, k = HNProfile(tuple(inst["pieces"])), inst["k"]
+                eps = profile.heights[k]
+                alpha = (inst["a"], inst["a"] * eps + inst["b"])
+                slopes.append((profile, k, ClassVector(class_basis(profile, k), alpha)))
+            else:
+                labels = tuple(f"v{i}" for i in range(inst["rank"]))
+                basis = PairingBasis(labels, tuple(tuple(r) for r in inst["gram"]))
+                pairings.append((basis, tuple(inst["coeffs"])))
+    return slopes, pairings
 
 
 def fraction_rat(value) -> Fraction:
@@ -636,6 +680,58 @@ def triple_scan_report(g, s) -> DirectednessReport:
             pair_certificate=certificate,
         )
     raise AssertionError("every vertex pair has a common dominator: a maximum")
+
+
+def two_step_normal_form(ring, terms: dict, strategy: str = "first") -> dict:
+    """Oracle for ``RingPresentation.normal_form``: the earlier two-step
+    search.  Each step scans the sorted monomials for the first one that
+    ``is_normal`` rejects, then scans the rules again for the first that
+    divides it."""
+    rules = sorted(ring.rewrites)
+    if strategy == "last":
+        rules = rules[::-1]
+    work = {m: rat(c) for m, c in terms.items() if c != 0}
+    for _ in range(rings._MAX_REWRITE_STEPS + 1):
+        target = next(
+            (m for m in sorted(work, reverse=strategy == "first") if not ring.is_normal(m)),
+            None,
+        )
+        if target is None:
+            return work
+        rule = next(lhs for lhs in rules if rings._divides(lhs, target))
+        rest = rings._mono_sub(target, rule)
+        coeff = work.pop(target)
+        for rhs_mono, rhs_coeff in ring.rewrites[rule].items():
+            key = rings._mono_mul(rhs_mono, rest)
+            value = work.get(key, 0) + coeff * rhs_coeff
+            if value == 0:
+                work.pop(key, None)
+            else:
+                work[key] = value
+    raise DomainError(f"{ring.name}: rewriting exceeds its step budget")
+
+
+def comparator_order_polygon(points):
+    """Oracle for ``section_plot._order_polygon``: the earlier comparator
+    sort around the centroid, by half-plane, then by the sign of the cross
+    product of two points' offsets."""
+    if len(points) <= 2:
+        return list(points)
+    cx = sum((p[0] for p in points), Fraction(0)) / len(points)
+    cy = sum((p[1] for p in points), Fraction(0)) / len(points)
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def compare(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        c = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
+        return 0 if c == 0 else (-1 if c > 0 else 1)
+
+    return sorted(points, key=cmp_to_key(compare))
 
 
 def cold_polytope(g, alpha: ClassVector) -> RationalPolytope:

@@ -597,6 +597,10 @@ HANDLER_BRANCHES = [
     ("decompose-empty-plot-section", ["decompose", "--geometry", "p2-hilb2:surfaces",
                                       "--class", "1,0,1", "--plot-section", ""],
      1, "cannot write '': No such file or directory"),
+    ("cone-convert-empty-input", ["cone", "convert", "--input", ""], 1, "no such file: ''"),
+    ("bck-empty-gram", ["bck", "--gram", "", "--class", "1"], 1, "no such file: ''"),
+    ("decompose-empty-geometry", ["decompose", "--geometry", "", "--class", "1"],
+     1, "no such file: ''"),
     ("bck", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2"], 0),
     ("bck-brute-force", ["bck", "--gram", "bench/data/gram.json", "--class", "1,2,0,3,1,2",
                          "--brute-force"], 0),
@@ -606,6 +610,15 @@ HANDLER_BRANCHES = [
      1, "bad expression near ' $ E'"),
     ("ring-eval-stray-parenthesis", ["ring", "eval", "--fixture", "p2-hilb2",
                                      "--expr", "S3 )"], 1, "unexpected token ')'"),
+    # an operator where an operand belongs: these read "unknown name ')'" and similar
+    ("ring-eval-empty-parentheses", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "()"],
+     1, "unexpected token ')'"),
+    ("ring-eval-operator-after-operator", ["ring", "eval", "--fixture", "p2-hilb2",
+                                          "--expr", "2 + * 3"], 1, "unexpected token '*'"),
+    ("ring-eval-leading-caret", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "^2"],
+     1, "unexpected token '^'"),
+    ("ring-eval-leading-star", ["ring", "eval", "--fixture", "p2-hilb2", "--expr", "*S3"],
+     1, "unexpected token '*'"),
     ("ring-eval-trailing-operator", ["ring", "eval", "--fixture", "p2-hilb2",
                                      "--expr", "S3 +"], 1, "unexpected end of expression"),
     ("ring-eval-dual-class", ["ring", "eval", "--fixture", "m07-s7", "--expr", "2*S1"], 0),

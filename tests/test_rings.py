@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cyclecones import rings
+from cyclecones import fixtures, rings
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.rings import (
     DualLayer,
@@ -13,6 +13,8 @@ from cyclecones.rings import (
     format_monomial,
     parse_monomial,
 )
+
+from conftest import two_step_normal_form
 
 F = Fraction
 
@@ -438,3 +440,48 @@ def test_presentation_checks_its_dual_layers():
     good = ring(DualLayer(1, ("C1", "C2"), {(1, 0): (F(1), F(0)), (0, 1): (F(5), F(1))}))
     a_plus_b = good.generator("a") + good.generator("b")
     assert good.cap_image_from_relations(a_plus_b).coords == (6, 1)
+
+
+def _lex_decreasing_ring(rng: random.Random, name: str) -> RingPresentation:
+    """Random rules in three generators, each rewriting a monomial into
+    lexicographically smaller ones of its degree, so rewriting ends."""
+    monos = {d: sorted(p for p in product(range(d + 1), repeat=3) if sum(p) == d)
+             for d in (2, 3)}
+    rewrites = {}
+    for lhs in rng.sample(monos[2], 3) + rng.sample(monos[3], 2):
+        smaller = [m for m in monos[sum(lhs)] if m < lhs]
+        picks = rng.sample(smaller, min(len(smaller), rng.randint(0, 2)))
+        rewrites[lhs] = {m: F(rng.randint(-3, 3), rng.randint(1, 2)) or 1 for m in picks}
+    return RingPresentation(name=name, generators=("x", "y", "z"), top_degree=4,
+                            rewrites=rewrites, top_values=None, max_monomial_degree=4)
+
+
+def test_normal_form_matches_the_two_step_search(rng):
+    # the packaged rings (m07-s7 declares no rewrite rules: its degree-two
+    # cap relations, which fail their symmetry audit, are audit material),
+    # the overlapping rules a^2 -> 2b^2 and ab -> 0, whose two strategies
+    # disagree, and seeded rule sets: every monomial up to the top degree,
+    # then random term dicts, under both strategies
+    presentations = [fixtures.load(name).ring for name in ("p2-hilb2", "m07-s7")]
+    presentations.append(RingPresentation(
+        name="overlap", generators=("a", "b"), top_degree=3,
+        rewrites={(2, 0): {(0, 2): F(2)}, (1, 1): {}}, top_values=None, max_monomial_degree=3,
+    ))
+    presentations += [_lex_decreasing_ring(rng, f"lex{i}") for i in range(6)]
+    seen = set()
+    for ring in presentations:
+        monos = [m for d in range(ring.top_degree + 1) for m in ring._all_monomials(d)]
+        cases = [{m: 1} for m in monos]
+        for _ in range(40):
+            picked = rng.sample(monos, rng.randint(1, min(6, len(monos))))
+            cases.append({m: F(rng.randint(-4, 4), rng.randint(1, 3)) for m in picked})
+        for terms in cases:
+            forms = {}
+            for strategy in ("first", "last"):
+                forms[strategy] = ring.normal_form(dict(terms), strategy)
+                expected = two_step_normal_form(ring, dict(terms), strategy)
+                assert list(forms[strategy].items()) == list(expected.items()), (ring.name, terms)
+            seen.add("strategies agree" if forms["first"] == forms["last"] else "disagree")
+            if forms["first"] != {m: c for m, c in terms.items() if c}:
+                seen.add("rewritten")
+    assert seen == {"strategies agree", "disagree", "rewritten"}

@@ -40,7 +40,7 @@ from conftest import (
     TORIC_OBJECTIVE,
     affine_decomposition_rows,
     affine_dominator_rows,
-    bench_inputs,
+    bench_ladder_pool,
     cold_route_decomposition,
     fraction_key_peel,
     fraction_sorted_vertices,
@@ -483,7 +483,7 @@ def test_witness_pair_matches_the_triple_scan_oracle():
         for coeffs in itertools.product(range(3), repeat=len(rows))
     ]
     for seed in (1, 7919):
-        cases += _bench_ladder(seed)
+        cases += bench_ladder_pool(seed)
         rng = random.Random(f"witness-pair/{seed}")
         for dim, count in zip(range(3, 8), (100, 100, 40, 12, 8)):
             cases += [subcone_geometry(rng, dim) for _ in range(count)]
@@ -617,30 +617,6 @@ def test_vertex_domination_extends_to_random_convex_combinations(rng):
         assert contains(g.eff, beta - point)
 
 
-def _bench_ladder(seed):
-    """The (geometry, class) pool of the benchmark's decompose-ladder for
-    one seed."""
-    from cyclecones.fixtures import load
-
-    toric = load("toric-3fold").geometry("curves")
-    items = []
-    for rung in bench_inputs().ladder(seed):
-        basis = f"bench.ladder{rung['dim']}"
-        for i, inst in enumerate(rung["instances"]):
-            if rung["extra"] is None:  # a toric-3fold:curves class
-                alpha = combine(inst["coeffs"], toric.eff.generator_rows(), toric.dim)
-                items.append((toric, ClassVector(toric.basis, alpha)))
-                continue
-            g = cone_geometry(
-                f"{rung['label']}-{i}",
-                PolyCone.from_generators(basis, inst["mov"]),
-                PolyCone.from_generators(basis, inst["eff"]),
-                ClassVector(f"{basis}*", (1,) * rung["dim"]),
-            )
-            items.append((g, ClassVector(basis, inst["alpha"])))
-    return items
-
-
 def test_resumed_double_description_matches_a_cold_one(rng):
     # a decomposition polytope, and a dominator set built from it, resume
     # their double description from the geometry's movable prefix; the
@@ -659,7 +635,7 @@ def test_resumed_double_description_matches_a_cold_one(rng):
                 cases.append((g, ClassVector(g.basis, combine(coeffs, gens, g.dim))))
     assert len({g.name for g, _ in cases}) >= 3
     for seed in (1, 7919):
-        cases += _bench_ladder(seed)
+        cases += bench_ladder_pool(seed)
     pairs = 0
     for g, alpha in cases:
         s = decomposition_polytope(g, alpha)
@@ -693,7 +669,7 @@ def test_vertex_table_is_the_fraction_values_over_the_common_denominator():
     cases = [(g, alpha) for g, alpha in cases if contains(g.eff, alpha)]
     assert len(cases) >= 12
     for seed in (1, 7919):
-        cases += _bench_ladder(seed)
+        cases += bench_ladder_pool(seed)
     scaled = 0
     for g, alpha in cases:
         s = decomposition_polytope(g, alpha)
@@ -727,7 +703,7 @@ def test_decompose_metadata_matches_the_report_route(rng):
     ]
     assert len(cases) == 243
     for seed in (1, 7919):
-        cases += _bench_ladder(seed)
+        cases += bench_ladder_pool(seed)
     for _ in range(40):
         profile = random_profile(rng)
         k = rng.randint(1, profile.rank - 1)
