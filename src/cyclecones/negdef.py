@@ -5,24 +5,25 @@ Input: a symmetric Gram matrix with nonnegative off-diagonal entries
 vector.  Output: a splitting into a part pairing nonnegatively against
 every basis vector and a leftover supported on a negative-definite
 block, orthogonal to the first part on its own support.  Each route
-carries its own fraction-free elimination of the integer rows
-``[gram_i | pairing_i]``.  ``decompose`` pivots the full rows with
-``linalg.int_pivot`` and grows the support by the indices that pair
-negatively.  The independent oracle ``brute_force`` searches every
-negative-definite support instead of every subset, and its rows keep
-only the live block: the columns of negative self-pairing that the
-search has not yet passed, then the pairing column.  That loses no
-splitting: a valid one lives on a negative-definite support T, and its
-negative part is the unique orthogonality solve on T, so the search
-finds it at T.  Negative definiteness passes to principal submatrices,
-so no superset of a support that fails it needs a visit.
+carries its own fraction-free elimination of ``[gram | pairings]``.
+``decompose`` pivots the full integer rows with ``linalg.int_pivot`` and
+grows the support by the indices that pair negatively.  The independent
+oracle ``brute_force`` searches every negative-definite support instead
+of every subset, on columns: only the live block (the columns of negative
+self-pairing that the search has not yet passed) and the pairing column,
+integers over one common denominator, each step a Bareiss pivot that
+divides exactly by the previous pivot.  That loses no splitting: a valid
+one lives on a negative-definite support T, and its negative part is the
+unique orthogonality solve on T, so the search finds it at T.  Negative
+definiteness passes to principal submatrices, so no superset of a
+support that fails it needs a visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
@@ -95,7 +96,11 @@ def _build(basis: PairingBasis, coeffs, support_coeffs) -> Decomposition:
     total = ClassVector(name, tuple(coeffs))
     positive = total - negative
     support = tuple(i for i, c in enumerate(support_coeffs) if c != 0)
-    pairings = combine(positive.coords, basis.gram, basis.rank)
+    # the pairings on the positive part's integer numerators over one denominator
+    den = lcm(*(x.denominator for x in positive.coords))
+    pairings = combine(numerators(positive.coords, den), basis.gram, basis.rank)
+    if den > 1:
+        pairings = [Fraction(v, den) for v in pairings]
     certificates = (
         Certificate("positive-pairings-nonnegative", {"values": list(pairings)}),
         Certificate(
@@ -189,58 +194,48 @@ def decompose(basis: PairingBasis, coeffs) -> Decomposition:
     return _build(basis, coeffs, support_coeffs)
 
 
-def _pivot_live(rows, scales, r, p):
-    """One step of ``brute_force``'s search: the pivot of ``linalg.int_pivot``
-    on row ``r`` at live column ``p``, keeping only the columns after ``p``.
+def _pivot_live(cols, d, r, p):
+    """One step of ``brute_force``'s search: a Bareiss pivot on row ``r`` at
+    live column ``p``, keeping only the columns after ``p``.
 
-    Row ``r``'s entry ``-a`` there is negative: the row is negated and ``a``
-    becomes its scale.  Every other row with an entry ``b != 0`` becomes
-    ``a·row − b·rows[r]`` and its scale ``a`` times its own, both divided by
-    their common content.  So each row stays a positive multiple of the
-    Fraction row over its columns and its scale.  Returns new rows and
-    scales; the arguments are never edited.
+    The columns hold integers over the one positive denominator ``d``.  The
+    pivot entry is ``-a < 0``; each later column with entry ``e`` in row
+    ``r`` becomes ``(a·x + y·e) // d``, ``y`` running over column ``p``, with
+    ``-e`` in row ``r``, and ``a`` is the new denominator.  By Sylvester's
+    identity every division is exact (Bareiss 1968).  Returns the new
+    columns and denominator; the arguments are never edited.
     """
-    a = -rows[r][p]
-    prow = [-x for x in rows[r][p + 1:]]
-    child, child_scales = [], scales[:]
-    for i, row in enumerate(rows):
-        b = row[p]
-        if i == r:
-            child.append(prow)
-            child_scales[i] = a
-        elif b:
-            new = [a * x - b * y for x, y in zip(row[p + 1:], prow)]
-            scale = a * scales[i]
-            g = gcd(scale, *new)
-            if g > 1:
-                new = [x // g for x in new]
-                scale //= g
-            child.append(new)
-            child_scales[i] = scale
+    pivot = cols[p]
+    a = -pivot[r]
+    child = []
+    for col in cols[p + 1:]:
+        e = col[r]
+        if e:
+            new = [(a * x + y * e) // d for x, y in zip(col, pivot)]
         else:
-            child.append(row[p + 1:])
-    return child, child_scales
+            new = [a * x // d for x in col]
+        new[r] = -e
+        child.append(new)
+    return child, a
 
 
 def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     """Independent oracle: search every negative-definite support.
 
-    Supports S are visited depth first in lexicographic order, carrying a
-    fraction-free Gauss-Jordan elimination, one ``_pivot_live`` per step.
-    Each row holds only its live columns, then the pairing column; a live
-    column is an index of negative self-pairing that the search has not
-    yet passed, the only columns a later step reads.  An index i ∈ S keeps
-    its pivot entry as a separate scale, so the solve's x_i is the last
-    entry over the scale.  For a live j the entry of row j is a positive
-    multiple of the Schur complement of S in S ∪ {j}, so the child
-    S ∪ {j}, j > max S, is negative definite exactly when it is < 0, the
-    test ``is_negative_definite`` makes; a failed child's whole subtree is
-    skipped.  An index of nonnegative self-pairing never enters: over a
-    negative-definite S its Schur complement is at least its diagonal
-    entry.  The last column holds positive multiples of the solve's x_i
-    for i ∈ S and of the positive part's pairings for i ∉ S, so S gives a
-    candidate when that column is >= 0.  A valid splitting is the unique
-    solve on its negative-definite support, so none is missed.
+    Supports S are visited depth first in lexicographic order, one
+    fraction-free Gauss-Jordan step ``_pivot_live`` each.  A node holds its
+    live columns (indices of negative self-pairing not yet passed, the only
+    columns a later step reads), then the pairing column, as integers over
+    one denominator d; the root holds them times the lcm of their
+    denominators, over d = 1.  Over d, a row i ∈ S holds the solve, and a
+    row i ∉ S a positive multiple of the Schur complement of S.  So S gives
+    a candidate when the last column is >= 0, with x_i its entry over d
+    for i ∈ S; and a child S ∪ {j}, j > max S, is negative definite exactly
+    when row j of column j is < 0, the test ``is_negative_definite`` makes.
+    A failed child's subtree is skipped.  An index of nonnegative
+    self-pairing never enters: over a negative-definite S its Schur
+    complement is at least its diagonal entry.  A valid splitting is the
+    unique solve on its negative-definite support, so none is missed.
 
     Each distinct candidate must pass the full postcondition check;
     exactly one must emerge.  Zero or several distinct results signal
@@ -250,7 +245,8 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     rank = basis.rank
     # 2^16 supports at most: on a rank-16 A_16 chain, whose every support is
     # negative definite, `bck --brute-force` with an all-ones class takes
-    # about 0.41 s wall, interpreter start included (Python 3.11, 2 vCPUs)
+    # about 0.38 s wall, interpreter start and import from source included
+    # (Python 3.11, 2 vCPUs)
     if rank > 16:
         raise DomainError(
             f"brute force rank {rank} exceeds the cap of 16", rank=rank, cap=16
@@ -260,22 +256,22 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
     live = tuple(i for i in range(rank) if basis.gram[i][i] < 0)
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}  # -> its support
 
-    def visit(rows, scales, support: tuple[int, ...], live: tuple[int, ...]) -> None:
-        if all(row[-1] >= 0 for row in rows):
+    def visit(cols, d: int, support: tuple[int, ...], live: tuple[int, ...]) -> None:
+        last = cols[-1]
+        if min(last, default=0) >= 0:
             negative = [Fraction(0)] * rank
             for i in support:
-                negative[i] = Fraction(rows[i][-1], scales[i])
+                negative[i] = Fraction(last[i], d)
             found[tuple(negative)] = tuple(i for i in support if negative[i])
         for p, j in enumerate(live):
-            if rows[j][p] < 0:
-                child, child_scales = _pivot_live(rows, scales, j, p)
-                visit(child, child_scales, support + (j,), live[p + 1:])
+            if cols[p][j] < 0:
+                child, a = _pivot_live(cols, d, j, p)
+                visit(child, a, support + (j,), live[p + 1:])
 
-    rows = [
-        list(int_primitive(tuple(row[j] for j in live) + (v,)))
-        for row, v in zip(basis.gram, initial)
-    ]
-    visit(rows, [0] * rank, (), live)
+    # the live gram columns (a row, by symmetry) and the pairings, in integers
+    cols = [basis.gram[j] for j in live] + [initial]
+    scale = lcm(*(x.denominator for col in cols for x in col))
+    visit([numerators(col, scale) for col in cols], 1, (), live)
     # in the order a loop over subsets by size, then lexicographic, meets them
     ordered = sorted(found, key=lambda key: (len(found[key]), found[key]))
     for support_coeffs in ordered:

@@ -70,7 +70,8 @@ def rat_str(value: Fraction) -> str:
     An integer longer than ``sys.get_int_max_str_digits()`` cannot be
     printed; that is a ``DomainError`` naming the limit.
     """
-    value = Fraction(value)
+    if type(value) is not int:  # an exact int is its own numerator over 1
+        value = Fraction(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)

@@ -24,7 +24,7 @@ from cyclecones.cones import (
     dd_convert,
     double_description,
 )
-from cyclecones.errors import DomainError, InputError
+from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.linalg import combine, dot, int_primitive, solve_unique, violated
 from cyclecones.negdef import (
     PairingBasis,
@@ -516,6 +516,92 @@ def subset_brute_force(basis: PairingBasis, coeffs):
         )
     (support_coeffs,) = found
     return _build(basis, coeffs, list(support_coeffs))
+
+
+def _rowwise_pivot_live(rows, scales, r, p):
+    """The row-major search step ``rowwise_brute_force`` takes: the pivot of
+    ``linalg.int_pivot`` on row ``r`` at live column ``p``, keeping only the
+    columns after ``p``.  Row ``r`` is negated and its pivot entry ``a`` is
+    its scale; every other row with an entry ``b != 0`` becomes
+    ``a·row − b·rows[r]`` and its scale ``a`` times its own, both divided by
+    their common content."""
+    a = -rows[r][p]
+    prow = [-x for x in rows[r][p + 1:]]
+    child, child_scales = [], scales[:]
+    for i, row in enumerate(rows):
+        b = row[p]
+        if i == r:
+            child.append(prow)
+            child_scales[i] = a
+        elif b:
+            new = [a * x - b * y for x, y in zip(row[p + 1:], prow)]
+            scale = a * scales[i]
+            g = gcd(scale, *new)
+            if g > 1:
+                new = [x // g for x in new]
+                scale //= g
+            child.append(new)
+            child_scales[i] = scale
+        else:
+            child.append(row[p + 1:])
+    return child, child_scales
+
+
+def rowwise_brute_force(basis: PairingBasis, coeffs, visits: list | None = None):
+    """Oracle for ``negdef.brute_force``'s search: the same depth-first walk
+    over negative-definite supports, on rows instead of columns.
+
+    Each row holds its live columns, then the pairing column, as a
+    primitive integer row with its own scale.  Each support visited is
+    appended to ``visits``, in order, with its candidate negative part (a
+    tuple of Fractions), or None when its pairing column has a negative
+    entry.
+    """
+    coeffs = _checked(basis, coeffs)
+    rank = basis.rank
+    if rank > 16:
+        raise DomainError(
+            f"brute force rank {rank} exceeds the cap of 16", rank=rank, cap=16
+        )
+    visits = [] if visits is None else visits
+    initial = combine(coeffs, basis.gram, rank)
+    found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+
+    def visit(rows, scales, support, live):
+        candidate = None
+        if all(row[-1] >= 0 for row in rows):
+            negative = [Fraction(0)] * rank
+            for i in support:
+                negative[i] = Fraction(rows[i][-1], scales[i])
+            candidate = tuple(negative)
+            found[candidate] = tuple(i for i in support if negative[i])
+        visits.append((support, candidate))
+        for p, j in enumerate(live):
+            if rows[j][p] < 0:
+                child, child_scales = _rowwise_pivot_live(rows, scales, j, p)
+                visit(child, child_scales, support + (j,), live[p + 1:])
+
+    live = tuple(i for i in range(rank) if basis.gram[i][i] < 0)
+    rows = [
+        list(int_primitive(tuple(row[j] for j in live) + (v,)))
+        for row, v in zip(basis.gram, initial)
+    ]
+    visit(rows, [0] * rank, (), live)
+    ordered = sorted(found, key=lambda key: (len(found[key]), found[key]))
+    for support_coeffs in ordered:
+        if not _postconditions_hold(basis, coeffs, support_coeffs):
+            raise CycleConesError(
+                "brute force candidate violates the output contract",
+                negative=[rat_str(x) for x in support_coeffs],
+            )
+    if not ordered:
+        raise DomainError("no valid decomposition exists for this input")
+    if len(ordered) > 1:
+        raise DomainError(
+            "multiple distinct decompositions found; uniqueness is broken",
+            negatives=[[rat_str(x) for x in key] for key in ordered],
+        )
+    return _build(basis, coeffs, list(ordered[0]))
 
 
 def solve_per_step_decompose(basis: PairingBasis, coeffs):

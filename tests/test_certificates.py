@@ -19,7 +19,7 @@ from cyclecones.cones import PolyCone, contains
 from cyclecones.decomposition import Certificate, Decomposition
 from cyclecones.errors import CycleConesError, DomainError, InputError
 from cyclecones.fixtures.checks import check_combination_reproduces, check_no_preceq_maximum
-from cyclecones.linalg import dot, reproduces
+from cyclecones.linalg import combine, dot, reproduces
 from cyclecones.polytope import RationalPolytope, inequality, vertex_enumeration
 from cyclecones.rationals import rat, rat_str
 from cyclecones.simplex import nonneg_solve
@@ -489,6 +489,27 @@ def test_movable_class_rejects_a_smaller_positive_part():
     smaller = _vertex_record(g, dec, _vector((1, 1)))
     assert smaller.negative == _vector((0, 1))
     assert not verify_decomposition(g, smaller)
+
+
+def test_decomposition_rejects_a_zero_positive_part_with_the_true_metadata():
+    # toric-3fold:curves at coefficients (1, 0, 1, 1, 1) on eff's generators:
+    # the positive part is (0, 0, 0, 1, 1).  The forgery P = 0, N = alpha has
+    # honest membership combinations and the true record's metadata, so only
+    # the check that the positive part heads the optimal face rejects it
+    g = fixtures.load("toric-3fold").geometry("curves")
+    alpha = ClassVector(g.basis, combine((1, 0, 1, 1, 1), g.eff.generator_rows(), g.dim))
+    dec = decompose(g, alpha)
+    assert dec.positive.coords == (0, 0, 0, 1, 1) and verify_decomposition(g, dec)
+    zero = alpha - alpha
+    certificates = tuple(
+        Certificate(fact, {"combination": list(contains(cone, part).combination)})
+        for fact, cone, part in (
+            ("positive-part-movable", g.mov, zero),
+            ("negative-part-pseudo-effective", g.eff, alpha),
+        )
+    )
+    forged = Decomposition(alpha, zero, alpha, certificates, dec.metadata)
+    assert not verify_decomposition(g, forged)
 
 
 def test_decomposition_rejects_certificate_without_combination():

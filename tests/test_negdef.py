@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from conftest import (
     bareiss_det,
     bench_inputs,
     chain_gram,
+    pivot,
+    rowwise_brute_force,
     solve_per_step_decompose,
     subset_brute_force,
 )
@@ -242,6 +245,14 @@ def _basis(gram) -> PairingBasis:
     )
 
 
+def _chain(rank, diagonal, neighbour) -> PairingBasis:
+    """A tridiagonal gram: ``diagonal`` on the diagonal, ``neighbour`` beside it."""
+    return _basis([
+        [diagonal if i == j else neighbour if abs(i - j) == 1 else 0 for j in range(rank)]
+        for i in range(rank)
+    ])
+
+
 def _forged(gram) -> PairingBasis:
     """A basis whose gram skips validation.  With nonnegative off-diagonal
     pairings the splitting is unique, so negative ones are how a test
@@ -409,6 +420,138 @@ def test_brute_force_pivots_once_per_negative_definite_support(monkeypatch):
         assert len(pivots) <= basis.rank, (basis.rank, len(pivots))
         if basis is mixed:
             assert len(steps) == 2 ** len(negative) - 1
+
+
+def _random_fraction_surface(rng):
+    """A pairing of rank 0 to 10 with Fraction entries of denominators 2-6:
+    curves meet nonnegatively, and the negative curves form a strictly
+    diagonally dominant block (so each of its supports is negative
+    definite) or, one time in three, have drawn diagonals."""
+    r = rng.randint(0, 10)
+    negative = set(rng.sample(range(r), rng.randint(0, r)))
+    dominant = rng.random() < 2 / 3
+    gram = [[F(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rng.random() < 0.4:
+                gram[i][j] = gram[j][i] = F(rng.randint(1, 6), rng.randint(2, 6))
+    for i in range(r):
+        if i not in negative:
+            gram[i][i] = F(rng.randint(0, 12), rng.randint(2, 6))
+        elif dominant:
+            block = sum(gram[i][j] for j in negative if j != i)
+            gram[i][i] = -block - F(rng.randint(1, 6), rng.randint(2, 6))
+        else:
+            gram[i][i] = -F(rng.randint(1, 12), rng.randint(2, 6))
+    coeffs = tuple(F(rng.randint(0, 12), rng.randint(2, 6)) for _ in range(r))
+    return _basis(gram), coeffs
+
+
+def _record_search(monkeypatch, basis=None, coeffs=None):
+    """Record ``brute_force``'s search: each support it visits, in order,
+    and each candidate it checks.  Given the instance, also hold every
+    step to a Fraction Gauss-Jordan elimination of ``scale·[gram | pairings]``
+    on the live columns, ``scale`` the lcm of their denominators: a column
+    over the step's denominator must equal that elimination's column,
+    which is the solve on the support's rows and ``scale`` times the Schur
+    complement of the support elsewhere.  A floor division that was not
+    exact would break the equality."""
+    visits, checked = [()], []
+    nodes = {}  # id of a node's columns -> (columns, support, Fraction rows, first column)
+    real_step, real_check = negdef._pivot_live, negdef._postconditions_hold
+    if basis is not None:
+        rank = basis.rank
+        live = [j for j in range(rank) if basis.gram[j][j] < 0]
+        pairings = combine(coeffs, basis.gram, rank)
+        rows = [[*(basis.gram[i][j] for j in live), pairings[i]] for i in range(rank)]
+        scale = lcm(*(F(x).denominator for row in rows for x in row))
+
+    def step(cols, d, r, p):
+        child, a = real_step(cols, d, r, p)
+        if id(cols) not in nodes:  # the root
+            assert d == 1
+            if basis is not None:
+                assert [[col[i] for col in cols] for i in range(rank)] == [
+                    [x * scale for x in row] for row in rows]
+            nodes[id(cols)] = (cols, (), [[F(x) for x in row] for row in rows]
+                               if basis is not None else None, 0)
+        _, support, fraction_rows, first = nodes[id(cols)]
+        support += (r,)
+        visits.append(support)
+        if basis is not None:
+            fraction_rows = [list(row) for row in fraction_rows]
+            pivot(fraction_rows, r, first + p)
+            first += p + 1
+            for k, col in enumerate(child):
+                want = [
+                    row[first + k] * (1 if i in support else scale)
+                    for i, row in enumerate(fraction_rows)
+                ]
+                assert [F(x, a) for x in col] == want, (support, k)
+        nodes[id(child)] = (child, support, fraction_rows, first)
+        return child, a
+
+    def check(basis, coeffs, support_coeffs):
+        checked.append(tuple(support_coeffs))
+        return real_check(basis, coeffs, support_coeffs)
+
+    monkeypatch.setattr(negdef, "_pivot_live", step)
+    monkeypatch.setattr(negdef, "_postconditions_hold", check)
+    return visits, checked
+
+
+def _rowwise_expectation(basis, coeffs):
+    """``rowwise_brute_force``'s outcome, the supports it visits and its
+    candidates in the order it checks them."""
+    log = []
+    outcome = _outcome(lambda b, c: rowwise_brute_force(b, c, log), basis, coeffs)
+    found = {neg for _, neg in log if neg is not None}
+    nonzero = lambda neg: tuple(i for i, x in enumerate(neg) if x)
+    ordered = sorted(found, key=lambda neg: (len(nonzero(neg)), nonzero(neg)))
+    return outcome, [support for support, _ in log], ordered
+
+
+def test_brute_force_search_matches_the_rowwise_oracle(monkeypatch):
+    # the column search visits the supports of the row-major one in the
+    # same order, checks the same candidates in the same order and returns
+    # the same record or error, on every small-batch pairing problem of the
+    # benchmark's seeds 1 and 7919 and on seeded Fraction grams
+    rng = random.Random(0xC01_5EA)
+    instances = [pair for seed in (1, 7919) for pair in _bench_pairings(seed, rounds=24)]
+    instances += [_random_fraction_surface(rng) for _ in range(150)]
+    instances += HAND_CASES
+    steps = outcomes = 0
+    for basis, coeffs in instances:
+        expected, visits, ordered = _rowwise_expectation(basis, coeffs)
+        got_visits, got_checked = _record_search(monkeypatch)
+        got = _outcome(brute_force, basis, coeffs)
+        monkeypatch.undo()
+        assert got == expected, (basis, coeffs)
+        if visits:  # an input error stops both before any search
+            assert got_visits == visits, (basis, coeffs)
+            assert got_checked == ordered, (basis, coeffs)
+        steps += len(visits)
+        outcomes += not isinstance(expected, tuple)
+    assert len(instances) == 2 * 144 + 150 + len(HAND_CASES)
+    assert outcomes >= 2 * 144 + 100 and steps > 20_000
+
+
+def test_brute_force_steps_are_exact_fraction_gauss_jordan(monkeypatch):
+    # every step's columns over its denominator equal a Fraction elimination,
+    # on Fraction grams, the first round of each seed's pairing problems and
+    # rank-10 chains whose 1023 nonempty supports are all negative definite
+    rng = random.Random(0xE1A_C7)
+    instances = [_random_fraction_surface(rng) for _ in range(60)]
+    instances += [pair for seed in (1, 7919) for pair in _bench_pairings(seed, rounds=1)]
+    instances += [(_chain(10, -2, 1), (1,) * 10), (_chain(10, F(-5, 2), F(1, 3)), (1,) * 10)]
+    steps = 0
+    for basis, coeffs in instances:
+        visits, _ = _record_search(monkeypatch, basis, coeffs)
+        result = brute_force(basis, coeffs)
+        monkeypatch.undo()
+        assert result.to_json() == rowwise_brute_force(basis, coeffs).to_json()
+        steps += len(visits) - 1
+    assert steps > 2 * 1023
 
 
 def _random_forged(rng):

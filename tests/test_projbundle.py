@@ -241,6 +241,26 @@ def test_constants_out_of_order_are_an_internal_error(monkeypatch):
         }, name
 
 
+def test_sigma_below_epsilon_alone_is_out_of_order(monkeypatch):
+    # eps_1 raised from -2 to 0: sigma_1 = eps_0 + top slope = -1 falls below
+    # it, while nu_1 = -degree - eps_3 = -1 still reaches sigma_1, so only
+    # the half of the check that wants sigma >= eps catches it
+    profile = HNProfile.parse("2:0,2:2")
+    heights = HNProfile.heights.func
+    monkeypatch.setattr(HNProfile, "heights", property(
+        lambda p: tuple(h + 2 if i == 1 else h for i, h in enumerate(heights(p)))
+    ))
+    alpha = ClassVector(class_basis(profile, 1), (1, 0))
+    for read in (lambda: sigma(profile, 1), lambda: cones_at(profile, 1),
+                 lambda: zariski_decompose(profile, 1, alpha)):
+        with pytest.raises(CycleConesError) as err:
+            read()
+        assert type(err.value) is CycleConesError
+        assert err.value.payload() == {
+            "message": "cone constants out of order", "epsilon": "0", "sigma": "-1", "nu": "-1",
+        }
+
+
 def test_closed_form_agrees_with_lp_engine(rng):
     # smaller companion to the acceptance-level 500-instance agreement run
     for _ in range(100):

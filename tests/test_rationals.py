@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclecones import rationals
 from cyclecones.errors import DomainError, InputError
 from cyclecones.rationals import rat, rat_str
 
@@ -134,3 +135,22 @@ def test_over_long_result_is_domain_error_naming_the_limit():
         assert "sys.get_int_max_str_digits()" in caught.value.message
         assert caught.value.details == {"limit": limit}
     assert rat_str(Fraction(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+
+
+def test_an_int_prints_without_a_fraction(monkeypatch):
+    # an exact int is printed as it is, and one past the digit limit is still
+    # the DomainError; a bool goes through Fraction as before
+    limit = sys.get_int_max_str_digits()
+    assert [rat_str(True), rat_str(False)] == ["1", "0"]
+
+    def no_fraction(*args):
+        raise AssertionError("rat_str built a Fraction for an int")
+
+    monkeypatch.setattr(rationals, "Fraction", no_fraction)
+    assert [rat_str(-12), rat_str(0), rat_str(10 ** (limit - 1))] == [
+        "-12", "0", "1" + "0" * (limit - 1)]
+    with pytest.raises(DomainError) as caught:
+        rat_str(-(10**limit))
+    assert caught.value.details == {"limit": limit}
+    with pytest.raises(AssertionError):
+        rat_str(True)
