@@ -11,7 +11,8 @@ these functions, and every certificate is re-checked with them:
   checked on integers over one common denominator.
 - ``separates``: a functional is nonnegative on rows, negative on a vector.
 - ``violated``: the first functional negative on a vector, if any.
-- ``numerators``: rationals times a common denominator, as integers.
+- ``numerators``: rows times the lcm of all their denominators, as
+  integers; every module clears denominators through it.
 - ``int_primitive``: coprime integer form of a row, orientation kept; a
   row of ``int``s is only divided by its content.
 - ``int_pivot``: one Gauss-Jordan pivot on integer rows, fraction-free.
@@ -65,9 +66,9 @@ def reproduces(coeffs, rows, target) -> bool:
     Every row must have the target's length, and every coefficient and
     target entry must be an ``int`` or a ``Fraction``; any other type (a
     float, a bool, a string) fails.  Over ``den``, the lcm of their
-    denominators, the integer coefficients ``c·den`` must combine to
-    ``den·target``: a positive rescaling of the same test, with no
-    Fraction arithmetic on integer rows.
+    denominators (``numerators``), the integer coefficients ``c·den`` must
+    combine to ``den·target``: a positive rescaling of the same test, with
+    no Fraction arithmetic on integer rows.
     """
     entries = (*coeffs, *target)
     if len(coeffs) != len(rows) or not all_exact(entries):
@@ -75,9 +76,8 @@ def reproduces(coeffs, rows, target) -> bool:
     # exact entries: a coefficient's sign is its numerator's
     if any(c.numerator < 0 for c in coeffs) or any(len(row) != len(target) for row in rows):
         return False
-    den = lcm(*(x.denominator for x in entries))
-    scaled = combine(numerators(coeffs, den), rows, len(target))
-    return scaled == tuple(numerators(target, den))
+    _, (scaled, want) = numerators(coeffs, target)
+    return combine(scaled, rows, len(target)) == tuple(want)
 
 
 def separates(functional, rows, vector) -> bool:
@@ -100,22 +100,23 @@ def violated(functionals, vector) -> int | None:
     )
 
 
-def numerators(values, den: int) -> list[int]:
-    """The integers x·den of rationals ``values`` whose denominators divide
-    ``den`` (an ``int`` is its own numerator over 1)."""
-    return [x.numerator * (den // x.denominator) for x in values]
+def numerators(*rows) -> tuple[int, list[list[int]]]:
+    """``(den, ints)``: den the lcm of every entry's denominator, ints each
+    row times den as a list of ``int``s; no rows give ``(1, [])``."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def int_primitive(row) -> tuple[int, ...]:
     """Coprime integer form of a rational row, preserving orientation.
 
     A row of exact ``int``s is only divided by its content; any other row
-    is first scaled by the lcm of its denominators to integers.
+    is first cleared of its denominators by ``numerators``.
     """
     if all(type(x) is int for x in row):
         ints = row
     else:
-        ints = numerators(row, lcm(*(x.denominator for x in row)))
+        _, (ints,) = numerators(row)
     content = gcd(*ints)
     if content <= 1:
         return tuple(ints)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .decomposition import Certificate, Decomposition
 from .errors import CycleConesError, DomainError, InputError
@@ -97,8 +96,8 @@ def _build(basis: PairingBasis, coeffs, support_coeffs) -> Decomposition:
     positive = total - negative
     support = tuple(i for i, c in enumerate(support_coeffs) if c != 0)
     # the pairings on the positive part's integer numerators over one denominator
-    den = lcm(*(x.denominator for x in positive.coords))
-    pairings = combine(numerators(positive.coords, den), basis.gram, basis.rank)
+    den, (ints,) = numerators(positive.coords)
+    pairings = combine(ints, basis.gram, basis.rank)
     if den > 1:
         pairings = [Fraction(v, den) for v in pairings]
     certificates = (
@@ -127,10 +126,8 @@ def _postconditions_hold(basis: PairingBasis, coeffs, support_coeffs) -> bool:
     """
     if any(c < 0 for c in support_coeffs):
         return False
-    den = lcm(*(x.denominator for x in (*coeffs, *support_coeffs)))
-    positive = [
-        c - n for c, n in zip(numerators(coeffs, den), numerators(support_coeffs, den))
-    ]
+    _, (total, negative) = numerators(coeffs, support_coeffs)
+    positive = [c - n for c, n in zip(total, negative)]
     pairings = combine(positive, basis.gram, basis.rank)
     if any(v < 0 for v in pairings):
         return False
@@ -270,8 +267,7 @@ def brute_force(basis: PairingBasis, coeffs) -> Decomposition:
 
     # the live gram columns (a row, by symmetry) and the pairings, in integers
     cols = [basis.gram[j] for j in live] + [initial]
-    scale = lcm(*(x.denominator for col in cols for x in col))
-    visit([numerators(col, scale) for col in cols], 1, (), live)
+    visit(numerators(*cols)[1], 1, (), live)
     # in the order a loop over subsets by size, then lexicographic, meets them
     ordered = sorted(found, key=lambda key: (len(found[key]), found[key]))
     for support_coeffs in ordered:

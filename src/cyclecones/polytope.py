@@ -157,8 +157,7 @@ def vertex_table(p: RationalPolytope, functionals) -> tuple[int, list[tuple]]:
     """``(D, rows)``: D the lcm of the enumerated vertices' denominators, row
     i the values <l, D·v_i> of ``functionals`` (integers for integer ones).
     A positive rescaling: every comparison is the one on the rationals."""
-    common = lcm(*(c.denominator for v in p.vertices for c in v.coords))
-    points = [numerators(v.coords, common) for v in p.vertices]
+    common, points = numerators(*(v.coords for v in p.vertices))
     return common, [tuple(dot(l, x) for l in functionals) for x in points]
 
 

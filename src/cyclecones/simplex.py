@@ -22,11 +22,10 @@ the Fraction routine's, call for call.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import CycleConesError, DomainError
-from .linalg import int_pivot
+from .linalg import int_pivot, numerators
 
 _MAX_SIMPLEX_PIVOTS = 10_000  # per call; past it, a domain error
 
@@ -36,9 +35,8 @@ def solve_standard(matrix, rhs, ncols: int) -> tuple[Fraction, ...] | None:
     m, n = len(matrix), ncols
     rows = []
     for i, (row, b) in enumerate(zip(matrix, rhs)):
-        values = (*row, b)
-        den = lcm(*(x.denominator for x in values))
-        ints = [(-den if b < 0 else den) * x.numerator // x.denominator for x in values]
+        den, (ints,) = numerators((*row, b))
+        ints = [-x for x in ints] if b < 0 else ints
         rows.append(ints[:-1] + [den * (i == j) for j in range(m)] + ints[-1:])
     basis = list(range(n, n + m))
     pivots = 0

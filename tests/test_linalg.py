@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -151,6 +151,47 @@ def test_reproduces_matches_fraction_oracle():
     assert all(seen[k] >= 30 for k in seen) and len(seen) == 11, seen
 
 
+def _random_rows(rng):
+    """0-4 rows of 0-6 entries and their kinds: all ``int``, all
+    ``Fraction``, mixed, or empty."""
+    rows, kinds = [], set()
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("int", "fraction", "mixed", "empty"))
+        length = 0 if kind == "empty" else rng.randint(2 if kind == "mixed" else 1, 6)
+        row = [F(rng.randint(-9, 9), rng.randint(1, 12)) if kind == "fraction"
+               or (kind == "mixed" and rng.random() < 0.5) else rng.randint(-9, 9)
+               for _ in range(length)]
+        if kind == "mixed":  # one entry of each type at least
+            row[0], row[-1] = rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(2, 12))
+        rows.append(tuple(row))
+        kinds.add(kind)
+    return rows, kinds or {"no-rows"}
+
+
+def test_numerators_matches_fraction_arithmetic():
+    # 600 seeded row lists: den is the lcm of every entry's denominator,
+    # taken over all rows at once, and each row is x·den entry by entry, in
+    # ints; every kind of row, and no rows at all, occurs at least 50 times
+    rng = random.Random(4_669_201)
+    seen = Counter()
+    for _ in range(600):
+        rows, kinds = _random_rows(rng)
+        den, ints = numerators(*rows)
+        want = 1
+        for x in (F(x) for row in rows for x in row):
+            want = want * x.denominator // gcd(want, x.denominator)
+        assert type(den) is int and den == want, rows
+        assert len(ints) == len(rows)
+        for row, got in zip(rows, ints):
+            assert type(got) is list and all(type(v) is int for v in got), (rows, got)
+            assert got == [F(x) * den for x in row], rows
+        seen.update(kinds)
+    assert numerators() == (1, [])
+    assert numerators(()) == (1, [[]])
+    assert numerators((F(1, 2), 3), (F(-2, 3),)) == (6, [[3, 18], [-4]])
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+
 def test_int_primitive_and_pivot():
     assert int_primitive((F(2, 3), F(-4, 3), F(0))) == (1, -2, 0)
     assert int_primitive((-6, 4)) == (-3, 2)
@@ -183,9 +224,9 @@ def test_int_primitive_matches_fraction_oracle(monkeypatch):
     # scales by denominators; every kind occurs at least 50 times
     scaled = []
 
-    def counting(values, den):
-        scaled.append(den)
-        return numerators(values, den)
+    def counting(*rows):
+        scaled.append(rows)
+        return numerators(*rows)
 
     monkeypatch.setattr(linalg, "numerators", counting)
     rng = random.Random(1_618_033)

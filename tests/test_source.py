@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -76,3 +77,60 @@ def test_zariski_builds_its_systems_through_polytope():
         if re.search(r"\b(DDState|_dd_state)\b", path.read_text(encoding="utf-8"))
     )
     assert holders == ["cones.py", "polytope.py"]
+
+
+def test_denominators_are_cleared_only_in_linalg():
+    # the one-denominator rule, the lcm of the denominators and then each
+    # entry scaled, has one owner: linalg.numerators takes the only such
+    # lcm, and simplex and negdef take no lcm at all
+    def lcm_of_denominators(call):
+        func = call.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "lcm" and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "denominator"
+            for arg in call.args for sub in ast.walk(arg)
+        )
+
+    holders, lcm_users = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                holders += [
+                    (name, func.name) for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and lcm_of_denominators(node)
+                ]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and "lcm" in [a.name for a in node.names]) or (
+                isinstance(node, ast.Attribute) and node.attr == "lcm"
+            ):
+                lcm_users.add(name)
+    assert holders == [("linalg.py", "numerators")]
+    assert lcm_users.isdisjoint({"simplex.py", "negdef.py"}), lcm_users
+
+
+def test_bench_records_carry_their_environment_and_medians():
+    # the format of the committed BENCH_*.json records, never a number in
+    # them: each names the parent's git SHA and the src/ line count of both
+    # trees, and gives end-to-end medians at both trees for some of the
+    # workloads BENCHMARK.json declares (a record is never rewritten, so a
+    # workload added later is absent from it)
+    root = SRC.parents[1]
+    workloads = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths, "no BENCH_*.json at the repository root"
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        env = doc.get("environment") or {}
+        assert re.fullmatch(r"[0-9a-f]{40}", str(env.get("parent_sha"))), path.name
+        lines = env.get("src_py_lines") or {}
+        assert all(type(lines.get(side)) is int for side in ("parent", "change")), path.name
+        end_to_end = doc.get("end_to_end") or {}
+        assert end_to_end and set(end_to_end) <= workloads, (path.name, sorted(end_to_end))
+        for w, seeds in end_to_end.items():
+            metrics = [m for block in seeds.values() for m in (block.get("metrics") or {}).values()]
+            assert metrics and all(
+                type(m.get(side)) in (int, float)
+                for m in metrics for side in ("parent_median", "change_median")
+            ), (path.name, w)
+        print(path.name, "read")
