@@ -2,26 +2,31 @@
 
 ``nonneg_solve`` finds the membership combinations of ``cones.contains``
 and the LP-duality multipliers of ``polytope.maximize_linear``: a basic
-solution of matrix·z = rhs, z >= 0.  That is phase one of the two-phase
-method: an artificial column per row, Bland's rule on minus the
-artificial total, then each artificial still basic is driven out, or
-its (redundant) row deleted.
+solution of matrix·z = rhs, z >= 0, by phase one of the two-phase method
+(an artificial column per row, Bland's rule on minus the artificial
+total, then each artificial still basic driven out or its row deleted).
 
-Each tableau row is a list of ``int``s standing for itself over its
-*scale*, its positive entry in the row's basic column; the reduced-cost
-row is one more such row over an implicit positive denominator.  A pivot
-is ``linalg.int_pivot``.  Every decision compares the rationals a
-Fraction tableau would hold: the entering column has the first positive
-reduced cost; a ratio rhs/entry does not depend on the row's scale, so
-the ratio test cross-multiplies, ties going to the lower basis index;
-the system is feasible iff each row still basic in an artificial has
-rhs 0.  So the pivots, and the solution ``Fraction(rhs, scale)``, are
-the Fraction routine's, call for call.
+``linalg.numerators`` clears the rows over one denominator den, a row
+negated where its rhs is negative; an artificial column is den·e_i.  The
+method is revised: it pivots an (m+1) × (m+3) matrix of ints.  A basic
+row holds its row u of the basis inverse, a 0, a slot and its rhs; the
+reduced-cost row holds weights w on the rows, a weight S on the costs
+(-1 on an artificial, else 0), a slot and the objective.  A row stands
+for the tableau row u·columns + S·costs, so an entry or a reduced cost
+is a dot product with an integer column, and the artificial basis is
+priced in closed form (w all 1, S = den).  A pivot writes the entering
+column into the slot and calls ``linalg.int_pivot``, which keeps each
+row a positive multiple of the Fraction tableau's.  So every decision
+compares that tableau's rationals: the first positive reduced cost
+enters, artificials included; the ratio test cross-multiplies, ties
+going to the lower basis index; each artificial still basic must have
+rhs 0.  Pivots and solutions are the full tableau's, call for call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import CycleConesError, DomainError
@@ -32,43 +37,36 @@ _MAX_SIMPLEX_PIVOTS = 10_000  # per call; past it, a domain error
 
 def solve_standard(matrix, rhs, ncols: int) -> tuple[Fraction, ...] | None:
     """A basic solution z >= 0 of matrix·z = rhs (``ncols`` columns), or None."""
-    m, n = len(matrix), ncols
-    rows = []
-    for i, (row, b) in enumerate(zip(matrix, rhs)):
-        den, (ints,) = numerators((*row, b))
-        ints = [-x for x in ints] if b < 0 else ints
-        rows.append(ints[:-1] + [den * (i == j) for j in range(m)] + ints[-1:])
-    basis = list(range(n, n + m))
-    pivots = 0
+    m, n, slot = len(matrix), ncols, len(matrix) + 1
+    den, ints = numerators(*((*row, b) for row, b in zip(matrix, rhs)))
+    signed = [[-x for x in row] if row[-1] < 0 else row for row in ints]
+    *cols, beta = zip(*signed, [0] * (n + 1))  # a column's last entry is its cost
+    cols += [(0,) * i + (den,) + (0,) * (m - i - 1) + (-1,) for i in range(m)]
+    rows = [[0] * i + [1] + [0] * (m - i + 1) + [b] for i, b in enumerate(beta[:m])]
+    rows.append([1] * m + [den, 0, sum(beta)])
+    basis, pivots = list(range(n, n + m)), 0
 
     def step(r: int, c: int) -> None:
         nonlocal pivots
         pivots += 1
         if pivots > _MAX_SIMPLEX_PIVOTS:
-            raise DomainError(
-                "simplex exceeds its pivot budget", rows=m, columns=n, pivots=pivots
-            )
-        int_pivot(rows, r, c)
+            raise DomainError("simplex exceeds its pivot budget", rows=m, columns=n, pivots=pivots)
+        int_pivot(rows, r, slot)
         basis[r] = c
 
-    # reduced costs of maximizing minus the artificial total, priced out
-    # against the artificial basis
-    rows.append([0] * n + [-1] * m + [0])
-    for i in range(m):
-        int_pivot(rows, i, n + i)
     while True:
-        reduced = rows[m]
-        enter = next((j for j in range(n + m) if reduced[j] > 0), None)
-        if enter is None:
-            break
+        cost = rows[m]
+        for enter, col in enumerate(cols):
+            if (d := sum(map(mul, cost, col))) > 0:
+                break
+        else:
+            break  # phase one is optimal
+        cost[slot] = d
         leave, bn, bd = None, 0, 1  # the least ratio so far, bn / bd
         for i, row in enumerate(rows[:m]):
-            if row[enter] > 0:
-                cross, best = row[-1] * bd, bn * row[enter]
-                if leave is None or cross < best or (
-                    cross == best and basis[i] < basis[leave]
-                ):
-                    leave, bn, bd = i, row[-1], row[enter]
+            e = row[slot] = sum(map(mul, row, col))
+            if e > 0 and (leave is None or (row[-1] * bd, basis[i]) < (bn * e, basis[leave])):
+                leave, bn, bd = i, row[-1], e
         if leave is None:
             raise CycleConesError("phase-one simplex cannot be unbounded")
         step(leave, enter)
@@ -79,14 +77,16 @@ def solve_standard(matrix, rhs, ncols: int) -> tuple[Fraction, ...] | None:
     # drive leftover artificials out of the basis; drop redundant rows
     for i in range(m - 1, -1, -1):
         if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j]), None)
+            col = next((j for j in range(n) if sum(map(mul, rows[i], cols[j]))), None)
             if col is None:
                 del rows[i], basis[i]
-            else:
-                step(i, col)
+                continue
+            for row in rows:
+                row[slot] = sum(map(mul, row, cols[col]))
+            step(i, col)
     solution = [Fraction(0)] * n
     for row, b in zip(rows, basis):
-        solution[b] = Fraction(row[-1], row[b])
+        solution[b] = Fraction(row[-1], sum(map(mul, row, cols[b])))  # rhs over scale
     return tuple(solution)
 
 

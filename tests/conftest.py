@@ -224,12 +224,13 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _optimize(rows, basis, costs):
+def _optimize(rows, basis, costs, pivots: list):
     """Maximize costs·z over the current standard-form tableau.
 
     Returns OPTIMAL or UNBOUNDED; tableau and basis are updated in place.
     The reduced-cost row is initialized from the basis once and then
-    maintained through pivots (Bland's rule on it).
+    maintained through pivots (Bland's rule on it).  The row of each
+    pivot is appended to ``pivots``.
     """
     ncols = len(costs)
     reduced = [Fraction(c) for c in costs] + [Fraction(0)]
@@ -250,6 +251,7 @@ def _optimize(rows, basis, costs):
         if not ratios:
             return UNBOUNDED
         leave = min(ratios)[2]
+        pivots.append(leave)
         pivot(rows, leave, enter)
         basis[leave] = enter
         factor = reduced[enter]
@@ -261,15 +263,18 @@ def _value(rows, basis, costs) -> Fraction:
     return dot([costs[bi] for bi in basis], [row[-1] for row in rows])
 
 
-def two_phase_simplex(matrix, rhs, costs):
+def two_phase_simplex(matrix, rhs, costs, pivots: list | None = None):
     """Simplex oracle: maximize costs·z subject to matrix·z = rhs, z >= 0.
 
     The exact two-phase method over Fractions, Bland's rule throughout;
     ``costs`` has one entry per column.  Returns ``(status, value, z)``;
     value and z are None unless OPTIMAL.  With zero costs its z is the
-    basic solution the library's integer phase one must reproduce.
+    basic solution the library's integer phase one must reproduce.  The
+    row of each phase-one and drive-out pivot is appended to ``pivots``,
+    in order: the pivots the library's phase one must make.
     """
     m, n = len(matrix), len(costs)
+    pivots = [] if pivots is None else pivots
     # phase one: artificial basis, minimize the artificial total
     rows = []
     for i in range(m):
@@ -279,7 +284,7 @@ def two_phase_simplex(matrix, rhs, costs):
         rows.append(row + units + [sign * Fraction(rhs[i])])
     basis = [n + i for i in range(m)]
     phase1_costs = [Fraction(0)] * n + [Fraction(-1)] * m
-    assert _optimize(rows, basis, phase1_costs) == OPTIMAL, "phase one is bounded"
+    assert _optimize(rows, basis, phase1_costs, pivots) == OPTIMAL, "phase one is bounded"
     if _value(rows, basis, phase1_costs) != 0:
         return INFEASIBLE, None, None
 
@@ -290,12 +295,13 @@ def two_phase_simplex(matrix, rhs, costs):
             if col is None:
                 del rows[i], basis[i]
             else:
+                pivots.append(i)
                 pivot(rows, i, col)
                 basis[i] = col
 
     rows = [row[:n] + [row[-1]] for row in rows]
     phase2_costs = [Fraction(c) for c in costs]
-    if _optimize(rows, basis, phase2_costs) != OPTIMAL:
+    if _optimize(rows, basis, phase2_costs, []) != OPTIMAL:
         return UNBOUNDED, None, None
     solution = [Fraction(0)] * n
     for i, bi in enumerate(basis):

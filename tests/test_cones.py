@@ -657,10 +657,12 @@ def test_contains_matches_fraction_oracle():
     # verdict, combination and separating functional equal the Fraction-row
     # decision on every packaged fixture cone and its dual, every edge case
     # and its dual, and every seed 1-3 cone-convert cone.  A member's
-    # simplex on a cone-convert cone takes about 60 pivots over up to 84
-    # rays, so those cones get one facet each and member queries on every
-    # fourth cone (each rung's instance count is a multiple of 4); member
-    # queries on all of them would add about 10 s.
+    # simplex on a cone-convert cone takes about 65 pivots on average and
+    # up to 224, over up to 77 rays; a member query on a cone of more than
+    # 60 rays costs about 2 ms.  So those cones get one facet each and
+    # member queries on every fourth cone (each rung's instance count is a
+    # multiple of 4); member queries on all of them would add about 4 s,
+    # 1.3 s of them in contains and the rest in the Fraction oracle.
     rng = random.Random(1_996)
     work = []
     for cone in _fixture_cones() + _edge_cones():

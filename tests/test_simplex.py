@@ -14,7 +14,7 @@ import pytest
 from cyclecones import simplex
 from cyclecones.cones import PolyCone, dd_convert
 from cyclecones.errors import DomainError
-from cyclecones.linalg import int_pivot, mat_rank
+from cyclecones.linalg import dot, int_pivot, mat_rank
 from cyclecones.simplex import nonneg_solve
 
 from conftest import INFEASIBLE, OPTIMAL, bench_inputs, pivot, two_phase_simplex
@@ -76,7 +76,10 @@ def _cyclic_membership_systems():
     """contains' systems on the first cyclic instances of the benchmark's
     cone-convert workload (seed 1, dimensions 7-8): canonical generators
     (or, for inequality input, the dual's) against the member by
-    construction and the random probe."""
+    construction and the random probe.  For inequality input, also the
+    wide systems: the cone's own 70-77 canonical generators against the
+    probe and against the sum of the generators tight on its first facet,
+    a boundary member whose phase one takes 36-85 pivots."""
     systems = []
     for rung in bench_inputs().cones(1):
         if rung["family"] != "cyclic":
@@ -88,6 +91,10 @@ def _cyclic_membership_systems():
             else:
                 cone = dd_convert(PolyCone.from_inequalities("sx", inst["rows"]))
                 columns = [l.coords for l in cone.inequalities]
+                gens = [g.coords for g in cone.generators]
+                facet = cone.inequalities[0].coords
+                boundary = [sum(c) for c in zip(*(g for g in gens if dot(facet, g) == 0))]
+                systems += [(gens, inst["probe"]), (gens, tuple(boundary))]
             systems += [(columns, inst["combo"]), (columns, inst["probe"])]
     return systems
 
@@ -111,6 +118,24 @@ def test_nonneg_solve_matches_two_phase_oracle():
     assert all(seen[f] >= 20 for f in features), seen
     for columns, target in _cyclic_membership_systems():
         assert nonneg_solve(columns, target) == oracle(columns, target)
+
+
+def test_phase_one_pivots_match_the_oracle(monkeypatch):
+    # the library's int_pivot calls are the oracle's phase-one and drive-out
+    # pivots, row for row and in order, on the seeded systems of the test
+    # above and on every membership system: no pricing pivot, no extra step
+    rows = []
+    monkeypatch.setattr(simplex, "int_pivot", lambda t, r, c: (rows.append(r), int_pivot(t, r, c)))
+    rng = random.Random(7_041_968)
+    systems = [_random_system(rng)[:2] for _ in range(640)] + _cyclic_membership_systems()
+    for columns, target in systems:
+        matrix = [list(row) for row in zip(*columns)]
+        want = []
+        two_phase_simplex(matrix, target, [F(0)] * len(columns), want)
+        rows.clear()
+        simplex.solve_standard(matrix, target, len(columns))
+        assert len(rows) == len(want) and rows == want, (columns, target)
+    assert sum(len(columns) > 60 for columns, _ in systems) == 12
 
 
 def test_int_pivot_keeps_positive_multiples_of_fraction_pivot():

@@ -109,6 +109,19 @@ def test_denominators_are_cleared_only_in_linalg():
     assert lcm_users.isdisjoint({"simplex.py", "negdef.py"}), lcm_users
 
 
+def test_simplex_pivots_only_through_int_pivot():
+    # one elimination kernel: the simplex calls linalg.int_pivot and takes
+    # no gcd or lcm, so it cannot hold a row update of its own
+    tree = ast.parse((SRC / "simplex.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not {"gcd", "lcm"} & (names | attrs | called), names
+    assert "int_pivot" in called
+
+
 def test_bench_records_carry_their_environment_and_medians():
     # the format of the committed BENCH_*.json records, never a number in
     # them: each names the parent's git SHA and the src/ line count of both
