@@ -22,7 +22,7 @@ second pass over the first pass's integer rows.  Supplied rows are checked
 against the result in integers.  A coordinate is an ``int`` when it is
 integral (``rationals.rat``), so the vectors of a canonical cone are its
 primitive integer rows, and ``contains`` decides membership on them in
-``int`` arithmetic.  Dimensions in this package stay small: at most 8 for
+``int`` arithmetic.  Dimensions in this package stay small: at most 10 for
 cones of classes, and one more for the homogenized inequality systems whose
 vertices ``polytope.vertex_enumeration`` reads off.  No effort is spent on
 insertion-order heuristics.
@@ -38,7 +38,8 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CycleConesError, DomainError, InputError
-from .linalg import Row, dot, int_primitive, nullspace, reproduces, separates, violated
+from .linalg import Row, dot, int_primitive, nullspace, pairings_nonnegative
+from .linalg import reproduces, separates, violated
 from .rationals import rat, rat_str
 from .simplex import nonneg_solve
 from .vectors import ClassVector, dual_basis
@@ -55,7 +56,8 @@ _MAX_DD_RAYS = 10_000
 # dimension 11) makes 37.7 million of them in 163 s of pair loops, 4.3 us
 # each (Python 3.11, 2-vCPU Xeon VM), while never holding more than 5 667
 # rays.  The budget is about 9 s of that work; the benchmark's heaviest
-# double description makes 1 913.
+# double description makes 1 913.  Every pair counts, scanned or not; the
+# 9 s is from when every filtered pair scanned, and is not re-derived here.
 _MAX_DD_PAIRS = 2_000_000
 
 
@@ -100,6 +102,13 @@ def double_description(
     the lineality space span a face of dimension ``len(lineality) + 2``,
     whose linear hull is cut out by the rows tight on it, and those have
     rank ``dim - len(lineality) - 2``.
+
+    The scan runs only when both rays are degenerate.  An extreme ray's
+    tight rows have rank ``k - 1``, ``k = dim - len(lineality)``, so a
+    ray tight on exactly ``k - 1`` rows has independent ones.  A pair that
+    holds such a ray and passes the filter has ``k - 2`` of them in common
+    (``k - 1`` would fix the ray), which cut out a 2-face holding both rays:
+    the pair is adjacent, and the skipped scan could only have accepted it.
 
     An insertion that would hold more than ``_MAX_DD_RAYS`` rays, or would
     bring the call's positive/negative pair tests past ``_MAX_DD_PAIRS``,
@@ -183,21 +192,25 @@ def _dd_state(
                 new_rays.append(rays[i])
                 new_tight.append(tight[i] | bit)
         need = dim - len(lineality) - 2
-        minus = [(tight[i], values[i], rays[i]) for i in negative]
+        # a degenerate ray is tight on more than k - 1 rows
+        minus = [(tight[i], values[i], rays[i], tight[i].bit_count() > need + 1)
+                 for i in negative]
         for ip in positive:
             tp, vp, rp = tight[ip], values[ip], rays[ip]
-            for tm, vm, rm in minus:
+            p_degenerate = tp.bit_count() > need + 1
+            for tm, vm, rm, m_degenerate in minus:
                 common = tp & tm
                 if common.bit_count() < need:
                     continue
-                holders = 0  # the pair itself, then any third ray
-                for t in tight:
-                    if common & t == common:
-                        holders += 1
-                        if holders > 2:
-                            break
-                if holders > 2:
-                    continue
+                if p_degenerate and m_degenerate:
+                    holders = 0  # the pair itself, then any third ray
+                    for t in tight:
+                        if common & t == common:
+                            holders += 1
+                            if holders > 2:
+                                break
+                    if holders > 2:
+                        continue
                 combo = [vp * y - vm * x for x, y in zip(rp, rm)]
                 content = gcd(*combo)
                 new_rays.append(
@@ -223,7 +236,9 @@ def _project(v, z, az: int, a) -> tuple[int, ...]:
     av = sum(map(mul, v, a))
     if not av:
         return v
-    return int_primitive(tuple(az * v_i - av * z_i for v_i, z_i in zip(v, z)))
+    row = [az * v_i - av * z_i for v_i, z_i in zip(v, z)]
+    content = gcd(*row)
+    return tuple(x // content for x in row) if content > 1 else tuple(row)
 
 
 def _generators_from_dd(lineality: list[Row], rays: list[Row]) -> list[Row]:
@@ -387,8 +402,8 @@ def dd_convert(cone: PolyCone) -> PolyCone:
     result = PolyCone(
         cone.basis,
         cone.dim,
-        generators=tuple(ClassVector(cone.basis, row) for row in gen_rows),
-        inequalities=tuple(ClassVector(cone.dual, row) for row in canonical_ineqs),
+        generators=tuple(ClassVector.from_ints(cone.basis, row) for row in gen_rows),
+        inequalities=tuple(ClassVector.from_ints(cone.dual, row) for row in canonical_ineqs),
         dual=cone.dual,
     )
     object.__setattr__(result, "canonical", True)
@@ -396,8 +411,8 @@ def dd_convert(cone: PolyCone) -> PolyCone:
     if cone.generators is not None and cone.inequalities is not None:
         # same cone: each side's generators satisfy the other's inequalities
         alone = dd_convert(replace(cone, inequalities=None))
-        sides = ((alone.generator_rows(), canonical_ineqs), (gen_rows, alone.inequality_rows()))
-        if any(violated(rows, g) is not None for gens, rows in sides for g in gens):
+        sides = ((canonical_ineqs, alone.generator_rows()), (alone.inequality_rows(), gen_rows))
+        if not all(pairings_nonnegative(rows, gens) for rows, gens in sides):
             raise InputError(
                 "inconsistent cone: the supplied generators and inequalities "
                 "describe different cones"
@@ -406,7 +421,7 @@ def dd_convert(cone: PolyCone) -> PolyCone:
         # the canonical generators must reproduce exactly the input cone;
         # every input generator has to satisfy the computed inequalities
         # (integer rows: a positive rescaling keeps every sign)
-        if any(violated(canonical_ineqs, g) is not None for g in supplied):
+        if not pairings_nonnegative(canonical_ineqs, supplied):
             raise CycleConesError("double description produced an inconsistent pair")
     return result
 

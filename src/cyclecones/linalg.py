@@ -11,6 +11,8 @@ these functions, and every certificate is re-checked with them:
   checked on integers over one common denominator.
 - ``separates``: a functional is nonnegative on rows, negative on a vector.
 - ``violated``: the first functional negative on a vector, if any.
+- ``pairings_nonnegative``: every functional is >= 0 on every vector, for
+  integer rows, by one packed product per vector.
 - ``numerators``: rows times the lcm of all their denominators, as
   integers; every module clears denominators through it.
 - ``int_primitive``: coprime integer form of a row, orientation kept; a
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 Row = tuple[int | Fraction, ...]
 
@@ -98,6 +100,28 @@ def violated(functionals, vector) -> int | None:
     return next(
         (i for i, l in enumerate(functionals) if dot(l, vector) < 0), None
     )
+
+
+def pairings_nonnegative(functionals, vectors) -> bool:
+    """True iff <l, v> >= 0 for every functional l and vector v, all
+    sequences of ``int`` rows of one length; True when either is empty.
+
+    Every |<l, v>| is at most B = max_l sum |l_i| * max_v max |v_i| < 2^(w-1)
+    for the digit width w = B.bit_length() + 1, so <v, P> with
+    P_i = sum_j l_ji 2^(jw) holds each pairing as a signed digit.  Biased
+    by 2^(w-1), each digit lies in [0, 2^w) and carries nothing, and its
+    top bit is set iff its pairing is >= 0: one product per vector.
+    """
+    if not functionals or not vectors:
+        return True
+    bound = max(sum(map(abs, l)) for l in functionals) * max(
+        (abs(x) for v in vectors for x in v), default=0
+    )
+    width = bound.bit_length() + 1
+    shifts = range(0, width * len(functionals), width)
+    packed = [sum(map(lshift, column, shifts)) for column in zip(*functionals)]
+    bias = sum(1 << (shift + width - 1) for shift in shifts)
+    return all((sum(map(mul, v, packed)) + bias) & bias == bias for v in vectors)
 
 
 def numerators(*rows) -> tuple[int, list[list[int]]]:

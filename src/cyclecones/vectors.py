@@ -34,6 +34,15 @@ class ClassVector:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(map(rat, self.coords)))
 
+    @classmethod
+    def from_ints(cls, basis: str, coords: tuple[int, ...]) -> "ClassVector":
+        """``ClassVector(basis, coords)`` for a tuple of ``int``s, which
+        ``rat`` would return unchanged: equal, hashing and printing alike."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "basis", basis)
+        object.__setattr__(vector, "coords", coords)
+        return vector
+
     @property
     def dim(self) -> int:
         return len(self.coords)

@@ -762,7 +762,8 @@ def test_fixture_commands_match_reference(label, argv, monkeypatch, capsys):
 # message, type and frame: the last entry, None where the site passes none.
 RECLASSIFIED = {
     "dd-inconsistent-pair": (
-        ["cone", "convert", "--input", "{cone}"], (cones, "violated", lambda rows, point: 0),
+        ["cone", "convert", "--input", "{cone}"],
+        (cones, "pairings_nonnegative", lambda functionals, vectors: False),
         3, "double description produced an inconsistent pair", None,
     ),
     "contains-representations-disagree": (

@@ -14,6 +14,7 @@ from cyclecones.linalg import (
     mat_rank,
     nullspace,
     numerators,
+    pairings_nonnegative,
     reproduces,
     separates,
     solve_unique,
@@ -79,6 +80,63 @@ def test_kernel_pairings_and_certificates():
     assert not separates((1, 0), [(1, 0, -5)], (-1, 0))  # a row's length
     assert violated(rows, (F(1), F(0))) is None
     assert violated([(F(1), F(0)), (F(0), F(1))], (F(1), F(-1))) == 1
+
+
+def _pairings_oracle(functionals, vectors):
+    return all(dot(l, v) >= 0 for l in functionals for v in vectors)
+
+
+def _pairing_cases(rng, dim, scale):
+    """Seeded (functionals, vectors) in ``dim`` with entries up to ``scale``
+    in size, zeros among them, and the answer near its boundary."""
+    def entry():
+        return rng.choice((0, rng.randint(-scale, scale)))
+
+    # first coordinate 1 on every functional: each vector's first
+    # coordinate puts its least pairing at exactly 0, -1, 1 or scale
+    functionals = [(1, *(entry() for _ in range(dim - 1))) for _ in range(rng.randint(1, 6))]
+    vectors = []
+    for _ in range(rng.randint(1, 5)):
+        rest = [entry() for _ in range(dim - 1)]
+        least = min(dot(l[1:], rest) for l in functionals) if dim > 1 else 0
+        vectors.append((rng.choice((0, 0, -1, 1, scale)) - least, *rest))
+    yield functionals, vectors
+    yield functionals, vectors[:1]
+    yield [tuple(entry() for _ in range(dim)) for _ in range(3)], vectors
+    # pairings of exactly +B and -B: v is +-M in l's sign pattern, M its
+    # largest entry and l the functional of largest absolute sum
+    l = tuple(rng.randint(1, scale) * rng.choice((-1, 1)) for _ in range(dim))
+    m = rng.randint(1, scale)
+    v = tuple(m if x > 0 else -m for x in l)
+    minus = tuple(-x for x in v)
+    yield [l], [v]
+    yield [l, l], [v]
+    yield [l], [minus]
+    yield [l, tuple(-x for x in l)], [v]
+    yield [l], [v, minus]
+    yield [l, (1,) * dim], [v, (0,) * dim]
+
+
+def test_pairings_nonnegative_matches_dot_oracle():
+    # the packed product against one dot product per pair, on seeded integer
+    # rows: dimensions 1-9, zeros and negative entries, entries above 2^64,
+    # least pairings of exactly 0 and -1 beside large positive ones, and
+    # pairings of exactly +B and -B, the bound the digit width rests on
+    rng = random.Random("pairings_nonnegative")
+    cases = [
+        ([], []), ([], [(1, -2)]), ([(1, -2)], []), ([(), ()], [()]),
+        ([(3, -1)], [(0, 0)]), ([(0, 0)], [(-5, 7)]), ([(0, 0)], [(0, 0)]),
+    ]
+    for dim in range(1, 10):
+        for scale in (1, 9, 2**70):
+            for _ in range(12):
+                cases += _pairing_cases(rng, dim, scale)
+    verdicts = Counter()
+    for functionals, vectors in cases:
+        want = _pairings_oracle(functionals, vectors)
+        assert pairings_nonnegative(functionals, vectors) is want, (functionals, vectors)
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 500, verdicts
 
 
 def test_dot_builds_no_fraction_on_integer_rows(monkeypatch):

@@ -122,6 +122,18 @@ def test_simplex_pivots_only_through_int_pivot():
     assert "int_pivot" in called
 
 
+def test_int_rows_become_vectors_only_in_cones():
+    # ClassVector.from_ints skips rat, so it takes only rows known to be
+    # tuples of ints: dd_convert's canonical rows, primitive by construction
+    callers = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_ints"
+    )
+    assert callers and set(callers) == {"cones.py"}, callers
+
+
 def test_bench_records_carry_their_environment_and_medians():
     # the format of the committed BENCH_*.json records, never a number in
     # them: each names the parent's git SHA and the src/ line count of both
